@@ -16,7 +16,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .gait import GaitConfig, contact_at_fraction
+from .gait import GaitConfig, phase_table
 from .kinematics import (
     RobotGeometry,
     flat_ground_stride,
@@ -97,35 +97,9 @@ class WalkResult:
 
 def ideal_contact_map(cfg: GaitConfig, steps: int, cycles: int = 1) -> ContactMap:
     """Contact map of the ideal gait pattern."""
-    legs = 2 * cfg.n_pairs
-    off = cfg.contact_fraction_offset
-    bits = np.zeros((legs, steps), dtype=np.uint8)
-    for leg in range(legs):
-        side, i = _leg_side_index(cfg, leg)
-        for k in range(steps):
-            bits[leg, k] = contact_at_fraction(cfg, k / steps + off, side, i)
-    tiled = np.tile(bits, (1, cycles))
-    return ContactMap(legs=legs, steps=steps, cycles=cycles, bits=tiled,
-                      kind="ideal")
-
-
-def _leg_side_index(cfg: GaitConfig, leg: int) -> Tuple[str, int]:
-    """Map a flat leg row (0..2n-1) to (side, pair index)."""
-    n = cfg.n_pairs
-    if leg < n:
-        return "left", leg + 1
-    return "right", leg - n + 1
-
-
-def _reduced_phases(cfg: GaitConfig, steps: int) -> np.ndarray:
-    """Reduced per-leg cycle fractions, shape (2n, steps)."""
-    off = cfg.contact_fraction_offset
-    out = np.empty((2 * cfg.n_pairs, steps))
-    for leg in range(2 * cfg.n_pairs):
-        side, i = _leg_side_index(cfg, leg)
-        shift = -cfg.xi * (i - 1) / cfg.n_pairs + (0.5 if side == "right" else 0.0)
-        out[leg] = (np.arange(steps) / steps + off + shift) % 1.0
-    return out
+    bits = (phase_table(cfg, steps) < cfg.duty).astype(np.uint8)
+    return ContactMap(legs=2 * cfg.n_pairs, steps=steps, cycles=cycles,
+                      bits=np.tile(bits, (1, cycles)), kind="ideal")
 
 
 def _debounce(bits: np.ndarray, latch_steps: int) -> np.ndarray:
@@ -171,7 +145,7 @@ class WalkSimulation:
         self.rng = np.random.default_rng(seed)
         n = cfg.n_pairs
         self.legs = 2 * n
-        self.phases = _reduced_phases(cfg, steps)
+        self.phases = phase_table(cfg, steps)
         self.stance_mask = self.phases < cfg.duty
         # lateral block column per side; longitudinal stagger of one block
         # per module (module_length equals the block size by default)

@@ -13,7 +13,10 @@ import math
 from dataclasses import dataclass
 from typing import List, Optional
 
+import numpy as np
+
 TWO_PI = 2.0 * math.pi
+SIDES = ("left", "right")
 
 
 @dataclass(frozen=True)
@@ -102,26 +105,38 @@ def _check_leg_index(cfg: GaitConfig, i: int) -> None:
         raise IndexError(f"leg index {i} out of range 1..{cfg.n_pairs}")
 
 
-def _apply_leg_shift(cfg: GaitConfig, frac_c: float, side: str, i: int) -> float:
-    """Reduced cycle fraction in [0, 1) for leg i: per-leg wave lag plus the
-    half-cycle left/right offset."""
+def _leg_phase(cfg: GaitConfig, frac_c, side: str, i: int):
+    """Phase of leg i at contact phase frac_c (cycle fractions, scalar or
+    array): minus the wave lag xi*(i-1)/n, plus half a cycle for right legs,
+    reduced into [0, 1)."""
     _check_leg_index(cfg, i)
     frac = frac_c - cfg.xi * (i - 1) / cfg.n_pairs
     if side == "right":
-        frac += 0.5
+        frac = frac + 0.5
     elif side != "left":
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-    return frac % 1.0
+    # x % 1.0 rounds to exactly 1.0 for a tiny negative x; reducing twice
+    # maps that sample to 0.0, the start of stance, and keeps [0, 1) as is
+    return frac % 1.0 % 1.0
+
+
+def phase_table(cfg: GaitConfig, steps: int) -> np.ndarray:
+    """Reduced phases of every leg over one cycle of `steps` uniform samples,
+    shape (2n, steps); rows are left legs 1..n then right legs 1..n.  The
+    ideal contact map and the walker's stance window both read this table."""
+    frac_c = np.arange(steps) / steps + cfg.contact_fraction_offset
+    return np.array([_leg_phase(cfg, frac_c, side, i)
+                     for side in SIDES for i in range(1, cfg.n_pairs + 1)])
 
 
 def contact_at_fraction(cfg: GaitConfig, frac_c: float, side: str, i: int) -> bool:
     """Ideal contact evaluated at a contact phase given in cycle fractions."""
-    return _apply_leg_shift(cfg, frac_c, side, i) < cfg.duty
+    return _leg_phase(cfg, frac_c, side, i) < cfg.duty
 
 
 def leg_angle_at_fraction(cfg: GaitConfig, frac_c: float, side: str, i: int) -> float:
     """Shoulder excursion angle in degrees at a cycle-fraction phase."""
-    u = _apply_leg_shift(cfg, frac_c, side, i)
+    u = _leg_phase(cfg, frac_c, side, i)
     d = cfg.duty
     if u < d:
         return cfg.theta_leg_amp * math.cos(math.pi * u / d)

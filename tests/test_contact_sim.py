@@ -1,7 +1,11 @@
 """Monte Carlo walker tests: ideal maps, loss rules, sensors, determinism."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from centiwalk.contact_sim import (
     ContactMap,
@@ -45,6 +49,38 @@ class TestIdealContactMap:
         cmap = ideal_contact_map(GaitConfig(), 36, cycles=3)
         assert cmap.bits.shape == (12, 108)
         assert np.array_equal(cmap.bits[:, :36], cmap.bits[:, 36:72])
+
+    @given(n_pairs=st.integers(min_value=2, max_value=12),
+           xi=st.floats(min_value=0.0, max_value=3.0),
+           duty=st.floats(min_value=0.05, max_value=0.95),
+           phase_offset=st.one_of(
+               st.none(), st.floats(min_value=-2 * math.pi,
+                                    max_value=2 * math.pi)),
+           half_steps=st.integers(min_value=2, max_value=100))
+    @settings(max_examples=300, deadline=None)
+    def test_walker_stance_window_is_ideal_map(self, n_pairs, xi, duty,
+                                               phase_offset, half_steps):
+        # the walker counts exactly the ideal map's retraction samples
+        cfg = GaitConfig(n_pairs=n_pairs, xi=xi, duty=duty,
+                         phase_offset=phase_offset)
+        steps = 2 * half_steps
+        terrain = generate_terrain(0.0, rows=n_pairs + 2, cols=5, seed=0)
+        sim = WalkSimulation(cfg, RobotGeometry(), terrain, steps,
+                             SensorModel(), seed=0)
+        assert np.array_equal(sim.stance_mask,
+                              ideal_contact_map(cfg, steps).bits == 1)
+
+    def test_default_gait_full_stance_on_flat_ground(self):
+        # [DERIVED] 72 samples at D = 0.5: 36 stance samples on every leg,
+        # and flat ground at a_v = 0 keeps contact on each of them
+        cfg = GaitConfig()
+        terrain = generate_terrain(0.0, rows=20, cols=5, seed=0)
+        sim = WalkSimulation(cfg, RobotGeometry(), terrain, 72,
+                             SensorModel(), seed=0)
+        assert sim.stance_mask.sum(axis=1).tolist() == [36] * 12
+        res = simulate_walk(cfg, RobotGeometry(), terrain, 5, 72,
+                            SensorModel(), seed=0)
+        assert measure_gamma(res.ideal, res.measured) == 1.0
 
     def test_contact_map_validation(self):
         with pytest.raises(ValueError):
