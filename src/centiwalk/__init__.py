@@ -7,7 +7,6 @@ __version__ = "0.1.0"
 
 from .gait import (
     GaitConfig,
-    GaitState,
     JointCommand,
     body_pitch,
     body_yaw,
@@ -22,7 +21,7 @@ from .kinematics import (
     flat_ground_stride,
     foot_trajectory,
     ideal_gamma,
-    recoverable_height,
+    recoverable_heights,
     retraction_profile,
     slip_distribution,
 )
@@ -37,7 +36,6 @@ from .terrain import (
 from .models import (
     FrictionPrediction,
     LossModelOutput,
-    WeightVector,
     extremal_weights,
     friction_bounds,
     optimal_av,
@@ -67,16 +65,16 @@ from .config import ConfigError, ExperimentSpec, FullConfig, load_config
 
 __all__ = [
     "__version__",
-    "GaitConfig", "GaitState", "JointCommand", "body_pitch", "body_yaw",
+    "GaitConfig", "JointCommand", "body_pitch", "body_yaw",
     "ideal_contact", "leg_angle", "sample_cycle",
     "RobotGeometry", "RetractionProfile", "SlipDistribution",
     "flat_ground_stride", "foot_trajectory", "ideal_gamma",
-    "recoverable_height", "retraction_profile", "slip_distribution",
+    "recoverable_heights", "retraction_profile", "slip_distribution",
     "HeightDeltaModel", "TerrainGrid", "generate_terrain", "sample_dh",
     "sigma_from_rugosity", "tail_probability",
-    "FrictionPrediction", "LossModelOutput", "WeightVector",
-    "extremal_weights", "friction_bounds", "optimal_av", "predict_gamma",
-    "predict_speed_band", "speed_from_friction",
+    "FrictionPrediction", "LossModelOutput", "extremal_weights",
+    "friction_bounds", "optimal_av", "predict_gamma", "predict_speed_band",
+    "speed_from_friction",
     "ContactMap", "SensorModel", "WalkResult", "WalkSimulation",
     "ideal_contact_map", "measure_gamma", "simulate_walk",
     "ControllerConfig", "Scenario", "ScenarioStats", "TrialRecord",

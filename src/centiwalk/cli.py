@@ -12,29 +12,25 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import math
 import sys
+from dataclasses import replace
 from pathlib import Path
 from statistics import mean
 from typing import List, Optional
 
-import numpy as np
-
 from . import __version__
-from .config import ConfigError, FullConfig, load_config, _seeds
+from .config import ConfigError, ExperimentSpec, FullConfig, load_config, _seeds
 from .contact_sim import (
     SensorModel,
     WalkOffTerrainError,
     ideal_contact_map,
     simulate_walk,
 )
-from .control import ControllerConfig, Scenario, compare_controllers, run_trial
+from .control import Scenario, compare_controllers
 from .gait import sample_cycle
 from .kinematics import slip_distribution
-from .models import (
-    distribution_speed_coeff,
-    predict_gamma,
-    predict_speed_band,
-)
+from .models import predict_gamma, predict_speed_band
 from .terrain import HeightDeltaModel, TerrainGrid, generate_terrain
 
 PREDICT_M = 720          # retraction samples for analytic predictions
@@ -61,6 +57,23 @@ def _out_dir(args) -> Path:
     return out
 
 
+def _experiment(fc: FullConfig, args) -> ExperimentSpec:
+    """The configured experiment with the command-line overrides applied;
+    an explicit value, zero included, always wins over the config."""
+    overrides = {name: getattr(args, name)
+                 for name in ("seeds", "cycles", "steps", "tolerance")
+                 if getattr(args, name) is not None}
+    try:
+        return replace(fc.experiment, **overrides)
+    except ConfigError as exc:
+        raise UsageError(str(exc)) from exc
+
+
+def _check_rugosity(r_g: float, error) -> None:
+    if not math.isfinite(r_g) or r_g < 0.0:
+        raise error(f"rugosity must be finite and >= 0, got {r_g:g}")
+
+
 class TerrainEntry:
     """One terrain in an experiment: a rugosity level or a terrain file."""
 
@@ -68,15 +81,23 @@ class TerrainEntry:
         self.token = token
         try:
             self.r_g: Optional[float] = float(token)
+        except ValueError:
+            self.r_g = None
+        if self.r_g is not None:
+            _check_rugosity(self.r_g, ConfigError)
             self.grid: Optional[TerrainGrid] = None
             self.label = f"rg={self.r_g:g}"
-        except ValueError:
-            path = Path(token)
-            if not path.is_file():
-                raise ConfigError(f"terrain file not found: {token}")
+            return
+        path = Path(token)
+        if not path.is_file():
+            raise ConfigError(f"terrain file not found: {token}")
+        try:
             self.grid = TerrainGrid.load(path)
-            self.r_g = None
-            self.label = path.stem
+        except ValueError as exc:
+            raise ConfigError(f"{token}: {exc}") from exc
+        if self.grid.rows < 2:
+            raise ConfigError(f"{token}: a terrain file needs at least 2 rows")
+        self.label = path.stem
 
     def model(self) -> HeightDeltaModel:
         if self.grid is not None:
@@ -94,9 +115,7 @@ def _entries(fc: FullConfig) -> List[TerrainEntry]:
 
 
 def cmd_gait_dump(fc: FullConfig, args) -> int:
-    steps = args.steps or fc.experiment.steps
-    if steps < 4:
-        raise UsageError(f"--steps must be >= 4, got {steps}")
+    steps = _experiment(fc, args).steps
     out = _out_dir(args)
     cfg = fc.gait
     cmap = ideal_contact_map(cfg, steps)
@@ -127,9 +146,10 @@ def cmd_gait_dump(fc: FullConfig, args) -> int:
 
 
 def cmd_terrain_gen(fc: FullConfig, args) -> int:
+    exp = _experiment(fc, args)
+    _check_rugosity(args.r_g, UsageError)
     out = _out_dir(args)
-    exp = fc.experiment
-    seed = args.seeds[0] if args.seeds else exp.seeds[0]
+    seed = exp.seeds[0]
     grid = generate_terrain(args.r_g, rows=exp.terrain_rows,
                             cols=exp.terrain_cols, seed=seed)
     path = out / f"terrain_rg{args.r_g:g}_seed{seed}.txt"
@@ -139,20 +159,20 @@ def cmd_terrain_gen(fc: FullConfig, args) -> int:
 
 
 def cmd_model_sweep(fc: FullConfig, args) -> int:
+    entries = _entries(fc)
     out = _out_dir(args)
     dist = slip_distribution(fc.gait, fc.geometry, bins=36)
-    coeff = distribution_speed_coeff(dist)
     path = out / "model_sweep.csv"
     with open(path, "w") as fh:
         fh.write(_stamp(fc))
         fh.write("terrain,a_v_deg,p_loss1,p_loss2,gamma,gamma_ideal,p_e,"
                  "v_min,v_max\n")
-        for entry in _entries(fc):
+        for entry in entries:
             model = entry.model()
             for a_v in fc.experiment.a_v_grid:
-                o = predict_gamma(fc.geometry, fc.gait.with_a_v(a_v), model,
+                o = predict_gamma(fc.geometry, replace(fc.gait, a_v=a_v), model,
                                   PREDICT_M)
-                band = predict_speed_band(dist, o.gamma, coeff=coeff)
+                band = predict_speed_band(dist, o.gamma)
                 fh.write(
                     f"{entry.label},{a_v:g},{o.p_loss1:.6f},{o.p_loss2:.6f},"
                     f"{o.gamma:.6f},{o.gamma_ideal:.6f},{o.p_e:.6f},"
@@ -163,31 +183,28 @@ def cmd_model_sweep(fc: FullConfig, args) -> int:
 
 
 def cmd_validate(fc: FullConfig, args) -> int:
+    exp = _experiment(fc, args)
+    entries = _entries(fc)
     out = _out_dir(args)
-    exp = fc.experiment
-    seeds = args.seeds or exp.seeds
-    cycles = args.cycles or exp.cycles
-    steps = args.steps or exp.steps
-    tolerance = args.tolerance if args.tolerance is not None else exp.tolerance
-    rows = cycles + fc.gait.n_pairs + 2
+    rows = exp.cycles + fc.gait.n_pairs + 2
     sensor = SensorModel(flip_prob=0.0)
     max_dev = 0.0
     lines = []
-    for entry in _entries(fc):
+    for entry in entries:
         model = entry.model()
         for a_v in exp.a_v_grid:
-            cfg = fc.gait.with_a_v(a_v)
+            cfg = replace(fc.gait, a_v=a_v)
             predicted = predict_gamma(fc.geometry, cfg, model, PREDICT_M).gamma
             sims = []
-            for seed in seeds:
+            for seed in exp.seeds:
                 terrain = entry.terrain_for_seed(seed, rows, exp.terrain_cols)
-                res = simulate_walk(cfg, fc.geometry, terrain, cycles, steps,
-                                    sensor, seed)
+                res = simulate_walk(cfg, fc.geometry, terrain, exp.cycles,
+                                    exp.steps, sensor, seed)
                 sims.append(mean(res.gamma_per_cycle))
             simulated = mean(sims)
             dev = abs(simulated - predicted)
             max_dev = max(max_dev, dev)
-            status = "pass" if dev <= tolerance else "FAIL"
+            status = "pass" if dev <= exp.tolerance else "FAIL"
             lines.append((entry.label, a_v, predicted, simulated, dev, status))
     path = out / "validation.csv"
     with open(path, "w") as fh:
@@ -200,58 +217,55 @@ def cmd_validate(fc: FullConfig, args) -> int:
     for label, a_v, pred, sim, dev, status in lines:
         print(f"{status}: {label} a_v={a_v:g} predicted={pred:.4f} "
               f"simulated={sim:.4f} dev={dev:.4f}")
-    print(f"max deviation {max_dev:.4f} (tolerance {tolerance:g}); wrote {path}")
-    return 0 if max_dev <= tolerance else 2
+    print(f"max deviation {max_dev:.4f} (tolerance {exp.tolerance:g}); "
+          f"wrote {path}")
+    return 0 if max_dev <= exp.tolerance else 2
 
 
 def cmd_walk(fc: FullConfig, args) -> int:
+    exp = _experiment(fc, args)
+    entries = _entries(fc)
     out = _out_dir(args)
-    exp = fc.experiment
-    seeds = args.seeds or exp.seeds
-    cycles = args.cycles or exp.cycles
-    steps = args.steps or exp.steps
-    rows = cycles + fc.gait.n_pairs + 2
+    rows = exp.cycles + fc.gait.n_pairs + 2
     sensor = SensorModel(flip_prob=exp.sensor_flip_prob)
     path = out / "walk.csv"
     with open(path, "w") as fh:
         fh.write(_stamp(fc))
         fh.write("seed,terrain,a_v_deg,cycle,gamma,v_ratio\n")
-        for entry in _entries(fc):
-            for seed in seeds:
+        for entry in entries:
+            for seed in exp.seeds:
                 terrain = entry.terrain_for_seed(seed, rows, exp.terrain_cols)
-                res = simulate_walk(fc.gait, fc.geometry, terrain, cycles,
-                                    steps, sensor, seed)
+                res = simulate_walk(fc.gait, fc.geometry, terrain, exp.cycles,
+                                    exp.steps, sensor, seed)
                 for c, (g, v) in enumerate(zip(res.gamma_per_cycle,
                                                res.forward_speed_ratio)):
                     fh.write(f"{seed},{entry.label},{fc.gait.a_v:g},{c},"
                              f"{g:.6f},{v:.6f}\n")
-                if seed == seeds[0]:
-                    res.measured.to_csv(out / f"contact_{entry.label}.csv")
+                if seed == exp.seeds[0]:
+                    res.measured.to_csv(out / f"contact_{entry.label}.csv",
+                                        _stamp(fc))
     print(f"wrote {path}")
     return 0
 
 
 def cmd_controller_compare(fc: FullConfig, args) -> int:
+    exp = _experiment(fc, args)
+    rugosities = [e.r_g for e in _entries(fc) if e.r_g is not None]
+    if not rugosities:
+        raise ConfigError("controller-compare needs at least one rugosity "
+                          "value in terrains")
     out = _out_dir(args)
-    exp = fc.experiment
-    seeds = args.seeds or exp.seeds
-    cycles = args.cycles or exp.cycles
-    steps = args.steps or exp.steps
-    rough = max(e.r_g for e in _entries(fc) if e.r_g is not None)
+    rough = max(rugosities)
     cc = fc.controller
-    scenarios = [
-        Scenario("open_loop", ControllerConfig(
-            k_p=cc.k_p, gamma_set=cc.gamma_set, av_min=cc.av_min,
-            av_max=cc.av_max, mode="open_loop", fixed_av=cc.fixed_av),
-            rough, exp.sensor_flip_prob),
-    ]
+    scenarios = [Scenario("open_loop", replace(cc, mode="open_loop"), rough,
+                          exp.sensor_flip_prob)]
     for period in (1, 2, 3):
-        scenarios.append(Scenario(f"feedback_every{period}", ControllerConfig(
-            k_p=cc.k_p, gamma_set=cc.gamma_set, av_min=cc.av_min,
-            av_max=cc.av_max, update_every=period, mode="feedback"),
-            rough, exp.sensor_flip_prob))
-    stats = compare_controllers(fc.gait, fc.geometry, scenarios, seeds,
-                                cycles=cycles, steps=steps,
+        scenarios.append(Scenario(
+            f"feedback_every{period}",
+            replace(cc, mode="feedback", update_every=period), rough,
+            exp.sensor_flip_prob))
+    stats = compare_controllers(fc.gait, fc.geometry, scenarios, exp.seeds,
+                                cycles=exp.cycles, steps=exp.steps,
                                 terrain_cols=exp.terrain_cols)
     path = out / "controller_summary.csv"
     with open(path, "w") as fh:
@@ -260,12 +274,9 @@ def cmd_controller_compare(fc: FullConfig, args) -> int:
         for name, st in stats.items():
             fh.write(f"{name},{st.mean_speed_ratio:.6f},"
                      f"{st.speed_variance:.6f},{st.mean_distance:.6f}\n")
-    for sc in scenarios:
-        terrain = generate_terrain(sc.r_g, rows=cycles + fc.gait.n_pairs + 2,
-                                   cols=exp.terrain_cols, seed=seeds[0])
-        rec = run_trial(fc.gait, fc.geometry, terrain, sc.controller, cycles,
-                        steps, SensorModel(flip_prob=sc.flip_prob), seeds[0])
-        rec.to_csv(out / f"trace_{sc.name}.csv")
+    for name, st in stats.items():
+        # the first seed's trial; compare_controllers keeps seed order
+        st.trials[0].to_csv(out / f"trace_{name}.csv", _stamp(fc))
     print(f"wrote {path}")
     return 0
 

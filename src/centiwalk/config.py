@@ -42,7 +42,12 @@ class ExperimentSpec:
 
     def __post_init__(self):
         if not self.seeds:
-            raise ConfigError("experiment seeds must be non-empty")
+            raise ConfigError("seeds must be non-empty")
+        if self.cycles < 1:
+            raise ConfigError(f"cycles must be >= 1, got {self.cycles}")
+        # even, so that the right legs' half-cycle offset falls on a sample
+        if self.steps < 4 or self.steps % 2:
+            raise ConfigError(f"steps must be an even number >= 4, got {self.steps}")
 
 
 @dataclass
@@ -112,10 +117,6 @@ def load_config(path: Optional[str] = None) -> FullConfig:
             d_l=float(geo.get("d_l", 9.0)),
             module_length=float(geo.get("module_length", 10.0)),
             leg_length=float(geo.get("leg_length", 10.0)),
-            mu=float(geo.get("mu", 0.3)),
-            f_w=float(geo.get("f_w", 1.0)),
-            v_open=float(geo.get("v_open", 1.0)),
-            c_fv=float(geo.get("c_fv", 1.0)),
         )
         c = section("controller")
         controller = ControllerConfig(

@@ -11,7 +11,7 @@ debounce) stands in for the physical contact-sensing hardware.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -24,7 +24,7 @@ from .kinematics import (
     slip_distribution,
     stance_geometry,
 )
-from .models import distribution_speed_coeff, predict_speed_band
+from .models import predict_speed_band
 from .terrain import TerrainGrid
 
 
@@ -57,8 +57,10 @@ class ContactMap:
         if np.any(self.bits > 1):
             raise ValueError("bits must be 0/1")
 
-    def to_csv(self, path) -> None:
+    def to_csv(self, path, stamp: str = "") -> None:
+        """Write the map as CSV, after the comment line `stamp` if given."""
         with open(path, "w") as fh:
+            fh.write(stamp)
             n = self.legs // 2
             names = [f"leg_l{i+1}" for i in range(n)] + [f"leg_r{i+1}" for i in range(n)]
             fh.write("cycle,step," + ",".join(names) + "\n")
@@ -156,18 +158,13 @@ class WalkSimulation:
         self.leg_rows = np.array([(n - 1 - i) for i in range(n)] * 2)
         self.cycle = 0
         self.dist = slip_distribution(cfg, geom, bins=36)
-        self.speed_coeff = distribution_speed_coeff(self.dist)
         self.stride = flat_ground_stride(cfg, geom)
-
-    def cycles_available(self) -> int:
-        max_start = int(self.leg_rows.max())
-        return max(0, self.terrain.rows - 1 - max_start)
 
     def run_cycle(self, a_v: Optional[float] = None) -> dict:
         """Advance one gait cycle; returns per-cycle maps and statistics."""
         if self.leg_rows.max() + 1 >= self.terrain.rows:
             raise WalkOffTerrainError(self.cycle, self.terrain.rows)
-        cfg = self.cfg if a_v is None else self.cfg.with_a_v(a_v)
+        cfg = self.cfg if a_v is None else replace(self.cfg, a_v=a_v)
         dh = (self.terrain.heights[self.leg_rows + 1, self.leg_cols]
               - self.terrain.heights[self.leg_rows, self.leg_cols])
         bits_true = np.zeros((self.legs, self.steps), dtype=np.uint8)
@@ -196,7 +193,7 @@ class WalkSimulation:
             measured = measured ^ flips.astype(np.uint8)
         measured = _debounce(measured, self.sensor.latch_steps)
         gamma_meas = float(measured[self.stance_mask].sum() / retraction)
-        band = predict_speed_band(self.dist, gamma_true, coeff=self.speed_coeff)
+        band = predict_speed_band(self.dist, gamma_true)
         v_ratio = band.v_ratio_mid
         self.leg_rows += 1
         self.cycle += 1
@@ -216,8 +213,9 @@ def simulate_walk(cfg: GaitConfig, geom: RobotGeometry, terrain: TerrainGrid,
                   seed: int) -> WalkResult:
     """Run a fixed-gait walk of the given number of cycles."""
     sim = WalkSimulation(cfg, geom, terrain, steps, sensor, seed)
-    if cycles > sim.cycles_available():
-        raise WalkOffTerrainError(sim.cycles_available(), terrain.rows)
+    available = max(0, terrain.rows - 1 - int(sim.leg_rows.max()))
+    if cycles > available:
+        raise WalkOffTerrainError(available, terrain.rows)
     measured = np.zeros((sim.legs, steps * cycles), dtype=np.uint8)
     gamma_per_cycle: List[float] = []
     v_ratios: List[float] = []
@@ -251,10 +249,3 @@ def measure_gamma(ideal: ContactMap, measured: ContactMap) -> float:
     if not mask.any():
         raise ValueError("ideal map has no retraction samples")
     return float(measured.bits[mask].mean())
-
-
-def advance_model(cfg: GaitConfig, geom: RobotGeometry, steps: int,
-                  v_ratio: float = 1.0) -> np.ndarray:
-    """Per-step forward displacement (cm) of a uniformly advancing body."""
-    stride = flat_ground_stride(cfg, geom) * v_ratio
-    return np.full(steps, stride / steps)

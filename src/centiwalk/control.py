@@ -9,11 +9,9 @@ retraction samples.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from statistics import mean, pvariance
 from typing import Dict, List, Sequence
-
-import numpy as np
 
 from .gait import GaitConfig
 from .kinematics import RobotGeometry
@@ -62,8 +60,10 @@ class TrialRecord:
     speed_variance: float
     total_distance: float
 
-    def to_csv(self, path) -> None:
+    def to_csv(self, path, stamp: str = "") -> None:
+        """Write the trace as CSV, after the comment line `stamp` if given."""
         with open(path, "w") as fh:
+            fh.write(stamp)
             fh.write("cycle,gamma_s,a_v_deg,v_ratio,displacement_cm\n")
             for c, (g, a, v, d) in enumerate(
                     zip(self.gamma_s, self.a_v, self.v_ratio, self.displacement)):
@@ -122,11 +122,18 @@ class Scenario:
 
 @dataclass
 class ScenarioStats:
+    """Seed-averaged summary of one scenario plus its per-seed trials, in
+    seed order."""
+
     name: str
     mean_speed_ratio: float
     speed_variance: float
     mean_distance: float
-    per_seed_speed: List[float]
+    trials: List[TrialRecord]
+
+    @property
+    def per_seed_speed(self) -> List[float]:
+        return [t.mean_speed_ratio for t in self.trials]
 
 
 def compare_controllers(cfg: GaitConfig, geom: RobotGeometry,
@@ -142,22 +149,19 @@ def compare_controllers(cfg: GaitConfig, geom: RobotGeometry,
     rows = cycles + cfg.n_pairs + 2
     results: Dict[str, ScenarioStats] = {}
     for sc in scenarios:
-        per_seed = []
-        per_seed_dist = []
-        variances = []
-        for seed in seeds:
-            terrain = generate_terrain(sc.r_g, rows=rows, cols=terrain_cols,
-                                       seed=seed)
-            rec = run_trial(cfg, geom, terrain, sc.controller, cycles, steps,
-                            SensorModel(flip_prob=sc.flip_prob), seed)
-            per_seed.append(rec.mean_speed_ratio)
-            per_seed_dist.append(rec.total_distance)
-            variances.append(rec.speed_variance)
+        trials = [
+            run_trial(cfg, geom,
+                      generate_terrain(sc.r_g, rows=rows, cols=terrain_cols,
+                                       seed=seed),
+                      sc.controller, cycles, steps,
+                      SensorModel(flip_prob=sc.flip_prob), seed)
+            for seed in seeds
+        ]
         results[sc.name] = ScenarioStats(
             name=sc.name,
-            mean_speed_ratio=mean(per_seed),
-            speed_variance=mean(variances),
-            mean_distance=mean(per_seed_dist),
-            per_seed_speed=per_seed,
+            mean_speed_ratio=mean(t.mean_speed_ratio for t in trials),
+            speed_variance=mean(t.speed_variance for t in trials),
+            mean_distance=mean(t.total_distance for t in trials),
+            trials=trials,
         )
     return results

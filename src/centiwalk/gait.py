@@ -65,28 +65,6 @@ class GaitConfig:
             return self.phase_offset / TWO_PI
         return -(self.xi / (2.0 * self.n_pairs) + 0.25)
 
-    def tau_c_from_tau_b(self, tau_b: float) -> float:
-        return tau_b + self.contact_phase_offset
-
-    def with_a_v(self, a_v: float) -> "GaitConfig":
-        return GaitConfig(
-            n_pairs=self.n_pairs,
-            xi=self.xi,
-            duty=self.duty,
-            theta_leg_amp=self.theta_leg_amp,
-            theta_body_amp=self.theta_body_amp,
-            a_v=a_v,
-            phase_offset=self.phase_offset,
-        )
-
-
-@dataclass(frozen=True)
-class GaitState:
-    """Phase pair of one gait instant; tau_c derives from tau_b."""
-
-    tau_b: float
-    tau_c: float
-
 
 @dataclass
 class JointCommand:
@@ -100,17 +78,18 @@ class JointCommand:
     contact_right: List[bool]
 
 
-def _check_leg_index(cfg: GaitConfig, i: int) -> None:
+def wave_lag(cfg: GaitConfig, i: int) -> float:
+    """Cycle fraction by which the waves at pair i lag pair 1: xi*(i-1)/n."""
     if not 1 <= i <= cfg.n_pairs:
         raise IndexError(f"leg index {i} out of range 1..{cfg.n_pairs}")
+    return cfg.xi * (i - 1) / cfg.n_pairs
 
 
 def _leg_phase(cfg: GaitConfig, frac_c, side: str, i: int):
     """Phase of leg i at contact phase frac_c (cycle fractions, scalar or
-    array): minus the wave lag xi*(i-1)/n, plus half a cycle for right legs,
-    reduced into [0, 1)."""
-    _check_leg_index(cfg, i)
-    frac = frac_c - cfg.xi * (i - 1) / cfg.n_pairs
+    array): minus the wave lag, plus half a cycle for right legs, reduced
+    into [0, 1)."""
+    frac = frac_c - wave_lag(cfg, i)
     if side == "right":
         frac = frac + 0.5
     elif side != "left":
@@ -158,16 +137,9 @@ def leg_angle(cfg: GaitConfig, tau_c: float, side: str, i: int) -> float:
     return leg_angle_at_fraction(cfg, tau_c / TWO_PI, side, i)
 
 
-def _check_joint_index(cfg: GaitConfig, i: int) -> None:
-    if not 1 <= i <= cfg.n_pairs:
-        raise IndexError(f"joint index {i} out of range 1..{cfg.n_pairs}")
-
-
 def body_yaw(cfg: GaitConfig, tau_b: float, i: int) -> float:
     """Lateral body wave joint angle in degrees, head-to-tail traveling wave."""
-    _check_joint_index(cfg, i)
-    lag = TWO_PI * cfg.xi * (i - 1) / cfg.n_pairs
-    return cfg.theta_body_amp * math.cos(tau_b - lag)
+    return cfg.theta_body_amp * math.cos(tau_b - TWO_PI * wave_lag(cfg, i))
 
 
 def body_pitch(cfg: GaitConfig, tau_b: float, i: int) -> float:
@@ -176,9 +148,7 @@ def body_pitch(cfg: GaitConfig, tau_b: float, i: int) -> float:
     Temporal and spatial frequencies are exactly twice those of the lateral
     wave, so every segment oscillates up and down once per stance.
     """
-    _check_joint_index(cfg, i)
-    lag = TWO_PI * cfg.xi * (i - 1) / cfg.n_pairs
-    return cfg.a_v * math.cos(2.0 * (tau_b - lag))
+    return cfg.a_v * math.cos(2.0 * (tau_b - TWO_PI * wave_lag(cfg, i)))
 
 
 def sample_cycle(cfg: GaitConfig, steps_per_cycle: int) -> List[JointCommand]:

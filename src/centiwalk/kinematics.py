@@ -12,22 +12,22 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 
-from .gait import GaitConfig, TWO_PI
+from .gait import GaitConfig, TWO_PI, wave_lag
 
 
 @dataclass(frozen=True)
 class RobotGeometry:
-    """Physical dimensions and force-model constants.
+    """Physical dimensions.
 
     Lengths are cm.  h_l is the maximum depth below the current ground
     surface the foot can reach with no vertical wave; h_l2 the distal link
     length governing deformation recovery; d_l the horizontal offset from
-    the body pitch joint to the foot.  mu, f_w, v_open and c_fv parameterize
-    the friction/speed model; only ratios of them enter the predictions.
+    the body pitch joint to the foot.
     """
 
     h_l: float = 7.0
@@ -35,17 +35,11 @@ class RobotGeometry:
     d_l: float = 9.0
     module_length: float = 10.0
     leg_length: float = 10.0
-    mu: float = 0.3
-    f_w: float = 1.0
-    v_open: float = 1.0
-    c_fv: float = 1.0
 
     def __post_init__(self):
         for name in ("h_l", "h_l2", "d_l", "module_length", "leg_length"):
             if getattr(self, name) <= 0.0:
                 raise ValueError(f"{name} must be > 0, got {getattr(self, name)}")
-        if self.mu <= 0.0 or self.f_w <= 0.0 or self.v_open <= 0.0:
-            raise ValueError("mu, f_w and v_open must all be > 0")
 
 
 @dataclass
@@ -71,6 +65,16 @@ class SlipDistribution:
             raise ValueError(f"probabilities sum to {self.probs.sum()}, not 1")
         if np.any(np.diff(self.bin_centers) <= 0.0):
             raise ValueError("bin centers must be strictly increasing")
+
+    @cached_property
+    def speed_coeff(self) -> float:
+        """Linear force-to-speed coefficient consistent with this
+        distribution: it maps the undisturbed friction (gamma = 1) to full
+        open-ground speed."""
+        f_full = float(np.dot(self.probs, np.cos(np.radians(self.bin_centers))))
+        if f_full <= 0.0:
+            raise ValueError("distribution has no net forward thrust")
+        return 1.0 / f_full
 
     def to_csv(self, path) -> None:
         with open(path, "w") as fh:
@@ -105,18 +109,19 @@ def flat_ground_stride(cfg: GaitConfig, geom: RobotGeometry) -> float:
     return 2.0 * geom.leg_length * math.sin(math.radians(cfg.theta_leg_amp))
 
 
-def _stance_kinematics(cfg: GaitConfig, geom: RobotGeometry, leg: int,
-                       steps: int) -> np.ndarray:
-    """World-frame foot positions of a left leg over its stance, shape (steps, 2).
+def foot_trajectory(cfg: GaitConfig, geom: RobotGeometry, leg: int,
+                    steps: int) -> np.ndarray:
+    """Ground-frame slipping trajectory of a left leg's stance foot, shape
+    (steps, 2) cm.
 
     The leg is parameterized by its own reduced phase, so every leg traces
     the same shape; the absolute stance-onset time and the shoulder's
     longitudinal station only translate it.
     """
-    if not 1 <= leg <= cfg.n_pairs:
-        raise IndexError(f"leg index {leg} out of range 1..{cfg.n_pairs}")
+    if steps < 8:
+        raise ValueError(f"steps must be >= 8, got {steps}")
     off = cfg.contact_fraction_offset
-    lag = cfg.xi * (leg - 1) / cfg.n_pairs
+    lag = wave_lag(cfg, leg)
     u = cfg.duty * np.arange(steps) / steps          # reduced phase in [0, D)
     t = (lag - off) + u                              # absolute time, cycle units
     theta_leg = np.radians(cfg.theta_leg_amp) * np.cos(np.pi * u / cfg.duty)
@@ -127,14 +132,6 @@ def _stance_kinematics(cfg: GaitConfig, geom: RobotGeometry, leg: int,
     x = x_sh + geom.leg_length * np.sin(theta_leg)
     y = y_sh + geom.leg_length * np.cos(theta_leg)
     return np.column_stack([x, y])
-
-
-def foot_trajectory(cfg: GaitConfig, geom: RobotGeometry, leg: int,
-                    steps: int) -> np.ndarray:
-    """Ground-frame slipping trajectory of a stance foot, shape (steps, 2) cm."""
-    if steps < 8:
-        raise ValueError(f"steps must be >= 8, got {steps}")
-    return _stance_kinematics(cfg, geom, leg, steps)
 
 
 def slip_distribution(cfg: GaitConfig, geom: RobotGeometry, bins: int,
@@ -194,19 +191,10 @@ def retraction_profile(cfg: GaitConfig, geom: RobotGeometry,
     return RetractionProfile(times=times, d_s=d_s, lift=lift, reach=reach)
 
 
-def recoverable_height(geom: RobotGeometry, d_s: float) -> float:
-    """Maximum terrain rise the leg can recover by retracting a distance d_s.
-
-    Saturates at h_l2 once the distal link is vertical (d_s >= h_l2).
-    """
-    if d_s < 0.0:
-        raise ValueError(f"d_s must be >= 0, got {d_s}")
-    ratio = min(d_s, geom.h_l2) / geom.h_l2
-    return geom.h_l2 * (1.0 - math.cos(math.asin(ratio)))
-
-
 def recoverable_heights(geom: RobotGeometry, d_s: Sequence[float]) -> np.ndarray:
-    """Vectorized recoverable_height."""
+    """Maximum terrain rise the leg can recover by retracting distances
+    d_s >= 0.  Saturates at h_l2 once the distal link is vertical
+    (d_s >= h_l2)."""
     ratio = np.minimum(np.asarray(d_s, dtype=float), geom.h_l2) / geom.h_l2
     return geom.h_l2 * (1.0 - np.cos(np.arcsin(ratio)))
 

@@ -13,7 +13,7 @@ Two models, validated elsewhere against the Monte Carlo walker:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
@@ -25,10 +25,10 @@ from .kinematics import (
     ideal_gamma,
     recoverable_heights,
     retraction_profile,
+    slip_distribution,
 )
 from .terrain import HeightDeltaModel, tail_probability
 
-SPEED_COEFF = 1.065      # linear force-to-speed coefficient
 V_RATIO_MAX = 1.2        # band edges slightly above 1 are allowed
 WEIGHT_TOL = 1e-9
 
@@ -53,19 +53,6 @@ class FrictionPrediction:
 
 
 @dataclass
-class WeightVector:
-    """Per-bin contact weights w_i in [0, 1] realizing a contact ratio."""
-
-    w: np.ndarray
-    gamma: float
-
-    def __post_init__(self):
-        self.w = np.asarray(self.w, dtype=float)
-        if np.any(self.w < -WEIGHT_TOL) or np.any(self.w > 1.0 + WEIGHT_TOL):
-            raise ValueError("weights must lie in [0, 1]")
-
-
-@dataclass
 class LossModelOutput:
     """Analytic loss bundle for one (terrain model, gait) pair."""
 
@@ -86,8 +73,9 @@ def _objective(dist: SlipDistribution, w: np.ndarray) -> float:
 
 
 def extremal_weights(dist: SlipDistribution, gamma: float,
-                     which: str) -> WeightVector:
-    """Weight vector minimizing or maximizing mean friction at fixed gamma.
+                     which: str) -> np.ndarray:
+    """Per-bin contact weights w_i in [0, 1] minimizing or maximizing mean
+    friction at fixed gamma.
 
     The objective is linear over the box [0,1]^B with one equality
     constraint, so the optimum is the greedy fill: sort bins by cos(beta)
@@ -112,7 +100,7 @@ def extremal_weights(dist: SlipDistribution, gamma: float,
         budget -= take
         if budget <= 0.0:
             break
-    return WeightVector(w=w, gamma=float(np.dot(probs, w)))
+    return w
 
 
 def friction_bounds(dist: SlipDistribution, gamma: float) -> FrictionPrediction:
@@ -122,33 +110,23 @@ def friction_bounds(dist: SlipDistribution, gamma: float) -> FrictionPrediction:
     w_max = extremal_weights(dist, gamma, "max")
     return FrictionPrediction(
         gamma=gamma,
-        f_norm_min=_objective(dist, w_min.w),
-        f_norm_max=_objective(dist, w_max.w),
+        f_norm_min=_objective(dist, w_min),
+        f_norm_max=_objective(dist, w_max),
     )
 
 
-def distribution_speed_coeff(dist: SlipDistribution) -> float:
-    """Speed coefficient consistent with a slip distribution: the value
-    mapping the undisturbed friction (gamma = 1) to full open-ground speed.
-    Plays the role of the fixed empirical constant, which was fit to the
-    hardware's measured distribution."""
-    f_full = float(np.dot(dist.probs, np.cos(np.radians(dist.bin_centers))))
-    if f_full <= 0.0:
-        raise ValueError("distribution has no net forward thrust")
-    return 1.0 / f_full
-
-
-def speed_from_friction(f_norm: float, coeff: float = SPEED_COEFF) -> float:
+def speed_from_friction(f_norm: float, coeff: float) -> float:
     """Forward speed ratio v/v_open from normalized friction (clamped)."""
     return float(np.clip(coeff * f_norm, 0.0, V_RATIO_MAX))
 
 
-def predict_speed_band(dist: SlipDistribution, gamma: float,
-                       coeff: float = SPEED_COEFF) -> FrictionPrediction:
-    """Compose the friction band with the linear speed law."""
+def predict_speed_band(dist: SlipDistribution,
+                       gamma: float) -> FrictionPrediction:
+    """Compose the friction band with the linear speed law, using the
+    distribution's own speed coefficient."""
     fb = friction_bounds(dist, gamma)
-    fb.v_ratio_min = speed_from_friction(fb.f_norm_min, coeff)
-    fb.v_ratio_max = speed_from_friction(fb.f_norm_max, coeff)
+    fb.v_ratio_min = speed_from_friction(fb.f_norm_min, dist.speed_coeff)
+    fb.v_ratio_max = speed_from_friction(fb.f_norm_max, dist.speed_coeff)
     return fb
 
 
@@ -193,13 +171,12 @@ def optimal_av(geom: RobotGeometry, cfg: GaitConfig, model: HeightDeltaModel,
         raise ValueError("av_grid must be non-empty")
     if dist is None:
         # planar slip path does not depend on a_v
-        from .kinematics import slip_distribution
         dist = slip_distribution(cfg, geom, bins=36)
     best_av = None
     best_band = None
     best_mid = -np.inf
     for a_v in sorted(av_grid):
-        out = predict_gamma(geom, cfg.with_a_v(a_v), model, m)
+        out = predict_gamma(geom, replace(cfg, a_v=a_v), model, m)
         band = predict_speed_band(dist, out.gamma)
         mid = band.v_ratio_mid
         if mid > best_mid + 1e-12:

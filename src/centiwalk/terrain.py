@@ -85,6 +85,11 @@ class TerrainGrid:
                             meta[k] = v
                     continue
                 rows.append([float(x) for x in line.split(",")])
+        missing = [k for k in ("block_size", "r_g") if k not in meta]
+        if missing:
+            raise ValueError(f"missing header {', '.join(missing)}")
+        if len({len(row) for row in rows}) > 1:
+            raise ValueError("rows differ in length")
         r_g = float(meta["r_g"])
         return cls(
             block_size=float(meta["block_size"]),
@@ -96,13 +101,11 @@ class TerrainGrid:
 
 
 def generate_terrain(r_g: float, rows: int, cols: int, block_size: float = 10.0,
-                     seed: int = 0, lateral_smoothing: bool = False) -> TerrainGrid:
+                     seed: int = 0) -> TerrainGrid:
     """Generate a block terrain of the requested rugosity.
 
     Each column is an independent random walk along the travel direction
-    with N(0, 15*r_g) increments; deterministic for a fixed seed.  The
-    optional lateral smoothing pass averages neighbouring columns (off by
-    default so the longitudinal marginal stays exact).
+    with N(0, 15*r_g) increments; deterministic for a fixed seed.
     """
     if not math.isfinite(r_g) or r_g < 0.0:
         raise ValueError(f"r_g must be finite and >= 0, got {r_g}")
@@ -113,11 +116,6 @@ def generate_terrain(r_g: float, rows: int, cols: int, block_size: float = 10.0,
     increments = rng.normal(0.0, sigma, size=(rows - 1, cols)) if rows > 1 \
         else np.zeros((0, cols))
     heights = np.vstack([np.zeros((1, cols)), np.cumsum(increments, axis=0)])
-    if lateral_smoothing and cols > 1:
-        kernel = np.array([0.25, 0.5, 0.25])
-        padded = np.pad(heights, ((0, 0), (1, 1)), mode="edge")
-        heights = (kernel[0] * padded[:, :-2] + kernel[1] * padded[:, 1:-1]
-                   + kernel[2] * padded[:, 2:])
     return TerrainGrid(block_size=block_size, heights=heights, r_g=r_g,
                        sigma=sigma, seed=seed)
 

@@ -6,6 +6,7 @@ Each test prints a single summary line and then asserts, so running
 
 import itertools
 import math
+from dataclasses import replace
 from statistics import mean
 
 import numpy as np
@@ -143,7 +144,7 @@ def test_05_analytic_vs_simulation():
     for r_g in R_G_GRID:
         model = HeightDeltaModel.from_rugosity(r_g)
         for a_v in A_V_GRID:
-            cfg = cfg0.with_a_v(a_v)
+            cfg = replace(cfg0, a_v=a_v)
             predicted = predict_gamma(geom, cfg, model, 720).gamma
             sims = []
             for seed in SEEDS:
@@ -163,7 +164,7 @@ def test_06_trend_reproduction():
     cfg0 = GaitConfig()
 
     def gamma(r_g, a_v):
-        return predict_gamma(geom, cfg0.with_a_v(a_v),
+        return predict_gamma(geom, replace(cfg0, a_v=a_v),
                              HeightDeltaModel.from_rugosity(r_g), 720).gamma
 
     g0 = [gamma(r, 0.0) for r in R_G_GRID]
@@ -172,7 +173,7 @@ def test_06_trend_reproduction():
     sens0 = [abs(a - b) for a, b in zip(g0, g0[1:])]
     sens20 = [abs(a - b) for a, b in zip(g20, g20[1:])]
     sens_ok = all(s20 < s0 for s20, s0 in zip(sens20, sens0))
-    g_ideal = [predict_gamma(geom, cfg0.with_a_v(a),
+    g_ideal = [predict_gamma(geom, replace(cfg0, a_v=a),
                              HeightDeltaModel.from_rugosity(0.32),
                              720).gamma_ideal
                for a in (0.0, 5.0, 10.0, 15.0, 20.0, 25.0)]

@@ -43,6 +43,73 @@ class TestExitCodes:
         assert run(["--out", str(tmp_path), "gait-dump"]) == 0
 
 
+class TestBadInput:
+    GOOD = "# terrain v1\n# block_size=10.0\n# r_g=0.1\n0,0\n1,1\n2,2\n"
+
+    @pytest.mark.parametrize("experiment, argv", [
+        ("", ["--steps", "71", "walk"]),
+        ("steps = 71\n", ["walk"]),
+        ("terrains = nan\n", ["validate"]),
+        ("terrains = -0.1\n", ["model-sweep"]),
+        ("terrains = {good}\n", ["controller-compare"]),
+        ("terrains = {no_r_g}\n", ["model-sweep"]),
+        ("terrains = {ragged}\n", ["walk"]),
+        ("terrains = {one_row}\n", ["model-sweep"]),
+        ("", ["terrain-gen", "--r-g", "-1"]),
+    ], ids=["odd-steps-flag", "odd-steps-config", "nan-rugosity",
+            "negative-rugosity", "compare-only-files", "no-r_g-header",
+            "ragged-rows", "one-row-file", "negative-rugosity-flag"])
+    def test_one_line_error(self, tmp_path, capsys, experiment, argv):
+        files = {
+            "good": self.GOOD,
+            "no_r_g": self.GOOD.replace("# r_g=0.1\n", ""),
+            "ragged": self.GOOD + "3\n",
+            "one_row": self.GOOD.split("1,1")[0],
+        }
+        for name, text in files.items():
+            (tmp_path / f"{name}.txt").write_text(text)
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("[meta]\nschema_version = 1\n[experiment]\n"
+                       "seeds = 0\ncycles = 2\n" + experiment.format(
+                           **{n: tmp_path / f"{n}.txt" for n in files}))
+        out = tmp_path / "out"
+        assert run(["--config", str(cfg), "--out", str(out)] + argv) == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert err.startswith(("config error:", "usage error:"))
+
+    @pytest.mark.parametrize("argv", [
+        ["--cycles", "0", "walk"],
+        ["--steps", "0", "gait-dump"],
+        ["--seeds", "", "walk"],
+    ])
+    def test_explicit_empty_override_rejected(self, tmp_path, fast_config,
+                                              argv):
+        # an explicit override never falls back to the config value
+        out = tmp_path / "out"
+        assert run(["--config", fast_config, "--out", str(out)] + argv) == 1
+        assert not out.exists()
+
+    def test_explicit_override_wins(self, tmp_path, fast_config):
+        assert run(["--config", fast_config, "--out", str(tmp_path),
+                    "--seeds", "0", "--cycles", "1", "walk"]) == 0
+        lines = (tmp_path / "walk.csv").read_text().splitlines()
+        assert len(lines) == 2 + 3           # 3 terrains x 1 seed x 1 cycle
+
+
+class TestStamps:
+    def test_every_csv_is_stamped(self, tmp_path, fast_config):
+        for command in ("gait-dump", "model-sweep", "validate", "walk",
+                        "controller-compare"):
+            out = tmp_path / command
+            assert run(["--config", fast_config, "--out", str(out),
+                        command]) == 0
+            csvs = sorted(out.glob("*.csv"))
+            assert csvs
+            for path in csvs:
+                assert path.read_text().startswith("# centiwalk v"), path.name
+
+
 class TestGaitDump:
     def test_outputs(self, tmp_path):
         assert run(["--out", str(tmp_path), "--steps", "72", "gait-dump"]) == 0

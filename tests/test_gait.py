@@ -56,13 +56,6 @@ class TestConfigValidation:
     def test_explicit_phase_offset(self):
         cfg = GaitConfig(phase_offset=0.3)
         assert cfg.contact_phase_offset == pytest.approx(0.3)
-        assert cfg.tau_c_from_tau_b(1.0) == pytest.approx(1.3)
-
-    def test_with_a_v_preserves_everything_else(self):
-        cfg = GaitConfig(n_pairs=4, xi=2.0, duty=0.4)
-        cfg2 = cfg.with_a_v(15.0)
-        assert cfg2.a_v == 15.0
-        assert (cfg2.n_pairs, cfg2.xi, cfg2.duty) == (4, 2.0, 0.4)
 
 
 class TestContact:

@@ -13,7 +13,6 @@ from centiwalk.kinematics import (
     flat_ground_stride,
     foot_trajectory,
     ideal_gamma,
-    recoverable_height,
     recoverable_heights,
     retraction_profile,
     slip_distribution,
@@ -27,7 +26,7 @@ class TestGeometryValidation:
 
     @pytest.mark.parametrize("kwargs", [
         dict(h_l=0.0), dict(h_l2=-1.0), dict(d_l=0.0),
-        dict(leg_length=0.0), dict(mu=0.0), dict(v_open=-1.0),
+        dict(leg_length=0.0), dict(module_length=0.0),
     ])
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ValueError):
@@ -50,20 +49,16 @@ class TestRecoverableHeight:
     def test_frozen_oracle(self):
         # [DERIVED] h_l2=6, d_s=3: 6 * (1 - cos(asin(1/2))) = 6 (1 - sqrt(3)/2)
         geom = RobotGeometry(h_l2=6.0)
-        assert recoverable_height(geom, 3.0) == pytest.approx(
+        assert recoverable_heights(geom, [3.0])[0] == pytest.approx(
             0.8038475772933684, abs=1e-12)
 
     def test_saturation(self):
         geom = RobotGeometry(h_l2=6.0)
-        assert recoverable_height(geom, 6.0) == pytest.approx(6.0)
-        assert recoverable_height(geom, 100.0) == pytest.approx(6.0)
+        assert recoverable_heights(geom, [6.0, 100.0]).tolist() == \
+            pytest.approx([6.0, 6.0])
 
     def test_zero_at_zero(self):
-        assert recoverable_height(RobotGeometry(), 0.0) == 0.0
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            recoverable_height(RobotGeometry(), -0.1)
+        assert recoverable_heights(RobotGeometry(), [0.0])[0] == 0.0
 
     @given(st.lists(st.floats(min_value=0.0, max_value=20.0), min_size=2,
                     max_size=20))
@@ -74,13 +69,6 @@ class TestRecoverableHeight:
         vals = recoverable_heights(geom, d_s)
         assert np.all(np.diff(vals) >= -1e-12)
         assert np.all(vals <= 5.0 + 1e-12)
-
-    def test_vectorized_matches_scalar(self):
-        geom = RobotGeometry(h_l2=4.0)
-        grid = [0.0, 1.0, 2.5, 4.0, 9.0]
-        vec = recoverable_heights(geom, grid)
-        for d, v in zip(grid, vec):
-            assert v == pytest.approx(recoverable_height(geom, d))
 
 
 class TestRetractionProfile:

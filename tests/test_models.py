@@ -11,9 +11,7 @@ from hypothesis import strategies as st
 from centiwalk.gait import GaitConfig
 from centiwalk.kinematics import RobotGeometry, SlipDistribution, slip_distribution
 from centiwalk.models import (
-    SPEED_COEFF,
     V_RATIO_MAX,
-    distribution_speed_coeff,
     extremal_weights,
     friction_bounds,
     optimal_av,
@@ -104,21 +102,20 @@ class TestFrictionBounds:
     def test_weights_realize_gamma(self, gamma):
         dist = make_dist([-120.0, -30.0, 10.0, 60.0], [0.1, 0.4, 0.3, 0.2])
         for which in ("min", "max"):
-            wv = extremal_weights(dist, gamma, which)
-            assert wv.gamma == pytest.approx(gamma, abs=1e-9)
-            assert np.all(wv.w >= -1e-12) and np.all(wv.w <= 1.0 + 1e-12)
+            w = extremal_weights(dist, gamma, which)
+            assert np.dot(dist.probs, w) == pytest.approx(gamma, abs=1e-9)
+            assert np.all(w >= -1e-12) and np.all(w <= 1.0 + 1e-12)
 
 
 class TestSpeedLaw:
     def test_clamping(self):
-        assert speed_from_friction(2.0) == V_RATIO_MAX
-        assert speed_from_friction(-0.5) == 0.0
-        assert speed_from_friction(0.5) == pytest.approx(0.5 * SPEED_COEFF)
+        assert speed_from_friction(2.0, 1.065) == V_RATIO_MAX
+        assert speed_from_friction(-0.5, 1.065) == 0.0
+        assert speed_from_friction(0.5, 1.065) == pytest.approx(0.5 * 1.065)
 
     def test_distribution_coeff_normalizes_full_contact(self):
         dist = slip_distribution(GaitConfig(), RobotGeometry(), bins=36)
-        coeff = distribution_speed_coeff(dist)
-        band = predict_speed_band(dist, 1.0, coeff=coeff)
+        band = predict_speed_band(dist, 1.0)
         assert band.v_ratio_min == pytest.approx(1.0, abs=1e-9)
         assert band.v_ratio_max == pytest.approx(1.0, abs=1e-9)
 
