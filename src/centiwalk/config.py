@@ -48,6 +48,8 @@ class ExperimentSpec:
         # even, so that the right legs' half-cycle offset falls on a sample
         if self.steps < 4 or self.steps % 2:
             raise ConfigError(f"steps must be an even number >= 4, got {self.steps}")
+        if not self.tolerance >= 0.0:      # NaN fails this test too
+            raise ConfigError(f"tolerance must be >= 0, got {self.tolerance}")
 
 
 @dataclass

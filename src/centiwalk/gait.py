@@ -16,7 +16,6 @@ from typing import List, Optional
 import numpy as np
 
 TWO_PI = 2.0 * math.pi
-SIDES = ("left", "right")
 
 
 @dataclass(frozen=True)
@@ -105,7 +104,8 @@ def phase_table(cfg: GaitConfig, steps: int) -> np.ndarray:
     ideal contact map and the walker's stance window both read this table."""
     frac_c = np.arange(steps) / steps + cfg.contact_fraction_offset
     return np.array([_leg_phase(cfg, frac_c, side, i)
-                     for side in SIDES for i in range(1, cfg.n_pairs + 1)])
+                     for side in ("left", "right")
+                     for i in range(1, cfg.n_pairs + 1)])
 
 
 def contact_at_fraction(cfg: GaitConfig, frac_c: float, side: str, i: int) -> bool:

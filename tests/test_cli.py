@@ -56,9 +56,11 @@ class TestBadInput:
         ("terrains = {ragged}\n", ["walk"]),
         ("terrains = {one_row}\n", ["model-sweep"]),
         ("", ["terrain-gen", "--r-g", "-1"]),
+        ("", ["--tolerance", "nan", "validate"]),
     ], ids=["odd-steps-flag", "odd-steps-config", "nan-rugosity",
             "negative-rugosity", "compare-only-files", "no-r_g-header",
-            "ragged-rows", "one-row-file", "negative-rugosity-flag"])
+            "ragged-rows", "one-row-file", "negative-rugosity-flag",
+            "nan-tolerance-flag"])
     def test_one_line_error(self, tmp_path, capsys, experiment, argv):
         files = {
             "good": self.GOOD,
