@@ -47,7 +47,6 @@ from .contact_sim import (
     ContactMap,
     SensorModel,
     WalkResult,
-    WalkSimulation,
     ideal_contact_map,
     measure_gamma,
     simulate_walk,
@@ -75,8 +74,8 @@ __all__ = [
     "FrictionPrediction", "LossModelOutput", "extremal_weights",
     "friction_bounds", "optimal_av", "predict_gamma", "predict_speed_band",
     "speed_from_friction",
-    "ContactMap", "SensorModel", "WalkResult", "WalkSimulation",
-    "ideal_contact_map", "measure_gamma", "simulate_walk",
+    "ContactMap", "SensorModel", "WalkResult", "ideal_contact_map",
+    "measure_gamma", "simulate_walk",
     "ControllerConfig", "Scenario", "ScenarioStats", "TrialRecord",
     "compare_controllers", "run_trial", "update_av",
     "ConfigError", "ExperimentSpec", "FullConfig", "load_config",

@@ -2,8 +2,8 @@
 
 Subcommands: gait-dump, terrain-gen, model-sweep, validate, walk,
 controller-compare.  Every output CSV starts with a comment line recording
-the tool version and a hash of the loaded configuration, so re-running a
-command with the same config and seeds is byte-identical.
+the tool version and a hash of the configuration with the command-line
+overrides applied; the same config and seeds give byte-identical output.
 
 Exit codes: 0 success, 1 usage/config error, 2 validation failure.
 """
@@ -12,16 +12,18 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import json
 import math
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 from statistics import mean
 from typing import List, Optional
 
 from . import __version__
-from .config import ConfigError, ExperimentSpec, FullConfig, load_config, _seeds
+from .config import ConfigError, FullConfig, load_config, _seeds
 from .contact_sim import (
+    NoStanceError,
     SensorModel,
     WalkOffTerrainError,
     ideal_contact_map,
@@ -47,7 +49,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _stamp(fc: FullConfig) -> str:
-    digest = hashlib.sha256(fc.raw_text.encode()).hexdigest()[:12]
+    text = json.dumps(asdict(fc), sort_keys=True)
+    digest = hashlib.sha256(text.encode()).hexdigest()[:12]
     return f"# centiwalk v{__version__} config_hash={digest}\n"
 
 
@@ -57,14 +60,14 @@ def _out_dir(args) -> Path:
     return out
 
 
-def _experiment(fc: FullConfig, args) -> ExperimentSpec:
-    """The configured experiment with the command-line overrides applied;
-    an explicit value, zero included, always wins over the config."""
+def _with_overrides(fc: FullConfig, args) -> FullConfig:
+    """The config with the command-line experiment overrides applied; an
+    explicit value, zero included, always wins over the config."""
     overrides = {name: getattr(args, name)
                  for name in ("seeds", "cycles", "steps", "tolerance")
                  if getattr(args, name) is not None}
     try:
-        return replace(fc.experiment, **overrides)
+        return replace(fc, experiment=replace(fc.experiment, **overrides))
     except ConfigError as exc:
         raise UsageError(str(exc)) from exc
 
@@ -115,7 +118,7 @@ def _entries(fc: FullConfig) -> List[TerrainEntry]:
 
 
 def cmd_gait_dump(fc: FullConfig, args) -> int:
-    steps = _experiment(fc, args).steps
+    steps = fc.experiment.steps
     out = _out_dir(args)
     cfg = fc.gait
     cmap = ideal_contact_map(cfg, steps)
@@ -129,7 +132,6 @@ def cmd_gait_dump(fc: FullConfig, args) -> int:
     commands = sample_cycle(cfg, steps)
     with open(out / "joint_angles.csv", "w") as fh:
         fh.write(_stamp(fc))
-        n = cfg.n_pairs
         cols = (
             [f"leg_l{i+1}_deg" for i in range(n)]
             + [f"leg_r{i+1}_deg" for i in range(n)]
@@ -146,7 +148,7 @@ def cmd_gait_dump(fc: FullConfig, args) -> int:
 
 
 def cmd_terrain_gen(fc: FullConfig, args) -> int:
-    exp = _experiment(fc, args)
+    exp = fc.experiment
     _check_rugosity(args.r_g, UsageError)
     out = _out_dir(args)
     seed = exp.seeds[0]
@@ -183,7 +185,7 @@ def cmd_model_sweep(fc: FullConfig, args) -> int:
 
 
 def cmd_validate(fc: FullConfig, args) -> int:
-    exp = _experiment(fc, args)
+    exp = fc.experiment
     entries = _entries(fc)
     out = _out_dir(args)
     rows = exp.cycles + fc.gait.n_pairs + 2
@@ -223,7 +225,7 @@ def cmd_validate(fc: FullConfig, args) -> int:
 
 
 def cmd_walk(fc: FullConfig, args) -> int:
-    exp = _experiment(fc, args)
+    exp = fc.experiment
     entries = _entries(fc)
     out = _out_dir(args)
     rows = exp.cycles + fc.gait.n_pairs + 2
@@ -249,7 +251,7 @@ def cmd_walk(fc: FullConfig, args) -> int:
 
 
 def cmd_controller_compare(fc: FullConfig, args) -> int:
-    exp = _experiment(fc, args)
+    exp = fc.experiment
     rugosities = [e.r_g for e in _entries(fc) if e.r_g is not None]
     if not rugosities:
         raise ConfigError("controller-compare needs at least one rugosity "
@@ -317,12 +319,12 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        fc = load_config(args.config)
+        fc = _with_overrides(load_config(args.config), args)
         return _COMMANDS[args.command](fc, args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except ConfigError as exc:
+    except (ConfigError, NoStanceError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     except WalkOffTerrainError as exc:

@@ -58,7 +58,6 @@ class FullConfig:
     geometry: RobotGeometry
     controller: ControllerConfig
     experiment: ExperimentSpec
-    raw_text: str = ""
 
 
 def default_config_path() -> Path:
@@ -86,10 +85,9 @@ def load_config(path: Optional[str] = None) -> FullConfig:
     cfg_path = Path(path) if path is not None else default_config_path()
     if not cfg_path.is_file():
         raise ConfigError(f"config file not found: {cfg_path}")
-    text = cfg_path.read_text()
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
     try:
-        parser.read_string(text)
+        parser.read_string(cfg_path.read_text())
     except configparser.Error as exc:
         raise ConfigError(f"cannot parse {cfg_path}: {exc}") from exc
     version = parser.getint("meta", "schema_version", fallback=None)
@@ -148,4 +146,4 @@ def load_config(path: Optional[str] = None) -> FullConfig:
             raise
         raise ConfigError(f"{cfg_path}: {exc}") from exc
     return FullConfig(gait=gait, geometry=geometry, controller=controller,
-                      experiment=experiment, raw_text=text)
+                      experiment=experiment)

@@ -12,7 +12,7 @@ debounce) stands in for the physical contact-sensing hardware.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
@@ -26,6 +26,11 @@ from .kinematics import (
 )
 from .models import predict_speed_band
 from .terrain import TerrainGrid
+
+
+class NoStanceError(ValueError):
+    """Raised when a gait has no stance sample in a cycle of the commanded
+    steps, so that a cycle's contact ratio would be 0/0."""
 
 
 class WalkOffTerrainError(RuntimeError):
@@ -95,6 +100,8 @@ class WalkResult:
     forward_speed_ratio: List[float]
     loss_events: List[Tuple[int, int, str]]    # (leg, absolute step, cause)
     displacement_per_cycle: List[float]
+    gamma_measured: List[float]                # sensed, per cycle
+    a_v: List[float]                           # vertical amplitude, per cycle
 
 
 def ideal_contact_map(cfg: GaitConfig, steps: int, cycles: int = 1) -> ContactMap:
@@ -113,8 +120,7 @@ def _debounce(bits: np.ndarray, latch_steps: int) -> np.ndarray:
     for row in out:
         state = row[0]
         run = 0
-        for k in range(len(row)):
-            raw = row[k]
+        for k, raw in enumerate(row):
             if raw != state:
                 run += 1
                 if run >= latch_steps:
@@ -126,116 +132,85 @@ def _debounce(bits: np.ndarray, latch_steps: int) -> np.ndarray:
     return out
 
 
-class WalkSimulation:
-    """Stateful cycle-by-cycle walk over a terrain grid.
+def simulate_walk(cfg: GaitConfig, geom: RobotGeometry, terrain: TerrainGrid,
+                  cycles: int, steps: int, sensor: SensorModel, seed: int,
+                  next_av: Optional[Callable[[int, float, float], float]] = None
+                  ) -> WalkResult:
+    """Walk `cycles` gait cycles over the terrain, starting at cfg.a_v.
 
     Each leg's foothold advances one block row per cycle (the height
     transition H(next) - H(current) drives the loss rules); the continuous
     forward displacement is tracked separately through the speed model.
+    If next_av is given, next_av(cycle, gamma_measured, a_v) returns the
+    vertical amplitude of the following cycle.
     """
-
-    def __init__(self, cfg: GaitConfig, geom: RobotGeometry,
-                 terrain: TerrainGrid, steps: int, sensor: SensorModel,
-                 seed: int):
-        if steps % 2 != 0:
-            raise ValueError(f"steps must be even, got {steps}")
-        self.cfg = cfg
-        self.geom = geom
-        self.terrain = terrain
-        self.steps = steps
-        self.sensor = sensor
-        self.rng = np.random.default_rng(seed)
-        n = cfg.n_pairs
-        self.legs = 2 * n
-        self.phases = phase_table(cfg, steps)
-        self.stance_mask = self.phases < cfg.duty
-        # lateral block column per side; longitudinal stagger of one block
-        # per module (module_length equals the block size by default)
-        center = terrain.cols // 2
-        col_left = max(center - 1, 0)
-        col_right = min(center + 1, terrain.cols - 1)
-        self.leg_cols = np.array([col_left] * n + [col_right] * n)
-        self.leg_rows = np.array([(n - 1 - i) for i in range(n)] * 2)
-        self.cycle = 0
-        self.dist = slip_distribution(cfg, geom, bins=36)
-        self.stride = flat_ground_stride(cfg, geom)
-
-    def run_cycle(self, a_v: Optional[float] = None) -> dict:
-        """Advance one gait cycle; returns per-cycle maps and statistics."""
-        if self.leg_rows.max() + 1 >= self.terrain.rows:
-            raise WalkOffTerrainError(self.cycle, self.terrain.rows)
-        cfg = self.cfg if a_v is None else replace(self.cfg, a_v=a_v)
-        dh = (self.terrain.heights[self.leg_rows + 1, self.leg_cols]
-              - self.terrain.heights[self.leg_rows, self.leg_cols])
-        bits_true = np.zeros((self.legs, self.steps), dtype=np.uint8)
-        losses: List[Tuple[int, int, str]] = []
-        base_step = self.cycle * self.steps
-        for leg in range(self.legs):
-            mask = self.stance_mask[leg]
-            u = self.phases[leg][mask]
-            d_s, reach, lift = stance_geometry(cfg, self.geom, u)
-            d = dh[leg]
-            if d <= 0.0:
-                lost = -d > reach
-                cause = "too_deep"
-            else:
-                recover = recoverable_heights(self.geom, d_s)
-                lost = d - np.maximum(lift, 0.0) > recover
-                cause = "deformed"
-            bits_true[leg, mask] = (~lost).astype(np.uint8)
-            for k in np.nonzero(mask)[0][lost]:
-                losses.append((leg, base_step + int(k), cause))
-        retraction = int(self.stance_mask.sum())
-        gamma_true = float(bits_true[self.stance_mask].sum() / retraction)
-        measured = bits_true.copy()
-        if self.sensor.flip_prob > 0.0:
-            flips = self.rng.random(measured.shape) < self.sensor.flip_prob
-            measured = measured ^ flips.astype(np.uint8)
-        measured = _debounce(measured, self.sensor.latch_steps)
-        gamma_meas = float(measured[self.stance_mask].sum() / retraction)
-        band = predict_speed_band(self.dist, gamma_true)
-        v_ratio = band.v_ratio_mid
-        self.leg_rows += 1
-        self.cycle += 1
-        return {
-            "bits_true": bits_true,
-            "bits_measured": measured,
-            "gamma_true": gamma_true,
-            "gamma_measured": gamma_meas,
-            "v_ratio": v_ratio,
-            "displacement": self.stride * v_ratio,
-            "loss_events": losses,
-        }
-
-
-def simulate_walk(cfg: GaitConfig, geom: RobotGeometry, terrain: TerrainGrid,
-                  cycles: int, steps: int, sensor: SensorModel,
-                  seed: int) -> WalkResult:
-    """Run a fixed-gait walk of the given number of cycles."""
-    sim = WalkSimulation(cfg, geom, terrain, steps, sensor, seed)
-    available = max(0, terrain.rows - 1 - int(sim.leg_rows.max()))
+    if steps % 2 != 0:
+        raise ValueError(f"steps must be even, got {steps}")
+    n = cfg.n_pairs
+    available = max(0, terrain.rows - n)
     if cycles > available:
         raise WalkOffTerrainError(available, terrain.rows)
-    measured = np.zeros((sim.legs, steps * cycles), dtype=np.uint8)
-    gamma_per_cycle: List[float] = []
+    phases = phase_table(cfg, steps)
+    stance = phases < cfg.duty
+    retraction = int(stance.sum())
+    if retraction == 0:
+        raise NoStanceError(f"{cfg} has no stance sample in a cycle of "
+                            f"steps={steps}")
+    # lateral block column per side; longitudinal stagger of one block
+    # per module (module_length equals the block size by default)
+    center = terrain.cols // 2
+    leg_cols = np.array([max(center - 1, 0)] * n
+                        + [min(center + 1, terrain.cols - 1)] * n)
+    leg_rows = np.array([n - 1 - i for i in range(n)] * 2)
+    rows = leg_rows + np.arange(cycles)[:, None]            # cycles x legs
+    dh = terrain.heights[rows + 1, leg_cols] - terrain.heights[rows, leg_cols]
+    stance_leg, _ = np.nonzero(stance)
+    u = phases[stance]
+    d_s, reach, lift = stance_geometry(cfg, geom, u)
+    recover = recoverable_heights(geom, d_s)
+    dist = slip_distribution(cfg, geom, bins=36)
+    stride = flat_ground_stride(cfg, geom)
+    rng = np.random.default_rng(seed)
+
+    lost = np.zeros((cycles, 2 * n, steps), dtype=bool)
+    measured = np.zeros((2 * n, steps * cycles), dtype=np.uint8)
+    gamma_true: List[float] = []
+    gamma_meas: List[float] = []
     v_ratios: List[float] = []
-    displacements: List[float] = []
-    losses: List[Tuple[int, int, str]] = []
+    a_vs: List[float] = []
     for c in range(cycles):
-        res = sim.run_cycle()
-        measured[:, c * steps:(c + 1) * steps] = res["bits_measured"]
-        gamma_per_cycle.append(res["gamma_true"])
-        v_ratios.append(res["v_ratio"])
-        displacements.append(res["displacement"])
-        losses.extend(res["loss_events"])
+        d = dh[c, stance_leg]
+        lost[c][stance] = np.where(d <= 0.0, -d > reach,
+                                   d - np.maximum(lift, 0.0) > recover)
+        truth = (stance & ~lost[c]).astype(np.uint8)
+        bits = truth
+        if sensor.flip_prob > 0.0:
+            flips = rng.random(bits.shape) < sensor.flip_prob
+            bits = bits ^ flips.astype(np.uint8)
+        bits = _debounce(bits, sensor.latch_steps)
+        measured[:, c * steps:(c + 1) * steps] = bits
+        gamma_true.append(float(truth.sum() / retraction))
+        gamma_meas.append(float(bits[stance].sum() / retraction))
+        v_ratios.append(predict_speed_band(dist, gamma_true[-1]).v_ratio_mid)
+        a_vs.append(cfg.a_v)
+        if next_av is not None and c + 1 < cycles:
+            cfg = replace(cfg, a_v=next_av(c, gamma_meas[-1], cfg.a_v))
+            _, reach, lift = stance_geometry(cfg, geom, u)
+
+    losses = [(int(leg), int(c) * steps + int(k),
+               "too_deep" if dh[c, leg] <= 0.0 else "deformed")
+              for c, leg, k in zip(*np.nonzero(lost))]
     return WalkResult(
-        measured=ContactMap(legs=sim.legs, steps=steps, cycles=cycles,
+        measured=ContactMap(legs=2 * n, steps=steps, cycles=cycles,
                             bits=measured, kind="measured"),
-        ideal=ideal_contact_map(cfg, steps, cycles),
-        gamma_per_cycle=gamma_per_cycle,
+        ideal=ContactMap(legs=2 * n, steps=steps, cycles=cycles,
+                         bits=np.tile(stance, (1, cycles)), kind="ideal"),
+        gamma_per_cycle=gamma_true,
         forward_speed_ratio=v_ratios,
         loss_events=losses,
-        displacement_per_cycle=displacements,
+        displacement_per_cycle=[stride * v for v in v_ratios],
+        gamma_measured=gamma_meas,
+        a_v=a_vs,
     )
 
 

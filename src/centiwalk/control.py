@@ -9,13 +9,13 @@ retraction samples.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from statistics import mean, pvariance
 from typing import Dict, List, Sequence
 
 from .gait import GaitConfig
 from .kinematics import RobotGeometry
-from .contact_sim import SensorModel, WalkSimulation
+from .contact_sim import SensorModel, simulate_walk
 from .terrain import TerrainGrid, generate_terrain
 
 
@@ -84,28 +84,24 @@ def run_trial(cfg: GaitConfig, geom: RobotGeometry, terrain: TerrainGrid,
               cc: ControllerConfig, cycles: int, steps: int,
               sensor: SensorModel, seed: int) -> TrialRecord:
     """Execute one trial; feedback updates every cc.update_every cycles."""
-    sim = WalkSimulation(cfg, geom, terrain, steps, sensor, seed)
-    a_v = cc.fixed_av if cc.mode == "open_loop" else cc.av_min
-    gamma_hist: List[float] = []
-    av_hist: List[float] = []
-    v_hist: List[float] = []
-    disp_hist: List[float] = []
-    for c in range(cycles):
-        res = sim.run_cycle(a_v=a_v)
-        gamma_hist.append(res["gamma_measured"])
-        av_hist.append(a_v)
-        v_hist.append(res["v_ratio"])
-        disp_hist.append(res["displacement"])
-        if cc.mode == "feedback" and (c + 1) % cc.update_every == 0:
-            a_v = update_av(cc, res["gamma_measured"])
+    open_loop = cc.mode == "open_loop"
+
+    def next_av(cycle: int, gamma_measured: float, a_v: float) -> float:
+        if (cycle + 1) % cc.update_every:
+            return a_v
+        return update_av(cc, gamma_measured)
+
+    start = replace(cfg, a_v=cc.fixed_av if open_loop else cc.av_min)
+    res = simulate_walk(start, geom, terrain, cycles, steps, sensor, seed,
+                        None if open_loop else next_av)
     return TrialRecord(
-        gamma_s=gamma_hist,
-        a_v=av_hist,
-        v_ratio=v_hist,
-        displacement=disp_hist,
-        mean_speed_ratio=mean(v_hist),
-        speed_variance=pvariance(v_hist),
-        total_distance=sum(disp_hist),
+        gamma_s=res.gamma_measured,
+        a_v=res.a_v,
+        v_ratio=res.forward_speed_ratio,
+        displacement=res.displacement_per_cycle,
+        mean_speed_ratio=mean(res.forward_speed_ratio),
+        speed_variance=pvariance(res.forward_speed_ratio),
+        total_distance=sum(res.displacement_per_cycle),
     )
 
 

@@ -45,6 +45,8 @@ class TestExitCodes:
 
 class TestBadInput:
     GOOD = "# terrain v1\n# block_size=10.0\n# r_g=0.1\n0,0\n1,1\n2,2\n"
+    # four samples per cycle, none of them in this gait's stance window
+    NO_STANCE = "[gait]\nn_pairs = 2\nxi = 1.5\nduty = 0.125\n"
 
     @pytest.mark.parametrize("experiment, argv", [
         ("", ["--steps", "71", "walk"]),
@@ -57,10 +59,14 @@ class TestBadInput:
         ("terrains = {one_row}\n", ["model-sweep"]),
         ("", ["terrain-gen", "--r-g", "-1"]),
         ("", ["--tolerance", "nan", "validate"]),
+        (NO_STANCE, ["--steps", "4", "walk"]),
+        (NO_STANCE, ["--steps", "4", "validate"]),
+        (NO_STANCE, ["--steps", "4", "controller-compare"]),
     ], ids=["odd-steps-flag", "odd-steps-config", "nan-rugosity",
             "negative-rugosity", "compare-only-files", "no-r_g-header",
             "ragged-rows", "one-row-file", "negative-rugosity-flag",
-            "nan-tolerance-flag"])
+            "nan-tolerance-flag", "no-stance-walk", "no-stance-validate",
+            "no-stance-compare"])
     def test_one_line_error(self, tmp_path, capsys, experiment, argv):
         files = {
             "good": self.GOOD,
@@ -110,6 +116,17 @@ class TestStamps:
             assert csvs
             for path in csvs:
                 assert path.read_text().startswith("# centiwalk v"), path.name
+
+    def test_stamp_hashes_the_effective_config(self, tmp_path, fast_config):
+        # an override changes the stamp, --out does not
+        def stamp(out, seeds):
+            assert run(["--config", fast_config, "--out", str(tmp_path / out),
+                        "--seeds", seeds, "walk"]) == 0
+            return (tmp_path / out / "walk.csv").read_text().splitlines()[0]
+
+        first = stamp("a", "0")
+        assert stamp("b", "0") == first
+        assert stamp("c", "1") != first
 
 
 class TestGaitDump:

@@ -18,7 +18,6 @@ class TestDefaults:
         assert fc.geometry.h_l == 7.0
         assert fc.controller.gamma_set == 0.9
         assert fc.experiment.seeds == list(range(20))
-        assert fc.raw_text
 
     def test_default_config_file_exists(self):
         assert default_config_path().is_file()

@@ -4,19 +4,19 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from centiwalk.contact_sim import (
     ContactMap,
     SensorModel,
     WalkOffTerrainError,
-    WalkSimulation,
     _debounce,
     ideal_contact_map,
     measure_gamma,
     simulate_walk,
 )
+from centiwalk.control import ControllerConfig, run_trial
 from centiwalk.gait import GaitConfig, ideal_contact, TWO_PI
 from centiwalk.kinematics import RobotGeometry
 from centiwalk.terrain import TerrainGrid, generate_terrain, sigma_from_rugosity
@@ -57,29 +57,35 @@ class TestIdealContactMap:
                st.none(), st.floats(min_value=-2 * math.pi,
                                     max_value=2 * math.pi)),
            half_steps=st.integers(min_value=2, max_value=100))
+    @example(n_pairs=2, xi=1.5, duty=0.125, phase_offset=None, half_steps=2)
     @settings(max_examples=300, deadline=None)
     def test_walker_stance_window_is_ideal_map(self, n_pairs, xi, duty,
                                                phase_offset, half_steps):
-        # the walker counts exactly the ideal map's retraction samples
+        # on flat ground a noiseless walker keeps contact on exactly the
+        # ideal map's retraction samples; a gait with none is rejected
         cfg = GaitConfig(n_pairs=n_pairs, xi=xi, duty=duty,
                          phase_offset=phase_offset)
         steps = 2 * half_steps
         terrain = generate_terrain(0.0, rows=n_pairs + 2, cols=5, seed=0)
-        sim = WalkSimulation(cfg, RobotGeometry(), terrain, steps,
-                             SensorModel(), seed=0)
-        assert np.array_equal(sim.stance_mask,
-                              ideal_contact_map(cfg, steps).bits == 1)
+        ideal = ideal_contact_map(cfg, steps).bits
+        if not ideal.any():
+            with pytest.raises(ValueError, match=f"steps={steps}"):
+                simulate_walk(cfg, RobotGeometry(), terrain, 1, steps,
+                              SensorModel(), seed=0)
+            return
+        res = simulate_walk(cfg, RobotGeometry(), terrain, 1, steps,
+                            SensorModel(), seed=0)
+        assert np.array_equal(res.measured.bits, ideal)
 
     def test_default_gait_full_stance_on_flat_ground(self):
         # [DERIVED] 72 samples at D = 0.5: 36 stance samples on every leg,
         # and flat ground at a_v = 0 keeps contact on each of them
         cfg = GaitConfig()
         terrain = generate_terrain(0.0, rows=20, cols=5, seed=0)
-        sim = WalkSimulation(cfg, RobotGeometry(), terrain, 72,
-                             SensorModel(), seed=0)
-        assert sim.stance_mask.sum(axis=1).tolist() == [36] * 12
         res = simulate_walk(cfg, RobotGeometry(), terrain, 5, 72,
                             SensorModel(), seed=0)
+        assert res.ideal.bits.sum(axis=1).tolist() == [5 * 36] * 12
+        assert np.array_equal(res.measured.bits, res.ideal.bits)
         assert measure_gamma(res.ideal, res.measured) == 1.0
 
     def test_contact_map_validation(self):
@@ -148,10 +154,10 @@ class TestSensor:
 
     def test_noiseless_sensor_reports_truth(self):
         terrain = generate_terrain(0.32, rows=20, cols=5, seed=4)
-        sim = WalkSimulation(GaitConfig(), RobotGeometry(), terrain, 72,
-                             SensorModel(), seed=4)
-        res = sim.run_cycle()
-        assert res["gamma_measured"] == res["gamma_true"]
+        res = simulate_walk(GaitConfig(), RobotGeometry(), terrain, 10, 72,
+                            SensorModel(), seed=4)
+        assert res.gamma_measured == res.gamma_per_cycle
+        assert min(res.gamma_per_cycle) < 1.0
 
     def test_flip_noise_biases_toward_half(self):
         # flat ground truth is all-ones; flips pull the measurement down by
@@ -184,16 +190,22 @@ class TestSimulationHarness:
         assert a.gamma_per_cycle == b.gamma_per_cycle
 
     def test_walk_off_terrain(self):
+        # 8 rows hold 8 - n_pairs = 2 cycles, for fixed and feedback walks
         terrain = generate_terrain(0.32, rows=8, cols=5, seed=0)
-        with pytest.raises(WalkOffTerrainError):
+        with pytest.raises(WalkOffTerrainError) as exc:
             simulate_walk(GaitConfig(), RobotGeometry(), terrain, 30, 72,
                           SensorModel(), seed=0)
+        assert exc.value.cycle == 2
+        with pytest.raises(WalkOffTerrainError) as exc:
+            run_trial(GaitConfig(), RobotGeometry(), terrain,
+                      ControllerConfig(), 30, 72, SensorModel(), seed=0)
+        assert exc.value.cycle == 2
 
     def test_odd_steps_rejected(self):
         terrain = generate_terrain(0.0, rows=20, cols=5, seed=0)
-        with pytest.raises(ValueError):
-            WalkSimulation(GaitConfig(), RobotGeometry(), terrain, 71,
-                           SensorModel(), seed=0)
+        with pytest.raises(ValueError, match="even"):
+            simulate_walk(GaitConfig(), RobotGeometry(), terrain, 1, 71,
+                          SensorModel(), seed=0)
 
     def test_result_shapes(self):
         terrain = generate_terrain(0.17, rows=20, cols=5, seed=2)

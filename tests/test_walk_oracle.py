@@ -1,0 +1,131 @@
+"""The vectorised walk engine against a per-leg reference loop.
+
+`reference_walk` is the walker's earlier cycle loop, one leg at a time, kept
+here only as an oracle: every per-cycle number, loss event and measured bit
+of `simulate_walk` must equal it exactly, in open loop and under the
+controller's feedback rule.
+"""
+
+import math
+from dataclasses import replace
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from centiwalk.contact_sim import SensorModel, _debounce, simulate_walk
+from centiwalk.control import ControllerConfig, run_trial, update_av
+from centiwalk.gait import GaitConfig, phase_table
+from centiwalk.kinematics import (
+    RobotGeometry,
+    recoverable_heights,
+    slip_distribution,
+    stance_geometry,
+)
+from centiwalk.models import predict_speed_band
+from centiwalk.terrain import generate_terrain
+
+
+def reference_walk(cfg, geom, terrain, cycles, steps, sensor, seed, cc=None):
+    """Per-leg walk; with a controller cc, a_v follows its feedback law."""
+    rng = np.random.default_rng(seed)
+    n = cfg.n_pairs
+    phases = phase_table(cfg, steps)
+    stance = phases < cfg.duty
+    center = terrain.cols // 2
+    leg_cols = np.array([max(center - 1, 0)] * n
+                        + [min(center + 1, terrain.cols - 1)] * n)
+    leg_rows = np.array([n - 1 - i for i in range(n)] * 2)
+    dist = slip_distribution(cfg, geom, bins=36)
+    out = {"gamma": [], "gamma_measured": [], "v": [], "a_v": [],
+           "losses": [], "bits": []}
+    for c in range(cycles):
+        dh = (terrain.heights[leg_rows + 1, leg_cols]
+              - terrain.heights[leg_rows, leg_cols])
+        truth = np.zeros((2 * n, steps), dtype=np.uint8)
+        for leg in range(2 * n):
+            mask = stance[leg]
+            d_s, reach, lift = stance_geometry(cfg, geom, phases[leg][mask])
+            d = dh[leg]
+            if d <= 0.0:
+                lost, cause = -d > reach, "too_deep"
+            else:
+                lost = d - np.maximum(lift, 0.0) > recoverable_heights(geom, d_s)
+                cause = "deformed"
+            truth[leg, mask] = (~lost).astype(np.uint8)
+            out["losses"] += [(leg, c * steps + int(k), cause)
+                              for k in np.nonzero(mask)[0][lost]]
+        bits = truth.copy()
+        if sensor.flip_prob > 0.0:
+            flips = rng.random(bits.shape) < sensor.flip_prob
+            bits = bits ^ flips.astype(np.uint8)
+        bits = _debounce(bits, sensor.latch_steps)
+        gamma = float(truth[stance].sum() / stance.sum())
+        out["gamma"].append(gamma)
+        out["gamma_measured"].append(float(bits[stance].sum() / stance.sum()))
+        out["v"].append(predict_speed_band(dist, gamma).v_ratio_mid)
+        out["a_v"].append(cfg.a_v)
+        out["bits"].append(bits)
+        if cc is not None and (c + 1) % cc.update_every == 0:
+            cfg = replace(cfg, a_v=update_av(cc, out["gamma_measured"][-1]))
+        leg_rows = leg_rows + 1
+    return out
+
+
+@pytest.mark.parametrize("feedback", [False, True], ids=["open_loop", "feedback"])
+@given(n_pairs=st.integers(min_value=2, max_value=8),
+       xi=st.floats(min_value=0.0, max_value=3.0),
+       duty=st.floats(min_value=0.1, max_value=0.9),
+       phase_offset=st.one_of(st.none(), st.floats(min_value=-2 * math.pi,
+                                                   max_value=2 * math.pi)),
+       half_steps=st.integers(min_value=2, max_value=40),
+       r_g=st.sampled_from([0.0, 0.1, 0.17, 0.32, 0.6]),
+       a_v=st.floats(min_value=0.0, max_value=25.0),
+       seed=st.integers(min_value=0, max_value=2**16),
+       flip_prob=st.sampled_from([0.0, 0.02, 0.2]),
+       latch_steps=st.integers(min_value=0, max_value=4),
+       cycles=st.integers(min_value=1, max_value=6),
+       update_every=st.integers(min_value=1, max_value=3))
+@settings(max_examples=60, deadline=None)
+def test_engine_matches_reference_loop(feedback, n_pairs, xi, duty,
+                                       phase_offset, half_steps, r_g, a_v,
+                                       seed, flip_prob, latch_steps, cycles,
+                                       update_every):
+    cfg = GaitConfig(n_pairs=n_pairs, xi=xi, duty=duty, a_v=a_v,
+                     phase_offset=phase_offset)
+    geom = RobotGeometry()
+    steps = 2 * half_steps
+    terrain = generate_terrain(r_g, rows=cycles + n_pairs + 2, cols=5,
+                               seed=seed)
+    sensor = SensorModel(flip_prob, latch_steps)
+    # either controller starts the trial at cfg.a_v
+    cc = ControllerConfig(update_every=update_every, av_min=a_v,
+                          av_max=max(a_v, 25.0), fixed_av=a_v,
+                          mode="feedback" if feedback else "open_loop")
+    if not (phase_table(cfg, steps) < duty).any():
+        with pytest.raises(ValueError):
+            simulate_walk(cfg, geom, terrain, cycles, steps, sensor, seed)
+        return
+    ref = reference_walk(cfg, geom, terrain, cycles, steps, sensor, seed,
+                         cc if feedback else None)
+
+    def next_av(cycle, gamma_measured, av):
+        # the feedback rule as the reference applies it
+        if (cycle + 1) % update_every:
+            return av
+        return update_av(cc, gamma_measured)
+
+    res = simulate_walk(cfg, geom, terrain, cycles, steps, sensor, seed,
+                        next_av if feedback else None)
+    assert res.gamma_per_cycle == ref["gamma"]
+    assert res.gamma_measured == ref["gamma_measured"]
+    assert res.forward_speed_ratio == ref["v"]
+    assert res.a_v == ref["a_v"]
+    assert res.loss_events == ref["losses"]
+    assert np.array_equal(res.measured.bits, np.hstack(ref["bits"]))
+    trial = run_trial(cfg, geom, terrain, cc, cycles, steps, sensor, seed)
+    assert trial.gamma_s == ref["gamma_measured"]
+    assert trial.a_v == ref["a_v"]
+    assert trial.v_ratio == ref["v"]
+    assert trial.displacement == res.displacement_per_cycle
