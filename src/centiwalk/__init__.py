@@ -36,12 +36,10 @@ from .terrain import (
 from .models import (
     FrictionPrediction,
     LossModelOutput,
-    extremal_weights,
     friction_bounds,
     optimal_av,
     predict_gamma,
     predict_speed_band,
-    speed_from_friction,
 )
 from .contact_sim import (
     ContactMap,
@@ -71,9 +69,8 @@ __all__ = [
     "recoverable_heights", "retraction_profile", "slip_distribution",
     "HeightDeltaModel", "TerrainGrid", "generate_terrain", "sample_dh",
     "sigma_from_rugosity", "tail_probability",
-    "FrictionPrediction", "LossModelOutput", "extremal_weights",
-    "friction_bounds", "optimal_av", "predict_gamma", "predict_speed_band",
-    "speed_from_friction",
+    "FrictionPrediction", "LossModelOutput", "friction_bounds",
+    "optimal_av", "predict_gamma", "predict_speed_band",
     "ContactMap", "SensorModel", "WalkResult", "ideal_contact_map",
     "measure_gamma", "simulate_walk",
     "ControllerConfig", "Scenario", "ScenarioStats", "TrialRecord",

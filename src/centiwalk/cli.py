@@ -230,22 +230,25 @@ def cmd_walk(fc: FullConfig, args) -> int:
     out = _out_dir(args)
     rows = exp.cycles + fc.gait.n_pairs + 2
     sensor = SensorModel(flip_prob=exp.sensor_flip_prob)
+    # every walk runs before anything is written, so a failed walk leaves
+    # no partial output
+    walks = [(entry, seed, simulate_walk(
+                fc.gait, fc.geometry,
+                entry.terrain_for_seed(seed, rows, exp.terrain_cols),
+                exp.cycles, exp.steps, sensor, seed))
+             for entry in entries for seed in exp.seeds]
     path = out / "walk.csv"
     with open(path, "w") as fh:
         fh.write(_stamp(fc))
         fh.write("seed,terrain,a_v_deg,cycle,gamma,v_ratio\n")
-        for entry in entries:
-            for seed in exp.seeds:
-                terrain = entry.terrain_for_seed(seed, rows, exp.terrain_cols)
-                res = simulate_walk(fc.gait, fc.geometry, terrain, exp.cycles,
-                                    exp.steps, sensor, seed)
-                for c, (g, v) in enumerate(zip(res.gamma_per_cycle,
-                                               res.forward_speed_ratio)):
-                    fh.write(f"{seed},{entry.label},{fc.gait.a_v:g},{c},"
-                             f"{g:.6f},{v:.6f}\n")
-                if seed == exp.seeds[0]:
-                    res.measured.to_csv(out / f"contact_{entry.label}.csv",
-                                        _stamp(fc))
+        for entry, seed, res in walks:
+            for c, (g, v) in enumerate(zip(res.gamma_per_cycle,
+                                           res.forward_speed_ratio)):
+                fh.write(f"{seed},{entry.label},{fc.gait.a_v:g},{c},"
+                         f"{g:.6f},{v:.6f}\n")
+            if seed == exp.seeds[0]:
+                res.measured.to_csv(out / f"contact_{entry.label}.csv",
+                                    _stamp(fc))
     print(f"wrote {path}")
     return 0
 

@@ -194,12 +194,15 @@ def simulate_walk(cfg: GaitConfig, geom: RobotGeometry, terrain: TerrainGrid,
         v_ratios.append(predict_speed_band(dist, gamma_true[-1]).v_ratio_mid)
         a_vs.append(cfg.a_v)
         if next_av is not None and c + 1 < cycles:
-            cfg = replace(cfg, a_v=next_av(c, gamma_meas[-1], cfg.a_v))
-            _, reach, lift = stance_geometry(cfg, geom, u)
+            a_v = next_av(c, gamma_meas[-1], cfg.a_v)
+            if a_v != cfg.a_v:
+                cfg = replace(cfg, a_v=a_v)
+                _, reach, lift = stance_geometry(cfg, geom, u)
 
-    losses = [(int(leg), int(c) * steps + int(k),
-               "too_deep" if dh[c, leg] <= 0.0 else "deformed")
-              for c, leg, k in zip(*np.nonzero(lost))]
+    c, leg, k = np.nonzero(lost)
+    losses = list(zip(leg.tolist(), (c * steps + k).tolist(),
+                      np.where(dh[c, leg] <= 0.0, "too_deep",
+                               "deformed").tolist()))
     return WalkResult(
         measured=ContactMap(legs=2 * n, steps=steps, cycles=cycles,
                             bits=measured, kind="measured"),

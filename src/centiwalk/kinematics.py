@@ -76,25 +76,17 @@ class SlipDistribution:
             raise ValueError("distribution has no net forward thrust")
         return 1.0 / f_full
 
-    def to_csv(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write("beta_deg,prob\n")
-            for b, p in zip(self.bin_centers, self.probs):
-                fh.write(f"{b:.6f},{p:.9f}\n")
-
 
 @dataclass
 class RetractionProfile:
     """Per-sample geometry over one retraction (stance) period.
 
-    times   phase samples in seconds (one cycle is 1 s)
     d_s     cumulative rearward foot displacement since stance onset, cm
     lift    signed vertical foot offset from the vertical wave, cm
             (positive = foot raised above the nominal ground plane)
     reach   maximum depth below the current surface the foot can reach, cm
     """
 
-    times: np.ndarray
     d_s: np.ndarray
     lift: np.ndarray
     reach: np.ndarray
@@ -185,10 +177,8 @@ def retraction_profile(cfg: GaitConfig, geom: RobotGeometry,
     """Sample d_s, reach and lift at m uniform points over one stance."""
     if m < 4:
         raise ValueError(f"m must be >= 4, got {m}")
-    u = cfg.duty * np.arange(m) / m
-    times = np.asarray(u, dtype=float)               # one cycle is 1 s
-    d_s, reach, lift = stance_geometry(cfg, geom, u)
-    return RetractionProfile(times=times, d_s=d_s, lift=lift, reach=reach)
+    d_s, reach, lift = stance_geometry(cfg, geom, cfg.duty * np.arange(m) / m)
+    return RetractionProfile(d_s=d_s, lift=lift, reach=reach)
 
 
 def recoverable_heights(geom: RobotGeometry, d_s: Sequence[float]) -> np.ndarray:

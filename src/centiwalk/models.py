@@ -14,7 +14,7 @@ Two models, validated elsewhere against the Monte Carlo walker:
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Optional, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -29,7 +29,6 @@ from .kinematics import (
 )
 from .terrain import HeightDeltaModel, tail_probability
 
-V_RATIO_MAX = 1.2        # band edges slightly above 1 are allowed
 WEIGHT_TOL = 1e-9
 
 
@@ -40,8 +39,8 @@ class FrictionPrediction:
     gamma: float
     f_norm_min: float
     f_norm_max: float
-    v_ratio_min: Optional[float] = None
-    v_ratio_max: Optional[float] = None
+    v_ratio_min: float
+    v_ratio_max: float
 
     def __post_init__(self):
         if self.f_norm_min > self.f_norm_max + WEIGHT_TOL:
@@ -64,70 +63,41 @@ class LossModelOutput:
     p_e: float
 
 
-def _objective(dist: SlipDistribution, w: np.ndarray) -> float:
-    """Normalized mean friction: retained thrust minus belly drag from the
-    lost contact fraction."""
-    cosb = np.cos(np.radians(dist.bin_centers))
-    gamma = float(np.dot(dist.probs, w))
-    return float(np.dot(w * dist.probs, cosb)) - (1.0 - gamma)
-
-
-def extremal_weights(dist: SlipDistribution, gamma: float,
-                     which: str) -> np.ndarray:
-    """Per-bin contact weights w_i in [0, 1] minimizing or maximizing mean
-    friction at fixed gamma.
+def friction_bounds(dist: SlipDistribution,
+                    gamma: float) -> Tuple[float, float]:
+    """Min and max normalized mean friction (retained thrust minus belly
+    drag 1 - gamma) over all per-bin contact weights w_i in [0, 1]
+    realizing the contact ratio gamma.
 
     The objective is linear over the box [0,1]^B with one equality
-    constraint, so the optimum is the greedy fill: sort bins by cos(beta)
-    and assign full weight from the favourable (or unfavourable) end until
-    the probability budget gamma is spent, with one fractional bin.
+    constraint, so the optimum is the greedy fill: contact mass gamma on the
+    bins of least (for the minimum) or greatest (for the maximum) cos(beta),
+    with one fractional bin, read off the cumulative mass and thrust of the
+    bins sorted by cos(beta).
     """
     if not 0.0 <= gamma <= 1.0 + WEIGHT_TOL:
         raise ValueError(f"gamma must be in [0, 1], got {gamma}")
-    probs = dist.probs
-    if probs.sum() <= 0.0:
-        raise ValueError("slip distribution has no probability mass")
     cosb = np.cos(np.radians(dist.bin_centers))
-    order = np.argsort(-cosb if which == "max" else cosb, kind="stable")
-    w = np.zeros(dist.bin_count)
-    budget = min(gamma, 1.0)
-    for idx in order:
-        p = probs[idx]
-        if p <= 0.0:
-            continue
-        take = min(p, budget)
-        w[idx] = take / p
-        budget -= take
-        if budget <= 0.0:
-            break
-    return w
-
-
-def friction_bounds(dist: SlipDistribution, gamma: float) -> FrictionPrediction:
-    """Min and max normalized mean friction over all weight vectors
-    realizing the given contact ratio."""
-    w_min = extremal_weights(dist, gamma, "min")
-    w_max = extremal_weights(dist, gamma, "max")
-    return FrictionPrediction(
-        gamma=gamma,
-        f_norm_min=_objective(dist, w_min),
-        f_norm_max=_objective(dist, w_max),
-    )
-
-
-def speed_from_friction(f_norm: float, coeff: float) -> float:
-    """Forward speed ratio v/v_open from normalized friction (clamped)."""
-    return float(np.clip(coeff * f_norm, 0.0, V_RATIO_MAX))
+    order = np.argsort(cosb)
+    p = dist.probs[order]
+    mass = np.concatenate([[0.0], np.cumsum(p)])
+    thrust = np.concatenate([[0.0], np.cumsum(p * cosb[order])])
+    f_min = np.interp(gamma, mass, thrust) - (1.0 - gamma)
+    f_max = thrust[-1] - np.interp(mass[-1] - gamma, mass, thrust) - (1.0 - gamma)
+    return float(f_min), float(f_max)
 
 
 def predict_speed_band(dist: SlipDistribution,
                        gamma: float) -> FrictionPrediction:
-    """Compose the friction band with the linear speed law, using the
-    distribution's own speed coefficient."""
-    fb = friction_bounds(dist, gamma)
-    fb.v_ratio_min = speed_from_friction(fb.f_norm_min, dist.speed_coeff)
-    fb.v_ratio_max = speed_from_friction(fb.f_norm_max, dist.speed_coeff)
-    return fb
+    """Friction band mapped to the speed ratio v/v_open by the linear speed
+    law, using the distribution's own coefficient; a negative speed is 0.
+    No upper clamp is needed: f_max rises with gamma (slope cos(beta) + 1
+    >= 0) to 1 / speed_coeff at gamma = 1, so v_ratio_max <= 1."""
+    f_min, f_max = friction_bounds(dist, gamma)
+    k = dist.speed_coeff
+    return FrictionPrediction(gamma=gamma, f_norm_min=f_min, f_norm_max=f_max,
+                              v_ratio_min=max(0.0, k * f_min),
+                              v_ratio_max=max(0.0, k * f_max))
 
 
 def predict_gamma(geom: RobotGeometry, cfg: GaitConfig,
@@ -139,13 +109,10 @@ def predict_gamma(geom: RobotGeometry, cfg: GaitConfig,
     vertical wave, exceeds what leg retraction can recover.
     """
     prof = retraction_profile(cfg, geom, m)
-    p_loss1 = float(np.mean([
-        tail_probability(model, r, "dh_nonpositive") for r in prof.reach
-    ]))
+    p_loss1 = float(np.mean(
+        tail_probability(model, prof.reach, "dh_nonpositive")))
     thresholds = recoverable_heights(geom, prof.d_s) + np.maximum(prof.lift, 0.0)
-    p_loss2 = float(np.mean([
-        tail_probability(model, t, "dh_positive") for t in thresholds
-    ]))
+    p_loss2 = float(np.mean(tail_probability(model, thresholds, "dh_positive")))
     p_loss = model.p1 * p_loss1 + (1.0 - model.p1) * p_loss2
     gamma = 1.0 - p_loss
     gamma_ideal = ideal_gamma(cfg, geom, m)
@@ -162,16 +129,14 @@ def predict_gamma(geom: RobotGeometry, cfg: GaitConfig,
 
 def optimal_av(geom: RobotGeometry, cfg: GaitConfig, model: HeightDeltaModel,
                av_grid: Sequence[float], m: int = 360,
-               dist: Optional[SlipDistribution] = None,
                ) -> Tuple[float, FrictionPrediction]:
     """Vertical amplitude on the grid maximizing the predicted speed band
     midpoint; ties break toward the smaller amplitude."""
     av_grid = list(av_grid)
     if not av_grid:
         raise ValueError("av_grid must be non-empty")
-    if dist is None:
-        # planar slip path does not depend on a_v
-        dist = slip_distribution(cfg, geom, bins=36)
+    # planar slip path does not depend on a_v
+    dist = slip_distribution(cfg, geom, bins=36)
     best_av = None
     best_band = None
     best_mid = -np.inf

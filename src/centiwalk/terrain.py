@@ -155,10 +155,6 @@ class HeightDeltaModel:
         return cls(kind="empirical", sigma=0.0, samples=np.asarray(samples))
 
 
-def _norm_cdf(x: float) -> float:
-    return 0.5 * (1.0 + math.erf(x / math.sqrt(2.0)))
-
-
 def sample_dh(model: HeightDeltaModel, rng, size: Optional[int] = None):
     """Draw height differences from the model (scalar or array of `size`)."""
     if isinstance(rng, int):
@@ -170,35 +166,34 @@ def sample_dh(model: HeightDeltaModel, rng, size: Optional[int] = None):
     return rng.choice(model.samples, size=size)
 
 
-def tail_probability(model: HeightDeltaModel, threshold: float,
-                     conditioned: str) -> float:
-    """Conditional tail probability of the height-difference magnitude.
+# math.erf per element; importing scipy.special would double the import time
+_erf = np.vectorize(math.erf, otypes=[float])
 
-    conditioned = "dh_nonpositive": Pr(|dH| > threshold | dH <= 0), the
-    terrain-drop case; "dh_positive": Pr(dH > threshold | dH > 0), the
+
+def tail_probability(model: HeightDeltaModel, thresholds,
+                     conditioned: str) -> np.ndarray:
+    """Conditional tail probabilities of the height-difference magnitude,
+    one per threshold, in an array of the thresholds' shape.
+
+    conditioned = "dh_nonpositive": Pr(|dH| > t | dH <= 0), the
+    terrain-drop case; "dh_positive": Pr(dH > t | dH > 0), the
     terrain-rise case.  Closed form for the gaussian kind, an empirical
-    fraction otherwise.  threshold <= 0 yields 1 by convention (every
-    conditioning event exceeds it).
+    fraction otherwise.  t <= 0 yields 1 by convention (every conditioning
+    event exceeds it).
     """
     if conditioned not in ("dh_nonpositive", "dh_positive"):
         raise ValueError(f"unknown conditioning {conditioned!r}")
+    t = np.asarray(thresholds, dtype=float)
     if model.kind == "gaussian":
         if model.sigma == 0.0:
             # degenerate: dH is identically 0, so no strict exceedance
-            return 0.0
-        if threshold <= 0.0:
-            return 1.0
-        # both conditional tails reduce to the same form by symmetry
-        return 2.0 * _norm_cdf(-threshold / model.sigma)
-    if threshold <= 0.0:
-        return 1.0
+            return np.zeros(t.shape)
+        # both conditional tails reduce to 2 Phi(-t / sigma) by symmetry
+        tail = 2.0 * (0.5 * (1.0 + _erf(-t / model.sigma / math.sqrt(2.0))))
+        return np.where(t <= 0.0, 1.0, tail)
     s = model.samples
-    if conditioned == "dh_nonpositive":
-        cond = s[s <= 0.0]
-        if len(cond) == 0:
-            return 0.0
-        return float(np.mean(-cond > threshold))
-    cond = s[s > 0.0]
-    if len(cond) == 0:
-        return 0.0
-    return float(np.mean(cond > threshold))
+    mags = np.sort(-s[s <= 0.0] if conditioned == "dh_nonpositive"
+                   else s[s > 0.0])
+    tail = ((len(mags) - np.searchsorted(mags, t, side="right")) / len(mags)
+            if len(mags) else 0.0)
+    return np.where(t <= 0.0, 1.0, tail)

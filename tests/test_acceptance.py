@@ -115,8 +115,8 @@ def test_03_lp_vertex_oracle():
                                 bin_count=10)
         for gamma in np.round(np.linspace(0.0, 1.0, 11), 10):
             lo, hi = enum_bounds(dist, float(gamma))
-            fb = friction_bounds(dist, float(gamma))
-            worst = max(worst, abs(fb.f_norm_min - lo), abs(fb.f_norm_max - hi))
+            f_min, f_max = friction_bounds(dist, float(gamma))
+            worst = max(worst, abs(f_min - lo), abs(f_max - hi))
     report(3, f"LP greedy vs vertex enumeration, max gap {worst:.2e} <= 1e-9",
            worst <= 1e-9)
 

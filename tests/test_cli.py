@@ -85,6 +85,8 @@ class TestBadInput:
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1
         assert err.startswith(("config error:", "usage error:"))
+        # a failing command leaves no partial output
+        assert not list(out.glob("**/*.csv"))
 
     @pytest.mark.parametrize("argv", [
         ["--cycles", "0", "walk"],

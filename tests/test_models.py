@@ -5,19 +5,16 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from centiwalk.gait import GaitConfig
 from centiwalk.kinematics import RobotGeometry, SlipDistribution, slip_distribution
 from centiwalk.models import (
-    V_RATIO_MAX,
-    extremal_weights,
     friction_bounds,
     optimal_av,
     predict_gamma,
     predict_speed_band,
-    speed_from_friction,
 )
 from centiwalk.terrain import HeightDeltaModel
 
@@ -69,15 +66,15 @@ class TestFrictionBounds:
         # max puts all contact on cos=+1 -> 0.5*1 - 0.5 = 0.0
         # min puts it on cos=-1 -> -0.5 - 0.5 = -1.0
         dist = make_dist([0.0, 180.0 - 1e-9], [0.5, 0.5])
-        fb = friction_bounds(dist, 0.5)
+        f_min, f_max = friction_bounds(dist, 0.5)
         cos_back = math.cos(math.radians(180.0 - 1e-9))
-        assert fb.f_norm_max == pytest.approx(0.0, abs=1e-9)
-        assert fb.f_norm_min == pytest.approx(0.5 * cos_back - 0.5, abs=1e-9)
+        assert f_max == pytest.approx(0.0, abs=1e-9)
+        assert f_min == pytest.approx(0.5 * cos_back - 0.5, abs=1e-9)
 
     def test_full_contact_band_collapses(self):
         dist = slip_distribution(GaitConfig(), RobotGeometry(), bins=36)
-        fb = friction_bounds(dist, 1.0)
-        assert fb.f_norm_min == pytest.approx(fb.f_norm_max, abs=1e-12)
+        f_min, f_max = friction_bounds(dist, 1.0)
+        assert f_min == pytest.approx(f_max, abs=1e-12)
 
     def test_matches_vertex_enumeration(self):
         # [DERIVED] greedy fill vs exhaustive vertex oracle, <= 1e-9
@@ -88,30 +85,36 @@ class TestFrictionBounds:
                              rng.uniform(0.05, 1.0, b))
             for gamma in np.linspace(0.0, 1.0, 11):
                 lo, hi = enumerate_bounds(dist, gamma)
-                fb = friction_bounds(dist, float(gamma))
-                assert abs(fb.f_norm_min - lo) <= 1e-9
-                assert abs(fb.f_norm_max - hi) <= 1e-9
+                f_min, f_max = friction_bounds(dist, float(gamma))
+                assert abs(f_min - lo) <= 1e-9
+                assert abs(f_max - hi) <= 1e-9
 
     def test_rejects_out_of_range_gamma(self):
         dist = make_dist([0.0, 90.0], [0.5, 0.5])
         with pytest.raises(ValueError):
-            extremal_weights(dist, 1.5, "max")
-
-    @given(gamma=st.floats(min_value=0.0, max_value=1.0))
-    @settings(max_examples=50, deadline=None)
-    def test_weights_realize_gamma(self, gamma):
-        dist = make_dist([-120.0, -30.0, 10.0, 60.0], [0.1, 0.4, 0.3, 0.2])
-        for which in ("min", "max"):
-            w = extremal_weights(dist, gamma, which)
-            assert np.dot(dist.probs, w) == pytest.approx(gamma, abs=1e-9)
-            assert np.all(w >= -1e-12) and np.all(w <= 1.0 + 1e-12)
+            friction_bounds(dist, 1.5)
 
 
 class TestSpeedLaw:
-    def test_clamping(self):
-        assert speed_from_friction(2.0, 1.065) == V_RATIO_MAX
-        assert speed_from_friction(-0.5, 1.065) == 0.0
-        assert speed_from_friction(0.5, 1.065) == pytest.approx(0.5 * 1.065)
+    @given(data=st.data(), gamma=st.floats(min_value=0.0, max_value=1.0))
+    @settings(max_examples=100, deadline=None)
+    def test_band_within_zero_and_one(self, data, gamma):
+        # a negative speed reads 0, and the full-contact speed (1) bounds
+        # the band from above, so no upper clamp is needed; the two edges
+        # round apart, so a band that collapses (one bin, or bins of equal
+        # cos) may invert by an ulp
+        b = data.draw(st.integers(min_value=2, max_value=12))
+        centers = data.draw(st.lists(
+            st.floats(min_value=-179.0, max_value=179.0), min_size=b,
+            max_size=b, unique=True).map(sorted))
+        probs = np.array(data.draw(st.lists(
+            st.floats(min_value=0.0, max_value=1.0), min_size=b, max_size=b)))
+        assume(probs.sum() > 1e-3)
+        dist = make_dist(centers, probs)
+        assume(np.dot(dist.probs, np.cos(np.radians(dist.bin_centers))) > 1e-3)
+        band = predict_speed_band(dist, gamma)
+        assert 0.0 <= band.v_ratio_min <= band.v_ratio_max + 1e-12
+        assert band.v_ratio_max <= 1.0 + 1e-12
 
     def test_distribution_coeff_normalizes_full_contact(self):
         dist = slip_distribution(GaitConfig(), RobotGeometry(), bins=36)

@@ -107,10 +107,16 @@ class TestHeightDeltaModel:
 
 class TestTailProbability:
     def test_frozen_gaussian_oracle(self):
-        # [DERIVED] 2 * Phi(-7 / 4.8) computed independently via erf
+        # [DERIVED] 2 * Phi(-7 / 4.8) computed independently via erf; an
+        # array of thresholds gives an array of the same shape
         model = HeightDeltaModel(kind="gaussian", sigma=4.8)
         p = tail_probability(model, 7.0, "dh_nonpositive")
         assert p == pytest.approx(0.14474868660299556, abs=1e-12)
+        p = tail_probability(model, [[7.0, 0.0], [-1.0, 7.0]], "dh_positive")
+        assert p.shape == (2, 2)
+        assert p[0, 0] == p[1, 1] == pytest.approx(0.14474868660299556,
+                                                   abs=1e-12)
+        assert p[0, 1] == p[1, 0] == 1.0
 
     def test_symmetry_of_conditional_tails(self):
         model = HeightDeltaModel(kind="gaussian", sigma=3.0)
@@ -136,6 +142,29 @@ class TestTailProbability:
         assert tail_probability(model, 2.0, "dh_nonpositive") == \
             pytest.approx(1.0 / 3.0)
         assert tail_probability(model, 2.0, "dh_positive") == pytest.approx(0.5)
+
+    @given(data=st.data(), positive_only=st.booleans())
+    @settings(max_examples=100, deadline=None)
+    def test_empirical_matches_per_threshold_mean(self, data, positive_only):
+        # ties with the sample, t = 0, negative t and an empty conditioning
+        # set (a sample with no dH <= 0) against a brute-force np.mean
+        lo = 0.25 if positive_only else -5.0
+        grid = st.integers(min_value=int(lo * 4), max_value=20).map(
+            lambda i: i / 4.0)
+        samples = np.array(data.draw(st.lists(grid, min_size=1, max_size=30)))
+        thresholds = np.array(data.draw(st.lists(
+            st.one_of(st.sampled_from(list(np.abs(samples)) + [0.0, -1.0]),
+                      st.floats(min_value=-6.0, max_value=6.0)),
+            min_size=1, max_size=10)))
+        model = HeightDeltaModel.from_samples(samples)
+        for conditioned, cond in (("dh_nonpositive", -samples[samples <= 0.0]),
+                                  ("dh_positive", samples[samples > 0.0])):
+            expected = [1.0 if t <= 0.0 else
+                        float(np.mean(cond > t)) if len(cond) else 0.0
+                        for t in thresholds]
+            got = tail_probability(model, thresholds, conditioned)
+            assert got.shape == thresholds.shape
+            assert got.tolist() == expected
 
     def test_rejects_unknown_conditioning(self):
         model = HeightDeltaModel.from_rugosity(0.1)
