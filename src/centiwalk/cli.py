@@ -20,6 +20,8 @@ from pathlib import Path
 from statistics import mean
 from typing import List, Optional
 
+import numpy as np
+
 from . import __version__
 from .config import ConfigError, FullConfig, load_config, _seeds
 from .contact_sim import (
@@ -171,14 +173,16 @@ def cmd_model_sweep(fc: FullConfig, args) -> int:
                  "v_min,v_max\n")
         for entry in entries:
             model = entry.model()
-            for a_v in fc.experiment.a_v_grid:
-                o = predict_gamma(fc.geometry, replace(fc.gait, a_v=a_v), model,
+            outs = [predict_gamma(fc.geometry, replace(fc.gait, a_v=a_v), model,
                                   PREDICT_M)
-                band = predict_speed_band(dist, o.gamma)
+                    for a_v in fc.experiment.a_v_grid]
+            band = predict_speed_band(dist, np.array([o.gamma for o in outs]))
+            for a_v, o, v_min, v_max in zip(fc.experiment.a_v_grid, outs,
+                                            band.v_ratio_min, band.v_ratio_max):
                 fh.write(
                     f"{entry.label},{a_v:g},{o.p_loss1:.6f},{o.p_loss2:.6f},"
                     f"{o.gamma:.6f},{o.gamma_ideal:.6f},{o.p_e:.6f},"
-                    f"{band.v_ratio_min:.6f},{band.v_ratio_max:.6f}\n"
+                    f"{v_min:.6f},{v_max:.6f}\n"
                 )
     print(f"wrote {path}")
     return 0
@@ -194,12 +198,13 @@ def cmd_validate(fc: FullConfig, args) -> int:
     lines = []
     for entry in entries:
         model = entry.model()
+        terrains = [entry.terrain_for_seed(seed, rows, exp.terrain_cols)
+                    for seed in exp.seeds]
         for a_v in exp.a_v_grid:
             cfg = replace(fc.gait, a_v=a_v)
             predicted = predict_gamma(fc.geometry, cfg, model, PREDICT_M).gamma
             sims = []
-            for seed in exp.seeds:
-                terrain = entry.terrain_for_seed(seed, rows, exp.terrain_cols)
+            for seed, terrain in zip(exp.seeds, terrains):
                 res = simulate_walk(cfg, fc.geometry, terrain, exp.cycles,
                                     exp.steps, sensor, seed)
                 sims.append(mean(res.gamma_per_cycle))

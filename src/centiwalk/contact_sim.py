@@ -12,6 +12,7 @@ debounce) stands in for the physical contact-sensing hardware.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from typing import Callable, List, Optional, Tuple
 
 import numpy as np
@@ -19,6 +20,7 @@ import numpy as np
 from .gait import GaitConfig, phase_table
 from .kinematics import (
     RobotGeometry,
+    SlipDistribution,
     flat_ground_stride,
     recoverable_heights,
     slip_distribution,
@@ -113,23 +115,34 @@ def ideal_contact_map(cfg: GaitConfig, steps: int, cycles: int = 1) -> ContactMa
 
 def _debounce(bits: np.ndarray, latch_steps: int) -> np.ndarray:
     """Hold each leg's output until the raw signal persists latch_steps
-    consecutive samples in the new state."""
-    if latch_steps <= 0:
+    consecutive samples in the new state, along the last axis.
+
+    Equivalently, the output at sample k is the value of the latest window
+    of latch_steps equal raw samples ending at or before k, or the row's
+    first raw sample before any such window.
+    """
+    if latch_steps <= 1:
         return bits
-    out = bits.copy()
-    for row in out:
-        state = row[0]
-        run = 0
-        for k, raw in enumerate(row):
-            if raw != state:
-                run += 1
-                if run >= latch_steps:
-                    state = raw
-                    run = 0
-            else:
-                run = 0
-            row[k] = state
-    return out
+    steps = bits.shape[-1]
+    # same[..., k]: equal neighbouring pairs among samples 0..k
+    same = np.cumsum(bits[..., 1:] == bits[..., :-1], axis=-1)
+    same = np.concatenate([np.zeros_like(same[..., :1]), same], axis=-1)
+    last = np.zeros(bits.shape, dtype=np.intp)
+    if latch_steps <= steps:
+        ends = np.arange(latch_steps - 1, steps)
+        stable = same[..., ends] - same[..., ends - (latch_steps - 1)] \
+            == latch_steps - 1
+        last[..., ends] = np.where(stable, ends, 0)
+    return np.take_along_axis(bits, np.maximum.accumulate(last, axis=-1),
+                              axis=-1)
+
+
+@lru_cache
+def _gait_slip_distribution(cfg: GaitConfig,
+                            geom: RobotGeometry) -> SlipDistribution:
+    """The gait's slip distribution, built once and shared by every walk
+    that asks for it, so callers must not modify it."""
+    return slip_distribution(cfg, geom, bins=36)
 
 
 def simulate_walk(cfg: GaitConfig, geom: RobotGeometry, terrain: TerrainGrid,
@@ -168,51 +181,57 @@ def simulate_walk(cfg: GaitConfig, geom: RobotGeometry, terrain: TerrainGrid,
     u = phases[stance]
     d_s, reach, lift = stance_geometry(cfg, geom, u)
     recover = recoverable_heights(geom, d_s)
-    dist = slip_distribution(cfg, geom, bins=36)
+    # the planar slip path does not depend on a_v
+    dist = _gait_slip_distribution(replace(cfg, a_v=0.0), geom)
     stride = flat_ground_stride(cfg, geom)
     rng = np.random.default_rng(seed)
+    flips = np.zeros((cycles, 2 * n, steps), dtype=np.uint8)
+    if sensor.flip_prob > 0.0:
+        flips = (rng.random(flips.shape) < sensor.flip_prob).astype(np.uint8)
 
+    def lost_at(d, reach, lift):
+        return np.where(d <= 0.0, -d > reach,
+                        d - np.maximum(lift, 0.0) > recover)
+
+    d = dh[:, stance_leg]                         # cycles x stance samples
     lost = np.zeros((cycles, 2 * n, steps), dtype=bool)
-    measured = np.zeros((2 * n, steps * cycles), dtype=np.uint8)
-    gamma_true: List[float] = []
-    gamma_meas: List[float] = []
-    v_ratios: List[float] = []
-    a_vs: List[float] = []
-    for c in range(cycles):
-        d = dh[c, stance_leg]
-        lost[c][stance] = np.where(d <= 0.0, -d > reach,
-                                   d - np.maximum(lift, 0.0) > recover)
-        truth = (stance & ~lost[c]).astype(np.uint8)
-        bits = truth
-        if sensor.flip_prob > 0.0:
-            flips = rng.random(bits.shape) < sensor.flip_prob
-            bits = bits ^ flips.astype(np.uint8)
-        bits = _debounce(bits, sensor.latch_steps)
-        measured[:, c * steps:(c + 1) * steps] = bits
-        gamma_true.append(float(truth.sum() / retraction))
-        gamma_meas.append(float(bits[stance].sum() / retraction))
-        v_ratios.append(predict_speed_band(dist, gamma_true[-1]).v_ratio_mid)
-        a_vs.append(cfg.a_v)
-        if next_av is not None and c + 1 < cycles:
-            a_v = next_av(c, gamma_meas[-1], cfg.a_v)
-            if a_v != cfg.a_v:
-                cfg = replace(cfg, a_v=a_v)
-                _, reach, lift = stance_geometry(cfg, geom, u)
+    if next_av is None:
+        lost[:, stance] = lost_at(d, reach, lift)
+        bits = _debounce((stance & ~lost) ^ flips, sensor.latch_steps)
+        a_vs = [cfg.a_v] * cycles
+    else:
+        # the next amplitude needs this cycle's sensed contact ratio
+        bits = np.empty(lost.shape, dtype=np.uint8)
+        a_vs = []
+        for c in range(cycles):
+            a_vs.append(cfg.a_v)
+            lost[c, stance] = lost_at(d[c], reach, lift)
+            bits[c] = _debounce((stance & ~lost[c]) ^ flips[c],
+                                sensor.latch_steps)
+            if c + 1 < cycles:
+                a_v = next_av(c, float(bits[c, stance].sum() / retraction),
+                              cfg.a_v)
+                if a_v != cfg.a_v:
+                    cfg = replace(cfg, a_v=a_v)
+                    _, reach, lift = stance_geometry(cfg, geom, u)
 
+    gamma_true = (stance & ~lost).sum(axis=(1, 2)) / retraction
+    v_ratios = predict_speed_band(dist, gamma_true).v_ratio_mid
     c, leg, k = np.nonzero(lost)
     losses = list(zip(leg.tolist(), (c * steps + k).tolist(),
                       np.where(dh[c, leg] <= 0.0, "too_deep",
                                "deformed").tolist()))
     return WalkResult(
         measured=ContactMap(legs=2 * n, steps=steps, cycles=cycles,
-                            bits=measured, kind="measured"),
+                            bits=bits.transpose(1, 0, 2).reshape(2 * n, -1),
+                            kind="measured"),
         ideal=ContactMap(legs=2 * n, steps=steps, cycles=cycles,
                          bits=np.tile(stance, (1, cycles)), kind="ideal"),
-        gamma_per_cycle=gamma_true,
-        forward_speed_ratio=v_ratios,
+        gamma_per_cycle=gamma_true.tolist(),
+        forward_speed_ratio=v_ratios.tolist(),
         loss_events=losses,
-        displacement_per_cycle=[stride * v for v in v_ratios],
-        gamma_measured=gamma_meas,
+        displacement_per_cycle=(stride * v_ratios).tolist(),
+        gamma_measured=(bits[:, stance].sum(axis=1) / retraction).tolist(),
         a_v=a_vs,
     )
 

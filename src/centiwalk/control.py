@@ -143,14 +143,14 @@ def compare_controllers(cfg: GaitConfig, geom: RobotGeometry,
     if not seeds:
         raise ValueError("seeds must be non-empty")
     rows = cycles + cfg.n_pairs + 2
+    terrains = {(r_g, seed): generate_terrain(r_g, rows=rows,
+                                              cols=terrain_cols, seed=seed)
+                for r_g in {sc.r_g for sc in scenarios} for seed in seeds}
     results: Dict[str, ScenarioStats] = {}
     for sc in scenarios:
         trials = [
-            run_trial(cfg, geom,
-                      generate_terrain(sc.r_g, rows=rows, cols=terrain_cols,
-                                       seed=seed),
-                      sc.controller, cycles, steps,
-                      SensorModel(flip_prob=sc.flip_prob), seed)
+            run_trial(cfg, geom, terrains[sc.r_g, seed], sc.controller,
+                      cycles, steps, SensorModel(flip_prob=sc.flip_prob), seed)
             for seed in seeds
         ]
         results[sc.name] = ScenarioStats(

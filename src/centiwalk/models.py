@@ -34,7 +34,8 @@ WEIGHT_TOL = 1e-9
 
 @dataclass
 class FrictionPrediction:
-    """Band of normalized friction and speed consistent with one gamma."""
+    """Band of normalized friction and speed consistent with gamma: floats
+    for one gamma, arrays of its shape for an array of them."""
 
     gamma: float
     f_norm_min: float
@@ -43,7 +44,7 @@ class FrictionPrediction:
     v_ratio_max: float
 
     def __post_init__(self):
-        if self.f_norm_min > self.f_norm_max + WEIGHT_TOL:
+        if np.any(self.f_norm_min > self.f_norm_max + WEIGHT_TOL):
             raise ValueError("friction band inverted")
 
     @property
@@ -64,10 +65,10 @@ class LossModelOutput:
 
 
 def friction_bounds(dist: SlipDistribution,
-                    gamma: float) -> Tuple[float, float]:
+                    gamma) -> Tuple[np.ndarray, np.ndarray]:
     """Min and max normalized mean friction (retained thrust minus belly
     drag 1 - gamma) over all per-bin contact weights w_i in [0, 1]
-    realizing the contact ratio gamma.
+    realizing the contact ratio gamma, for one gamma or an array of them.
 
     The objective is linear over the box [0,1]^B with one equality
     constraint, so the optimum is the greedy fill: contact mass gamma on the
@@ -75,7 +76,8 @@ def friction_bounds(dist: SlipDistribution,
     with one fractional bin, read off the cumulative mass and thrust of the
     bins sorted by cos(beta).
     """
-    if not 0.0 <= gamma <= 1.0 + WEIGHT_TOL:
+    gamma = np.asarray(gamma, dtype=float)
+    if not np.all((gamma >= 0.0) & (gamma <= 1.0 + WEIGHT_TOL)):
         raise ValueError(f"gamma must be in [0, 1], got {gamma}")
     cosb = np.cos(np.radians(dist.bin_centers))
     order = np.argsort(cosb)
@@ -84,11 +86,10 @@ def friction_bounds(dist: SlipDistribution,
     thrust = np.concatenate([[0.0], np.cumsum(p * cosb[order])])
     f_min = np.interp(gamma, mass, thrust) - (1.0 - gamma)
     f_max = thrust[-1] - np.interp(mass[-1] - gamma, mass, thrust) - (1.0 - gamma)
-    return float(f_min), float(f_max)
+    return f_min, f_max
 
 
-def predict_speed_band(dist: SlipDistribution,
-                       gamma: float) -> FrictionPrediction:
+def predict_speed_band(dist: SlipDistribution, gamma) -> FrictionPrediction:
     """Friction band mapped to the speed ratio v/v_open by the linear speed
     law, using the distribution's own coefficient; a negative speed is 0.
     No upper clamp is needed: f_max rises with gamma (slope cos(beta) + 1
@@ -96,8 +97,8 @@ def predict_speed_band(dist: SlipDistribution,
     f_min, f_max = friction_bounds(dist, gamma)
     k = dist.speed_coeff
     return FrictionPrediction(gamma=gamma, f_norm_min=f_min, f_norm_max=f_max,
-                              v_ratio_min=max(0.0, k * f_min),
-                              v_ratio_max=max(0.0, k * f_max))
+                              v_ratio_min=np.maximum(0.0, k * f_min),
+                              v_ratio_max=np.maximum(0.0, k * f_max))
 
 
 def predict_gamma(geom: RobotGeometry, cfg: GaitConfig,

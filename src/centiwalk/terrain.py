@@ -90,10 +90,13 @@ class TerrainGrid:
             raise ValueError(f"missing header {', '.join(missing)}")
         if len({len(row) for row in rows}) > 1:
             raise ValueError("rows differ in length")
+        heights = np.array(rows)
+        if not np.isfinite(heights).all():
+            raise ValueError("heights must be finite")
         r_g = float(meta["r_g"])
         return cls(
             block_size=float(meta["block_size"]),
-            heights=np.array(rows),
+            heights=heights,
             r_g=r_g,
             sigma=sigma_from_rugosity(r_g),
             seed=int(meta.get("seed", 0)),

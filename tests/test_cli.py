@@ -57,6 +57,8 @@ class TestBadInput:
         ("terrains = {no_r_g}\n", ["model-sweep"]),
         ("terrains = {ragged}\n", ["walk"]),
         ("terrains = {one_row}\n", ["model-sweep"]),
+        ("terrains = {nan_height}\n", ["walk"]),
+        ("terrains = {nan_height}\n", ["model-sweep"]),
         ("", ["terrain-gen", "--r-g", "-1"]),
         ("", ["--tolerance", "nan", "validate"]),
         (NO_STANCE, ["--steps", "4", "walk"]),
@@ -64,7 +66,8 @@ class TestBadInput:
         (NO_STANCE, ["--steps", "4", "controller-compare"]),
     ], ids=["odd-steps-flag", "odd-steps-config", "nan-rugosity",
             "negative-rugosity", "compare-only-files", "no-r_g-header",
-            "ragged-rows", "one-row-file", "negative-rugosity-flag",
+            "ragged-rows", "one-row-file", "nan-height-walk",
+            "nan-height-sweep", "negative-rugosity-flag",
             "nan-tolerance-flag", "no-stance-walk", "no-stance-validate",
             "no-stance-compare"])
     def test_one_line_error(self, tmp_path, capsys, experiment, argv):
@@ -73,6 +76,7 @@ class TestBadInput:
             "no_r_g": self.GOOD.replace("# r_g=0.1\n", ""),
             "ragged": self.GOOD + "3\n",
             "one_row": self.GOOD.split("1,1")[0],
+            "nan_height": self.GOOD + "nan,nan\n",
         }
         for name, text in files.items():
             (tmp_path / f"{name}.txt").write_text(text)

@@ -1,6 +1,7 @@
 """Monte Carlo walker tests: ideal maps, loss rules, sensors, determinism."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,13 +13,15 @@ from centiwalk.contact_sim import (
     SensorModel,
     WalkOffTerrainError,
     _debounce,
+    _gait_slip_distribution,
     ideal_contact_map,
     measure_gamma,
     simulate_walk,
 )
 from centiwalk.control import ControllerConfig, run_trial
 from centiwalk.gait import GaitConfig, ideal_contact, TWO_PI
-from centiwalk.kinematics import RobotGeometry
+from centiwalk.kinematics import RobotGeometry, slip_distribution
+from centiwalk.models import predict_speed_band
 from centiwalk.terrain import TerrainGrid, generate_terrain, sigma_from_rugosity
 
 
@@ -177,6 +180,31 @@ class TestSensor:
     def test_debounce_zero_is_identity(self):
         bits = np.array([[1, 0, 1, 0]], dtype=np.uint8)
         assert np.array_equal(_debounce(bits, 0), bits)
+
+
+class TestSlipDistributionCache:
+    def test_one_distribution_per_gait_shape(self):
+        geom = RobotGeometry()
+        terrain = generate_terrain(0.32, rows=12, cols=5, seed=3)
+        base = GaitConfig(n_pairs=4)
+        _gait_slip_distribution.cache_clear()
+        for a_v in (0.0, 12.0, 25.0):
+            simulate_walk(replace(base, a_v=a_v), geom, terrain, 4, 72,
+                          SensorModel(), seed=3)
+        info = _gait_slip_distribution.cache_info()
+        assert (info.misses, info.hits) == (1, 2)
+        variants = [(replace(base, theta_leg_amp=20.0), geom),
+                    (replace(base, duty=0.6), geom),
+                    (replace(base, xi=1.5), geom),
+                    (replace(base, phase_offset=1.0), geom),
+                    (base, RobotGeometry(leg_length=14.0))]
+        for cfg, g in variants + [(base, geom)]:
+            res = simulate_walk(replace(cfg, a_v=10.0), g, terrain, 4, 72,
+                                SensorModel(), seed=3)
+            fresh = slip_distribution(cfg, g, bins=36)
+            speeds = predict_speed_band(fresh, np.array(res.gamma_per_cycle))
+            assert res.forward_speed_ratio == speeds.v_ratio_mid.tolist()
+        assert _gait_slip_distribution.cache_info().misses == 1 + len(variants)
 
 
 class TestSimulationHarness:

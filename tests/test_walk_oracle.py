@@ -3,7 +3,8 @@
 `reference_walk` is the walker's earlier cycle loop, one leg at a time, kept
 here only as an oracle: every per-cycle number, loss event and measured bit
 of `simulate_walk` must equal it exactly, in open loop and under the
-controller's feedback rule.
+controller's feedback rule.  `reference_debounce` is the sensor's earlier
+per-sample state machine, the oracle for the windowed `_debounce`.
 """
 
 import math
@@ -25,6 +26,52 @@ from centiwalk.kinematics import (
 )
 from centiwalk.models import predict_speed_band
 from centiwalk.terrain import generate_terrain
+
+
+def reference_debounce(bits, latch_steps):
+    """Per-sample debounce of each row of a (legs, steps) array: the output
+    holds its state until the raw signal persists latch_steps consecutive
+    samples in the new state."""
+    if latch_steps <= 0:
+        return bits
+    out = bits.copy()
+    for row in out:
+        state = row[0]
+        run = 0
+        for k, raw in enumerate(row):
+            if raw != state:
+                run += 1
+                if run >= latch_steps:
+                    state = raw
+                    run = 0
+            else:
+                run = 0
+            row[k] = state
+    return out
+
+
+@given(shape=st.sampled_from([(1, 1), (4, 2), (12, 8), (3, 5, 12)]),
+       data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_debounce_matches_reference(shape, data):
+    steps = shape[-1]
+    latch_steps = data.draw(st.integers(min_value=0, max_value=steps + 2),
+                            label="latch_steps")
+    bits = np.array(data.draw(st.lists(st.integers(0, 1),
+                                       min_size=math.prod(shape),
+                                       max_size=math.prod(shape)),
+                              label="bits"), dtype=np.uint8).reshape(shape)
+    out = _debounce(bits, latch_steps)
+    # every cycle of a (cycles, legs, steps) array starts from its own
+    # first raw sample
+    ref = np.stack([reference_debounce(b, latch_steps)
+                    for b in bits.reshape(-1, shape[-2], steps)])
+    assert out.dtype == bits.dtype
+    assert np.array_equal(out, ref.reshape(shape))
+    if latch_steps == 1:
+        assert np.array_equal(out, bits)
+    if latch_steps >= steps:
+        assert np.array_equal(out, np.repeat(bits[..., :1], steps, axis=-1))
 
 
 def reference_walk(cfg, geom, terrain, cycles, steps, sensor, seed, cc=None):
@@ -60,7 +107,7 @@ def reference_walk(cfg, geom, terrain, cycles, steps, sensor, seed, cc=None):
         if sensor.flip_prob > 0.0:
             flips = rng.random(bits.shape) < sensor.flip_prob
             bits = bits ^ flips.astype(np.uint8)
-        bits = _debounce(bits, sensor.latch_steps)
+        bits = reference_debounce(bits, sensor.latch_steps)
         gamma = float(truth[stance].sum() / stance.sum())
         out["gamma"].append(gamma)
         out["gamma_measured"].append(float(bits[stance].sum() / stance.sum()))
