@@ -5,15 +5,7 @@ models, and a proportional contact-ratio feedback controller."""
 
 __version__ = "0.1.0"
 
-from .gait import (
-    GaitConfig,
-    JointCommand,
-    body_pitch,
-    body_yaw,
-    ideal_contact,
-    leg_angle,
-    sample_cycle,
-)
+from .gait import GaitConfig, joint_angles, phase_table
 from .kinematics import (
     RobotGeometry,
     RetractionProfile,
@@ -29,7 +21,6 @@ from .terrain import (
     HeightDeltaModel,
     TerrainGrid,
     generate_terrain,
-    sample_dh,
     sigma_from_rugosity,
     tail_probability,
 )
@@ -37,7 +28,6 @@ from .models import (
     FrictionPrediction,
     LossModelOutput,
     friction_bounds,
-    optimal_av,
     predict_gamma,
     predict_speed_band,
 )
@@ -46,7 +36,6 @@ from .contact_sim import (
     SensorModel,
     WalkResult,
     ideal_contact_map,
-    measure_gamma,
     simulate_walk,
 )
 from .control import (
@@ -62,17 +51,16 @@ from .config import ConfigError, ExperimentSpec, FullConfig, load_config
 
 __all__ = [
     "__version__",
-    "GaitConfig", "JointCommand", "body_pitch", "body_yaw",
-    "ideal_contact", "leg_angle", "sample_cycle",
+    "GaitConfig", "joint_angles", "phase_table",
     "RobotGeometry", "RetractionProfile", "SlipDistribution",
     "flat_ground_stride", "foot_trajectory", "ideal_gamma",
     "recoverable_heights", "retraction_profile", "slip_distribution",
-    "HeightDeltaModel", "TerrainGrid", "generate_terrain", "sample_dh",
+    "HeightDeltaModel", "TerrainGrid", "generate_terrain",
     "sigma_from_rugosity", "tail_probability",
     "FrictionPrediction", "LossModelOutput", "friction_bounds",
-    "optimal_av", "predict_gamma", "predict_speed_band",
+    "predict_gamma", "predict_speed_band",
     "ContactMap", "SensorModel", "WalkResult", "ideal_contact_map",
-    "measure_gamma", "simulate_walk",
+    "simulate_walk",
     "ControllerConfig", "Scenario", "ScenarioStats", "TrialRecord",
     "compare_controllers", "run_trial", "update_av",
     "ConfigError", "ExperimentSpec", "FullConfig", "load_config",

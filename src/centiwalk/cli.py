@@ -18,7 +18,7 @@ import sys
 from dataclasses import asdict, replace
 from pathlib import Path
 from statistics import mean
-from typing import List, Optional
+from typing import Iterable, List, Optional
 
 import numpy as np
 
@@ -32,7 +32,7 @@ from .contact_sim import (
     simulate_walk,
 )
 from .control import Scenario, compare_controllers
-from .gait import sample_cycle
+from .gait import joint_angles
 from .kinematics import slip_distribution
 from .models import predict_gamma, predict_speed_band
 from .terrain import HeightDeltaModel, TerrainGrid, generate_terrain
@@ -54,6 +54,18 @@ def _stamp(fc: FullConfig) -> str:
     text = json.dumps(asdict(fc), sort_keys=True)
     digest = hashlib.sha256(text.encode()).hexdigest()[:12]
     return f"# centiwalk v{__version__} config_hash={digest}\n"
+
+
+def _write_csv(path: Path, fc: FullConfig, header: str,
+               lines: Iterable[str]) -> None:
+    """Write a CSV: the config stamp, the header row, then the rows."""
+    with open(path, "w") as fh:
+        fh.write(_stamp(fc))
+        fh.writelines(line + "\n" for line in [header, *lines])
+
+
+def _leg_names(n: int) -> List[str]:
+    return [f"leg_{side}{i}" for side in "lr" for i in range(1, n + 1)]
 
 
 def _out_dir(args) -> Path:
@@ -122,29 +134,19 @@ def _entries(fc: FullConfig) -> List[TerrainEntry]:
 def cmd_gait_dump(fc: FullConfig, args) -> int:
     steps = fc.experiment.steps
     out = _out_dir(args)
-    cfg = fc.gait
-    cmap = ideal_contact_map(cfg, steps)
-    with open(out / "contact_map.csv", "w") as fh:
-        fh.write(_stamp(fc))
-        n = cfg.n_pairs
-        names = [f"leg_l{i+1}" for i in range(n)] + [f"leg_r{i+1}" for i in range(n)]
-        fh.write("step," + ",".join(names) + "\n")
-        for k in range(steps):
-            fh.write(f"{k}," + ",".join(str(int(b)) for b in cmap.bits[:, k]) + "\n")
-    commands = sample_cycle(cfg, steps)
-    with open(out / "joint_angles.csv", "w") as fh:
-        fh.write(_stamp(fc))
-        cols = (
-            [f"leg_l{i+1}_deg" for i in range(n)]
-            + [f"leg_r{i+1}_deg" for i in range(n)]
-            + [f"body_yaw{i+1}_deg" for i in range(n)]
-            + [f"body_pitch{i+1}_deg" for i in range(n)]
-        )
-        fh.write("step," + ",".join(cols) + "\n")
-        for k, cmd in enumerate(commands):
-            vals = (cmd.leg_angles_left + cmd.leg_angles_right
-                    + cmd.body_yaw + cmd.body_pitch)
-            fh.write(f"{k}," + ",".join(f"{v:.6f}" for v in vals) + "\n")
+    n = fc.gait.n_pairs
+    legs = _leg_names(n)
+    bits = ideal_contact_map(fc.gait, steps).bits
+    _write_csv(out / "contact_map.csv", fc, "step," + ",".join(legs),
+               (f"{k}," + ",".join(map(str, col))
+                for k, col in enumerate(bits.T.tolist())))
+    cols = legs + [f"body_{wave}{i}" for wave in ("yaw", "pitch")
+                   for i in range(1, n + 1)]
+    angles = joint_angles(fc.gait, steps)
+    _write_csv(out / "joint_angles.csv", fc,
+               "step," + ",".join(f"{c}_deg" for c in cols),
+               (f"{k}," + ",".join(f"{v:.6f}" for v in col)
+                for k, col in enumerate(angles.T.tolist())))
     print(f"wrote {out / 'contact_map.csv'} and {out / 'joint_angles.csv'}")
     return 0
 
@@ -166,24 +168,22 @@ def cmd_model_sweep(fc: FullConfig, args) -> int:
     entries = _entries(fc)
     out = _out_dir(args)
     dist = slip_distribution(fc.gait, fc.geometry, bins=36)
+    lines = []
+    for entry in entries:
+        model = entry.model()
+        outs = [predict_gamma(fc.geometry, replace(fc.gait, a_v=a_v), model,
+                              PREDICT_M)
+                for a_v in fc.experiment.a_v_grid]
+        band = predict_speed_band(dist, np.array([o.gamma for o in outs]))
+        for a_v, o, v_min, v_max in zip(fc.experiment.a_v_grid, outs,
+                                        band.v_ratio_min, band.v_ratio_max):
+            lines.append(
+                f"{entry.label},{a_v:g},{o.p_loss1:.6f},{o.p_loss2:.6f},"
+                f"{o.gamma:.6f},{o.gamma_ideal:.6f},{o.p_e:.6f},"
+                f"{v_min:.6f},{v_max:.6f}")
     path = out / "model_sweep.csv"
-    with open(path, "w") as fh:
-        fh.write(_stamp(fc))
-        fh.write("terrain,a_v_deg,p_loss1,p_loss2,gamma,gamma_ideal,p_e,"
-                 "v_min,v_max\n")
-        for entry in entries:
-            model = entry.model()
-            outs = [predict_gamma(fc.geometry, replace(fc.gait, a_v=a_v), model,
-                                  PREDICT_M)
-                    for a_v in fc.experiment.a_v_grid]
-            band = predict_speed_band(dist, np.array([o.gamma for o in outs]))
-            for a_v, o, v_min, v_max in zip(fc.experiment.a_v_grid, outs,
-                                            band.v_ratio_min, band.v_ratio_max):
-                fh.write(
-                    f"{entry.label},{a_v:g},{o.p_loss1:.6f},{o.p_loss2:.6f},"
-                    f"{o.gamma:.6f},{o.gamma_ideal:.6f},{o.p_e:.6f},"
-                    f"{v_min:.6f},{v_max:.6f}\n"
-                )
+    _write_csv(path, fc, "terrain,a_v_deg,p_loss1,p_loss2,gamma,gamma_ideal,"
+               "p_e,v_min,v_max", lines)
     print(f"wrote {path}")
     return 0
 
@@ -214,19 +214,16 @@ def cmd_validate(fc: FullConfig, args) -> int:
             status = "pass" if dev <= exp.tolerance else "FAIL"
             lines.append((entry.label, a_v, predicted, simulated, dev, status))
     path = out / "validation.csv"
-    with open(path, "w") as fh:
-        fh.write(_stamp(fc))
-        fh.write("terrain,a_v_deg,gamma_predicted,gamma_simulated,deviation,"
-                 "status\n")
-        for label, a_v, pred, sim, dev, status in lines:
-            fh.write(f"{label},{a_v:g},{pred:.6f},{sim:.6f},{dev:.6f},"
-                     f"{status}\n")
+    _write_csv(path, fc, "terrain,a_v_deg,gamma_predicted,gamma_simulated,"
+               "deviation,status",
+               (f"{label},{a_v:g},{pred:.6f},{sim:.6f},{dev:.6f},{status}"
+                for label, a_v, pred, sim, dev, status in lines))
     for label, a_v, pred, sim, dev, status in lines:
         print(f"{status}: {label} a_v={a_v:g} predicted={pred:.4f} "
               f"simulated={sim:.4f} dev={dev:.4f}")
     print(f"max deviation {max_dev:.4f} (tolerance {exp.tolerance:g}); "
           f"wrote {path}")
-    return 0 if max_dev <= exp.tolerance else 2
+    return 2 if any(line[-1] == "FAIL" for line in lines) else 0
 
 
 def cmd_walk(fc: FullConfig, args) -> int:
@@ -243,17 +240,19 @@ def cmd_walk(fc: FullConfig, args) -> int:
                 exp.cycles, exp.steps, sensor, seed))
              for entry in entries for seed in exp.seeds]
     path = out / "walk.csv"
-    with open(path, "w") as fh:
-        fh.write(_stamp(fc))
-        fh.write("seed,terrain,a_v_deg,cycle,gamma,v_ratio\n")
-        for entry, seed, res in walks:
-            for c, (g, v) in enumerate(zip(res.gamma_per_cycle,
-                                           res.forward_speed_ratio)):
-                fh.write(f"{seed},{entry.label},{fc.gait.a_v:g},{c},"
-                         f"{g:.6f},{v:.6f}\n")
-            if seed == exp.seeds[0]:
-                res.measured.to_csv(out / f"contact_{entry.label}.csv",
-                                    _stamp(fc))
+    _write_csv(path, fc, "seed,terrain,a_v_deg,cycle,gamma,v_ratio",
+               (f"{seed},{entry.label},{fc.gait.a_v:g},{c},{g:.6f},{v:.6f}"
+                for entry, seed, res in walks
+                for c, (g, v) in enumerate(zip(res.gamma_per_cycle,
+                                               res.forward_speed_ratio))))
+    legs = ",".join(_leg_names(fc.gait.n_pairs))
+    for entry, seed, res in walks:
+        if seed == exp.seeds[0]:
+            _write_csv(out / f"contact_{entry.label}.csv", fc,
+                       "cycle,step," + legs,
+                       (f"{i // exp.steps},{i % exp.steps},"
+                        + ",".join(map(str, col))
+                        for i, col in enumerate(res.measured.bits.T.tolist())))
     print(f"wrote {path}")
     return 0
 
@@ -278,15 +277,20 @@ def cmd_controller_compare(fc: FullConfig, args) -> int:
                                 cycles=exp.cycles, steps=exp.steps,
                                 terrain_cols=exp.terrain_cols)
     path = out / "controller_summary.csv"
-    with open(path, "w") as fh:
-        fh.write(_stamp(fc))
-        fh.write("scenario,mean_speed_ratio,speed_variance,mean_distance_cm\n")
-        for name, st in stats.items():
-            fh.write(f"{name},{st.mean_speed_ratio:.6f},"
-                     f"{st.speed_variance:.6f},{st.mean_distance:.6f}\n")
+    _write_csv(path, fc,
+               "scenario,mean_speed_ratio,speed_variance,mean_distance_cm",
+               (f"{name},{st.mean_speed_ratio:.6f},{st.speed_variance:.6f},"
+                f"{st.mean_distance:.6f}" for name, st in stats.items()))
     for name, st in stats.items():
         # the first seed's trial; compare_controllers keeps seed order
-        st.trials[0].to_csv(out / f"trace_{name}.csv", _stamp(fc))
+        t = st.trials[0]
+        rows = zip(t.gamma_s, t.a_v, t.v_ratio, t.displacement)
+        _write_csv(out / f"trace_{name}.csv", fc,
+                   "cycle,gamma_s,a_v_deg,v_ratio,displacement_cm",
+                   [f"{c},{g:.6f},{a:.6f},{v:.6f},{d:.6f}"
+                    for c, (g, a, v, d) in enumerate(rows)]
+                   + [f"summary,{mean(t.gamma_s):.6f},,"
+                      f"{t.mean_speed_ratio:.6f},{t.total_distance:.6f}"])
     print(f"wrote {path}")
     return 0
 

@@ -9,6 +9,7 @@ data/default.cfg for the documented schema.
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
@@ -41,8 +42,8 @@ class ExperimentSpec:
     terrain_cols: int = 5
 
     def __post_init__(self):
-        if not self.seeds:
-            raise ConfigError("seeds must be non-empty")
+        if not self.seeds or not self.terrains:
+            raise ConfigError("seeds and terrains must be non-empty")
         if self.cycles < 1:
             raise ConfigError(f"cycles must be >= 1, got {self.cycles}")
         # even, so that the right legs' half-cycle offset falls on a sample
@@ -50,6 +51,16 @@ class ExperimentSpec:
             raise ConfigError(f"steps must be an even number >= 4, got {self.steps}")
         if not self.tolerance >= 0.0:      # NaN fails this test too
             raise ConfigError(f"tolerance must be >= 0, got {self.tolerance}")
+        if not (self.a_v_grid and all(math.isfinite(a) and a >= 0.0
+                                      for a in self.a_v_grid)):
+            raise ConfigError(f"a_v_grid must be non-empty, finite and >= 0, "
+                              f"got {self.a_v_grid}")
+        if not 0.0 <= self.sensor_flip_prob < 1.0:
+            raise ConfigError(f"sensor_flip_prob must be in [0, 1), got "
+                              f"{self.sensor_flip_prob}")
+        if self.terrain_rows < 2 or self.terrain_cols < 1:
+            raise ConfigError(f"need terrain_rows >= 2 and terrain_cols >= 1, "
+                              f"got {self.terrain_rows} and {self.terrain_cols}")
 
 
 @dataclass

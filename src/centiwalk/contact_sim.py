@@ -21,7 +21,6 @@ from .gait import GaitConfig, phase_table
 from .kinematics import (
     RobotGeometry,
     SlipDistribution,
-    flat_ground_stride,
     recoverable_heights,
     slip_distribution,
     stance_geometry,
@@ -53,28 +52,13 @@ class ContactMap:
     steps: int
     cycles: int
     bits: np.ndarray
-    kind: str = "measured"
 
     def __post_init__(self):
         self.bits = np.asarray(self.bits, dtype=np.uint8)
         if self.bits.shape != (self.legs, self.steps * self.cycles):
             raise ValueError("bits shape must be legs x (steps * cycles)")
-        if self.kind not in ("ideal", "measured"):
-            raise ValueError(f"unknown contact map kind {self.kind!r}")
         if np.any(self.bits > 1):
             raise ValueError("bits must be 0/1")
-
-    def to_csv(self, path, stamp: str = "") -> None:
-        """Write the map as CSV, after the comment line `stamp` if given."""
-        with open(path, "w") as fh:
-            fh.write(stamp)
-            n = self.legs // 2
-            names = [f"leg_l{i+1}" for i in range(n)] + [f"leg_r{i+1}" for i in range(n)]
-            fh.write("cycle,step," + ",".join(names) + "\n")
-            for c in range(self.cycles):
-                for k in range(self.steps):
-                    col = self.bits[:, c * self.steps + k]
-                    fh.write(f"{c},{k}," + ",".join(str(int(b)) for b in col) + "\n")
 
 
 @dataclass
@@ -101,7 +85,6 @@ class WalkResult:
     gamma_per_cycle: List[float]
     forward_speed_ratio: List[float]
     loss_events: List[Tuple[int, int, str]]    # (leg, absolute step, cause)
-    displacement_per_cycle: List[float]
     gamma_measured: List[float]                # sensed, per cycle
     a_v: List[float]                           # vertical amplitude, per cycle
 
@@ -110,7 +93,7 @@ def ideal_contact_map(cfg: GaitConfig, steps: int, cycles: int = 1) -> ContactMa
     """Contact map of the ideal gait pattern."""
     bits = (phase_table(cfg, steps) < cfg.duty).astype(np.uint8)
     return ContactMap(legs=2 * cfg.n_pairs, steps=steps, cycles=cycles,
-                      bits=np.tile(bits, (1, cycles)), kind="ideal")
+                      bits=np.tile(bits, (1, cycles)))
 
 
 def _debounce(bits: np.ndarray, latch_steps: int) -> np.ndarray:
@@ -183,7 +166,6 @@ def simulate_walk(cfg: GaitConfig, geom: RobotGeometry, terrain: TerrainGrid,
     recover = recoverable_heights(geom, d_s)
     # the planar slip path does not depend on a_v
     dist = _gait_slip_distribution(replace(cfg, a_v=0.0), geom)
-    stride = flat_ground_stride(cfg, geom)
     rng = np.random.default_rng(seed)
     flips = np.zeros((cycles, 2 * n, steps), dtype=np.uint8)
     if sensor.flip_prob > 0.0:
@@ -223,26 +205,13 @@ def simulate_walk(cfg: GaitConfig, geom: RobotGeometry, terrain: TerrainGrid,
                                "deformed").tolist()))
     return WalkResult(
         measured=ContactMap(legs=2 * n, steps=steps, cycles=cycles,
-                            bits=bits.transpose(1, 0, 2).reshape(2 * n, -1),
-                            kind="measured"),
+                            bits=bits.transpose(1, 0, 2).reshape(2 * n, -1)),
         ideal=ContactMap(legs=2 * n, steps=steps, cycles=cycles,
-                         bits=np.tile(stance, (1, cycles)), kind="ideal"),
+                         bits=np.tile(stance, (1, cycles))),
         gamma_per_cycle=gamma_true.tolist(),
         forward_speed_ratio=v_ratios.tolist(),
         loss_events=losses,
-        displacement_per_cycle=(stride * v_ratios).tolist(),
         gamma_measured=(bits[:, stance].sum(axis=1) / retraction).tolist(),
         a_v=a_vs,
     )
 
-
-def measure_gamma(ideal: ContactMap, measured: ContactMap) -> float:
-    """Fraction of ideal retraction samples where contact was observed."""
-    if ideal.bits.shape != measured.bits.shape:
-        raise ValueError("contact maps must have identical shape")
-    if ideal.kind != "ideal":
-        raise ValueError("first argument must be an ideal contact map")
-    mask = ideal.bits == 1
-    if not mask.any():
-        raise ValueError("ideal map has no retraction samples")
-    return float(measured.bits[mask].mean())

@@ -14,7 +14,7 @@ from statistics import mean, pvariance
 from typing import Dict, List, Sequence
 
 from .gait import GaitConfig
-from .kinematics import RobotGeometry
+from .kinematics import RobotGeometry, flat_ground_stride
 from .contact_sim import SensorModel, simulate_walk
 from .terrain import TerrainGrid, generate_terrain
 
@@ -36,12 +36,16 @@ class ControllerConfig:
     fixed_av: float = 0.0
 
     def __post_init__(self):
-        if self.k_p <= 0.0:
-            raise ValueError("k_p must be > 0")
+        # each range test is written so that NaN fails it
+        if not self.k_p > 0.0:
+            raise ValueError(f"k_p must be > 0, got {self.k_p}")
         if not 0.0 < self.gamma_set <= 1.0:
             raise ValueError("gamma_set must be in (0, 1]")
-        if self.av_min > self.av_max:
-            raise ValueError("av_min must be <= av_max")
+        if not 0.0 <= self.av_min <= self.av_max:
+            raise ValueError(f"need 0 <= av_min <= av_max, got {self.av_min} "
+                             f"and {self.av_max}")
+        if not self.fixed_av >= 0.0:
+            raise ValueError(f"fixed_av must be >= 0, got {self.fixed_av}")
         if self.update_every < 1:
             raise ValueError("update_every must be >= 1")
         if self.mode not in ("feedback", "open_loop"):
@@ -59,17 +63,6 @@ class TrialRecord:
     mean_speed_ratio: float
     speed_variance: float
     total_distance: float
-
-    def to_csv(self, path, stamp: str = "") -> None:
-        """Write the trace as CSV, after the comment line `stamp` if given."""
-        with open(path, "w") as fh:
-            fh.write(stamp)
-            fh.write("cycle,gamma_s,a_v_deg,v_ratio,displacement_cm\n")
-            for c, (g, a, v, d) in enumerate(
-                    zip(self.gamma_s, self.a_v, self.v_ratio, self.displacement)):
-                fh.write(f"{c},{g:.6f},{a:.6f},{v:.6f},{d:.6f}\n")
-            fh.write(f"summary,{mean(self.gamma_s):.6f},,"
-                     f"{self.mean_speed_ratio:.6f},{self.total_distance:.6f}\n")
 
 
 def update_av(cc: ControllerConfig, gamma_s: float) -> float:
@@ -94,14 +87,16 @@ def run_trial(cfg: GaitConfig, geom: RobotGeometry, terrain: TerrainGrid,
     start = replace(cfg, a_v=cc.fixed_av if open_loop else cc.av_min)
     res = simulate_walk(start, geom, terrain, cycles, steps, sensor, seed,
                         None if open_loop else next_av)
+    stride = flat_ground_stride(cfg, geom)
+    displacement = [stride * v for v in res.forward_speed_ratio]
     return TrialRecord(
         gamma_s=res.gamma_measured,
         a_v=res.a_v,
         v_ratio=res.forward_speed_ratio,
-        displacement=res.displacement_per_cycle,
+        displacement=displacement,
         mean_speed_ratio=mean(res.forward_speed_ratio),
         speed_variance=pvariance(res.forward_speed_ratio),
-        total_distance=sum(res.displacement_per_cycle),
+        total_distance=sum(displacement),
     )
 
 

@@ -1,17 +1,16 @@
 """Gait wave generation for a 2n-legged undulating robot.
 
-All outputs are pure functions of the gait configuration and a phase, so a
-gait is fully described by evaluating these over one cycle.  Phases are
-compared modulo 2*pi everywhere; internally we work in cycle fractions so
-that stance/swing boundary decisions stay exact on uniform sample grids
-(no pi round-trips near the duty boundary).
+Every output is an array over one cycle of uniform samples, a pure function
+of the gait configuration and the sample count.  Phases are cycle fractions
+reduced into [0, 1), so that stance/swing boundary decisions stay exact on
+uniform sample grids (no pi round-trips near the duty boundary).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -43,9 +42,14 @@ class GaitConfig:
     def __post_init__(self):
         if self.n_pairs < 2:
             raise ValueError(f"n_pairs must be >= 2, got {self.n_pairs}")
+        if not math.isfinite(self.xi):
+            raise ValueError(f"xi must be finite, got {self.xi}")
+        off = self.phase_offset
+        if off is not None and not math.isfinite(off):
+            raise ValueError(f"phase_offset must be finite, got {off}")
         if not 0.0 < self.duty < 1.0:
             raise ValueError(f"duty must be in (0, 1), got {self.duty}")
-        if self.a_v < 0.0:
+        if not self.a_v >= 0.0:         # NaN fails this test too
             raise ValueError(f"a_v must be >= 0, got {self.a_v}")
         for name in ("theta_leg_amp", "theta_body_amp"):
             amp = getattr(self, name)
@@ -65,18 +69,6 @@ class GaitConfig:
         return -(self.xi / (2.0 * self.n_pairs) + 0.25)
 
 
-@dataclass
-class JointCommand:
-    """All joint targets and ideal contacts for one phase sample."""
-
-    leg_angles_left: List[float]
-    leg_angles_right: List[float]
-    body_yaw: List[float]
-    body_pitch: List[float]
-    contact_left: List[bool]
-    contact_right: List[bool]
-
-
 def wave_lag(cfg: GaitConfig, i: int) -> float:
     """Cycle fraction by which the waves at pair i lag pair 1: xi*(i-1)/n."""
     if not 1 <= i <= cfg.n_pairs:
@@ -84,104 +76,43 @@ def wave_lag(cfg: GaitConfig, i: int) -> float:
     return cfg.xi * (i - 1) / cfg.n_pairs
 
 
-def _leg_phase(cfg: GaitConfig, frac_c, side: str, i: int):
-    """Phase of leg i at contact phase frac_c (cycle fractions, scalar or
-    array): minus the wave lag, plus half a cycle for right legs, reduced
-    into [0, 1)."""
-    frac = frac_c - wave_lag(cfg, i)
-    if side == "right":
-        frac = frac + 0.5
-    elif side != "left":
-        raise ValueError(f"side must be 'left' or 'right', got {side!r}")
+def _wave_lags(cfg: GaitConfig) -> np.ndarray:
+    """wave_lag of pairs 1..n, with the same rounding."""
+    return cfg.xi * np.arange(cfg.n_pairs) / cfg.n_pairs
+
+
+def phase_table(cfg: GaitConfig, steps: int) -> np.ndarray:
+    """Reduced phases of every leg over one cycle of `steps` uniform samples,
+    shape (2n, steps); rows are left legs 1..n then right legs 1..n.  A leg's
+    phase is the contact phase minus its wave lag, plus half a cycle for a
+    right leg.  The ideal contact map, the joint angles and the walker's
+    stance window all read this table."""
+    frac = np.arange(steps) / steps + cfg.contact_fraction_offset \
+        - np.tile(_wave_lags(cfg), 2)[:, None]
+    frac[cfg.n_pairs:] += 0.5
     # x % 1.0 rounds to exactly 1.0 for a tiny negative x; reducing twice
     # maps that sample to 0.0, the start of stance, and keeps [0, 1) as is
     return frac % 1.0 % 1.0
 
 
-def phase_table(cfg: GaitConfig, steps: int) -> np.ndarray:
-    """Reduced phases of every leg over one cycle of `steps` uniform samples,
-    shape (2n, steps); rows are left legs 1..n then right legs 1..n.  The
-    ideal contact map and the walker's stance window both read this table."""
-    frac_c = np.arange(steps) / steps + cfg.contact_fraction_offset
-    return np.array([_leg_phase(cfg, frac_c, side, i)
-                     for side in ("left", "right")
-                     for i in range(1, cfg.n_pairs + 1)])
+def joint_angles(cfg: GaitConfig, steps: int) -> np.ndarray:
+    """Joint targets in degrees over one cycle of `steps` uniform body-wave
+    samples, shape (4n, steps): the leg shoulder angles (left legs 1..n,
+    right legs 1..n), then the lateral body yaw and the vertical body pitch
+    of pairs 1..n.
 
-
-def contact_at_fraction(cfg: GaitConfig, frac_c: float, side: str, i: int) -> bool:
-    """Ideal contact evaluated at a contact phase given in cycle fractions."""
-    return _leg_phase(cfg, frac_c, side, i) < cfg.duty
-
-
-def leg_angle_at_fraction(cfg: GaitConfig, frac_c: float, side: str, i: int) -> float:
-    """Shoulder excursion angle in degrees at a cycle-fraction phase."""
-    u = _leg_phase(cfg, frac_c, side, i)
-    d = cfg.duty
-    if u < d:
-        return cfg.theta_leg_amp * math.cos(math.pi * u / d)
-    return -cfg.theta_leg_amp * math.cos(math.pi * (u - d) / (1.0 - d))
-
-
-def ideal_contact(cfg: GaitConfig, tau_c: float, side: str, i: int) -> bool:
-    """Ideal binary contact state: stance iff the reduced phase is within
-    the duty window.  Right legs run in antiphase with their left partner."""
-    return contact_at_fraction(cfg, tau_c / TWO_PI, side, i)
-
-
-def leg_angle(cfg: GaitConfig, tau_c: float, side: str, i: int) -> float:
-    """Shoulder excursion angle in degrees (piecewise stance/swing cosine).
-
-    Reaches +amp exactly at the swing-to-stance transition and -amp at the
-    stance-to-swing transition, and is continuous across both.
+    A leg angle is a piecewise cosine of the leg's phase: +amp entering
+    stance, -amp leaving it, continuous across both transitions.  The yaw is
+    a head-to-tail traveling wave; the pitch runs at twice its temporal and
+    spatial frequency, so every segment rises and falls once per stance.
     """
-    return leg_angle_at_fraction(cfg, tau_c / TWO_PI, side, i)
-
-
-def body_yaw(cfg: GaitConfig, tau_b: float, i: int) -> float:
-    """Lateral body wave joint angle in degrees, head-to-tail traveling wave."""
-    return cfg.theta_body_amp * math.cos(tau_b - TWO_PI * wave_lag(cfg, i))
-
-
-def body_pitch(cfg: GaitConfig, tau_b: float, i: int) -> float:
-    """Vertical body wave joint angle in degrees.
-
-    Temporal and spatial frequencies are exactly twice those of the lateral
-    wave, so every segment oscillates up and down once per stance.
-    """
-    return cfg.a_v * math.cos(2.0 * (tau_b - TWO_PI * wave_lag(cfg, i)))
-
-
-def sample_cycle(cfg: GaitConfig, steps_per_cycle: int) -> List[JointCommand]:
-    """Uniformly sample one full cycle of joint commands.
-
-    tau_b sweeps [0, 2*pi) in steps_per_cycle samples; tau_c follows via the
-    configured contact-phase offset.
-    """
-    if steps_per_cycle < 4:
-        raise ValueError(f"steps_per_cycle must be >= 4, got {steps_per_cycle}")
-    off = cfg.contact_fraction_offset
-    commands = []
-    for k in range(steps_per_cycle):
-        frac_b = k / steps_per_cycle
-        frac_c = frac_b + off
-        tau_b = TWO_PI * frac_b
-        idx = range(1, cfg.n_pairs + 1)
-        commands.append(
-            JointCommand(
-                leg_angles_left=[
-                    leg_angle_at_fraction(cfg, frac_c, "left", i) for i in idx
-                ],
-                leg_angles_right=[
-                    leg_angle_at_fraction(cfg, frac_c, "right", i) for i in idx
-                ],
-                body_yaw=[body_yaw(cfg, tau_b, i) for i in idx],
-                body_pitch=[body_pitch(cfg, tau_b, i) for i in idx],
-                contact_left=[
-                    contact_at_fraction(cfg, frac_c, "left", i) for i in idx
-                ],
-                contact_right=[
-                    contact_at_fraction(cfg, frac_c, "right", i) for i in idx
-                ],
-            )
-        )
-    return commands
+    u = phase_table(cfg, steps)
+    d, amp = cfg.duty, cfg.theta_leg_amp
+    legs = np.where(u < d, amp * np.cos(math.pi * u / d),
+                    -amp * np.cos(math.pi * (u - d) / (1.0 - d)))
+    # scale both terms, then subtract: gait-dump's printed values, signed
+    # zeros included, depend on this rounding order
+    tau = TWO_PI * (np.arange(steps) / steps) \
+        - TWO_PI * _wave_lags(cfg)[:, None]
+    return np.vstack([legs, cfg.theta_body_amp * np.cos(tau),
+                      cfg.a_v * np.cos(2.0 * tau)])

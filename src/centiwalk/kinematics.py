@@ -38,7 +38,7 @@ class RobotGeometry:
 
     def __post_init__(self):
         for name in ("h_l", "h_l2", "d_l", "module_length", "leg_length"):
-            if getattr(self, name) <= 0.0:
+            if not getattr(self, name) > 0.0:   # NaN fails it too
                 raise ValueError(f"{name} must be > 0, got {getattr(self, name)}")
 
 
@@ -52,19 +52,22 @@ class SlipDistribution:
 
     bin_centers: np.ndarray
     probs: np.ndarray
-    bin_count: int
 
     def __post_init__(self):
         self.bin_centers = np.asarray(self.bin_centers, dtype=float)
         self.probs = np.asarray(self.probs, dtype=float)
-        if len(self.bin_centers) != self.bin_count or len(self.probs) != self.bin_count:
-            raise ValueError("bin arrays must match bin_count")
+        if len(self.probs) != len(self.bin_centers):
+            raise ValueError("bin arrays must match in length")
         if np.any(self.probs < 0.0):
             raise ValueError("probabilities must be non-negative")
         if abs(self.probs.sum() - 1.0) > 1e-9:
             raise ValueError(f"probabilities sum to {self.probs.sum()}, not 1")
         if np.any(np.diff(self.bin_centers) <= 0.0):
             raise ValueError("bin centers must be strictly increasing")
+
+    @property
+    def bin_count(self) -> int:
+        return len(self.bin_centers)
 
     @cached_property
     def speed_coeff(self) -> float:
@@ -149,7 +152,7 @@ def slip_distribution(cfg: GaitConfig, geom: RobotGeometry, bins: int,
     probs = hist / total
     probs = probs / probs.sum()
     centers = 0.5 * (edges[:-1] + edges[1:])
-    return SlipDistribution(bin_centers=centers, probs=probs, bin_count=bins)
+    return SlipDistribution(bin_centers=centers, probs=probs)
 
 
 def _vertical_angle(cfg: GaitConfig, u: np.ndarray) -> np.ndarray:

@@ -13,8 +13,8 @@ Two models, validated elsewhere against the Monte Carlo walker:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Sequence, Tuple
+from dataclasses import dataclass
+from typing import Tuple
 
 import numpy as np
 
@@ -25,7 +25,6 @@ from .kinematics import (
     ideal_gamma,
     recoverable_heights,
     retraction_profile,
-    slip_distribution,
 )
 from .terrain import HeightDeltaModel, tail_probability
 
@@ -127,24 +126,3 @@ def predict_gamma(geom: RobotGeometry, cfg: GaitConfig,
         p_e=p_e,
     )
 
-
-def optimal_av(geom: RobotGeometry, cfg: GaitConfig, model: HeightDeltaModel,
-               av_grid: Sequence[float], m: int = 360,
-               ) -> Tuple[float, FrictionPrediction]:
-    """Vertical amplitude on the grid maximizing the predicted speed band
-    midpoint; ties break toward the smaller amplitude."""
-    av_grid = list(av_grid)
-    if not av_grid:
-        raise ValueError("av_grid must be non-empty")
-    # planar slip path does not depend on a_v
-    dist = slip_distribution(cfg, geom, bins=36)
-    best_av = None
-    best_band = None
-    best_mid = -np.inf
-    for a_v in sorted(av_grid):
-        out = predict_gamma(geom, replace(cfg, a_v=a_v), model, m)
-        band = predict_speed_band(dist, out.gamma)
-        mid = band.v_ratio_mid
-        if mid > best_mid + 1e-12:
-            best_av, best_band, best_mid = a_v, band, mid
-    return float(best_av), best_band

@@ -34,15 +34,17 @@ class TerrainGrid:
     block_size: float
     heights: np.ndarray
     r_g: float
-    sigma: float
     seed: int
 
     def __post_init__(self):
         self.heights = np.asarray(self.heights, dtype=float)
         if self.heights.ndim != 2:
             raise ValueError("heights must be a 2-D array")
-        if abs(self.sigma - sigma_from_rugosity(self.r_g)) > 1e-9:
-            raise ValueError("sigma must equal 15 * r_g")
+
+    @property
+    def sigma(self) -> float:
+        """Height-difference standard deviation, 15 * r_g cm."""
+        return sigma_from_rugosity(self.r_g)
 
     @property
     def rows(self) -> int:
@@ -93,12 +95,10 @@ class TerrainGrid:
         heights = np.array(rows)
         if not np.isfinite(heights).all():
             raise ValueError("heights must be finite")
-        r_g = float(meta["r_g"])
         return cls(
             block_size=float(meta["block_size"]),
             heights=heights,
-            r_g=r_g,
-            sigma=sigma_from_rugosity(r_g),
+            r_g=float(meta["r_g"]),
             seed=int(meta.get("seed", 0)),
         )
 
@@ -120,7 +120,7 @@ def generate_terrain(r_g: float, rows: int, cols: int, block_size: float = 10.0,
         else np.zeros((0, cols))
     heights = np.vstack([np.zeros((1, cols)), np.cumsum(increments, axis=0)])
     return TerrainGrid(block_size=block_size, heights=heights, r_g=r_g,
-                       sigma=sigma, seed=seed)
+                       seed=seed)
 
 
 @dataclass
@@ -156,17 +156,6 @@ class HeightDeltaModel:
     @classmethod
     def from_samples(cls, samples) -> "HeightDeltaModel":
         return cls(kind="empirical", sigma=0.0, samples=np.asarray(samples))
-
-
-def sample_dh(model: HeightDeltaModel, rng, size: Optional[int] = None):
-    """Draw height differences from the model (scalar or array of `size`)."""
-    if isinstance(rng, int):
-        rng = np.random.default_rng(rng)
-    if model.kind == "gaussian":
-        if model.sigma == 0.0:
-            return 0.0 if size is None else np.zeros(size)
-        return rng.normal(0.0, model.sigma, size=size)
-    return rng.choice(model.samples, size=size)
 
 
 # math.erf per element; importing scipy.special would double the import time

@@ -64,12 +64,30 @@ class TestBadInput:
         (NO_STANCE, ["--steps", "4", "walk"]),
         (NO_STANCE, ["--steps", "4", "validate"]),
         (NO_STANCE, ["--steps", "4", "controller-compare"]),
+        ("[geometry]\nh_l = nan\n", ["validate"]),
+        ("[gait]\na_v = nan\n", ["walk"]),
+        ("[controller]\nk_p = nan\n", ["controller-compare"]),
+        ("[controller]\nav_max = nan\n", ["controller-compare"]),
+        ("[controller]\nav_min = nan\n", ["controller-compare"]),
+        ("[controller]\nfixed_av = -1\n", ["controller-compare"]),
+        ("sensor_flip_prob = 1.5\n", ["walk"]),
+        ("terrain_cols = 0\n", ["walk"]),
+        ("terrain_rows = 0\n", ["terrain-gen", "--r-g", "0.1"]),
+        ("a_v_grid = -5\n", ["model-sweep"]),
+        ("a_v_grid =\n", ["validate"]),
+        ("terrains =\n", ["validate"]),
+        ("[gait]\nxi = nan\n", ["model-sweep"]),
     ], ids=["odd-steps-flag", "odd-steps-config", "nan-rugosity",
             "negative-rugosity", "compare-only-files", "no-r_g-header",
             "ragged-rows", "one-row-file", "nan-height-walk",
             "nan-height-sweep", "negative-rugosity-flag",
             "nan-tolerance-flag", "no-stance-walk", "no-stance-validate",
-            "no-stance-compare"])
+            "no-stance-compare", "nan-h_l-validate", "nan-a_v-walk",
+            "nan-k_p-compare", "nan-av_max-compare", "nan-av_min-compare",
+            "negative-fixed_av-compare", "flip-1.5-walk", "zero-cols-walk",
+            "zero-rows-terrain-gen", "negative-a_v_grid-sweep",
+            "empty-a_v_grid-validate", "empty-terrains-validate",
+            "nan-xi-sweep"])
     def test_one_line_error(self, tmp_path, capsys, experiment, argv):
         files = {
             "good": self.GOOD,
@@ -245,6 +263,19 @@ class TestWalkAndCompare:
         assert names == ["open_loop", "feedback_every1", "feedback_every2",
                          "feedback_every3"]
         assert (tmp_path / "trace_open_loop.csv").is_file()
+
+    def test_trace_csv(self, tmp_path, fast_config):
+        # the first seed's trial of each arm: stamp, header, one row per
+        # cycle and a summary row
+        assert run(["--config", fast_config, "--out", str(tmp_path),
+                    "--seeds", "4", "--cycles", "5",
+                    "controller-compare"]) == 0
+        lines = (tmp_path / "trace_feedback_every1.csv").read_text() \
+            .splitlines()
+        assert lines[0].startswith("# centiwalk v")
+        assert lines[1] == "cycle,gamma_s,a_v_deg,v_ratio,displacement_cm"
+        assert [l.split(",")[0] for l in lines[2:]] == \
+            ["0", "1", "2", "3", "4", "summary"]
 
     def test_compare_deterministic(self, tmp_path, fast_config):
         out1, out2 = tmp_path / "a", tmp_path / "b"

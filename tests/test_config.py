@@ -71,6 +71,16 @@ class TestErrors:
         with pytest.raises(ConfigError):
             ExperimentSpec(seeds=[])
 
+    @pytest.mark.parametrize("kwargs", [
+        dict(a_v_grid=[0.0, -5.0]), dict(a_v_grid=[float("nan")]),
+        dict(a_v_grid=[float("inf")]), dict(sensor_flip_prob=1.0),
+        dict(sensor_flip_prob=-0.1), dict(sensor_flip_prob=float("nan")),
+        dict(terrain_rows=1), dict(terrain_cols=0), dict(terrains=[]),
+    ])
+    def test_rejects_out_of_range_experiment(self, kwargs):
+        with pytest.raises(ConfigError):
+            ExperimentSpec(**kwargs)
+
 
 class TestOverrides:
     def test_partial_config_fills_defaults(self, tmp_path):

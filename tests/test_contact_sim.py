@@ -15,21 +15,20 @@ from centiwalk.contact_sim import (
     _debounce,
     _gait_slip_distribution,
     ideal_contact_map,
-    measure_gamma,
     simulate_walk,
 )
 from centiwalk.control import ControllerConfig, run_trial
-from centiwalk.gait import GaitConfig, ideal_contact, TWO_PI
+from centiwalk.gait import GaitConfig, TWO_PI
 from centiwalk.kinematics import RobotGeometry, slip_distribution
 from centiwalk.models import predict_speed_band
-from centiwalk.terrain import TerrainGrid, generate_terrain, sigma_from_rugosity
+from centiwalk.terrain import TerrainGrid, generate_terrain
+from gait_reference import ideal_contact
 
 
 def step_terrain(drop, rows=20, cols=5):
     """Ramp terrain: every row-to-row height difference equals `drop`."""
     heights = np.tile(drop * np.arange(rows)[:, None], (1, cols))
-    return TerrainGrid(block_size=10.0, heights=heights, r_g=0.0, sigma=0.0,
-                       seed=0)
+    return TerrainGrid(block_size=10.0, heights=heights, r_g=0.0, seed=0)
 
 
 class TestIdealContactMap:
@@ -89,14 +88,14 @@ class TestIdealContactMap:
                             SensorModel(), seed=0)
         assert res.ideal.bits.sum(axis=1).tolist() == [5 * 36] * 12
         assert np.array_equal(res.measured.bits, res.ideal.bits)
-        assert measure_gamma(res.ideal, res.measured) == 1.0
+        assert res.gamma_measured == [1.0] * 5
 
     def test_contact_map_validation(self):
         with pytest.raises(ValueError):
             ContactMap(legs=2, steps=4, cycles=1, bits=np.zeros((2, 5)))
         with pytest.raises(ValueError):
             ContactMap(legs=2, steps=2, cycles=1,
-                       bits=np.full((2, 2), 3), kind="measured")
+                       bits=np.full((2, 2), 3))
 
 
 class TestLossRules:
@@ -242,35 +241,29 @@ class TestSimulationHarness:
         assert res.measured.bits.shape == (12, 6 * 72)
         assert len(res.gamma_per_cycle) == 6
         assert len(res.forward_speed_ratio) == 6
-        assert len(res.displacement_per_cycle) == 6
+        assert len(res.gamma_measured) == len(res.a_v) == 6
 
 
 class TestMeasureGamma:
+    """The sensed contact ratio, WalkResult.gamma_measured."""
+
     def test_perfect_measurement(self):
-        cmap = ideal_contact_map(GaitConfig(), 72)
-        measured = ContactMap(legs=12, steps=72, cycles=1,
-                              bits=cmap.bits.copy(), kind="measured")
-        assert measure_gamma(cmap, measured) == 1.0
+        terrain = generate_terrain(0.0, rows=12, cols=5, seed=0)
+        res = simulate_walk(GaitConfig(), RobotGeometry(), terrain, 4, 72,
+                            SensorModel(), seed=0)
+        assert res.gamma_measured == [1.0] * 4
+        assert np.array_equal(res.measured.bits,
+                              ideal_contact_map(GaitConfig(), 72, 4).bits)
 
     def test_counts_only_retraction_samples(self):
-        # zeroing swing samples in the measurement changes nothing
-        cmap = ideal_contact_map(GaitConfig(), 72)
-        bits = cmap.bits.copy()
-        bits[cmap.bits == 0] = 0
-        measured = ContactMap(legs=12, steps=72, cycles=1, bits=bits,
-                              kind="measured")
-        assert measure_gamma(cmap, measured) == 1.0
-
-    def test_requires_ideal_first(self):
-        cmap = ideal_contact_map(GaitConfig(), 72)
-        measured = ContactMap(legs=12, steps=72, cycles=1,
-                              bits=cmap.bits.copy(), kind="measured")
-        with pytest.raises(ValueError):
-            measure_gamma(measured, measured)
-
-    def test_shape_mismatch(self):
-        a = ideal_contact_map(GaitConfig(), 72)
-        b = ContactMap(legs=12, steps=36, cycles=1,
-                       bits=np.ones((12, 36), dtype=np.uint8), kind="measured")
-        with pytest.raises(ValueError):
-            measure_gamma(a, b)
+        # flips on swing samples show in the measured map but not in the
+        # sensed ratio, which reads the ideal stance samples alone
+        cfg = GaitConfig()
+        terrain = generate_terrain(0.32, rows=12, cols=5, seed=5)
+        res = simulate_walk(cfg, RobotGeometry(), terrain, 4, 72,
+                            SensorModel(flip_prob=0.3), seed=5)
+        stance = ideal_contact_map(cfg, 72).bits == 1
+        bits = res.measured.bits.reshape(12, 4, 72)
+        assert bits[:, :, ~stance[0]].any()
+        assert res.gamma_measured == [
+            bits[:, c][stance].sum() / stance.sum() for c in range(4)]

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from centiwalk.gait import GaitConfig
 from centiwalk.kinematics import (
     RobotGeometry,
+    SlipDistribution,
     flat_ground_stride,
     foot_trajectory,
     ideal_gamma,
@@ -27,6 +28,9 @@ class TestGeometryValidation:
     @pytest.mark.parametrize("kwargs", [
         dict(h_l=0.0), dict(h_l2=-1.0), dict(d_l=0.0),
         dict(leg_length=0.0), dict(module_length=0.0),
+        dict(h_l=float("nan")), dict(h_l2=float("nan")),
+        dict(d_l=float("nan")), dict(leg_length=float("nan")),
+        dict(module_length=float("nan")),
     ])
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ValueError):
@@ -154,6 +158,13 @@ class TestSlipDistribution:
         dist = slip_distribution(GaitConfig(), RobotGeometry(), bins=36)
         cosb = np.cos(np.radians(dist.bin_centers))
         assert float(np.dot(dist.probs, cosb)) > 0.3
+
+    def test_bin_count_follows_the_bins(self):
+        dist = slip_distribution(GaitConfig(), RobotGeometry(), bins=36)
+        assert dist.bin_count == len(dist.bin_centers) == 36
+        with pytest.raises(ValueError, match="length"):
+            SlipDistribution(bin_centers=dist.bin_centers,
+                             probs=np.append(dist.probs[:-1], [0.0, 0.0]))
 
     def test_rejects_few_bins(self):
         with pytest.raises(ValueError):

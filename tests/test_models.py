@@ -2,17 +2,18 @@
 
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from centiwalk.config import ConfigError, ExperimentSpec
 from centiwalk.gait import GaitConfig
 from centiwalk.kinematics import RobotGeometry, SlipDistribution, slip_distribution
 from centiwalk.models import (
     friction_bounds,
-    optimal_av,
     predict_gamma,
     predict_speed_band,
 )
@@ -22,8 +23,7 @@ from centiwalk.terrain import HeightDeltaModel
 def make_dist(centers, probs):
     centers = np.asarray(centers, float)
     probs = np.asarray(probs, float)
-    return SlipDistribution(bin_centers=centers, probs=probs / probs.sum(),
-                            bin_count=len(centers))
+    return SlipDistribution(bin_centers=centers, probs=probs / probs.sum())
 
 
 def objective(dist, w):
@@ -169,23 +169,30 @@ class TestPredictGamma:
         assert gammas[0] > gammas[1] > gammas[2]
 
 
+def best_av(r_g, grid):
+    """The amplitude on the grid whose predicted speed-band midpoint is
+    fastest (argmax: ties go to the smaller amplitude), and that band."""
+    geom, cfg = RobotGeometry(), GaitConfig()
+    model = HeightDeltaModel.from_rugosity(r_g)
+    gammas = np.array([predict_gamma(geom, replace(cfg, a_v=a_v), model,
+                                     360).gamma for a_v in grid])
+    band = predict_speed_band(slip_distribution(cfg, geom, bins=36), gammas)
+    best = int(np.argmax(band.v_ratio_mid))
+    return grid[best], band.v_ratio_mid[best]
+
+
 class TestOptimalAv:
     def test_interior_maximum_on_rough_terrain(self):
-        geom = RobotGeometry()
-        model = HeightDeltaModel.from_rugosity(0.32)
-        grid = [0.0, 5.0, 10.0, 15.0, 20.0, 25.0]
-        best, band = optimal_av(geom, GaitConfig(), model, grid)
+        best, mid = best_av(0.32, [0.0, 5.0, 10.0, 15.0, 20.0, 25.0])
         assert 0.0 < best < 25.0
-        assert band.v_ratio_mid >= 0.0
+        assert mid >= 0.0
 
     def test_flat_terrain_prefers_zero(self):
         # gamma is 1 everywhere, ties break toward the smaller amplitude
-        best, _ = optimal_av(RobotGeometry(), GaitConfig(),
-                             HeightDeltaModel.from_rugosity(0.0),
-                             [0.0, 10.0, 20.0])
+        best, _ = best_av(0.0, [0.0, 10.0, 20.0])
         assert best == 0.0
 
     def test_rejects_empty_grid(self):
-        with pytest.raises(ValueError):
-            optimal_av(RobotGeometry(), GaitConfig(),
-                       HeightDeltaModel.from_rugosity(0.1), [])
+        # an empty amplitude grid has no optimum to sweep for
+        with pytest.raises(ConfigError):
+            ExperimentSpec(a_v_grid=[])

@@ -11,7 +11,6 @@ from centiwalk.terrain import (
     HeightDeltaModel,
     TerrainGrid,
     generate_terrain,
-    sample_dh,
     sigma_from_rugosity,
     tail_probability,
 )
@@ -40,6 +39,15 @@ class TestGenerateTerrain:
         a = generate_terrain(0.32, rows=30, cols=4, seed=7)
         b = generate_terrain(0.32, rows=30, cols=4, seed=8)
         assert not np.array_equal(a.heights, b.heights)
+
+    def test_increments_are_the_seed_normal_stream(self):
+        # the increments are the seed's N(0, 15 r_g) draws, row by row, so
+        # a test can draw the same height differences with rng.normal
+        grid = generate_terrain(0.32, rows=30, cols=4, seed=11)
+        dh = np.random.default_rng(11).normal(0.0, sigma_from_rugosity(0.32),
+                                              size=(29, 4))
+        assert np.array_equal(grid.heights[1:], np.cumsum(dh, axis=0))
+        assert grid.sigma == sigma_from_rugosity(0.32)
 
     def test_flat_at_zero_rugosity(self):
         grid = generate_terrain(0.0, rows=20, cols=3, seed=0)
@@ -93,16 +101,6 @@ class TestHeightDeltaModel:
         with pytest.raises(ValueError):
             HeightDeltaModel(kind="uniform")
 
-    def test_sample_dh_deterministic(self):
-        model = HeightDeltaModel.from_rugosity(0.32)
-        a = sample_dh(model, 11, size=100)
-        b = sample_dh(model, 11, size=100)
-        assert np.array_equal(a, b)
-
-    def test_sample_dh_degenerate(self):
-        model = HeightDeltaModel.from_rugosity(0.0)
-        assert sample_dh(model, 0) == 0.0
-        assert np.all(sample_dh(model, 0, size=10) == 0.0)
 
 
 class TestTailProbability:
@@ -178,7 +176,7 @@ class TestTailProbability:
         # analytic tail within 4 binomial SEs of a fixed Monte Carlo draw
         model = HeightDeltaModel(kind="gaussian", sigma=sigma)
         p = tail_probability(model, thr, "dh_nonpositive")
-        dh = sample_dh(model, 123, size=20000)
+        dh = np.random.default_rng(123).normal(0.0, sigma, size=20000)
         neg = dh[dh <= 0.0]
         phat = np.mean(-neg > thr)
         se = math.sqrt(max(p * (1 - p), 1e-9) / len(neg))

@@ -20,6 +20,7 @@ from centiwalk.control import ControllerConfig, run_trial, update_av
 from centiwalk.gait import GaitConfig, phase_table
 from centiwalk.kinematics import (
     RobotGeometry,
+    flat_ground_stride,
     recoverable_heights,
     slip_distribution,
     stance_geometry,
@@ -175,4 +176,5 @@ def test_engine_matches_reference_loop(feedback, n_pairs, xi, duty,
     assert trial.gamma_s == ref["gamma_measured"]
     assert trial.a_v == ref["a_v"]
     assert trial.v_ratio == ref["v"]
-    assert trial.displacement == res.displacement_per_cycle
+    assert trial.displacement == [flat_ground_stride(cfg, geom) * v
+                                  for v in ref["v"]]
