@@ -101,6 +101,14 @@ class TestHeightDeltaModel:
         with pytest.raises(ValueError):
             HeightDeltaModel(kind="uniform")
 
+    def test_sample_dh_degenerate(self):
+        # a zero-rugosity model has sigma 0, and the height differences
+        # drawn at that rugosity (a terrain's longitudinal deltas) are all 0
+        model = HeightDeltaModel.from_rugosity(0.0)
+        assert model.sigma == 0.0
+        dh = generate_terrain(0.0, rows=11, cols=1, seed=0).longitudinal_deltas()
+        assert dh.shape == (10,)
+        assert np.all(dh == 0.0)
 
 
 class TestTailProbability:
