@@ -12,7 +12,6 @@ from .kinematics import (
     SlipDistribution,
     flat_ground_stride,
     foot_trajectory,
-    ideal_gamma,
     recoverable_heights,
     retraction_profile,
     slip_distribution,
@@ -40,7 +39,6 @@ from .contact_sim import (
 )
 from .control import (
     ControllerConfig,
-    Scenario,
     ScenarioStats,
     TrialRecord,
     compare_controllers,
@@ -53,7 +51,7 @@ __all__ = [
     "__version__",
     "GaitConfig", "joint_angles", "phase_table",
     "RobotGeometry", "RetractionProfile", "SlipDistribution",
-    "flat_ground_stride", "foot_trajectory", "ideal_gamma",
+    "flat_ground_stride", "foot_trajectory",
     "recoverable_heights", "retraction_profile", "slip_distribution",
     "HeightDeltaModel", "TerrainGrid", "generate_terrain",
     "sigma_from_rugosity", "tail_probability",
@@ -61,7 +59,7 @@ __all__ = [
     "predict_gamma", "predict_speed_band",
     "ContactMap", "SensorModel", "WalkResult", "ideal_contact_map",
     "simulate_walk",
-    "ControllerConfig", "Scenario", "ScenarioStats", "TrialRecord",
+    "ControllerConfig", "ScenarioStats", "TrialRecord",
     "compare_controllers", "run_trial", "update_av",
     "ConfigError", "ExperimentSpec", "FullConfig", "load_config",
 ]

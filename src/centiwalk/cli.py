@@ -28,12 +28,13 @@ from .contact_sim import (
     NoStanceError,
     SensorModel,
     WalkOffTerrainError,
+    gait_slip_distribution,
     ideal_contact_map,
     simulate_walk,
 )
-from .control import Scenario, compare_controllers
+from .control import compare_controllers
 from .gait import joint_angles
-from .kinematics import slip_distribution
+from .kinematics import NoSlipError
 from .models import predict_gamma, predict_speed_band
 from .terrain import HeightDeltaModel, TerrainGrid, generate_terrain
 
@@ -121,14 +122,20 @@ class TerrainEntry:
             return HeightDeltaModel.from_samples(self.grid.longitudinal_deltas())
         return HeightDeltaModel.from_rugosity(self.r_g)
 
-    def terrain_for_seed(self, seed: int, rows: int, cols: int) -> TerrainGrid:
-        if self.grid is not None:
-            return self.grid
-        return generate_terrain(self.r_g, rows=rows, cols=cols, seed=seed)
-
 
 def _entries(fc: FullConfig) -> List[TerrainEntry]:
     return [TerrainEntry(tok) for tok in fc.experiment.terrains]
+
+
+def _terrains(fc: FullConfig, entry: TerrainEntry) -> List[TerrainGrid]:
+    """The terrain each seed walks, in seed order: the entry's file, or a
+    grid generated from the seed with rows enough for the walk."""
+    exp = fc.experiment
+    if entry.grid is not None:
+        return [entry.grid] * len(exp.seeds)
+    rows = exp.cycles + fc.gait.n_pairs + 2
+    return [generate_terrain(entry.r_g, rows=rows, cols=exp.terrain_cols,
+                             seed=seed) for seed in exp.seeds]
 
 
 def cmd_gait_dump(fc: FullConfig, args) -> int:
@@ -167,7 +174,7 @@ def cmd_terrain_gen(fc: FullConfig, args) -> int:
 def cmd_model_sweep(fc: FullConfig, args) -> int:
     entries = _entries(fc)
     out = _out_dir(args)
-    dist = slip_distribution(fc.gait, fc.geometry, bins=36)
+    dist = gait_slip_distribution(fc.gait, fc.geometry)
     lines = []
     for entry in entries:
         model = entry.model()
@@ -192,14 +199,12 @@ def cmd_validate(fc: FullConfig, args) -> int:
     exp = fc.experiment
     entries = _entries(fc)
     out = _out_dir(args)
-    rows = exp.cycles + fc.gait.n_pairs + 2
     sensor = SensorModel(flip_prob=0.0)
     max_dev = 0.0
     lines = []
     for entry in entries:
         model = entry.model()
-        terrains = [entry.terrain_for_seed(seed, rows, exp.terrain_cols)
-                    for seed in exp.seeds]
+        terrains = _terrains(fc, entry)
         for a_v in exp.a_v_grid:
             cfg = replace(fc.gait, a_v=a_v)
             predicted = predict_gamma(fc.geometry, cfg, model, PREDICT_M).gamma
@@ -230,15 +235,13 @@ def cmd_walk(fc: FullConfig, args) -> int:
     exp = fc.experiment
     entries = _entries(fc)
     out = _out_dir(args)
-    rows = exp.cycles + fc.gait.n_pairs + 2
     sensor = SensorModel(flip_prob=exp.sensor_flip_prob)
     # every walk runs before anything is written, so a failed walk leaves
     # no partial output
-    walks = [(entry, seed, simulate_walk(
-                fc.gait, fc.geometry,
-                entry.terrain_for_seed(seed, rows, exp.terrain_cols),
-                exp.cycles, exp.steps, sensor, seed))
-             for entry in entries for seed in exp.seeds]
+    walks = [(entry, seed, simulate_walk(fc.gait, fc.geometry, terrain,
+                                         exp.cycles, exp.steps, sensor, seed))
+             for entry in entries
+             for seed, terrain in zip(exp.seeds, _terrains(fc, entry))]
     path = out / "walk.csv"
     _write_csv(path, fc, "seed,terrain,a_v_deg,cycle,gamma,v_ratio",
                (f"{seed},{entry.label},{fc.gait.a_v:g},{c},{g:.6f},{v:.6f}"
@@ -259,23 +262,15 @@ def cmd_walk(fc: FullConfig, args) -> int:
 
 def cmd_controller_compare(fc: FullConfig, args) -> int:
     exp = fc.experiment
-    rugosities = [e.r_g for e in _entries(fc) if e.r_g is not None]
-    if not rugosities:
+    levels = [e for e in _entries(fc) if e.r_g is not None]
+    if not levels:
         raise ConfigError("controller-compare needs at least one rugosity "
                           "value in terrains")
     out = _out_dir(args)
-    rough = max(rugosities)
-    cc = fc.controller
-    scenarios = [Scenario("open_loop", replace(cc, mode="open_loop"), rough,
-                          exp.sensor_flip_prob)]
-    for period in (1, 2, 3):
-        scenarios.append(Scenario(
-            f"feedback_every{period}",
-            replace(cc, mode="feedback", update_every=period), rough,
-            exp.sensor_flip_prob))
-    stats = compare_controllers(fc.gait, fc.geometry, scenarios, exp.seeds,
-                                cycles=exp.cycles, steps=exp.steps,
-                                terrain_cols=exp.terrain_cols)
+    rough = max(levels, key=lambda e: e.r_g)
+    stats = compare_controllers(fc.gait, fc.geometry, fc.controller,
+                                _terrains(fc, rough), exp.seeds, exp.cycles,
+                                exp.steps, exp.sensor_flip_prob)
     path = out / "controller_summary.csv"
     _write_csv(path, fc,
                "scenario,mean_speed_ratio,speed_variance,mean_distance_cm",
@@ -336,7 +331,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except (ConfigError, NoStanceError) as exc:
+    except (ConfigError, NoStanceError, NoSlipError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     except WalkOffTerrainError as exc:

@@ -2,8 +2,9 @@
 
 One human-editable INI file carries the gait, geometry, controller and
 experiment settings.  The [meta] section must declare schema_version = 1;
-every other key falls back to the shipped default when omitted.  See
-data/default.cfg for the documented schema.
+every other key falls back to the shipped default when omitted, and a key
+no command reads is ignored.  See data/default.cfg for the documented
+schema.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ class ConfigError(ValueError):
 class ExperimentSpec:
     """One batch experiment: terrain list, amplitude grid, seeds, sizes."""
 
-    name: str = "default"
     terrains: List[str] = field(default_factory=lambda: ["0.0", "0.17", "0.32"])
     a_v_grid: List[float] = field(default_factory=lambda: [0.0, 10.0, 20.0])
     seeds: List[int] = field(default_factory=lambda: list(range(20)))
@@ -135,13 +135,10 @@ def load_config(path: Optional[str] = None) -> FullConfig:
             gamma_set=float(c.get("gamma_set", 0.9)),
             av_min=float(c.get("av_min", 0.0)),
             av_max=float(c.get("av_max", 25.0)),
-            update_every=int(c.get("update_every", 1)),
-            mode=c.get("mode", "feedback"),
             fixed_av=float(c.get("fixed_av", 0.0)),
         )
         e = section("experiment")
         experiment = ExperimentSpec(
-            name=e.get("name", "default"),
             terrains=(e.get("terrains", "0.0, 0.17, 0.32").replace(",", " ").split()),
             a_v_grid=_floats(e.get("a_v_grid", "0, 10, 20")),
             seeds=_seeds(e.get("seeds", "0..19")),

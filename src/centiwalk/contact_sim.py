@@ -123,9 +123,15 @@ def _debounce(bits: np.ndarray, latch_steps: int) -> np.ndarray:
 @lru_cache
 def _gait_slip_distribution(cfg: GaitConfig,
                             geom: RobotGeometry) -> SlipDistribution:
-    """The gait's slip distribution, built once and shared by every walk
-    that asks for it, so callers must not modify it."""
     return slip_distribution(cfg, geom, bins=36)
+
+
+def gait_slip_distribution(cfg: GaitConfig,
+                           geom: RobotGeometry) -> SlipDistribution:
+    """The gait's 36-bin slip distribution.  The planar slip path does not
+    depend on a_v, so it is built once per gait at a_v = 0 and shared by
+    every caller, which must not modify it."""
+    return _gait_slip_distribution(replace(cfg, a_v=0.0), geom)
 
 
 def simulate_walk(cfg: GaitConfig, geom: RobotGeometry, terrain: TerrainGrid,
@@ -164,8 +170,7 @@ def simulate_walk(cfg: GaitConfig, geom: RobotGeometry, terrain: TerrainGrid,
     u = phases[stance]
     d_s, reach, lift = stance_geometry(cfg, geom, u)
     recover = recoverable_heights(geom, d_s)
-    # the planar slip path does not depend on a_v
-    dist = _gait_slip_distribution(replace(cfg, a_v=0.0), geom)
+    dist = gait_slip_distribution(cfg, geom)
     rng = np.random.default_rng(seed)
     flips = np.zeros((cycles, 2 * n, steps), dtype=np.uint8)
     if sensor.flip_prob > 0.0:

@@ -11,28 +11,25 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from statistics import mean, pvariance
-from typing import Dict, List, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from .gait import GaitConfig
 from .kinematics import RobotGeometry, flat_ground_stride
 from .contact_sim import SensorModel, simulate_walk
-from .terrain import TerrainGrid, generate_terrain
+from .terrain import TerrainGrid
 
 
 @dataclass
 class ControllerConfig:
     """Proportional contact-ratio controller parameters.
 
-    mode is "feedback" or "open_loop"; in open-loop mode the amplitude is
-    held at fixed_av.  update_every sets the modulation period in cycles.
+    A feedback trial starts at av_min; an open-loop trial holds fixed_av.
     """
 
     k_p: float = 60.0
     gamma_set: float = 0.9
     av_min: float = 0.0
     av_max: float = 25.0
-    update_every: int = 1
-    mode: str = "feedback"
     fixed_av: float = 0.0
 
     def __post_init__(self):
@@ -46,10 +43,12 @@ class ControllerConfig:
                              f"and {self.av_max}")
         if not self.fixed_av >= 0.0:
             raise ValueError(f"fixed_av must be >= 0, got {self.fixed_av}")
-        if self.update_every < 1:
-            raise ValueError("update_every must be >= 1")
-        if self.mode not in ("feedback", "open_loop"):
-            raise ValueError(f"unknown controller mode {self.mode!r}")
+
+
+# The compared controller arms, each with its feedback update period in
+# cycles; None is open loop
+ARMS = {"open_loop": None, "feedback_every1": 1, "feedback_every2": 2,
+        "feedback_every3": 3}
 
 
 @dataclass
@@ -75,15 +74,19 @@ def update_av(cc: ControllerConfig, gamma_s: float) -> float:
 
 def run_trial(cfg: GaitConfig, geom: RobotGeometry, terrain: TerrainGrid,
               cc: ControllerConfig, cycles: int, steps: int,
-              sensor: SensorModel, seed: int) -> TrialRecord:
-    """Execute one trial; feedback updates every cc.update_every cycles."""
-    open_loop = cc.mode == "open_loop"
+              sensor: SensorModel, seed: int,
+              update_every: Optional[int] = None) -> TrialRecord:
+    """Execute one trial: open loop at cc.fixed_av if update_every is None,
+    else feedback from cc.av_min, updated every update_every cycles."""
+    if update_every is not None and update_every < 1:
+        raise ValueError(f"update_every must be >= 1, got {update_every}")
 
     def next_av(cycle: int, gamma_measured: float, a_v: float) -> float:
-        if (cycle + 1) % cc.update_every:
+        if (cycle + 1) % update_every:
             return a_v
         return update_av(cc, gamma_measured)
 
+    open_loop = update_every is None
     start = replace(cfg, a_v=cc.fixed_av if open_loop else cc.av_min)
     res = simulate_walk(start, geom, terrain, cycles, steps, sensor, seed,
                         None if open_loop else next_av)
@@ -101,22 +104,10 @@ def run_trial(cfg: GaitConfig, geom: RobotGeometry, terrain: TerrainGrid,
 
 
 @dataclass
-class Scenario:
-    """One controller-comparison arm: a named controller configuration run
-    on terrain of the given rugosity."""
-
-    name: str
-    controller: ControllerConfig
-    r_g: float
-    flip_prob: float = 0.0
-
-
-@dataclass
 class ScenarioStats:
-    """Seed-averaged summary of one scenario plus its per-seed trials, in
-    seed order."""
+    """Seed-averaged summary of one controller arm plus its per-seed
+    trials, in seed order."""
 
-    name: str
     mean_speed_ratio: float
     speed_variance: float
     mean_distance: float
@@ -128,28 +119,21 @@ class ScenarioStats:
 
 
 def compare_controllers(cfg: GaitConfig, geom: RobotGeometry,
-                        scenarios: Sequence[Scenario], seeds: Sequence[int],
-                        cycles: int = 10, steps: int = 72,
-                        terrain_cols: int = 5) -> Dict[str, ScenarioStats]:
-    """Paired-seed comparison: every scenario sees the same terrain and the
-    same sensor noise stream for a given seed."""
-    if len(scenarios) < 2:
-        raise ValueError("need at least two scenarios to compare")
+                        cc: ControllerConfig, terrains: Sequence[TerrainGrid],
+                        seeds: Sequence[int], cycles: int, steps: int,
+                        flip_prob: float) -> Dict[str, ScenarioStats]:
+    """Paired-seed comparison of the ARMS: for a given seed every arm walks
+    the same terrain, terrains[i] for seeds[i], with the same sensor noise
+    stream."""
     if not seeds:
         raise ValueError("seeds must be non-empty")
-    rows = cycles + cfg.n_pairs + 2
-    terrains = {(r_g, seed): generate_terrain(r_g, rows=rows,
-                                              cols=terrain_cols, seed=seed)
-                for r_g in {sc.r_g for sc in scenarios} for seed in seeds}
+    sensor = SensorModel(flip_prob=flip_prob)
     results: Dict[str, ScenarioStats] = {}
-    for sc in scenarios:
-        trials = [
-            run_trial(cfg, geom, terrains[sc.r_g, seed], sc.controller,
-                      cycles, steps, SensorModel(flip_prob=sc.flip_prob), seed)
-            for seed in seeds
-        ]
-        results[sc.name] = ScenarioStats(
-            name=sc.name,
+    for name, update_every in ARMS.items():
+        trials = [run_trial(cfg, geom, terrain, cc, cycles, steps, sensor,
+                            seed, update_every)
+                  for terrain, seed in zip(terrains, seeds, strict=True)]
+        results[name] = ScenarioStats(
             mean_speed_ratio=mean(t.mean_speed_ratio for t in trials),
             speed_variance=mean(t.speed_variance for t in trials),
             mean_distance=mean(t.total_distance for t in trials),

@@ -57,13 +57,9 @@ class GaitConfig:
                 raise ValueError(f"{name} must be in [0, 90), got {amp}")
 
     @property
-    def contact_phase_offset(self) -> float:
-        """Offset phi_c - tau_b in radians (contact phase lags the body wave)."""
-        return self.contact_fraction_offset * TWO_PI
-
-    @property
     def contact_fraction_offset(self) -> float:
-        """Same offset expressed as a fraction of one cycle."""
+        """Offset phi_c - tau_b as a fraction of one cycle (the contact
+        phase lags the body wave)."""
         if self.phase_offset is not None:
             return self.phase_offset / TWO_PI
         return -(self.xi / (2.0 * self.n_pairs) + 0.25)

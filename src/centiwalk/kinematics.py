@@ -20,6 +20,11 @@ import numpy as np
 from .gait import GaitConfig, TWO_PI, wave_lag
 
 
+class NoSlipError(ValueError):
+    """Raised when a gait's stance foot does not move, so that it has no
+    slip-angle distribution."""
+
+
 @dataclass(frozen=True)
 class RobotGeometry:
     """Physical dimensions.
@@ -144,7 +149,9 @@ def slip_distribution(cfg: GaitConfig, geom: RobotGeometry, bins: int,
     seg_len = np.hypot(delta[:, 0], delta[:, 1])
     total = seg_len.sum()
     if total <= 0.0:
-        raise ValueError("degenerate foot trajectory: no slip motion")
+        raise NoSlipError(f"degenerate foot trajectory: no slip motion at "
+                          f"theta_leg_amp = {cfg.theta_leg_amp:g} and "
+                          f"theta_body_amp = {cfg.theta_body_amp:g}")
     # friction opposes slip: thrust direction is minus the velocity
     phi = np.degrees(np.arctan2(-delta[:, 1], -delta[:, 0]))
     edges = np.linspace(-180.0, 180.0, bins + 1)
@@ -191,12 +198,3 @@ def recoverable_heights(geom: RobotGeometry, d_s: Sequence[float]) -> np.ndarray
     ratio = np.minimum(np.asarray(d_s, dtype=float), geom.h_l2) / geom.h_l2
     return geom.h_l2 * (1.0 - np.cos(np.arcsin(ratio)))
 
-
-def ideal_gamma(cfg: GaitConfig, geom: RobotGeometry, m: int) -> float:
-    """Contact ratio over one cycle on perfectly flat terrain.
-
-    The fraction of retraction samples where the vertical wave has not
-    raised the foot above the nominal ground plane.  Exactly 1 at a_v = 0.
-    """
-    prof = retraction_profile(cfg, geom, m)
-    return float(np.mean(prof.lift <= 1e-12))

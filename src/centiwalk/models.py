@@ -22,7 +22,6 @@ from .gait import GaitConfig
 from .kinematics import (
     RobotGeometry,
     SlipDistribution,
-    ideal_gamma,
     recoverable_heights,
     retraction_profile,
 )
@@ -115,7 +114,9 @@ def predict_gamma(geom: RobotGeometry, cfg: GaitConfig,
     p_loss2 = float(np.mean(tail_probability(model, thresholds, "dh_positive")))
     p_loss = model.p1 * p_loss1 + (1.0 - model.p1) * p_loss2
     gamma = 1.0 - p_loss
-    gamma_ideal = ideal_gamma(cfg, geom, m)
+    # the flat-terrain contact ratio: samples the vertical wave leaves on
+    # the nominal ground plane
+    gamma_ideal = float(np.mean(prof.lift <= 1e-12))
     p_e = (1.0 - gamma) / gamma_ideal if gamma_ideal > 0.0 else float("inf")
     return LossModelOutput(
         p_loss1=p_loss1,

@@ -42,11 +42,6 @@ class TerrainGrid:
             raise ValueError("heights must be a 2-D array")
 
     @property
-    def sigma(self) -> float:
-        """Height-difference standard deviation, 15 * r_g cm."""
-        return sigma_from_rugosity(self.r_g)
-
-    @property
     def rows(self) -> int:
         return self.heights.shape[0]
 

@@ -15,7 +15,7 @@ from scipy import stats
 
 from centiwalk.cli import main as cli_main
 from centiwalk.contact_sim import SensorModel, ideal_contact_map, simulate_walk
-from centiwalk.control import ControllerConfig, Scenario, compare_controllers
+from centiwalk.control import ControllerConfig, compare_controllers
 from centiwalk.gait import GaitConfig
 from centiwalk.kinematics import RobotGeometry, SlipDistribution, slip_distribution
 from centiwalk.models import friction_bounds, predict_gamma, predict_speed_band
@@ -40,15 +40,11 @@ def report(num, desc, ok):
 def controller_stats():
     """Paired-seed controller comparison shared by criteria 8 and 9."""
     cfg = GaitConfig()
-    geom = RobotGeometry()
-    cc_open = ControllerConfig(mode="open_loop", fixed_av=0.0)
-    scenarios = [Scenario("open_loop", cc_open, 0.32)]
-    for period in (1, 2, 3):
-        scenarios.append(Scenario(
-            f"feedback_every{period}",
-            ControllerConfig(update_every=period), 0.32))
-    return compare_controllers(cfg, geom, scenarios, SEEDS, cycles=30,
-                               steps=STEPS)
+    terrains = [generate_terrain(0.32, rows=30 + cfg.n_pairs + 2, cols=5,
+                                 seed=seed) for seed in SEEDS]
+    return compare_controllers(cfg, RobotGeometry(), ControllerConfig(),
+                               terrains, SEEDS, cycles=30, steps=STEPS,
+                               flip_prob=0.0)
 
 
 def test_01_gait_contact_pattern():

@@ -47,6 +47,8 @@ class TestBadInput:
     GOOD = "# terrain v1\n# block_size=10.0\n# r_g=0.1\n0,0\n1,1\n2,2\n"
     # four samples per cycle, none of them in this gait's stance window
     NO_STANCE = "[gait]\nn_pairs = 2\nxi = 1.5\nduty = 0.125\n"
+    # a stance foot that does not move has no slip-angle distribution
+    NO_SLIP = "[gait]\ntheta_leg_amp = 0\ntheta_body_amp = 0\n"
 
     @pytest.mark.parametrize("experiment, argv", [
         ("", ["--steps", "71", "walk"]),
@@ -77,6 +79,10 @@ class TestBadInput:
         ("a_v_grid =\n", ["validate"]),
         ("terrains =\n", ["validate"]),
         ("[gait]\nxi = nan\n", ["model-sweep"]),
+        (NO_SLIP, ["model-sweep"]),
+        (NO_SLIP, ["walk"]),
+        (NO_SLIP, ["validate"]),
+        (NO_SLIP, ["controller-compare"]),
     ], ids=["odd-steps-flag", "odd-steps-config", "nan-rugosity",
             "negative-rugosity", "compare-only-files", "no-r_g-header",
             "ragged-rows", "one-row-file", "nan-height-walk",
@@ -87,7 +93,8 @@ class TestBadInput:
             "negative-fixed_av-compare", "flip-1.5-walk", "zero-cols-walk",
             "zero-rows-terrain-gen", "negative-a_v_grid-sweep",
             "empty-a_v_grid-validate", "empty-terrains-validate",
-            "nan-xi-sweep"])
+            "nan-xi-sweep", "no-slip-sweep", "no-slip-walk",
+            "no-slip-validate", "no-slip-compare"])
     def test_one_line_error(self, tmp_path, capsys, experiment, argv):
         files = {
             "good": self.GOOD,
@@ -276,6 +283,37 @@ class TestWalkAndCompare:
         assert lines[1] == "cycle,gamma_s,a_v_deg,v_ratio,displacement_cm"
         assert [l.split(",")[0] for l in lines[2:]] == \
             ["0", "1", "2", "3", "4", "summary"]
+
+    def test_compare_ignores_retired_keys(self, tmp_path, fast_config):
+        # controller-compare always runs its four fixed arms: the retired
+        # keys mode, update_every and name load, change nothing, and stay
+        # out of the config stamp
+        retired = tmp_path / "retired.cfg"
+        retired.write_text(FAST_CFG.replace(
+            "[experiment]\n", "[controller]\nmode = open_loop\n"
+            "update_every = 3\n[experiment]\nname = other\n"))
+        for cfg, out in ((fast_config, "a"), (str(retired), "b")):
+            assert run(["--config", cfg, "--out", str(tmp_path / out),
+                        "--seeds", "0,1", "--cycles", "4",
+                        "controller-compare"]) == 0
+        names = sorted(p.name for p in (tmp_path / "a").iterdir())
+        assert len(names) == 5
+        assert names == sorted(p.name for p in (tmp_path / "b").iterdir())
+        for name in names:
+            assert (tmp_path / "a" / name).read_bytes() == \
+                (tmp_path / "b" / name).read_bytes(), name
+
+    def test_compare_walks_the_roughest_level(self, tmp_path):
+        # the rows of a run on the roughest level alone, whatever the
+        # order of the other levels
+        for out, terrains in (("a", "0.32"), ("b", "0.17, 0.32, 0.0")):
+            cfg = tmp_path / f"{out}.cfg"
+            cfg.write_text(FAST_CFG + f"terrains = {terrains}\n")
+            assert run(["--config", str(cfg), "--out", str(tmp_path / out),
+                        "--cycles", "4", "controller-compare"]) == 0
+        rows = [(tmp_path / out / "controller_summary.csv").read_text()
+                .splitlines()[1:] for out in "ab"]
+        assert rows[0] == rows[1]
 
     def test_compare_deterministic(self, tmp_path, fast_config):
         out1, out2 = tmp_path / "a", tmp_path / "b"

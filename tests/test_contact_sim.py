@@ -35,7 +35,7 @@ class TestIdealContactMap:
     def test_matches_gait_functions(self):
         cfg = GaitConfig(n_pairs=4)
         cmap = ideal_contact_map(cfg, 72)
-        off = cfg.contact_phase_offset
+        off = TWO_PI * cfg.contact_fraction_offset
         for i in range(1, 5):
             for k in range(72):
                 tau_c = TWO_PI * k / 72 + off
@@ -225,7 +225,8 @@ class TestSimulationHarness:
         assert exc.value.cycle == 2
         with pytest.raises(WalkOffTerrainError) as exc:
             run_trial(GaitConfig(), RobotGeometry(), terrain,
-                      ControllerConfig(), 30, 72, SensorModel(), seed=0)
+                      ControllerConfig(), 30, 72, SensorModel(), seed=0,
+                      update_every=1)
         assert exc.value.cycle == 2
 
     def test_odd_steps_rejected(self):

@@ -56,11 +56,12 @@ class TestConfigValidation:
         # optimal coordination: phi_c - tau_b = -(xi/n + 1/2) * pi
         cfg = GaitConfig(n_pairs=6, xi=1.0)
         expected = -(1.0 / 6.0 + 0.5) * math.pi
-        assert cfg.contact_phase_offset == pytest.approx(expected, abs=1e-12)
+        assert TWO_PI * cfg.contact_fraction_offset == pytest.approx(
+            expected, abs=1e-12)
 
     def test_explicit_phase_offset(self):
         cfg = GaitConfig(phase_offset=0.3)
-        assert cfg.contact_phase_offset == pytest.approx(0.3)
+        assert TWO_PI * cfg.contact_fraction_offset == pytest.approx(0.3)
 
 
 class TestContact:

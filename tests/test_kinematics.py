@@ -13,12 +13,13 @@ from centiwalk.kinematics import (
     SlipDistribution,
     flat_ground_stride,
     foot_trajectory,
-    ideal_gamma,
     recoverable_heights,
     retraction_profile,
     slip_distribution,
     stance_geometry,
 )
+from centiwalk.models import predict_gamma
+from centiwalk.terrain import HeightDeltaModel
 
 
 class TestGeometryValidation:
@@ -122,17 +123,23 @@ class TestRetractionProfile:
 
 
 class TestIdealGamma:
+    @staticmethod
+    def ideal_gamma(a_v, m):
+        # the flat-terrain contact ratio does not depend on the terrain model
+        return predict_gamma(RobotGeometry(), GaitConfig(a_v=a_v),
+                             HeightDeltaModel.from_rugosity(0.32),
+                             m).gamma_ideal
+
     def test_flat_wave_full_contact(self):
         # [TRIVIAL] no vertical wave -> gamma' = 1
-        assert ideal_gamma(GaitConfig(a_v=0.0), RobotGeometry(), 360) == 1.0
+        assert self.ideal_gamma(0.0, 360) == 1.0
 
     def test_vertical_wave_sheds_contact(self):
-        g = ideal_gamma(GaitConfig(a_v=20.0), RobotGeometry(), 360)
+        g = self.ideal_gamma(20.0, 360)
         assert 0.0 < g < 1.0
 
     def test_nonincreasing_in_a_v(self):
-        geom = RobotGeometry()
-        vals = [ideal_gamma(GaitConfig(a_v=a), geom, 720)
+        vals = [self.ideal_gamma(a, 720)
                 for a in (0.0, 5.0, 10.0, 15.0, 20.0, 25.0)]
         assert all(a >= b - 1e-12 for a, b in zip(vals, vals[1:]))
 

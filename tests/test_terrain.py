@@ -47,7 +47,6 @@ class TestGenerateTerrain:
         dh = np.random.default_rng(11).normal(0.0, sigma_from_rugosity(0.32),
                                               size=(29, 4))
         assert np.array_equal(grid.heights[1:], np.cumsum(dh, axis=0))
-        assert grid.sigma == sigma_from_rugosity(0.32)
 
     def test_flat_at_zero_rugosity(self):
         grid = generate_terrain(0.0, rows=20, cols=3, seed=0)

@@ -75,8 +75,10 @@ def test_debounce_matches_reference(shape, data):
         assert np.array_equal(out, np.repeat(bits[..., :1], steps, axis=-1))
 
 
-def reference_walk(cfg, geom, terrain, cycles, steps, sensor, seed, cc=None):
-    """Per-leg walk; with a controller cc, a_v follows its feedback law."""
+def reference_walk(cfg, geom, terrain, cycles, steps, sensor, seed, cc=None,
+                   update_every=None):
+    """Per-leg walk; with an update period, a_v follows cc's feedback law,
+    updated every update_every cycles."""
     rng = np.random.default_rng(seed)
     n = cfg.n_pairs
     phases = phase_table(cfg, steps)
@@ -115,7 +117,7 @@ def reference_walk(cfg, geom, terrain, cycles, steps, sensor, seed, cc=None):
         out["v"].append(predict_speed_band(dist, gamma).v_ratio_mid)
         out["a_v"].append(cfg.a_v)
         out["bits"].append(bits)
-        if cc is not None and (c + 1) % cc.update_every == 0:
+        if update_every is not None and (c + 1) % update_every == 0:
             cfg = replace(cfg, a_v=update_av(cc, out["gamma_measured"][-1]))
         leg_rows = leg_rows + 1
     return out
@@ -148,15 +150,14 @@ def test_engine_matches_reference_loop(feedback, n_pairs, xi, duty,
                                seed=seed)
     sensor = SensorModel(flip_prob, latch_steps)
     # either controller starts the trial at cfg.a_v
-    cc = ControllerConfig(update_every=update_every, av_min=a_v,
-                          av_max=max(a_v, 25.0), fixed_av=a_v,
-                          mode="feedback" if feedback else "open_loop")
+    cc = ControllerConfig(av_min=a_v, av_max=max(a_v, 25.0), fixed_av=a_v)
+    period = update_every if feedback else None
     if not (phase_table(cfg, steps) < duty).any():
         with pytest.raises(ValueError):
             simulate_walk(cfg, geom, terrain, cycles, steps, sensor, seed)
         return
     ref = reference_walk(cfg, geom, terrain, cycles, steps, sensor, seed,
-                         cc if feedback else None)
+                         cc, period)
 
     def next_av(cycle, gamma_measured, av):
         # the feedback rule as the reference applies it
@@ -172,7 +173,8 @@ def test_engine_matches_reference_loop(feedback, n_pairs, xi, duty,
     assert res.a_v == ref["a_v"]
     assert res.loss_events == ref["losses"]
     assert np.array_equal(res.measured.bits, np.hstack(ref["bits"]))
-    trial = run_trial(cfg, geom, terrain, cc, cycles, steps, sensor, seed)
+    trial = run_trial(cfg, geom, terrain, cc, cycles, steps, sensor, seed,
+                      period)
     assert trial.gamma_s == ref["gamma_measured"]
     assert trial.a_v == ref["a_v"]
     assert trial.v_ratio == ref["v"]
