@@ -34,15 +34,16 @@ from .contact_sim import (
     ContactMap,
     SensorModel,
     WalkResult,
+    Walks,
     ideal_contact_map,
     simulate_walk,
+    simulate_walks,
 )
 from .control import (
     ControllerConfig,
     ScenarioStats,
     TrialRecord,
     compare_controllers,
-    run_trial,
     update_av,
 )
 from .config import ConfigError, ExperimentSpec, FullConfig, load_config
@@ -57,9 +58,9 @@ __all__ = [
     "sigma_from_rugosity", "tail_probability",
     "FrictionPrediction", "LossModelOutput", "friction_bounds",
     "predict_gamma", "predict_speed_band",
-    "ContactMap", "SensorModel", "WalkResult", "ideal_contact_map",
-    "simulate_walk",
+    "ContactMap", "SensorModel", "WalkResult", "Walks", "ideal_contact_map",
+    "simulate_walk", "simulate_walks",
     "ControllerConfig", "ScenarioStats", "TrialRecord",
-    "compare_controllers", "run_trial", "update_av",
+    "compare_controllers", "update_av",
     "ConfigError", "ExperimentSpec", "FullConfig", "load_config",
 ]

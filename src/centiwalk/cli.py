@@ -30,7 +30,7 @@ from .contact_sim import (
     WalkOffTerrainError,
     gait_slip_distribution,
     ideal_contact_map,
-    simulate_walk,
+    simulate_walks,
 )
 from .control import compare_controllers
 from .gait import joint_angles
@@ -57,11 +57,11 @@ def _stamp(fc: FullConfig) -> str:
     return f"# centiwalk v{__version__} config_hash={digest}\n"
 
 
-def _write_csv(path: Path, fc: FullConfig, header: str,
+def _write_csv(path: Path, stamp: str, header: str,
                lines: Iterable[str]) -> None:
-    """Write a CSV: the config stamp, the header row, then the rows."""
+    """Write a CSV: the config stamp line, the header row, then the rows."""
     with open(path, "w") as fh:
-        fh.write(_stamp(fc))
+        fh.write(stamp)
         fh.writelines(line + "\n" for line in [header, *lines])
 
 
@@ -143,14 +143,15 @@ def cmd_gait_dump(fc: FullConfig, args) -> int:
     out = _out_dir(args)
     n = fc.gait.n_pairs
     legs = _leg_names(n)
+    stamp = _stamp(fc)
     bits = ideal_contact_map(fc.gait, steps).bits
-    _write_csv(out / "contact_map.csv", fc, "step," + ",".join(legs),
+    _write_csv(out / "contact_map.csv", stamp, "step," + ",".join(legs),
                (f"{k}," + ",".join(map(str, col))
                 for k, col in enumerate(bits.T.tolist())))
     cols = legs + [f"body_{wave}{i}" for wave in ("yaw", "pitch")
                    for i in range(1, n + 1)]
     angles = joint_angles(fc.gait, steps)
-    _write_csv(out / "joint_angles.csv", fc,
+    _write_csv(out / "joint_angles.csv", stamp,
                "step," + ",".join(f"{c}_deg" for c in cols),
                (f"{k}," + ",".join(f"{v:.6f}" for v in col)
                 for k, col in enumerate(angles.T.tolist())))
@@ -189,8 +190,8 @@ def cmd_model_sweep(fc: FullConfig, args) -> int:
                 f"{o.gamma:.6f},{o.gamma_ideal:.6f},{o.p_e:.6f},"
                 f"{v_min:.6f},{v_max:.6f}")
     path = out / "model_sweep.csv"
-    _write_csv(path, fc, "terrain,a_v_deg,p_loss1,p_loss2,gamma,gamma_ideal,"
-               "p_e,v_min,v_max", lines)
+    _write_csv(path, _stamp(fc), "terrain,a_v_deg,p_loss1,p_loss2,gamma,"
+               "gamma_ideal,p_e,v_min,v_max", lines)
     print(f"wrote {path}")
     return 0
 
@@ -200,27 +201,30 @@ def cmd_validate(fc: FullConfig, args) -> int:
     entries = _entries(fc)
     out = _out_dir(args)
     sensor = SensorModel(flip_prob=0.0)
+    grid, seeds = exp.a_v_grid, exp.seeds
     max_dev = 0.0
     lines = []
     for entry in entries:
         model = entry.model()
-        terrains = _terrains(fc, entry)
-        for a_v in exp.a_v_grid:
+        # one walk per seed and amplitude, seed-major, so that a block of
+        # walks shares each seed's terrain
+        walks = simulate_walks(fc.gait, fc.geometry,
+                               [t for t in _terrains(fc, entry) for _ in grid],
+                               [s for s in seeds for _ in grid],
+                               grid * len(seeds), exp.cycles, exp.steps,
+                               sensor)
+        sims = [mean(g) for g in walks.gamma.tolist()]
+        for i, a_v in enumerate(grid):
             cfg = replace(fc.gait, a_v=a_v)
             predicted = predict_gamma(fc.geometry, cfg, model, PREDICT_M).gamma
-            sims = []
-            for seed, terrain in zip(exp.seeds, terrains):
-                res = simulate_walk(cfg, fc.geometry, terrain, exp.cycles,
-                                    exp.steps, sensor, seed)
-                sims.append(mean(res.gamma_per_cycle))
-            simulated = mean(sims)
+            simulated = mean(sims[i::len(grid)])
             dev = abs(simulated - predicted)
             max_dev = max(max_dev, dev)
             status = "pass" if dev <= exp.tolerance else "FAIL"
             lines.append((entry.label, a_v, predicted, simulated, dev, status))
     path = out / "validation.csv"
-    _write_csv(path, fc, "terrain,a_v_deg,gamma_predicted,gamma_simulated,"
-               "deviation,status",
+    _write_csv(path, _stamp(fc), "terrain,a_v_deg,gamma_predicted,"
+               "gamma_simulated,deviation,status",
                (f"{label},{a_v:g},{pred:.6f},{sim:.6f},{dev:.6f},{status}"
                 for label, a_v, pred, sim, dev, status in lines))
     for label, a_v, pred, sim, dev, status in lines:
@@ -238,24 +242,28 @@ def cmd_walk(fc: FullConfig, args) -> int:
     sensor = SensorModel(flip_prob=exp.sensor_flip_prob)
     # every walk runs before anything is written, so a failed walk leaves
     # no partial output
-    walks = [(entry, seed, simulate_walk(fc.gait, fc.geometry, terrain,
-                                         exp.cycles, exp.steps, sensor, seed))
-             for entry in entries
-             for seed, terrain in zip(exp.seeds, _terrains(fc, entry))]
+    walks = [(entry, simulate_walks(fc.gait, fc.geometry, _terrains(fc, entry),
+                                    exp.seeds, [fc.gait.a_v] * len(exp.seeds),
+                                    exp.cycles, exp.steps, sensor))
+             for entry in entries]
+    stamp = _stamp(fc)
     path = out / "walk.csv"
-    _write_csv(path, fc, "seed,terrain,a_v_deg,cycle,gamma,v_ratio",
+    _write_csv(path, stamp, "seed,terrain,a_v_deg,cycle,gamma,v_ratio",
                (f"{seed},{entry.label},{fc.gait.a_v:g},{c},{g:.6f},{v:.6f}"
-                for entry, seed, res in walks
-                for c, (g, v) in enumerate(zip(res.gamma_per_cycle,
-                                               res.forward_speed_ratio))))
+                for entry, w in walks
+                for seed, gammas, speeds in zip(exp.seeds, w.gamma.tolist(),
+                                                w.v_ratio.tolist())
+                for c, (g, v) in enumerate(zip(gammas, speeds))))
     legs = ",".join(_leg_names(fc.gait.n_pairs))
-    for entry, seed, res in walks:
-        if seed == exp.seeds[0]:
-            _write_csv(out / f"contact_{entry.label}.csv", fc,
-                       "cycle,step," + legs,
-                       (f"{i // exp.steps},{i % exp.steps},"
-                        + ",".join(map(str, col))
-                        for i, col in enumerate(res.measured.bits.T.tolist())))
+    for entry, w in walks:
+        # the first seed's measured map, one row per sample
+        samples = w.bits[0].transpose(0, 2, 1).reshape(
+            -1, 2 * fc.gait.n_pairs)
+        _write_csv(out / f"contact_{entry.label}.csv", stamp,
+                   "cycle,step," + legs,
+                   (f"{i // exp.steps},{i % exp.steps},"
+                    + ",".join(map(str, col))
+                    for i, col in enumerate(samples.tolist())))
     print(f"wrote {path}")
     return 0
 
@@ -271,8 +279,9 @@ def cmd_controller_compare(fc: FullConfig, args) -> int:
     stats = compare_controllers(fc.gait, fc.geometry, fc.controller,
                                 _terrains(fc, rough), exp.seeds, exp.cycles,
                                 exp.steps, exp.sensor_flip_prob)
+    stamp = _stamp(fc)
     path = out / "controller_summary.csv"
-    _write_csv(path, fc,
+    _write_csv(path, stamp,
                "scenario,mean_speed_ratio,speed_variance,mean_distance_cm",
                (f"{name},{st.mean_speed_ratio:.6f},{st.speed_variance:.6f},"
                 f"{st.mean_distance:.6f}" for name, st in stats.items()))
@@ -280,7 +289,7 @@ def cmd_controller_compare(fc: FullConfig, args) -> int:
         # the first seed's trial; compare_controllers keeps seed order
         t = st.trials[0]
         rows = zip(t.gamma_s, t.a_v, t.v_ratio, t.displacement)
-        _write_csv(out / f"trace_{name}.csv", fc,
+        _write_csv(out / f"trace_{name}.csv", stamp,
                    "cycle,gamma_s,a_v_deg,v_ratio,displacement_cm",
                    [f"{c},{g:.6f},{a:.6f},{v:.6f},{d:.6f}"
                     for c, (g, a, v, d) in enumerate(rows)]

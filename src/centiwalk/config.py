@@ -44,6 +44,9 @@ class ExperimentSpec:
     def __post_init__(self):
         if not self.seeds or not self.terrains:
             raise ConfigError("seeds and terrains must be non-empty")
+        # a seed seeds numpy's generators, which take no negative value
+        if min(self.seeds) < 0:
+            raise ConfigError(f"seeds must be >= 0, got {min(self.seeds)}")
         if self.cycles < 1:
             raise ConfigError(f"cycles must be >= 1, got {self.cycles}")
         # even, so that the right legs' half-cycle offset falls on a sample

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -27,6 +27,11 @@ from .kinematics import (
 )
 from .models import predict_speed_band
 from .terrain import TerrainGrid
+
+
+# walks per array pass: bounds the (walks x cycles x legs x steps) arrays,
+# and so peak memory, at any batch size
+BLOCK_ROWS = 64
 
 
 class NoStanceError(ValueError):
@@ -74,6 +79,20 @@ class SensorModel:
             raise ValueError(f"flip_prob must be in [0, 1), got {self.flip_prob}")
         if self.latch_steps < 0:
             raise ValueError("latch_steps must be >= 0")
+
+
+@dataclass
+class Walks:
+    """Per-cycle outcomes of a batch of walks, one row per walk.  The
+    contact maps are kept for the first block of BLOCK_ROWS walks only, so
+    that memory stays flat at any batch size."""
+
+    gamma: np.ndarray            # true contact ratio, walks x cycles
+    gamma_measured: np.ndarray   # sensed contact ratio, walks x cycles
+    a_v: np.ndarray              # vertical amplitude, walks x cycles
+    v_ratio: np.ndarray          # speed ratio v/v_open, walks x cycles
+    bits: np.ndarray             # measured bits, walks x cycles x 2n x steps
+    lost: np.ndarray             # contact lost to the terrain, same shape
 
 
 @dataclass
@@ -134,11 +153,153 @@ def gait_slip_distribution(cfg: GaitConfig,
     return _gait_slip_distribution(replace(cfg, a_v=0.0), geom)
 
 
+@lru_cache
+def _stance_table(cfg: GaitConfig, geom: RobotGeometry, steps: int) -> tuple:
+    """The gait's stance mask over one cycle of `steps` samples, shape
+    (2n, steps), and per stance sample in row-major order: its leg, its
+    reduced phase and the terrain rise its retraction recovers.  None of
+    these depends on cfg.a_v.  Built once per config and shared, read-only,
+    by every walk."""
+    phases = phase_table(cfg, steps)
+    stance = phases < cfg.duty
+    u = phases[stance]
+    d_s, _, _ = stance_geometry(cfg, geom, u)
+    table = (stance, np.nonzero(stance)[0], u, recoverable_heights(geom, d_s))
+    for a in table:
+        a.setflags(write=False)
+    return table
+
+
+def _height_steps(terrain: TerrainGrid, n: int, cycles: int) -> np.ndarray:
+    """Height step H(next) - H(current) under each leg's foothold, shape
+    (cycles, 2n): a leg's block row advances one per cycle, with a
+    longitudinal stagger of one block per module (module_length equals the
+    block size by default), on a lateral block column per side."""
+    center = terrain.cols // 2
+    leg_cols = np.array([max(center - 1, 0)] * n
+                        + [min(center + 1, terrain.cols - 1)] * n)
+    leg_rows = np.array([n - 1 - i for i in range(n)] * 2)
+    rows = leg_rows + np.arange(cycles)[:, None]
+    return terrain.heights[rows + 1, leg_cols] - terrain.heights[rows, leg_cols]
+
+
+def simulate_walks(cfg: GaitConfig, geom: RobotGeometry,
+                   terrains: Sequence[TerrainGrid], seeds: Sequence[int],
+                   a_v: Sequence[float], cycles: int, steps: int,
+                   sensor: SensorModel,
+                   next_av: Optional[Callable[
+                       [slice, int, np.ndarray, np.ndarray], np.ndarray]] = None
+                   ) -> Walks:
+    """Walk `cycles` gait cycles of the gait shape cfg once per row: row i
+    walks terrains[i], starts at the vertical amplitude a_v[i] (cfg.a_v is
+    not read) and draws its sensor flips from default_rng(seeds[i]).
+
+    Rows are walked BLOCK_ROWS at a time.  Without next_av the amplitudes
+    hold, and all cycles of a block are one array operation.  With it the
+    block's rows step through the cycles together: next_av(rows, cycle,
+    gamma_measured, a_v) is given the slice of the block's rows, their
+    sensed contact ratios and their amplitudes in that cycle, and returns
+    their amplitudes for the next one.
+    """
+    if steps % 2 != 0:
+        raise ValueError(f"steps must be even, got {steps}")
+    if not len(terrains) == len(seeds) == len(a_v) > 0:
+        raise ValueError("need one terrain, seed and a_v per walk")
+    a_v = np.array(a_v, dtype=float)
+    if not np.all(a_v >= 0.0):
+        raise ValueError(f"a_v must be >= 0, got {a_v.min()}")
+    n = cfg.n_pairs
+    shortest = min(terrains, key=lambda t: t.rows)
+    available = max(0, shortest.rows - n)
+    if cycles > available:
+        raise WalkOffTerrainError(available, shortest.rows)
+    stance, stance_leg, u, recover = _stance_table(cfg, geom, steps)
+    retraction = len(u)
+    if retraction == 0:
+        raise NoStanceError(f"{cfg} has no stance sample in a cycle of "
+                            f"steps={steps}")
+    dist = gait_slip_distribution(cfg, geom)
+    shape = (cycles, 2 * n, steps)
+
+    def lost_at(d, reach, lift):
+        # d, the terrain steps, is used up: the rise less the lift is
+        # computed in its place
+        drop = d <= 0.0
+        too_deep = d < -reach                   # -d > reach, exactly
+        d -= np.maximum(lift, 0.0)
+        return np.where(drop, too_deep, d > recover)
+
+    def sense(truth, flips):
+        return _debounce(truth ^ flips, sensor.latch_steps)
+
+    def walk_block(rows: slice):
+        # a terrain repeats across rows: one per seed, walked at every
+        # amplitude or by every controller arm
+        distinct = {id(t): t for t in terrains[rows]}
+        by_terrain = {key: _height_steps(t, n, cycles)
+                      for key, t in distinct.items()}
+        d = np.stack([by_terrain[id(t)] for t in terrains[rows]])[
+            ..., stance_leg]                    # rows x cycles x stance samples
+        av = a_v[rows]
+        _, reach, lift = stance_geometry(cfg, geom, u, av[:, None])
+        if sensor.flip_prob > 0.0:
+            # one draw per distinct seed, shared by the rows with that seed
+            first = {}
+            draw = [first.setdefault(s, len(first)) for s in seeds[rows]]
+            flips = np.stack([
+                np.random.default_rng(s).random(shape) < sensor.flip_prob
+                for s in first]).view(np.uint8)[draw]
+        else:
+            flips = np.broadcast_to(np.uint8(0), (len(av),) + shape)
+        lost = np.zeros(flips.shape, dtype=bool)
+        if next_av is None:
+            lost_s = lost_at(d, reach[:, None], lift[:, None])
+            lost[:, :, stance] = lost_s
+            bits = sense(stance & ~lost, flips)
+            a_vs = np.repeat(av[:, None], cycles, axis=1)
+        else:
+            # the next amplitude needs this cycle's sensed contact ratio
+            lost_s = np.empty(d.shape, dtype=bool)
+            bits = np.empty(flips.shape, dtype=np.uint8)
+            a_vs = np.empty((len(av), cycles))
+            for c in range(cycles):
+                a_vs[:, c] = av
+                lost_s[:, c] = lost_at(d[:, c], reach, lift)
+                lost[:, c, stance] = lost_s[:, c]
+                bits[:, c] = sense(stance & ~lost[:, c], flips[:, c])
+                if c + 1 < cycles:
+                    sensed = bits[:, c, stance].sum(axis=-1) / retraction
+                    new = np.asarray(next_av(rows, c, sensed, av),
+                                     dtype=float).reshape(av.shape)
+                    if not np.all(new >= 0.0):
+                        raise ValueError(f"a_v must be >= 0, got {new.min()}")
+                    changed = new != av
+                    if changed.any():
+                        _, reach[changed], lift[changed] = stance_geometry(
+                            cfg, geom, u, new[changed, None])
+                        av = new
+        gamma = (retraction - lost_s.sum(axis=-1)) / retraction
+        return (gamma, bits[:, :, stance].sum(axis=-1) / retraction, a_vs,
+                predict_speed_band(dist, gamma).v_ratio_mid, bits, lost)
+
+    per_cycle = []
+    for i in range(0, len(a_v), BLOCK_ROWS):
+        *arrays, bits, lost = walk_block(slice(i, i + BLOCK_ROWS))
+        per_cycle.append(arrays)
+        if i == 0:
+            maps = bits, lost
+    gamma, gamma_measured, a_vs, v_ratio = (np.concatenate(a)
+                                            for a in zip(*per_cycle))
+    return Walks(gamma=gamma, gamma_measured=gamma_measured, a_v=a_vs,
+                 v_ratio=v_ratio, bits=maps[0], lost=maps[1])
+
+
 def simulate_walk(cfg: GaitConfig, geom: RobotGeometry, terrain: TerrainGrid,
                   cycles: int, steps: int, sensor: SensorModel, seed: int,
                   next_av: Optional[Callable[[int, float, float], float]] = None
                   ) -> WalkResult:
-    """Walk `cycles` gait cycles over the terrain, starting at cfg.a_v.
+    """Walk `cycles` gait cycles over the terrain, starting at cfg.a_v: the
+    one-walk case of simulate_walks.
 
     Each leg's foothold advances one block row per cycle (the height
     transition H(next) - H(current) drives the loss rules); the continuous
@@ -146,77 +307,27 @@ def simulate_walk(cfg: GaitConfig, geom: RobotGeometry, terrain: TerrainGrid,
     If next_av is given, next_av(cycle, gamma_measured, a_v) returns the
     vertical amplitude of the following cycle.
     """
-    if steps % 2 != 0:
-        raise ValueError(f"steps must be even, got {steps}")
+    law = None
+    if next_av is not None:
+        def law(rows, cycle, gamma_measured, a_v):
+            return next_av(cycle, float(gamma_measured[0]), float(a_v[0]))
+    w = simulate_walks(cfg, geom, [terrain], [seed], [cfg.a_v], cycles, steps,
+                       sensor, law)
     n = cfg.n_pairs
-    available = max(0, terrain.rows - n)
-    if cycles > available:
-        raise WalkOffTerrainError(available, terrain.rows)
-    phases = phase_table(cfg, steps)
-    stance = phases < cfg.duty
-    retraction = int(stance.sum())
-    if retraction == 0:
-        raise NoStanceError(f"{cfg} has no stance sample in a cycle of "
-                            f"steps={steps}")
-    # lateral block column per side; longitudinal stagger of one block
-    # per module (module_length equals the block size by default)
-    center = terrain.cols // 2
-    leg_cols = np.array([max(center - 1, 0)] * n
-                        + [min(center + 1, terrain.cols - 1)] * n)
-    leg_rows = np.array([n - 1 - i for i in range(n)] * 2)
-    rows = leg_rows + np.arange(cycles)[:, None]            # cycles x legs
-    dh = terrain.heights[rows + 1, leg_cols] - terrain.heights[rows, leg_cols]
-    stance_leg, _ = np.nonzero(stance)
-    u = phases[stance]
-    d_s, reach, lift = stance_geometry(cfg, geom, u)
-    recover = recoverable_heights(geom, d_s)
-    dist = gait_slip_distribution(cfg, geom)
-    rng = np.random.default_rng(seed)
-    flips = np.zeros((cycles, 2 * n, steps), dtype=np.uint8)
-    if sensor.flip_prob > 0.0:
-        flips = (rng.random(flips.shape) < sensor.flip_prob).astype(np.uint8)
-
-    def lost_at(d, reach, lift):
-        return np.where(d <= 0.0, -d > reach,
-                        d - np.maximum(lift, 0.0) > recover)
-
-    d = dh[:, stance_leg]                         # cycles x stance samples
-    lost = np.zeros((cycles, 2 * n, steps), dtype=bool)
-    if next_av is None:
-        lost[:, stance] = lost_at(d, reach, lift)
-        bits = _debounce((stance & ~lost) ^ flips, sensor.latch_steps)
-        a_vs = [cfg.a_v] * cycles
-    else:
-        # the next amplitude needs this cycle's sensed contact ratio
-        bits = np.empty(lost.shape, dtype=np.uint8)
-        a_vs = []
-        for c in range(cycles):
-            a_vs.append(cfg.a_v)
-            lost[c, stance] = lost_at(d[c], reach, lift)
-            bits[c] = _debounce((stance & ~lost[c]) ^ flips[c],
-                                sensor.latch_steps)
-            if c + 1 < cycles:
-                a_v = next_av(c, float(bits[c, stance].sum() / retraction),
-                              cfg.a_v)
-                if a_v != cfg.a_v:
-                    cfg = replace(cfg, a_v=a_v)
-                    _, reach, lift = stance_geometry(cfg, geom, u)
-
-    gamma_true = (stance & ~lost).sum(axis=(1, 2)) / retraction
-    v_ratios = predict_speed_band(dist, gamma_true).v_ratio_mid
-    c, leg, k = np.nonzero(lost)
-    losses = list(zip(leg.tolist(), (c * steps + k).tolist(),
-                      np.where(dh[c, leg] <= 0.0, "too_deep",
-                               "deformed").tolist()))
+    c, leg, k = np.nonzero(w.lost[0])
+    causes = np.where(_height_steps(terrain, n, cycles)[c, leg] <= 0.0,
+                      "too_deep", "deformed")
     return WalkResult(
         measured=ContactMap(legs=2 * n, steps=steps, cycles=cycles,
-                            bits=bits.transpose(1, 0, 2).reshape(2 * n, -1)),
+                            bits=w.bits[0].transpose(1, 0, 2)
+                            .reshape(2 * n, -1)),
         ideal=ContactMap(legs=2 * n, steps=steps, cycles=cycles,
-                         bits=np.tile(stance, (1, cycles))),
-        gamma_per_cycle=gamma_true.tolist(),
-        forward_speed_ratio=v_ratios.tolist(),
-        loss_events=losses,
-        gamma_measured=(bits[:, stance].sum(axis=1) / retraction).tolist(),
-        a_v=a_vs,
+                         bits=np.tile(_stance_table(cfg, geom, steps)[0],
+                                      (1, cycles))),
+        gamma_per_cycle=w.gamma[0].tolist(),
+        forward_speed_ratio=w.v_ratio[0].tolist(),
+        loss_events=list(zip(leg.tolist(), (c * steps + k).tolist(),
+                             causes.tolist())),
+        gamma_measured=w.gamma_measured[0].tolist(),
+        a_v=w.a_v[0].tolist(),
     )
-

@@ -9,13 +9,16 @@ retraction samples.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import math
+from dataclasses import dataclass
 from statistics import mean, pvariance
 from typing import Dict, List, Optional, Sequence
 
+import numpy as np
+
 from .gait import GaitConfig
 from .kinematics import RobotGeometry, flat_ground_stride
-from .contact_sim import SensorModel, simulate_walk
+from .contact_sim import SensorModel, Walks, simulate_walks
 from .terrain import TerrainGrid
 
 
@@ -64,12 +67,46 @@ class TrialRecord:
     total_distance: float
 
 
-def update_av(cc: ControllerConfig, gamma_s: float) -> float:
-    """Next-cycle vertical amplitude from the proportional law, clamped."""
-    if not 0.0 <= gamma_s <= 1.0:
+def update_av(cc: ControllerConfig, gamma_s):
+    """Next-cycle vertical amplitude from the proportional law, clamped, for
+    one sensed contact ratio or an array of them."""
+    if not np.all((0.0 <= gamma_s) & (gamma_s <= 1.0)):
         raise ValueError(f"gamma_s must be in [0, 1], got {gamma_s}")
     raw = cc.k_p * (cc.gamma_set - gamma_s)
-    return float(min(max(raw, cc.av_min), cc.av_max))
+    return np.minimum(np.maximum(raw, cc.av_min), cc.av_max)
+
+
+def _feedback(cc: ControllerConfig, periods: Sequence[Optional[int]]):
+    """simulate_walks' next_av for walks whose row i updates its amplitude
+    every periods[i] cycles, or never for None (open loop); None when no
+    row updates."""
+    if all(p is None for p in periods):
+        return None
+    # open loop is an infinite period: (cycle + 1) % inf is never 0
+    every = np.array([math.inf if p is None else p for p in periods])
+
+    def next_av(rows, cycle, gamma_s, a_v):
+        return np.where((cycle + 1) % every[rows] == 0, update_av(cc, gamma_s),
+                        a_v)
+    return next_av
+
+
+def _trial(walks: Walks, row: int, stride: float) -> TrialRecord:
+    v_ratio = walks.v_ratio[row].tolist()
+    displacement = (stride * walks.v_ratio[row]).tolist()
+    return TrialRecord(
+        gamma_s=walks.gamma_measured[row].tolist(),
+        a_v=walks.a_v[row].tolist(),
+        v_ratio=v_ratio,
+        displacement=displacement,
+        mean_speed_ratio=mean(v_ratio),
+        speed_variance=pvariance(v_ratio),
+        total_distance=sum(displacement),
+    )
+
+
+def _start_av(cc: ControllerConfig, update_every: Optional[int]) -> float:
+    return cc.fixed_av if update_every is None else cc.av_min
 
 
 def run_trial(cfg: GaitConfig, geom: RobotGeometry, terrain: TerrainGrid,
@@ -80,27 +117,10 @@ def run_trial(cfg: GaitConfig, geom: RobotGeometry, terrain: TerrainGrid,
     else feedback from cc.av_min, updated every update_every cycles."""
     if update_every is not None and update_every < 1:
         raise ValueError(f"update_every must be >= 1, got {update_every}")
-
-    def next_av(cycle: int, gamma_measured: float, a_v: float) -> float:
-        if (cycle + 1) % update_every:
-            return a_v
-        return update_av(cc, gamma_measured)
-
-    open_loop = update_every is None
-    start = replace(cfg, a_v=cc.fixed_av if open_loop else cc.av_min)
-    res = simulate_walk(start, geom, terrain, cycles, steps, sensor, seed,
-                        None if open_loop else next_av)
-    stride = flat_ground_stride(cfg, geom)
-    displacement = [stride * v for v in res.forward_speed_ratio]
-    return TrialRecord(
-        gamma_s=res.gamma_measured,
-        a_v=res.a_v,
-        v_ratio=res.forward_speed_ratio,
-        displacement=displacement,
-        mean_speed_ratio=mean(res.forward_speed_ratio),
-        speed_variance=pvariance(res.forward_speed_ratio),
-        total_distance=sum(displacement),
-    )
+    walks = simulate_walks(cfg, geom, [terrain], [seed],
+                           [_start_av(cc, update_every)], cycles, steps,
+                           sensor, _feedback(cc, [update_every]))
+    return _trial(walks, 0, flat_ground_stride(cfg, geom))
 
 
 @dataclass
@@ -124,15 +144,22 @@ def compare_controllers(cfg: GaitConfig, geom: RobotGeometry,
                         flip_prob: float) -> Dict[str, ScenarioStats]:
     """Paired-seed comparison of the ARMS: for a given seed every arm walks
     the same terrain, terrains[i] for seeds[i], with the same sensor noise
-    stream."""
+    stream.  Every arm and seed is one row of a single batch."""
     if not seeds:
         raise ValueError("seeds must be non-empty")
-    sensor = SensorModel(flip_prob=flip_prob)
+    periods = list(ARMS.values())
+    arms = len(periods)
+    # seed-major rows, so that a block of rows shares each seed's flip draw
+    walks = simulate_walks(
+        cfg, geom, [t for t in terrains for _ in periods],
+        [s for s in seeds for _ in periods],
+        [_start_av(cc, p) for p in periods] * len(seeds), cycles, steps,
+        SensorModel(flip_prob=flip_prob), _feedback(cc, periods * len(seeds)))
+    stride = flat_ground_stride(cfg, geom)
     results: Dict[str, ScenarioStats] = {}
-    for name, update_every in ARMS.items():
-        trials = [run_trial(cfg, geom, terrain, cc, cycles, steps, sensor,
-                            seed, update_every)
-                  for terrain, seed in zip(terrains, seeds, strict=True)]
+    for j, name in enumerate(ARMS):
+        trials = [_trial(walks, row, stride)
+                  for row in range(j, len(walks.v_ratio), arms)]
         results[name] = ScenarioStats(
             mean_speed_ratio=mean(t.mean_speed_ratio for t in trials),
             speed_variance=mean(t.speed_variance for t in trials),

@@ -162,21 +162,22 @@ def slip_distribution(cfg: GaitConfig, geom: RobotGeometry, bins: int,
     return SlipDistribution(bin_centers=centers, probs=probs)
 
 
-def _vertical_angle(cfg: GaitConfig, u: np.ndarray) -> np.ndarray:
-    """Body pitch angle (radians) at the module carrying a leg whose reduced
-    stance phase is u.  The vertical wave runs at twice the gait frequency,
-    so one stance spans a full up-down oscillation."""
-    off = cfg.contact_fraction_offset
-    return np.radians(cfg.a_v) * np.cos(2.0 * TWO_PI * (u - off))
+def stance_geometry(cfg: GaitConfig, geom: RobotGeometry, u,
+                    a_v=None) -> tuple:
+    """(d_s, reach, lift) arrays at reduced stance phases u in [0, duty).
 
-
-def stance_geometry(cfg: GaitConfig, geom: RobotGeometry, u) -> tuple:
-    """(d_s, reach, lift) arrays at reduced stance phases u in [0, duty)."""
+    reach and lift are taken at the vertical amplitude cfg.a_v, or at a_v
+    (degrees), an array that broadcasts against u: a column of amplitudes
+    gives one row of reach and lift per amplitude.
+    """
     u = np.asarray(u, dtype=float)
     amp = math.radians(cfg.theta_leg_amp)
     theta_leg = amp * np.cos(np.pi * u / cfg.duty)
     d_s = geom.leg_length * (math.sin(amp) - np.sin(theta_leg))
-    theta_v = _vertical_angle(cfg, u)
+    # body pitch at the leg's module; the vertical wave runs at twice the
+    # gait frequency, so one stance spans a full up-down oscillation
+    theta_v = np.radians(cfg.a_v if a_v is None else a_v) \
+        * np.cos(2.0 * TWO_PI * (u - cfg.contact_fraction_offset))
     reach = geom.d_l * np.sin(theta_v) + geom.h_l * np.cos(theta_v)
     lift = geom.h_l - reach
     return d_s, reach, lift

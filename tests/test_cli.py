@@ -1,8 +1,15 @@
 """CLI behaviour tests: exit codes, file outputs, determinism."""
 
+from dataclasses import replace
+from statistics import mean
+
 import pytest
 
+from centiwalk import cli
 from centiwalk.cli import main
+from centiwalk.config import load_config
+from centiwalk.contact_sim import SensorModel, simulate_walk
+from centiwalk.terrain import generate_terrain
 
 FAST_CFG = """\
 [meta]
@@ -79,6 +86,10 @@ class TestBadInput:
         ("a_v_grid =\n", ["validate"]),
         ("terrains =\n", ["validate"]),
         ("[gait]\nxi = nan\n", ["model-sweep"]),
+        ("", ["--seeds=-1", "walk"]),
+        ("", ["--seeds=-3..-1", "validate"]),
+        ("", ["--seeds=-1", "terrain-gen", "--r-g", "0.1"]),
+        ("seeds = -2, 3\n", ["walk"]),
         (NO_SLIP, ["model-sweep"]),
         (NO_SLIP, ["walk"]),
         (NO_SLIP, ["validate"]),
@@ -93,7 +104,10 @@ class TestBadInput:
             "negative-fixed_av-compare", "flip-1.5-walk", "zero-cols-walk",
             "zero-rows-terrain-gen", "negative-a_v_grid-sweep",
             "empty-a_v_grid-validate", "empty-terrains-validate",
-            "nan-xi-sweep", "no-slip-sweep", "no-slip-walk",
+            "nan-xi-sweep", "negative-seed-flag-walk",
+            "negative-seed-range-flag-validate",
+            "negative-seed-flag-terrain-gen", "negative-seed-config-walk",
+            "no-slip-sweep", "no-slip-walk",
             "no-slip-validate", "no-slip-compare"])
     def test_one_line_error(self, tmp_path, capsys, experiment, argv):
         files = {
@@ -106,8 +120,10 @@ class TestBadInput:
         for name, text in files.items():
             (tmp_path / f"{name}.txt").write_text(text)
         cfg = tmp_path / "c.cfg"
+        # a case that sets its own seeds replaces the one default seed
+        seeds = "" if experiment.startswith("seeds") else "seeds = 0\n"
         cfg.write_text("[meta]\nschema_version = 1\n[experiment]\n"
-                       "seeds = 0\ncycles = 2\n" + experiment.format(
+                       + seeds + "cycles = 2\n" + experiment.format(
                            **{n: tmp_path / f"{n}.txt" for n in files}))
         out = tmp_path / "out"
         assert run(["--config", str(cfg), "--out", str(out)] + argv) == 1
@@ -147,6 +163,27 @@ class TestStamps:
             assert csvs
             for path in csvs:
                 assert path.read_text().startswith("# centiwalk v"), path.name
+
+    @pytest.mark.parametrize("command", ["walk", "controller-compare"])
+    def test_stamp_is_computed_once_per_command(self, tmp_path, fast_config,
+                                                monkeypatch, command):
+        # walk writes 1 + 3 files and controller-compare 5, all stamped
+        # with the one line computed for the command
+        stamps = []
+        stamp = cli._stamp
+
+        def counted(fc):
+            stamps.append(stamp(fc))
+            return stamps[-1]
+
+        monkeypatch.setattr(cli, "_stamp", counted)
+        assert run(["--config", fast_config, "--out", str(tmp_path),
+                    "--cycles", "2", command]) == 0
+        assert len(stamps) == 1
+        csvs = sorted(tmp_path.glob("*.csv"))
+        assert len(csvs) in (4, 5)
+        for path in csvs:
+            assert path.read_text().splitlines()[0] + "\n" == stamps[0]
 
     def test_stamp_hashes_the_effective_config(self, tmp_path, fast_config):
         # an override changes the stamp, --out does not
@@ -251,6 +288,28 @@ class TestValidate:
         lines = (tmp_path / "validation.csv").read_text().splitlines()
         assert len(lines) == 2 + 9
         assert all(l.endswith(",pass") for l in lines[2:])
+
+
+    def test_validate_equals_single_walks(self, tmp_path, fast_config):
+        # each cell's simulated gamma is the mean over seeds of one-walk
+        # simulate_walk runs' mean per-cycle gamma
+        assert run(["--config", fast_config, "--out", str(tmp_path),
+                    "--tolerance", "1", "validate"]) == 0
+        fc = load_config(fast_config)
+        exp = fc.experiment
+        rows = (tmp_path / "validation.csv").read_text().splitlines()[2:]
+        assert len(rows) == len(exp.terrains) * len(exp.a_v_grid)
+        for row in rows:
+            label, a_v, _, simulated = row.split(",")[:4]
+            r_g = float(label.removeprefix("rg="))
+            walks = [simulate_walk(
+                replace(fc.gait, a_v=float(a_v)), fc.geometry,
+                generate_terrain(r_g, rows=exp.cycles + fc.gait.n_pairs + 2,
+                                 cols=exp.terrain_cols, seed=seed),
+                exp.cycles, exp.steps, SensorModel(), seed)
+                for seed in exp.seeds]
+            assert simulated == \
+                f"{mean(mean(w.gamma_per_cycle) for w in walks):.6f}", row
 
 
 class TestWalkAndCompare:

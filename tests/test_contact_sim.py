@@ -16,6 +16,7 @@ from centiwalk.contact_sim import (
     _gait_slip_distribution,
     ideal_contact_map,
     simulate_walk,
+    simulate_walks,
 )
 from centiwalk.control import ControllerConfig, run_trial
 from centiwalk.gait import GaitConfig, TWO_PI
@@ -228,6 +229,23 @@ class TestSimulationHarness:
                       ControllerConfig(), 30, 72, SensorModel(), seed=0,
                       update_every=1)
         assert exc.value.cycle == 2
+
+    @pytest.mark.parametrize("feedback", [False, True],
+                             ids=["open_loop", "feedback"])
+    def test_batch_walks_off_its_shortest_terrain(self, feedback):
+        # n_pairs = 6: the 9-row terrain holds 3 cycles, the others more
+        terrains = [generate_terrain(0.32, rows=rows, cols=5, seed=seed)
+                    for seed, rows in enumerate((20, 9, 15))]
+
+        def hold(rows, cycle, gamma_measured, a_v):
+            return a_v
+
+        with pytest.raises(WalkOffTerrainError, match=r"\(9 rows available\)") \
+                as exc:
+            simulate_walks(GaitConfig(), RobotGeometry(), terrains, [0, 1, 2],
+                           [0.0, 10.0, 20.0], 5, 72, SensorModel(),
+                           hold if feedback else None)
+        assert exc.value.cycle == 3
 
     def test_odd_steps_rejected(self):
         terrain = generate_terrain(0.0, rows=20, cols=5, seed=0)

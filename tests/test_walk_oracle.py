@@ -3,8 +3,9 @@
 `reference_walk` is the walker's earlier cycle loop, one leg at a time, kept
 here only as an oracle: every per-cycle number, loss event and measured bit
 of `simulate_walk` must equal it exactly, in open loop and under the
-controller's feedback rule.  `reference_debounce` is the sensor's earlier
-per-sample state machine, the oracle for the windowed `_debounce`.
+controller's feedback rule, and so must every row of a mixed batch of
+`simulate_walks`.  `reference_debounce` is the sensor's earlier per-sample
+state machine, the oracle for the windowed `_debounce`.
 """
 
 import math
@@ -12,11 +13,22 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from centiwalk.contact_sim import SensorModel, _debounce, simulate_walk
-from centiwalk.control import ControllerConfig, run_trial, update_av
+from centiwalk.contact_sim import (
+    BLOCK_ROWS,
+    SensorModel,
+    _debounce,
+    simulate_walk,
+    simulate_walks,
+)
+from centiwalk.control import (
+    ControllerConfig,
+    _feedback,
+    run_trial,
+    update_av,
+)
 from centiwalk.gait import GaitConfig, phase_table
 from centiwalk.kinematics import (
     RobotGeometry,
@@ -180,3 +192,98 @@ def test_engine_matches_reference_loop(feedback, n_pairs, xi, duty,
     assert trial.v_ratio == ref["v"]
     assert trial.displacement == [flat_ground_stride(cfg, geom) * v
                                   for v in ref["v"]]
+
+
+def reference_lost(losses, cycles, legs, steps):
+    """The loss mask, cycles x legs x steps, of reference_walk's events."""
+    lost = np.zeros((cycles, legs, steps), dtype=bool)
+    for leg, step, _ in losses:
+        lost[step // steps, leg, step % steps] = True
+    return lost
+
+
+@given(n_pairs=st.integers(min_value=2, max_value=6),
+       xi=st.floats(min_value=0.0, max_value=3.0),
+       duty=st.floats(min_value=0.1, max_value=0.9),
+       phase_offset=st.one_of(st.none(), st.floats(min_value=-2 * math.pi,
+                                                   max_value=2 * math.pi)),
+       half_steps=st.integers(min_value=2, max_value=30),
+       flip_prob=st.sampled_from([0.0, 0.02, 0.2]),
+       latch_steps=st.integers(min_value=0, max_value=4),
+       cycles=st.integers(min_value=1, max_value=5),
+       k_p=st.floats(min_value=1.0, max_value=200.0),
+       gamma_set=st.floats(min_value=0.5, max_value=1.0),
+       walks=st.lists(st.tuples(
+           st.integers(min_value=0, max_value=3),             # seed
+           st.sampled_from([0.0, 0.1, 0.17, 0.32, 0.6]),      # rugosity
+           st.integers(min_value=3, max_value=7),             # terrain cols
+           st.floats(min_value=0.0, max_value=25.0),          # start a_v
+           st.sampled_from([None, 1, 2, 3])),                 # update period
+           min_size=1, max_size=6))
+@settings(max_examples=40, deadline=None)
+def test_mixed_batch_rows_match_reference_loop(n_pairs, xi, duty,
+                                               phase_offset, half_steps,
+                                               flip_prob, latch_steps, cycles,
+                                               k_p, gamma_set, walks):
+    # one batch of distinct terrains, seeds (duplicates included), start
+    # amplitudes and update periods: each row walks as if alone
+    cfg = GaitConfig(n_pairs=n_pairs, xi=xi, duty=duty,
+                     phase_offset=phase_offset)
+    geom = RobotGeometry()
+    steps = 2 * half_steps
+    assume((phase_table(cfg, steps) < duty).any())
+    sensor = SensorModel(flip_prob, latch_steps)
+    cc = ControllerConfig(k_p=k_p, gamma_set=gamma_set)
+    # a terrain is seeded apart from the sensor, so that equal sensor
+    # seeds walk different terrains
+    terrains = [generate_terrain(r_g, rows=cycles + n_pairs + 1 + i % 3,
+                                 cols=cols, seed=100 + i)
+                for i, (_, r_g, cols, _, _) in enumerate(walks)]
+    seeds = [w[0] for w in walks]
+    periods = [w[4] for w in walks]
+    batch = simulate_walks(cfg, geom, terrains, seeds, [w[3] for w in walks],
+                           cycles, steps, sensor, _feedback(cc, periods))
+    assert len(walks) <= BLOCK_ROWS      # so every row's maps are kept
+    for row, (seed, _, _, a_v, period) in enumerate(walks):
+        ref = reference_walk(replace(cfg, a_v=a_v), geom, terrains[row],
+                             cycles, steps, sensor, seed, cc, period)
+        assert batch.gamma[row].tolist() == ref["gamma"]
+        assert batch.gamma_measured[row].tolist() == ref["gamma_measured"]
+        assert batch.a_v[row].tolist() == ref["a_v"]
+        assert batch.v_ratio[row].tolist() == ref["v"]
+        assert np.array_equal(batch.bits[row], np.stack(ref["bits"]))
+        assert np.array_equal(batch.lost[row],
+                              reference_lost(ref["losses"], cycles,
+                                             2 * n_pairs, steps))
+
+
+def test_batch_beyond_one_block_equals_single_walks():
+    # more rows than one block holds; three rows per seed, so that a seed's
+    # rows straddle the block boundary
+    cfg = GaitConfig(n_pairs=4)
+    geom = RobotGeometry()
+    cycles, steps = 4, 24
+    sensor = SensorModel(flip_prob=0.05, latch_steps=2)
+    cc = ControllerConfig()
+    rows = BLOCK_ROWS + 7
+    seeds = [i // 3 for i in range(rows)]
+    terrains = [generate_terrain(0.32, rows=cycles + 4 + i % 2, cols=5,
+                                 seed=seed)
+                for i, seed in enumerate(seeds)]
+    a_vs = [float(i % 26) for i in range(rows)]
+    # a pattern of periods that the second block does not repeat
+    periods = [[None, 1, 2, 3][i // 5 % 4] for i in range(rows)]
+    batch = simulate_walks(cfg, geom, terrains, seeds, a_vs, cycles, steps,
+                           sensor, _feedback(cc, periods))
+    assert batch.gamma.shape == (rows, cycles)
+    assert len(batch.bits) == BLOCK_ROWS
+    for row in range(rows):
+        one = simulate_walks(cfg, geom, [terrains[row]], [seeds[row]],
+                             [a_vs[row]], cycles, steps, sensor,
+                             _feedback(cc, [periods[row]]))
+        for name in ("gamma", "gamma_measured", "a_v", "v_ratio"):
+            assert np.array_equal(getattr(batch, name)[row],
+                                  getattr(one, name)[0]), (row, name)
+        if row < BLOCK_ROWS:
+            assert np.array_equal(batch.bits[row], one.bits[0])
+            assert np.array_equal(batch.lost[row], one.lost[0])
