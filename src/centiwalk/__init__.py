@@ -41,8 +41,6 @@ from .contact_sim import (
 )
 from .control import (
     ControllerConfig,
-    ScenarioStats,
-    TrialRecord,
     compare_controllers,
     update_av,
 )
@@ -60,7 +58,6 @@ __all__ = [
     "predict_gamma", "predict_speed_band",
     "ContactMap", "SensorModel", "WalkResult", "Walks", "ideal_contact_map",
     "simulate_walk", "simulate_walks",
-    "ControllerConfig", "ScenarioStats", "TrialRecord",
-    "compare_controllers", "update_av",
+    "ControllerConfig", "compare_controllers", "update_av",
     "ConfigError", "ExperimentSpec", "FullConfig", "load_config",
 ]

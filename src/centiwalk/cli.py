@@ -17,7 +17,7 @@ import math
 import sys
 from dataclasses import asdict, replace
 from pathlib import Path
-from statistics import mean
+from statistics import mean, pvariance
 from typing import Iterable, List, Optional
 
 import numpy as np
@@ -32,9 +32,9 @@ from .contact_sim import (
     ideal_contact_map,
     simulate_walks,
 )
-from .control import compare_controllers
+from .control import ARMS, compare_controllers
 from .gait import joint_angles
-from .kinematics import NoSlipError
+from .kinematics import NoSlipError, flat_ground_stride
 from .models import predict_gamma, predict_speed_band
 from .terrain import HeightDeltaModel, TerrainGrid, generate_terrain
 
@@ -124,7 +124,16 @@ class TerrainEntry:
 
 
 def _entries(fc: FullConfig) -> List[TerrainEntry]:
-    return [TerrainEntry(tok) for tok in fc.experiment.terrains]
+    """The experiment's terrain entries; two entries may not share a label,
+    which names each one's rows and output files."""
+    entries = {}
+    for token in fc.experiment.terrains:
+        entry = TerrainEntry(token)
+        if entry.label in entries:
+            raise ConfigError(f"terrains {entries[entry.label].token!r} and "
+                              f"{token!r} share the label {entry.label}")
+        entries[entry.label] = entry
+    return list(entries.values())
 
 
 def _terrains(fc: FullConfig, entry: TerrainEntry) -> List[TerrainGrid]:
@@ -201,23 +210,17 @@ def cmd_validate(fc: FullConfig, args) -> int:
     entries = _entries(fc)
     out = _out_dir(args)
     sensor = SensorModel(flip_prob=0.0)
-    grid, seeds = exp.a_v_grid, exp.seeds
+    grid = exp.a_v_grid
     max_dev = 0.0
     lines = []
     for entry in entries:
         model = entry.model()
-        # one walk per seed and amplitude, seed-major, so that a block of
-        # walks shares each seed's terrain
-        walks = simulate_walks(fc.gait, fc.geometry,
-                               [t for t in _terrains(fc, entry) for _ in grid],
-                               [s for s in seeds for _ in grid],
-                               grid * len(seeds), exp.cycles, exp.steps,
-                               sensor)
-        sims = [mean(g) for g in walks.gamma.tolist()]
+        walks = simulate_walks(fc.gait, fc.geometry, _terrains(fc, entry),
+                               exp.seeds, grid, exp.cycles, exp.steps, sensor)
         for i, a_v in enumerate(grid):
             cfg = replace(fc.gait, a_v=a_v)
             predicted = predict_gamma(fc.geometry, cfg, model, PREDICT_M).gamma
-            simulated = mean(sims[i::len(grid)])
+            simulated = mean(mean(g) for g in walks.gamma[:, i].tolist())
             dev = abs(simulated - predicted)
             max_dev = max(max_dev, dev)
             status = "pass" if dev <= exp.tolerance else "FAIL"
@@ -243,21 +246,22 @@ def cmd_walk(fc: FullConfig, args) -> int:
     # every walk runs before anything is written, so a failed walk leaves
     # no partial output
     walks = [(entry, simulate_walks(fc.gait, fc.geometry, _terrains(fc, entry),
-                                    exp.seeds, [fc.gait.a_v] * len(exp.seeds),
-                                    exp.cycles, exp.steps, sensor))
+                                    exp.seeds, [fc.gait.a_v], exp.cycles,
+                                    exp.steps, sensor))
              for entry in entries]
     stamp = _stamp(fc)
     path = out / "walk.csv"
     _write_csv(path, stamp, "seed,terrain,a_v_deg,cycle,gamma,v_ratio",
                (f"{seed},{entry.label},{fc.gait.a_v:g},{c},{g:.6f},{v:.6f}"
                 for entry, w in walks
-                for seed, gammas, speeds in zip(exp.seeds, w.gamma.tolist(),
-                                                w.v_ratio.tolist())
+                for seed, gammas, speeds in zip(exp.seeds,
+                                                w.gamma[:, 0].tolist(),
+                                                w.v_ratio[:, 0].tolist())
                 for c, (g, v) in enumerate(zip(gammas, speeds))))
     legs = ",".join(_leg_names(fc.gait.n_pairs))
     for entry, w in walks:
         # the first seed's measured map, one row per sample
-        samples = w.bits[0].transpose(0, 2, 1).reshape(
+        samples = w.bits[0, 0].transpose(0, 2, 1).reshape(
             -1, 2 * fc.gait.n_pairs)
         _write_csv(out / f"contact_{entry.label}.csv", stamp,
                    "cycle,step," + legs,
@@ -276,25 +280,35 @@ def cmd_controller_compare(fc: FullConfig, args) -> int:
                           "value in terrains")
     out = _out_dir(args)
     rough = max(levels, key=lambda e: e.r_g)
-    stats = compare_controllers(fc.gait, fc.geometry, fc.controller,
+    walks = compare_controllers(fc.gait, fc.geometry, fc.controller,
                                 _terrains(fc, rough), exp.seeds, exp.cycles,
                                 exp.steps, exp.sensor_flip_prob)
+    stride = flat_ground_stride(fc.gait, fc.geometry)
     stamp = _stamp(fc)
-    path = out / "controller_summary.csv"
-    _write_csv(path, stamp,
-               "scenario,mean_speed_ratio,speed_variance,mean_distance_cm",
-               (f"{name},{st.mean_speed_ratio:.6f},{st.speed_variance:.6f},"
-                f"{st.mean_distance:.6f}" for name, st in stats.items()))
-    for name, st in stats.items():
-        # the first seed's trial; compare_controllers keeps seed order
-        t = st.trials[0]
-        rows = zip(t.gamma_s, t.a_v, t.v_ratio, t.displacement)
+    summary = []
+    for j, name in enumerate(ARMS):
+        speeds = walks.v_ratio[:, j].tolist()
+        displacements = (stride * walks.v_ratio[:, j]).tolist()
+        # per seed: mean speed ratio and distance walked
+        means = [mean(v) for v in speeds]
+        distances = [sum(d) for d in displacements]
+        summary.append(f"{name},{mean(means):.6f},"
+                       f"{mean(pvariance(v) for v in speeds):.6f},"
+                       f"{mean(distances):.6f}")
+        # the first seed's walk
+        gamma_s = walks.gamma_measured[0, j].tolist()
+        rows = zip(gamma_s, walks.a_v[0, j].tolist(), speeds[0],
+                   displacements[0])
         _write_csv(out / f"trace_{name}.csv", stamp,
                    "cycle,gamma_s,a_v_deg,v_ratio,displacement_cm",
                    [f"{c},{g:.6f},{a:.6f},{v:.6f},{d:.6f}"
                     for c, (g, a, v, d) in enumerate(rows)]
-                   + [f"summary,{mean(t.gamma_s):.6f},,"
-                      f"{t.mean_speed_ratio:.6f},{t.total_distance:.6f}"])
+                   + [f"summary,{mean(gamma_s):.6f},,"
+                      f"{means[0]:.6f},{distances[0]:.6f}"])
+    path = out / "controller_summary.csv"
+    _write_csv(path, stamp,
+               "scenario,mean_speed_ratio,speed_variance,mean_distance_cm",
+               summary)
     print(f"wrote {path}")
     return 0
 

@@ -83,15 +83,16 @@ class SensorModel:
 
 @dataclass
 class Walks:
-    """Per-cycle outcomes of a batch of walks, one row per walk.  The
-    contact maps are kept for the first block of BLOCK_ROWS walks only, so
-    that memory stays flat at any batch size."""
+    """Per-cycle outcomes of every seed walked at every starting amplitude,
+    each of shape (seeds, amplitudes, cycles).  The contact maps, of shape
+    (block seeds, amplitudes, cycles, 2n, steps), are kept for the first
+    block of seeds only, so that memory stays flat at any number of seeds."""
 
-    gamma: np.ndarray            # true contact ratio, walks x cycles
-    gamma_measured: np.ndarray   # sensed contact ratio, walks x cycles
-    a_v: np.ndarray              # vertical amplitude, walks x cycles
-    v_ratio: np.ndarray          # speed ratio v/v_open, walks x cycles
-    bits: np.ndarray             # measured bits, walks x cycles x 2n x steps
+    gamma: np.ndarray            # true contact ratio
+    gamma_measured: np.ndarray   # sensed contact ratio
+    a_v: np.ndarray              # vertical amplitude
+    v_ratio: np.ndarray          # speed ratio v/v_open
+    bits: np.ndarray             # measured bits
     lost: np.ndarray             # contact lost to the terrain, same shape
 
 
@@ -105,7 +106,6 @@ class WalkResult:
     forward_speed_ratio: List[float]
     loss_events: List[Tuple[int, int, str]]    # (leg, absolute step, cause)
     gamma_measured: List[float]                # sensed, per cycle
-    a_v: List[float]                           # vertical amplitude, per cycle
 
 
 def ideal_contact_map(cfg: GaitConfig, steps: int, cycles: int = 1) -> ContactMap:
@@ -188,24 +188,30 @@ def simulate_walks(cfg: GaitConfig, geom: RobotGeometry,
                    a_v: Sequence[float], cycles: int, steps: int,
                    sensor: SensorModel,
                    next_av: Optional[Callable[
-                       [slice, int, np.ndarray, np.ndarray], np.ndarray]] = None
+                       [int, np.ndarray, np.ndarray], np.ndarray]] = None
                    ) -> Walks:
-    """Walk `cycles` gait cycles of the gait shape cfg once per row: row i
-    walks terrains[i], starts at the vertical amplitude a_v[i] (cfg.a_v is
-    not read) and draws its sensor flips from default_rng(seeds[i]).
+    """Walk `cycles` gait cycles of the gait shape cfg from every seed at
+    every starting amplitude: seed i walks terrains[i] and draws its sensor
+    flips from default_rng(seeds[i]), the same flips at every amplitude,
+    and amplitude column j starts at the vertical amplitude a_v[j] (cfg.a_v
+    is not read).  The per-cycle outcomes have shape (seeds, amplitudes,
+    cycles).
 
-    Rows are walked BLOCK_ROWS at a time.  Without next_av the amplitudes
-    hold, and all cycles of a block are one array operation.  With it the
-    block's rows step through the cycles together: next_av(rows, cycle,
-    gamma_measured, a_v) is given the slice of the block's rows, their
-    sensed contact ratios and their amplitudes in that cycle, and returns
-    their amplitudes for the next one.
+    Seeds are walked max(1, BLOCK_ROWS // len(a_v)) at a time.  Without
+    next_av the amplitudes hold, and all cycles of a block are one array
+    operation.  With it the block steps through the cycles together:
+    next_av(cycle, gamma_measured, a_v) is given the block's sensed contact
+    ratios and amplitudes in that cycle, both of shape (block seeds,
+    amplitudes), and returns the amplitudes of the next cycle in that shape;
+    a negative or NaN amplitude raises ValueError.
     """
     if steps % 2 != 0:
         raise ValueError(f"steps must be even, got {steps}")
-    if not len(terrains) == len(seeds) == len(a_v) > 0:
-        raise ValueError("need one terrain, seed and a_v per walk")
+    if not len(terrains) == len(seeds) > 0:
+        raise ValueError("need one terrain per seed, and at least one seed")
     a_v = np.array(a_v, dtype=float)
+    if a_v.ndim != 1 or len(a_v) == 0:
+        raise ValueError("need a list of one or more a_v")
     if not np.all(a_v >= 0.0):
         raise ValueError(f"a_v must be >= 0, got {a_v.min()}")
     n = cfg.n_pairs
@@ -232,45 +238,44 @@ def simulate_walks(cfg: GaitConfig, geom: RobotGeometry,
     def sense(truth, flips):
         return _debounce(truth ^ flips, sensor.latch_steps)
 
-    def walk_block(rows: slice):
-        # a terrain repeats across rows: one per seed, walked at every
-        # amplitude or by every controller arm
-        distinct = {id(t): t for t in terrains[rows]}
-        by_terrain = {key: _height_steps(t, n, cycles)
-                      for key, t in distinct.items()}
-        d = np.stack([by_terrain[id(t)] for t in terrains[rows]])[
-            ..., stance_leg]                    # rows x cycles x stance samples
-        av = a_v[rows]
-        _, reach, lift = stance_geometry(cfg, geom, u, av[:, None])
+    def sensed_ratio(bits):
+        # measured contact over the stance samples of each cycle
+        return (bits & stance).sum(axis=(-2, -1)) / retraction
+
+    def walk_block(block: slice):
+        dh = np.stack([_height_steps(t, n, cycles) for t in terrains[block]])
+        grid = (len(dh), len(a_v))
+        # seeds x amplitudes x cycles x stance samples, a fresh array
+        d = np.repeat(dh[:, None], len(a_v), axis=1)[..., stance_leg]
+        av = np.broadcast_to(a_v, grid)
+        _, reach, lift = stance_geometry(cfg, geom, u, av[..., None])
         if sensor.flip_prob > 0.0:
-            # one draw per distinct seed, shared by the rows with that seed
-            first = {}
-            draw = [first.setdefault(s, len(first)) for s in seeds[rows]]
+            # one draw per seed, shared by its amplitudes
             flips = np.stack([
                 np.random.default_rng(s).random(shape) < sensor.flip_prob
-                for s in first]).view(np.uint8)[draw]
+                for s in seeds[block]]).view(np.uint8)[:, None]
         else:
-            flips = np.broadcast_to(np.uint8(0), (len(av),) + shape)
-        lost = np.zeros(flips.shape, dtype=bool)
+            flips = np.broadcast_to(np.uint8(0), (grid[0], 1) + shape)
+        lost = np.zeros(grid + shape, dtype=bool)
         if next_av is None:
-            lost_s = lost_at(d, reach[:, None], lift[:, None])
-            lost[:, :, stance] = lost_s
+            lost_s = lost_at(d, reach[:, :, None], lift[:, :, None])
+            lost[..., stance] = lost_s
             bits = sense(stance & ~lost, flips)
-            a_vs = np.repeat(av[:, None], cycles, axis=1)
+            a_vs = np.repeat(av[..., None], cycles, axis=-1)
         else:
             # the next amplitude needs this cycle's sensed contact ratio
             lost_s = np.empty(d.shape, dtype=bool)
-            bits = np.empty(flips.shape, dtype=np.uint8)
-            a_vs = np.empty((len(av), cycles))
+            bits = np.empty(lost.shape, dtype=np.uint8)
+            a_vs = np.empty(grid + (cycles,))
             for c in range(cycles):
-                a_vs[:, c] = av
-                lost_s[:, c] = lost_at(d[:, c], reach, lift)
-                lost[:, c, stance] = lost_s[:, c]
-                bits[:, c] = sense(stance & ~lost[:, c], flips[:, c])
+                a_vs[..., c] = av
+                lost_s[:, :, c] = lost_at(d[:, :, c], reach, lift)
+                lost[:, :, c, stance] = lost_s[:, :, c]
+                bits[:, :, c] = sense(stance & ~lost[:, :, c], flips[:, :, c])
                 if c + 1 < cycles:
-                    sensed = bits[:, c, stance].sum(axis=-1) / retraction
-                    new = np.asarray(next_av(rows, c, sensed, av),
-                                     dtype=float).reshape(av.shape)
+                    sensed = sensed_ratio(bits[:, :, c])
+                    new = np.asarray(next_av(c, sensed, av),
+                                     dtype=float).reshape(grid)
                     if not np.all(new >= 0.0):
                         raise ValueError(f"a_v must be >= 0, got {new.min()}")
                     changed = new != av
@@ -279,12 +284,13 @@ def simulate_walks(cfg: GaitConfig, geom: RobotGeometry,
                             cfg, geom, u, new[changed, None])
                         av = new
         gamma = (retraction - lost_s.sum(axis=-1)) / retraction
-        return (gamma, bits[:, :, stance].sum(axis=-1) / retraction, a_vs,
+        return (gamma, sensed_ratio(bits), a_vs,
                 predict_speed_band(dist, gamma).v_ratio_mid, bits, lost)
 
+    block = max(1, BLOCK_ROWS // len(a_v))
     per_cycle = []
-    for i in range(0, len(a_v), BLOCK_ROWS):
-        *arrays, bits, lost = walk_block(slice(i, i + BLOCK_ROWS))
+    for i in range(0, len(seeds), block):
+        *arrays, bits, lost = walk_block(slice(i, i + block))
         per_cycle.append(arrays)
         if i == 0:
             maps = bits, lost
@@ -295,39 +301,29 @@ def simulate_walks(cfg: GaitConfig, geom: RobotGeometry,
 
 
 def simulate_walk(cfg: GaitConfig, geom: RobotGeometry, terrain: TerrainGrid,
-                  cycles: int, steps: int, sensor: SensorModel, seed: int,
-                  next_av: Optional[Callable[[int, float, float], float]] = None
+                  cycles: int, steps: int, sensor: SensorModel, seed: int
                   ) -> WalkResult:
-    """Walk `cycles` gait cycles over the terrain, starting at cfg.a_v: the
-    one-walk case of simulate_walks.
+    """Walk `cycles` gait cycles over the terrain at the vertical amplitude
+    cfg.a_v: the one-walk case of simulate_walks.
 
     Each leg's foothold advances one block row per cycle (the height
     transition H(next) - H(current) drives the loss rules); the continuous
     forward displacement is tracked separately through the speed model.
-    If next_av is given, next_av(cycle, gamma_measured, a_v) returns the
-    vertical amplitude of the following cycle.
     """
-    law = None
-    if next_av is not None:
-        def law(rows, cycle, gamma_measured, a_v):
-            return next_av(cycle, float(gamma_measured[0]), float(a_v[0]))
     w = simulate_walks(cfg, geom, [terrain], [seed], [cfg.a_v], cycles, steps,
-                       sensor, law)
+                       sensor)
     n = cfg.n_pairs
-    c, leg, k = np.nonzero(w.lost[0])
+    c, leg, k = np.nonzero(w.lost[0, 0])
     causes = np.where(_height_steps(terrain, n, cycles)[c, leg] <= 0.0,
                       "too_deep", "deformed")
     return WalkResult(
         measured=ContactMap(legs=2 * n, steps=steps, cycles=cycles,
-                            bits=w.bits[0].transpose(1, 0, 2)
+                            bits=w.bits[0, 0].transpose(1, 0, 2)
                             .reshape(2 * n, -1)),
-        ideal=ContactMap(legs=2 * n, steps=steps, cycles=cycles,
-                         bits=np.tile(_stance_table(cfg, geom, steps)[0],
-                                      (1, cycles))),
-        gamma_per_cycle=w.gamma[0].tolist(),
-        forward_speed_ratio=w.v_ratio[0].tolist(),
+        ideal=ideal_contact_map(cfg, steps, cycles),
+        gamma_per_cycle=w.gamma[0, 0].tolist(),
+        forward_speed_ratio=w.v_ratio[0, 0].tolist(),
         loss_events=list(zip(leg.tolist(), (c * steps + k).tolist(),
                              causes.tolist())),
-        gamma_measured=w.gamma_measured[0].tolist(),
-        a_v=w.a_v[0].tolist(),
+        gamma_measured=w.gamma_measured[0, 0].tolist(),
     )

@@ -11,13 +11,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from statistics import mean, pvariance
-from typing import Dict, List, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
 from .gait import GaitConfig
-from .kinematics import RobotGeometry, flat_ground_stride
+from .kinematics import RobotGeometry
 from .contact_sim import SensorModel, Walks, simulate_walks
 from .terrain import TerrainGrid
 
@@ -54,19 +53,6 @@ ARMS = {"open_loop": None, "feedback_every1": 1, "feedback_every2": 2,
         "feedback_every3": 3}
 
 
-@dataclass
-class TrialRecord:
-    """Per-cycle history and summary statistics of one trial."""
-
-    gamma_s: List[float]
-    a_v: List[float]
-    v_ratio: List[float]
-    displacement: List[float]
-    mean_speed_ratio: float
-    speed_variance: float
-    total_distance: float
-
-
 def update_av(cc: ControllerConfig, gamma_s):
     """Next-cycle vertical amplitude from the proportional law, clamped, for
     one sensed contact ratio or an array of them."""
@@ -77,93 +63,29 @@ def update_av(cc: ControllerConfig, gamma_s):
 
 
 def _feedback(cc: ControllerConfig, periods: Sequence[Optional[int]]):
-    """simulate_walks' next_av for walks whose row i updates its amplitude
-    every periods[i] cycles, or never for None (open loop); None when no
-    row updates."""
+    """simulate_walks' next_av for amplitude columns whose column j updates
+    its amplitude every periods[j] cycles, or never for None (open loop);
+    None when no column updates."""
     if all(p is None for p in periods):
         return None
     # open loop is an infinite period: (cycle + 1) % inf is never 0
     every = np.array([math.inf if p is None else p for p in periods])
 
-    def next_av(rows, cycle, gamma_s, a_v):
-        return np.where((cycle + 1) % every[rows] == 0, update_av(cc, gamma_s),
-                        a_v)
+    def next_av(cycle, gamma_s, a_v):
+        return np.where((cycle + 1) % every == 0, update_av(cc, gamma_s), a_v)
     return next_av
-
-
-def _trial(walks: Walks, row: int, stride: float) -> TrialRecord:
-    v_ratio = walks.v_ratio[row].tolist()
-    displacement = (stride * walks.v_ratio[row]).tolist()
-    return TrialRecord(
-        gamma_s=walks.gamma_measured[row].tolist(),
-        a_v=walks.a_v[row].tolist(),
-        v_ratio=v_ratio,
-        displacement=displacement,
-        mean_speed_ratio=mean(v_ratio),
-        speed_variance=pvariance(v_ratio),
-        total_distance=sum(displacement),
-    )
-
-
-def _start_av(cc: ControllerConfig, update_every: Optional[int]) -> float:
-    return cc.fixed_av if update_every is None else cc.av_min
-
-
-def run_trial(cfg: GaitConfig, geom: RobotGeometry, terrain: TerrainGrid,
-              cc: ControllerConfig, cycles: int, steps: int,
-              sensor: SensorModel, seed: int,
-              update_every: Optional[int] = None) -> TrialRecord:
-    """Execute one trial: open loop at cc.fixed_av if update_every is None,
-    else feedback from cc.av_min, updated every update_every cycles."""
-    if update_every is not None and update_every < 1:
-        raise ValueError(f"update_every must be >= 1, got {update_every}")
-    walks = simulate_walks(cfg, geom, [terrain], [seed],
-                           [_start_av(cc, update_every)], cycles, steps,
-                           sensor, _feedback(cc, [update_every]))
-    return _trial(walks, 0, flat_ground_stride(cfg, geom))
-
-
-@dataclass
-class ScenarioStats:
-    """Seed-averaged summary of one controller arm plus its per-seed
-    trials, in seed order."""
-
-    mean_speed_ratio: float
-    speed_variance: float
-    mean_distance: float
-    trials: List[TrialRecord]
-
-    @property
-    def per_seed_speed(self) -> List[float]:
-        return [t.mean_speed_ratio for t in self.trials]
 
 
 def compare_controllers(cfg: GaitConfig, geom: RobotGeometry,
                         cc: ControllerConfig, terrains: Sequence[TerrainGrid],
                         seeds: Sequence[int], cycles: int, steps: int,
-                        flip_prob: float) -> Dict[str, ScenarioStats]:
-    """Paired-seed comparison of the ARMS: for a given seed every arm walks
-    the same terrain, terrains[i] for seeds[i], with the same sensor noise
-    stream.  Every arm and seed is one row of a single batch."""
-    if not seeds:
-        raise ValueError("seeds must be non-empty")
+                        flip_prob: float) -> Walks:
+    """Paired-seed comparison of the ARMS: every seed walks its terrain,
+    terrains[i] for seeds[i], once per arm with the same sensor noise
+    stream.  The arms are the amplitude columns of one batch, in ARMS
+    order: open loop holds cc.fixed_av, feedback starts at cc.av_min."""
     periods = list(ARMS.values())
-    arms = len(periods)
-    # seed-major rows, so that a block of rows shares each seed's flip draw
-    walks = simulate_walks(
-        cfg, geom, [t for t in terrains for _ in periods],
-        [s for s in seeds for _ in periods],
-        [_start_av(cc, p) for p in periods] * len(seeds), cycles, steps,
-        SensorModel(flip_prob=flip_prob), _feedback(cc, periods * len(seeds)))
-    stride = flat_ground_stride(cfg, geom)
-    results: Dict[str, ScenarioStats] = {}
-    for j, name in enumerate(ARMS):
-        trials = [_trial(walks, row, stride)
-                  for row in range(j, len(walks.v_ratio), arms)]
-        results[name] = ScenarioStats(
-            mean_speed_ratio=mean(t.mean_speed_ratio for t in trials),
-            speed_variance=mean(t.speed_variance for t in trials),
-            mean_distance=mean(t.total_distance for t in trials),
-            trials=trials,
-        )
-    return results
+    return simulate_walks(
+        cfg, geom, terrains, seeds,
+        [cc.fixed_av if p is None else cc.av_min for p in periods], cycles,
+        steps, SensorModel(flip_prob=flip_prob), _feedback(cc, periods))

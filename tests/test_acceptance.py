@@ -7,7 +7,7 @@ Each test prints a single summary line and then asserts, so running
 import itertools
 import math
 from dataclasses import replace
-from statistics import mean
+from statistics import mean, pvariance
 
 import numpy as np
 import pytest
@@ -15,7 +15,7 @@ from scipy import stats
 
 from centiwalk.cli import main as cli_main
 from centiwalk.contact_sim import SensorModel, ideal_contact_map, simulate_walk
-from centiwalk.control import ControllerConfig, compare_controllers
+from centiwalk.control import ARMS, ControllerConfig, compare_controllers
 from centiwalk.gait import GaitConfig
 from centiwalk.kinematics import RobotGeometry, SlipDistribution, slip_distribution
 from centiwalk.models import friction_bounds, predict_gamma, predict_speed_band
@@ -37,7 +37,7 @@ def report(num, desc, ok):
 
 
 @pytest.fixture(scope="module")
-def controller_stats():
+def controller_walks():
     """Paired-seed controller comparison shared by criteria 8 and 9."""
     cfg = GaitConfig()
     terrains = [generate_terrain(0.32, rows=30 + cfg.n_pairs + 2, cols=5,
@@ -205,27 +205,33 @@ def test_07_speed_gamma_band():
               "> 0.9", monotone_ok and collapse_ok and rho > 0.9)
 
 
-def test_08_controller_ordering(controller_stats):
+def arm_speeds(walks, name):
+    """One arm's per-seed mean speed ratios and its seed-averaged speed
+    variance, from the arm's v_ratio[:, j] rows."""
+    speeds = walks.v_ratio[:, list(ARMS).index(name)].tolist()
+    return [mean(v) for v in speeds], mean(pvariance(v) for v in speeds)
+
+
+def test_08_controller_ordering(controller_walks):
     """Feedback beats open loop in mean speed (sign test p < 0.05) with no
     larger speed variance, paired over 20 seeds at r_g = 0.32."""
-    ol = controller_stats["open_loop"]
-    fb = controller_stats["feedback_every1"]
-    diffs = [f - o for f, o in zip(fb.per_seed_speed, ol.per_seed_speed)]
+    ol, ol_var = arm_speeds(controller_walks, "open_loop")
+    fb, fb_var = arm_speeds(controller_walks, "feedback_every1")
+    diffs = [f - o for f, o in zip(fb, ol)]
     npos = sum(d > 0 for d in diffs)
     ntrials = sum(d != 0 for d in diffs)
     p = stats.binomtest(npos, ntrials, 0.5, alternative="greater").pvalue
-    mean_ok = fb.mean_speed_ratio > ol.mean_speed_ratio
-    var_ok = fb.speed_variance <= ol.speed_variance
+    mean_ok = mean(fb) > mean(ol)
+    var_ok = fb_var <= ol_var
     report(8, f"feedback > open loop: {npos}/{ntrials} seeds, sign test "
-              f"p={p:.4f} < 0.05, var {fb.speed_variance:.4f} <= "
-              f"{ol.speed_variance:.4f}", mean_ok and p < 0.05 and var_ok)
+              f"p={p:.4f} < 0.05, var {fb_var:.4f} <= "
+              f"{ol_var:.4f}", mean_ok and p < 0.05 and var_ok)
 
 
-def test_09_modulation_frequency(controller_stats):
+def test_09_modulation_frequency(controller_walks):
     """Cycle-wise modulation (update_every=1) is fastest on rough ground."""
-    v1 = controller_stats["feedback_every1"].mean_speed_ratio
-    v2 = controller_stats["feedback_every2"].mean_speed_ratio
-    v3 = controller_stats["feedback_every3"].mean_speed_ratio
+    v1, v2, v3 = (mean(arm_speeds(controller_walks, f"feedback_every{k}")[0])
+                  for k in (1, 2, 3))
     report(9, f"update_every speeds: 1={v1:.4f} >= 2={v2:.4f}, 3={v3:.4f}",
            v1 >= v2 and v1 >= v3)
 

@@ -1,14 +1,16 @@
 """CLI behaviour tests: exit codes, file outputs, determinism."""
 
 from dataclasses import replace
-from statistics import mean
+from statistics import mean, pvariance
 
 import pytest
 
 from centiwalk import cli
 from centiwalk.cli import main
 from centiwalk.config import load_config
-from centiwalk.contact_sim import SensorModel, simulate_walk
+from centiwalk.contact_sim import SensorModel, simulate_walk, simulate_walks
+from centiwalk.control import ARMS, _feedback
+from centiwalk.kinematics import flat_ground_stride
 from centiwalk.terrain import generate_terrain
 
 FAST_CFG = """\
@@ -94,6 +96,8 @@ class TestBadInput:
         (NO_SLIP, ["walk"]),
         (NO_SLIP, ["validate"]),
         (NO_SLIP, ["controller-compare"]),
+        ("terrains = 0.17, 0.170\n", ["validate"]),
+        ("terrains = {twin_a}, {twin_b}\n", ["walk"]),
     ], ids=["odd-steps-flag", "odd-steps-config", "nan-rugosity",
             "negative-rugosity", "compare-only-files", "no-r_g-header",
             "ragged-rows", "one-row-file", "nan-height-walk",
@@ -108,7 +112,8 @@ class TestBadInput:
             "negative-seed-range-flag-validate",
             "negative-seed-flag-terrain-gen", "negative-seed-config-walk",
             "no-slip-sweep", "no-slip-walk",
-            "no-slip-validate", "no-slip-compare"])
+            "no-slip-validate", "no-slip-compare",
+            "repeated-label-levels-validate", "repeated-label-files-walk"])
     def test_one_line_error(self, tmp_path, capsys, experiment, argv):
         files = {
             "good": self.GOOD,
@@ -116,15 +121,21 @@ class TestBadInput:
             "ragged": self.GOOD + "3\n",
             "one_row": self.GOOD.split("1,1")[0],
             "nan_height": self.GOOD + "nan,nan\n",
+            # two walkable files of one name in two directories
+            "twin_a": self.GOOD.split("0,0")[0] + "0,0\n" * 12,
+            "twin_b": self.GOOD.split("0,0")[0] + "0,1\n" * 12,
         }
+        paths = {name: tmp_path / f"{name}.txt" for name in files}
+        paths["twin_a"] = tmp_path / "a" / "twin.txt"
+        paths["twin_b"] = tmp_path / "b" / "twin.txt"
         for name, text in files.items():
-            (tmp_path / f"{name}.txt").write_text(text)
+            paths[name].parent.mkdir(exist_ok=True)
+            paths[name].write_text(text)
         cfg = tmp_path / "c.cfg"
         # a case that sets its own seeds replaces the one default seed
         seeds = "" if experiment.startswith("seeds") else "seeds = 0\n"
         cfg.write_text("[meta]\nschema_version = 1\n[experiment]\n"
-                       + seeds + "cycles = 2\n" + experiment.format(
-                           **{n: tmp_path / f"{n}.txt" for n in files}))
+                       + seeds + "cycles = 2\n" + experiment.format(**paths))
         out = tmp_path / "out"
         assert run(["--config", str(cfg), "--out", str(out)] + argv) == 1
         err = capsys.readouterr().err
@@ -342,6 +353,46 @@ class TestWalkAndCompare:
         assert lines[1] == "cycle,gamma_s,a_v_deg,v_ratio,displacement_cm"
         assert [l.split(",")[0] for l in lines[2:]] == \
             ["0", "1", "2", "3", "4", "summary"]
+
+    def test_compare_equals_single_walks(self, tmp_path):
+        # every summary row, and each arm's trace of the first seed, are
+        # statistics of one-seed walks at the arm's start amplitude and
+        # update period
+        cfg = tmp_path / "flip.cfg"
+        cfg.write_text(FAST_CFG + "sensor_flip_prob = 0.05\n")
+        assert run(["--config", str(cfg), "--out", str(tmp_path),
+                    "controller-compare"]) == 0
+        fc = load_config(str(cfg))
+        exp, cc = fc.experiment, fc.controller
+        r_g = max(float(t) for t in exp.terrains)
+        stride = flat_ground_stride(fc.gait, fc.geometry)
+        summary = (tmp_path / "controller_summary.csv").read_text() \
+            .splitlines()[2:]
+        assert len(summary) == len(ARMS)
+        for row, (name, period) in zip(summary, ARMS.items()):
+            start = cc.fixed_av if period is None else cc.av_min
+            walks = [simulate_walks(
+                fc.gait, fc.geometry,
+                [generate_terrain(r_g, rows=exp.cycles + fc.gait.n_pairs + 2,
+                                  cols=exp.terrain_cols, seed=seed)],
+                [seed], [start], exp.cycles, exp.steps,
+                SensorModel(flip_prob=exp.sensor_flip_prob),
+                _feedback(cc, [period])) for seed in exp.seeds]
+            speeds = [w.v_ratio.ravel().tolist() for w in walks]
+            distances = [[stride * v for v in vs] for vs in speeds]
+            assert row == (f"{name},{mean(mean(vs) for vs in speeds):.6f},"
+                           f"{mean(pvariance(vs) for vs in speeds):.6f},"
+                           f"{mean(sum(ds) for ds in distances):.6f}")
+            gamma_s = walks[0].gamma_measured.ravel().tolist()
+            a_v = walks[0].a_v.ravel().tolist()
+            trace = (tmp_path / f"trace_{name}.csv").read_text() \
+                .splitlines()[2:]
+            assert trace == [
+                f"{c},{g:.6f},{a:.6f},{v:.6f},{d:.6f}"
+                for c, (g, a, v, d) in enumerate(zip(gamma_s, a_v, speeds[0],
+                                                     distances[0]))] + [
+                f"summary,{mean(gamma_s):.6f},,{mean(speeds[0]):.6f},"
+                f"{sum(distances[0]):.6f}"]
 
     def test_compare_ignores_retired_keys(self, tmp_path, fast_config):
         # controller-compare always runs its four fixed arms: the retired

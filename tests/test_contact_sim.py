@@ -18,7 +18,7 @@ from centiwalk.contact_sim import (
     simulate_walk,
     simulate_walks,
 )
-from centiwalk.control import ControllerConfig, run_trial
+from centiwalk.control import ControllerConfig, compare_controllers
 from centiwalk.gait import GaitConfig, TWO_PI
 from centiwalk.kinematics import RobotGeometry, slip_distribution
 from centiwalk.models import predict_speed_band
@@ -225,9 +225,9 @@ class TestSimulationHarness:
                           SensorModel(), seed=0)
         assert exc.value.cycle == 2
         with pytest.raises(WalkOffTerrainError) as exc:
-            run_trial(GaitConfig(), RobotGeometry(), terrain,
-                      ControllerConfig(), 30, 72, SensorModel(), seed=0,
-                      update_every=1)
+            compare_controllers(GaitConfig(), RobotGeometry(),
+                                ControllerConfig(), [terrain], [0], 30, 72,
+                                flip_prob=0.0)
         assert exc.value.cycle == 2
 
     @pytest.mark.parametrize("feedback", [False, True],
@@ -237,7 +237,7 @@ class TestSimulationHarness:
         terrains = [generate_terrain(0.32, rows=rows, cols=5, seed=seed)
                     for seed, rows in enumerate((20, 9, 15))]
 
-        def hold(rows, cycle, gamma_measured, a_v):
+        def hold(cycle, gamma_measured, a_v):
             return a_v
 
         with pytest.raises(WalkOffTerrainError, match=r"\(9 rows available\)") \
@@ -257,10 +257,27 @@ class TestSimulationHarness:
         terrain = generate_terrain(0.17, rows=20, cols=5, seed=2)
         res = simulate_walk(GaitConfig(), RobotGeometry(), terrain, 6, 72,
                             SensorModel(), seed=2)
-        assert res.measured.bits.shape == (12, 6 * 72)
+        assert res.measured.bits.shape == res.ideal.bits.shape == (12, 6 * 72)
         assert len(res.gamma_per_cycle) == 6
         assert len(res.forward_speed_ratio) == 6
-        assert len(res.gamma_measured) == len(res.a_v) == 6
+        assert len(res.gamma_measured) == 6
+
+    @pytest.mark.parametrize("terrains, seeds, a_v, law, match", [
+        (1, [0, 1], [0.0], None, "one terrain per seed"),
+        (0, [], [0.0], None, "at least one seed"),
+        (1, [0], [], None, "one or more a_v"),
+        (1, [0], [5.0, -1.0], None, "a_v must be >= 0"),
+        (1, [0], [5.0], lambda cycle, gamma_measured, a_v: a_v - 10.0,
+         "a_v must be >= 0"),
+        (1, [0], [5.0], lambda cycle, gamma_measured, a_v: a_v * np.nan,
+         "a_v must be >= 0"),
+    ], ids=["terrain-count", "no-seed", "no-a_v", "negative-a_v",
+            "law-negative-a_v", "law-nan-a_v"])
+    def test_batch_input_rejected(self, terrains, seeds, a_v, law, match):
+        terrain = generate_terrain(0.32, rows=20, cols=5, seed=0)
+        with pytest.raises(ValueError, match=match):
+            simulate_walks(GaitConfig(), RobotGeometry(), [terrain] * terrains,
+                           seeds, a_v, 4, 72, SensorModel(), law)
 
 
 class TestMeasureGamma:

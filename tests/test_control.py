@@ -1,17 +1,18 @@
 """Feedback controller tests."""
 
+import numpy as np
 import pytest
 
-from centiwalk.contact_sim import SensorModel
+from centiwalk.contact_sim import SensorModel, simulate_walks
 from centiwalk.control import (
     ARMS,
     ControllerConfig,
+    _feedback,
     compare_controllers,
-    run_trial,
     update_av,
 )
 from centiwalk.gait import GaitConfig
-from centiwalk.kinematics import RobotGeometry, flat_ground_stride
+from centiwalk.kinematics import RobotGeometry
 from centiwalk.terrain import generate_terrain
 
 
@@ -56,81 +57,66 @@ class TestUpdateAv:
                 ControllerConfig(**kwargs)
 
 
+def arm_column(walks, name):
+    """The per-cycle outcomes of one arm of a controller comparison."""
+    return {field: getattr(walks, field)[:, list(ARMS).index(name)]
+            for field in ("gamma_measured", "a_v", "v_ratio")}
+
+
+def compare(r_g, seed, cycles, cc, flip_prob=0.0, rows=20):
+    """compare_controllers on one seed's generated terrain."""
+    terrain = generate_terrain(r_g, rows=rows, cols=5, seed=seed)
+    return compare_controllers(GaitConfig(), RobotGeometry(), cc, [terrain],
+                               [seed], cycles, 72, flip_prob)
+
+
 class TestRunTrial:
+    """A trial is one seed's walk in one arm column of compare_controllers."""
+
     def test_open_loop_flat_ground(self):
         # [TRIVIAL] flat terrain at a_v = 0 walks at full speed every cycle
-        terrain = generate_terrain(0.0, rows=20, cols=5, seed=0)
-        cc = ControllerConfig(fixed_av=0.0)
-        rec = run_trial(GaitConfig(), RobotGeometry(), terrain, cc, 6, 72,
-                        SensorModel(), seed=0)
-        assert all(v == pytest.approx(1.0, abs=1e-9) for v in rec.v_ratio)
-        assert rec.a_v == [0.0] * 6
+        arm = arm_column(compare(0.0, 0, 6, ControllerConfig(fixed_av=0.0)),
+                         "open_loop")
+        assert np.allclose(arm["v_ratio"], 1.0, rtol=0.0, atol=1e-9)
+        assert arm["a_v"].tolist() == [[0.0] * 6]
 
     def test_open_loop_holds_fixed_av_and_feedback_starts_at_av_min(self):
-        terrain = generate_terrain(0.32, rows=20, cols=5, seed=0)
         cc = ControllerConfig(av_min=5.0, fixed_av=12.0)
-        rec = run_trial(GaitConfig(), RobotGeometry(), terrain, cc, 4, 72,
-                        SensorModel(), seed=0)
-        assert rec.a_v == [12.0] * 4
-        rec = run_trial(GaitConfig(), RobotGeometry(), terrain, cc, 4, 72,
-                        SensorModel(), seed=0, update_every=1)
-        assert rec.a_v[0] == 5.0
+        walks = compare(0.32, 0, 4, cc)
+        assert arm_column(walks, "open_loop")["a_v"].tolist() == [[12.0] * 4]
+        for name in list(ARMS)[1:]:
+            assert arm_column(walks, name)["a_v"][0, 0] == 5.0
 
     def test_feedback_converges_on_flat_ground(self):
         # [DERIVED] noiseless gamma_s = 1 drives the command to the clamp
         # floor within two cycles and keeps it there (fixed point)
-        terrain = generate_terrain(0.0, rows=20, cols=5, seed=0)
-        cc = ControllerConfig()
-        rec = run_trial(GaitConfig(), RobotGeometry(), terrain, cc, 6, 72,
-                        SensorModel(), seed=0, update_every=1)
-        assert all(a == 0.0 for a in rec.a_v[1:])
-        assert all(g == 1.0 for g in rec.gamma_s)
+        arm = arm_column(compare(0.0, 0, 6, ControllerConfig()),
+                         "feedback_every1")
+        assert np.all(arm["a_v"][:, 1:] == 0.0)
+        assert np.all(arm["gamma_measured"] == 1.0)
 
     def test_clamp_safety(self):
-        terrain = generate_terrain(0.32, rows=40, cols=5, seed=1)
-        cc = ControllerConfig(av_min=0.0, av_max=25.0)
-        rec = run_trial(GaitConfig(), RobotGeometry(), terrain, cc, 20, 72,
-                        SensorModel(), seed=1, update_every=1)
-        assert all(0.0 <= a <= 25.0 for a in rec.a_v)
+        walks = compare(0.32, 1, 20, ControllerConfig(av_min=0.0, av_max=25.0),
+                        rows=40)
+        assert np.all((0.0 <= walks.a_v) & (walks.a_v <= 25.0))
 
     def test_update_every_holds_amplitude(self):
-        terrain = generate_terrain(0.32, rows=40, cols=5, seed=2)
-        cc = ControllerConfig()
-        rec = run_trial(GaitConfig(), RobotGeometry(), terrain, cc, 12, 72,
-                        SensorModel(), seed=2, update_every=3)
-        # amplitude can change only at cycles 3, 6, 9 (0-based commands)
-        for c in range(1, 12):
-            if c % 3 != 0:
-                assert rec.a_v[c] == rec.a_v[c - 1]
+        # an arm updating every p cycles commands a new amplitude only at
+        # cycles p, 2p, ... (0-based), and open loop never
+        walks = compare(0.32, 2, 12, ControllerConfig(), rows=40)
+        for name, period in ARMS.items():
+            a_v = arm_column(walks, name)["a_v"][0]
+            for c in range(1, 12):
+                if period is None or c % period != 0:
+                    assert a_v[c] == a_v[c - 1], (name, c)
+        assert len(set(arm_column(walks, "feedback_every3")["a_v"][0])) > 1
 
     def test_sensor_noise_bias_bounded(self):
         # measured gamma deviates from truth by about the flip probability
-        terrain = generate_terrain(0.0, rows=40, cols=5, seed=3)
-        cc = ControllerConfig(fixed_av=0.0)
-        rec = run_trial(GaitConfig(), RobotGeometry(), terrain, cc, 30, 72,
-                        SensorModel(flip_prob=0.05), seed=3)
-        bias = 1.0 - sum(rec.gamma_s) / len(rec.gamma_s)
+        arm = arm_column(compare(0.0, 3, 30, ControllerConfig(fixed_av=0.0),
+                                 flip_prob=0.05, rows=40), "open_loop")
+        bias = 1.0 - arm["gamma_measured"].mean()
         assert bias <= 0.05 + 0.02
-
-    def test_summary_fields(self):
-        terrain = generate_terrain(0.17, rows=25, cols=5, seed=4)
-        cc = ControllerConfig()
-        rec = run_trial(GaitConfig(), RobotGeometry(), terrain, cc, 8, 72,
-                        SensorModel(), seed=4, update_every=1)
-        assert rec.mean_speed_ratio == pytest.approx(
-            sum(rec.v_ratio) / len(rec.v_ratio))
-        assert rec.total_distance == pytest.approx(sum(rec.displacement))
-        # a cycle's displacement is the flat-ground stride times its speed
-        stride = flat_ground_stride(GaitConfig(), RobotGeometry())
-        assert rec.displacement == [stride * v for v in rec.v_ratio]
-
-    @pytest.mark.parametrize("update_every", [0, -1])
-    def test_rejects_update_period_below_one(self, update_every):
-        terrain = generate_terrain(0.0, rows=20, cols=5, seed=0)
-        with pytest.raises(ValueError):
-            run_trial(GaitConfig(), RobotGeometry(), terrain,
-                      ControllerConfig(), 6, 72, SensorModel(), seed=0,
-                      update_every=update_every)
 
 
 class TestCompareControllers:
@@ -143,33 +129,37 @@ class TestCompareControllers:
         # walks at the same amplitude, so all four give the same numbers
         cc = ControllerConfig(av_min=10.0, av_max=10.0, fixed_av=10.0)
         seeds = [0, 1, 2]
-        stats = compare_controllers(GaitConfig(), RobotGeometry(), cc,
+        walks = compare_controllers(GaitConfig(), RobotGeometry(), cc,
                                     self.terrains(seeds), seeds, cycles=6,
                                     steps=72, flip_prob=0.05)
-        assert list(stats) == list(ARMS)
-        speeds = [st.per_seed_speed for st in stats.values()]
-        assert len(set(speeds[0])) > 1        # the seeds differ
-        assert all(s == speeds[0] for s in speeds)
+        assert walks.v_ratio.shape == (len(seeds), len(ARMS), 6)
+        per_seed = walks.v_ratio[:, 0].mean(axis=-1)
+        assert len(set(per_seed.tolist())) > 1        # the seeds differ
+        for j in range(len(ARMS)):
+            assert np.array_equal(walks.v_ratio[:, j], walks.v_ratio[:, 0])
 
     def test_arms_are_the_papers_update_periods(self):
         # open loop, and feedback updated every 1, 2 and 3 cycles: each
-        # arm's trial is the single trial at that period
+        # arm's column is the single walk at that period
         periods = {"open_loop": None, "feedback_every1": 1,
                    "feedback_every2": 2, "feedback_every3": 3}
         cc = ControllerConfig(fixed_av=5.0)
         seeds = [0, 1]
         terrains = self.terrains(seeds)
-        stats = compare_controllers(GaitConfig(), RobotGeometry(), cc,
+        sensor = SensorModel(flip_prob=0.05)
+        walks = compare_controllers(GaitConfig(), RobotGeometry(), cc,
                                     terrains, seeds, cycles=6, steps=72,
                                     flip_prob=0.05)
-        assert list(stats) == list(periods)
-        for name, period in periods.items():
-            for terrain, seed, trial in zip(terrains, seeds,
-                                            stats[name].trials):
-                assert trial == run_trial(GaitConfig(), RobotGeometry(),
-                                          terrain, cc, 6, 72,
-                                          SensorModel(flip_prob=0.05), seed,
-                                          period)
+        assert ARMS == periods
+        for j, period in enumerate(periods.values()):
+            start = cc.fixed_av if period is None else cc.av_min
+            for i, (terrain, seed) in enumerate(zip(terrains, seeds)):
+                one = simulate_walks(GaitConfig(), RobotGeometry(), [terrain],
+                                     [seed], [start], 6, 72, sensor,
+                                     _feedback(cc, [period]))
+                for field in ("gamma", "gamma_measured", "a_v", "v_ratio"):
+                    assert np.array_equal(getattr(walks, field)[i, j],
+                                          getattr(one, field)[0, 0])
 
     def test_requires_seeds(self):
         with pytest.raises(ValueError):

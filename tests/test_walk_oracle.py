@@ -2,10 +2,11 @@
 
 `reference_walk` is the walker's earlier cycle loop, one leg at a time, kept
 here only as an oracle: every per-cycle number, loss event and measured bit
-of `simulate_walk` must equal it exactly, in open loop and under the
-controller's feedback rule, and so must every row of a mixed batch of
-`simulate_walks`.  `reference_debounce` is the sensor's earlier per-sample
-state machine, the oracle for the windowed `_debounce`.
+of `simulate_walk` must equal it exactly, and so must every (seed,
+amplitude) cell of `simulate_walks`, in open loop and under the
+controller's feedback rule, alone or in a mixed grid.  `reference_debounce`
+is the sensor's earlier per-sample state machine, the oracle for the
+windowed `_debounce`.
 """
 
 import math
@@ -23,16 +24,10 @@ from centiwalk.contact_sim import (
     simulate_walk,
     simulate_walks,
 )
-from centiwalk.control import (
-    ControllerConfig,
-    _feedback,
-    run_trial,
-    update_av,
-)
+from centiwalk.control import ControllerConfig, _feedback, update_av
 from centiwalk.gait import GaitConfig, phase_table
 from centiwalk.kinematics import (
     RobotGeometry,
-    flat_ground_stride,
     recoverable_heights,
     slip_distribution,
     stance_geometry,
@@ -170,28 +165,16 @@ def test_engine_matches_reference_loop(feedback, n_pairs, xi, duty,
         return
     ref = reference_walk(cfg, geom, terrain, cycles, steps, sensor, seed,
                          cc, period)
-
-    def next_av(cycle, gamma_measured, av):
-        # the feedback rule as the reference applies it
-        if (cycle + 1) % update_every:
-            return av
-        return update_av(cc, gamma_measured)
-
-    res = simulate_walk(cfg, geom, terrain, cycles, steps, sensor, seed,
-                        next_av if feedback else None)
-    assert res.gamma_per_cycle == ref["gamma"]
-    assert res.gamma_measured == ref["gamma_measured"]
-    assert res.forward_speed_ratio == ref["v"]
-    assert res.a_v == ref["a_v"]
-    assert res.loss_events == ref["losses"]
-    assert np.array_equal(res.measured.bits, np.hstack(ref["bits"]))
-    trial = run_trial(cfg, geom, terrain, cc, cycles, steps, sensor, seed,
-                      period)
-    assert trial.gamma_s == ref["gamma_measured"]
-    assert trial.a_v == ref["a_v"]
-    assert trial.v_ratio == ref["v"]
-    assert trial.displacement == [flat_ground_stride(cfg, geom) * v
-                                  for v in ref["v"]]
+    one = simulate_walks(cfg, geom, [terrain], [seed], [a_v], cycles, steps,
+                         sensor, _feedback(cc, [period]))
+    assert_cell_matches(one, 0, 0, ref, cycles, 2 * n_pairs, steps)
+    if not feedback:
+        res = simulate_walk(cfg, geom, terrain, cycles, steps, sensor, seed)
+        assert res.gamma_per_cycle == ref["gamma"]
+        assert res.gamma_measured == ref["gamma_measured"]
+        assert res.forward_speed_ratio == ref["v"]
+        assert res.loss_events == ref["losses"]
+        assert np.array_equal(res.measured.bits, np.hstack(ref["bits"]))
 
 
 def reference_lost(losses, cycles, legs, steps):
@@ -200,6 +183,17 @@ def reference_lost(losses, cycles, legs, steps):
     for leg, step, _ in losses:
         lost[step // steps, leg, step % steps] = True
     return lost
+
+
+def assert_cell_matches(walks, i, j, ref, cycles, legs, steps):
+    """Seed i at amplitude column j of `walks` is reference_walk's `ref`."""
+    assert walks.gamma[i, j].tolist() == ref["gamma"]
+    assert walks.gamma_measured[i, j].tolist() == ref["gamma_measured"]
+    assert walks.a_v[i, j].tolist() == ref["a_v"]
+    assert walks.v_ratio[i, j].tolist() == ref["v"]
+    assert np.array_equal(walks.bits[i, j], np.stack(ref["bits"]))
+    assert np.array_equal(walks.lost[i, j],
+                          reference_lost(ref["losses"], cycles, legs, steps))
 
 
 @given(n_pairs=st.integers(min_value=2, max_value=6),
@@ -213,20 +207,24 @@ def reference_lost(losses, cycles, legs, steps):
        cycles=st.integers(min_value=1, max_value=5),
        k_p=st.floats(min_value=1.0, max_value=200.0),
        gamma_set=st.floats(min_value=0.5, max_value=1.0),
-       walks=st.lists(st.tuples(
+       walkers=st.lists(st.tuples(
            st.integers(min_value=0, max_value=3),             # seed
            st.sampled_from([0.0, 0.1, 0.17, 0.32, 0.6]),      # rugosity
-           st.integers(min_value=3, max_value=7),             # terrain cols
+           st.integers(min_value=3, max_value=7)),            # terrain cols
+           min_size=1, max_size=4),
+       variants=st.lists(st.tuples(
            st.floats(min_value=0.0, max_value=25.0),          # start a_v
            st.sampled_from([None, 1, 2, 3])),                 # update period
-           min_size=1, max_size=6))
+           min_size=1, max_size=4))
 @settings(max_examples=40, deadline=None)
 def test_mixed_batch_rows_match_reference_loop(n_pairs, xi, duty,
                                                phase_offset, half_steps,
                                                flip_prob, latch_steps, cycles,
-                                               k_p, gamma_set, walks):
-    # one batch of distinct terrains, seeds (duplicates included), start
-    # amplitudes and update periods: each row walks as if alone
+                                               k_p, gamma_set, walkers,
+                                               variants):
+    # one grid of seeds (duplicates included, each with a terrain of its
+    # own) by variants (start amplitude, update period): each cell walks
+    # as if alone
     cfg = GaitConfig(n_pairs=n_pairs, xi=xi, duty=duty,
                      phase_offset=phase_offset)
     geom = RobotGeometry()
@@ -238,52 +236,50 @@ def test_mixed_batch_rows_match_reference_loop(n_pairs, xi, duty,
     # seeds walk different terrains
     terrains = [generate_terrain(r_g, rows=cycles + n_pairs + 1 + i % 3,
                                  cols=cols, seed=100 + i)
-                for i, (_, r_g, cols, _, _) in enumerate(walks)]
-    seeds = [w[0] for w in walks]
-    periods = [w[4] for w in walks]
-    batch = simulate_walks(cfg, geom, terrains, seeds, [w[3] for w in walks],
-                           cycles, steps, sensor, _feedback(cc, periods))
-    assert len(walks) <= BLOCK_ROWS      # so every row's maps are kept
-    for row, (seed, _, _, a_v, period) in enumerate(walks):
-        ref = reference_walk(replace(cfg, a_v=a_v), geom, terrains[row],
-                             cycles, steps, sensor, seed, cc, period)
-        assert batch.gamma[row].tolist() == ref["gamma"]
-        assert batch.gamma_measured[row].tolist() == ref["gamma_measured"]
-        assert batch.a_v[row].tolist() == ref["a_v"]
-        assert batch.v_ratio[row].tolist() == ref["v"]
-        assert np.array_equal(batch.bits[row], np.stack(ref["bits"]))
-        assert np.array_equal(batch.lost[row],
-                              reference_lost(ref["losses"], cycles,
-                                             2 * n_pairs, steps))
+                for i, (_, r_g, cols) in enumerate(walkers)]
+    seeds = [w[0] for w in walkers]
+    batch = simulate_walks(cfg, geom, terrains, seeds,
+                           [a_v for a_v, _ in variants], cycles, steps,
+                           sensor, _feedback(cc, [p for _, p in variants]))
+    # one block, so that every cell's maps are kept
+    assert len(seeds) <= BLOCK_ROWS // len(variants)
+    assert batch.gamma.shape == (len(seeds), len(variants), cycles)
+    for i, seed in enumerate(seeds):
+        for j, (a_v, period) in enumerate(variants):
+            ref = reference_walk(replace(cfg, a_v=a_v), geom, terrains[i],
+                                 cycles, steps, sensor, seed, cc, period)
+            assert_cell_matches(batch, i, j, ref, cycles, 2 * n_pairs, steps)
 
 
 def test_batch_beyond_one_block_equals_single_walks():
-    # more rows than one block holds; three rows per seed, so that a seed's
-    # rows straddle the block boundary
+    # more seeds than one block holds, so that the block edge falls
+    # inside the grid, with a seed's duplicates on both sides of it
     cfg = GaitConfig(n_pairs=4)
     geom = RobotGeometry()
     cycles, steps = 4, 24
     sensor = SensorModel(flip_prob=0.05, latch_steps=2)
     cc = ControllerConfig()
-    rows = BLOCK_ROWS + 7
-    seeds = [i // 3 for i in range(rows)]
+    a_vs = [0.0, 7.0, 12.5, 25.0, 3.0, 18.0]
+    periods = [None, 1, 2, 3, 1, None]
+    block = BLOCK_ROWS // len(a_vs)
+    count = block + 5
+    seeds = [i // 3 for i in range(count)]
+    assert seeds[block - 1] == seeds[block]
     terrains = [generate_terrain(0.32, rows=cycles + 4 + i % 2, cols=5,
                                  seed=seed)
                 for i, seed in enumerate(seeds)]
-    a_vs = [float(i % 26) for i in range(rows)]
-    # a pattern of periods that the second block does not repeat
-    periods = [[None, 1, 2, 3][i // 5 % 4] for i in range(rows)]
     batch = simulate_walks(cfg, geom, terrains, seeds, a_vs, cycles, steps,
                            sensor, _feedback(cc, periods))
-    assert batch.gamma.shape == (rows, cycles)
-    assert len(batch.bits) == BLOCK_ROWS
-    for row in range(rows):
-        one = simulate_walks(cfg, geom, [terrains[row]], [seeds[row]],
-                             [a_vs[row]], cycles, steps, sensor,
-                             _feedback(cc, [periods[row]]))
-        for name in ("gamma", "gamma_measured", "a_v", "v_ratio"):
-            assert np.array_equal(getattr(batch, name)[row],
-                                  getattr(one, name)[0]), (row, name)
-        if row < BLOCK_ROWS:
-            assert np.array_equal(batch.bits[row], one.bits[0])
-            assert np.array_equal(batch.lost[row], one.lost[0])
+    assert batch.gamma.shape == (count, len(a_vs), cycles)
+    assert batch.bits.shape[:2] == (block, len(a_vs))
+    for i in range(count):
+        for j, (a_v, period) in enumerate(zip(a_vs, periods)):
+            one = simulate_walks(cfg, geom, [terrains[i]], [seeds[i]], [a_v],
+                                 cycles, steps, sensor,
+                                 _feedback(cc, [period]))
+            for name in ("gamma", "gamma_measured", "a_v", "v_ratio"):
+                assert np.array_equal(getattr(batch, name)[i, j],
+                                      getattr(one, name)[0, 0]), (i, j, name)
+            if i < block:
+                assert np.array_equal(batch.bits[i, j], one.bits[0, 0])
+                assert np.array_equal(batch.lost[i, j], one.lost[0, 0])
