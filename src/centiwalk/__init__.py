@@ -8,12 +8,10 @@ __version__ = "0.1.0"
 from .gait import GaitConfig, joint_angles, phase_table
 from .kinematics import (
     RobotGeometry,
-    RetractionProfile,
     SlipDistribution,
     flat_ground_stride,
     foot_trajectory,
     recoverable_heights,
-    retraction_profile,
     slip_distribution,
 )
 from .terrain import (
@@ -49,9 +47,9 @@ from .config import ConfigError, ExperimentSpec, FullConfig, load_config
 __all__ = [
     "__version__",
     "GaitConfig", "joint_angles", "phase_table",
-    "RobotGeometry", "RetractionProfile", "SlipDistribution",
+    "RobotGeometry", "SlipDistribution",
     "flat_ground_stride", "foot_trajectory",
-    "recoverable_heights", "retraction_profile", "slip_distribution",
+    "recoverable_heights", "slip_distribution",
     "HeightDeltaModel", "TerrainGrid", "generate_terrain",
     "sigma_from_rugosity", "tail_probability",
     "FrictionPrediction", "LossModelOutput", "friction_bounds",

@@ -1,20 +1,20 @@
 """Config file loading.
 
 One human-editable INI file carries the gait, geometry, controller and
-experiment settings.  The [meta] section must declare schema_version = 1;
-every other key falls back to the shipped default when omitted, and a key
-no command reads is ignored.  See data/default.cfg for the documented
-schema.
+experiment settings.  The [meta] section must declare schema_version = 1.
+Each other section is built from its dataclass's fields: a field's name is
+its key and its declared type picks the value's parser.  An omitted key
+takes the field's default, and a key that names no field is ignored.
 """
 
 from __future__ import annotations
 
 import configparser
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from importlib import resources
 from pathlib import Path
-from typing import List, Optional
+from typing import List, Optional, get_type_hints
 
 from .control import ControllerConfig
 from .gait import GaitConfig
@@ -78,14 +78,18 @@ def default_config_path() -> Path:
     return Path(str(resources.files("centiwalk").joinpath("data/default.cfg")))
 
 
+def _words(text: str) -> List[str]:
+    return text.replace(",", " ").split()
+
+
 def _floats(text: str) -> List[float]:
-    return [float(x) for x in text.replace(",", " ").split()]
+    return [float(x) for x in _words(text)]
 
 
 def _seeds(text: str) -> List[int]:
     """Seed list: comma/space separated integers, or 'a..b' inclusive ranges."""
     out: List[int] = []
-    for tok in text.replace(",", " ").split():
+    for tok in _words(text):
         if ".." in tok:
             lo, hi = tok.split("..")
             out.extend(range(int(lo), int(hi) + 1))
@@ -94,8 +98,17 @@ def _seeds(text: str) -> List[int]:
     return out
 
 
+# The INI value parser of each field type, as the dataclasses declare it
+_PARSERS = {"int": int, "float": float, "Optional[float]": float,
+            "List[int]": _seeds, "List[float]": _floats, "List[str]": _words}
+
+# Each config section's dataclass, by section name
+_SECTIONS = get_type_hints(FullConfig)
+
+
 def load_config(path: Optional[str] = None) -> FullConfig:
-    """Load a full configuration, falling back to the shipped defaults."""
+    """Load a full configuration; an omitted key takes its dataclass
+    default."""
     cfg_path = Path(path) if path is not None else default_config_path()
     if not cfg_path.is_file():
         raise ConfigError(f"config file not found: {cfg_path}")
@@ -104,57 +117,18 @@ def load_config(path: Optional[str] = None) -> FullConfig:
         parser.read_string(cfg_path.read_text())
     except configparser.Error as exc:
         raise ConfigError(f"cannot parse {cfg_path}: {exc}") from exc
-    version = parser.getint("meta", "schema_version", fallback=None)
-    if version != SCHEMA_VERSION:
-        raise ConfigError(
-            f"{cfg_path}: schema_version must be {SCHEMA_VERSION}, got {version}"
-        )
-
-    def section(name):
-        return parser[name] if parser.has_section(name) else {}
-
-    g = section("gait")
     try:
-        gait = GaitConfig(
-            n_pairs=int(g.get("n_pairs", 6)),
-            xi=float(g.get("xi", 1.0)),
-            duty=float(g.get("duty", 0.5)),
-            theta_leg_amp=float(g.get("theta_leg_amp", 30.0)),
-            theta_body_amp=float(g.get("theta_body_amp", 30.0)),
-            a_v=float(g.get("a_v", 0.0)),
-            phase_offset=(float(g["phase_offset"]) if "phase_offset" in g else None),
-        )
-        geo = section("geometry")
-        geometry = RobotGeometry(
-            h_l=float(geo.get("h_l", 7.0)),
-            h_l2=float(geo.get("h_l2", 4.0)),
-            d_l=float(geo.get("d_l", 9.0)),
-            module_length=float(geo.get("module_length", 10.0)),
-            leg_length=float(geo.get("leg_length", 10.0)),
-        )
-        c = section("controller")
-        controller = ControllerConfig(
-            k_p=float(c.get("k_p", 60.0)),
-            gamma_set=float(c.get("gamma_set", 0.9)),
-            av_min=float(c.get("av_min", 0.0)),
-            av_max=float(c.get("av_max", 25.0)),
-            fixed_av=float(c.get("fixed_av", 0.0)),
-        )
-        e = section("experiment")
-        experiment = ExperimentSpec(
-            terrains=(e.get("terrains", "0.0, 0.17, 0.32").replace(",", " ").split()),
-            a_v_grid=_floats(e.get("a_v_grid", "0, 10, 20")),
-            seeds=_seeds(e.get("seeds", "0..19")),
-            cycles=int(e.get("cycles", 10)),
-            steps=int(e.get("steps", 72)),
-            tolerance=float(e.get("tolerance", 0.05)),
-            sensor_flip_prob=float(e.get("sensor_flip_prob", 0.0)),
-            terrain_rows=int(e.get("terrain_rows", 40)),
-            terrain_cols=int(e.get("terrain_cols", 5)),
-        )
-    except (ValueError, KeyError) as exc:
-        if isinstance(exc, ConfigError):
-            raise
+        version = parser.getint("meta", "schema_version", fallback=None)
+        if version != SCHEMA_VERSION:
+            raise ConfigError(f"{cfg_path}: schema_version must be "
+                              f"{SCHEMA_VERSION}, got {version}")
+        sections = {}
+        for name, cls in _SECTIONS.items():
+            given = parser[name] if parser.has_section(name) else {}
+            sections[name] = cls(**{f.name: _PARSERS[f.type](given[f.name])
+                                    for f in fields(cls) if f.name in given})
+    except ConfigError:
+        raise
+    except (ValueError, configparser.Error) as exc:
         raise ConfigError(f"{cfg_path}: {exc}") from exc
-    return FullConfig(gait=gait, geometry=geometry, controller=controller,
-                      experiment=experiment)
+    return FullConfig(**sections)

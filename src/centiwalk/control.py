@@ -35,16 +35,17 @@ class ControllerConfig:
     fixed_av: float = 0.0
 
     def __post_init__(self):
-        # each range test is written so that NaN fails it
-        if not self.k_p > 0.0:
-            raise ValueError(f"k_p must be > 0, got {self.k_p}")
+        # each range test is written so that NaN and inf fail it
+        if not 0.0 < self.k_p < math.inf:
+            raise ValueError(f"k_p must be finite and > 0, got {self.k_p}")
         if not 0.0 < self.gamma_set <= 1.0:
             raise ValueError("gamma_set must be in (0, 1]")
-        if not 0.0 <= self.av_min <= self.av_max:
-            raise ValueError(f"need 0 <= av_min <= av_max, got {self.av_min} "
-                             f"and {self.av_max}")
-        if not self.fixed_av >= 0.0:
-            raise ValueError(f"fixed_av must be >= 0, got {self.fixed_av}")
+        if not 0.0 <= self.av_min <= self.av_max < math.inf:
+            raise ValueError(f"need 0 <= av_min <= av_max < inf, got "
+                             f"{self.av_min} and {self.av_max}")
+        if not 0.0 <= self.fixed_av < math.inf:
+            raise ValueError(f"fixed_av must be finite and >= 0, got "
+                             f"{self.fixed_av}")
 
 
 # The compared controller arms, each with its feedback update period in

@@ -49,8 +49,8 @@ class GaitConfig:
             raise ValueError(f"phase_offset must be finite, got {off}")
         if not 0.0 < self.duty < 1.0:
             raise ValueError(f"duty must be in (0, 1), got {self.duty}")
-        if not self.a_v >= 0.0:         # NaN fails this test too
-            raise ValueError(f"a_v must be >= 0, got {self.a_v}")
+        if not 0.0 <= self.a_v < math.inf:      # NaN fails this test too
+            raise ValueError(f"a_v must be finite and >= 0, got {self.a_v}")
         for name in ("theta_leg_amp", "theta_body_amp"):
             amp = getattr(self, name)
             if not 0.0 <= amp < 90.0:

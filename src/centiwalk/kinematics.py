@@ -1,7 +1,7 @@
 """Foot-tip geometry derived from the gait waves.
 
 Everything here is planar or scalar kinematics: the slipping trajectory of a
-stance foot (for the slip-angle distribution), the retraction profile
+stance foot (for the slip-angle distribution), the stance geometry
 (rearward travel, vertical reach and lift of the foot over one stance), the
 deformation-recovery height, and the flat-terrain contact ratio.  No
 dynamics are involved; the body is assumed to advance at the gait's ideal
@@ -43,8 +43,9 @@ class RobotGeometry:
 
     def __post_init__(self):
         for name in ("h_l", "h_l2", "d_l", "module_length", "leg_length"):
-            if not getattr(self, name) > 0.0:   # NaN fails it too
-                raise ValueError(f"{name} must be > 0, got {getattr(self, name)}")
+            value = getattr(self, name)
+            if not 0.0 < value < math.inf:      # NaN fails it too
+                raise ValueError(f"{name} must be finite and > 0, got {value}")
 
 
 @dataclass
@@ -83,21 +84,6 @@ class SlipDistribution:
         if f_full <= 0.0:
             raise ValueError("distribution has no net forward thrust")
         return 1.0 / f_full
-
-
-@dataclass
-class RetractionProfile:
-    """Per-sample geometry over one retraction (stance) period.
-
-    d_s     cumulative rearward foot displacement since stance onset, cm
-    lift    signed vertical foot offset from the vertical wave, cm
-            (positive = foot raised above the nominal ground plane)
-    reach   maximum depth below the current surface the foot can reach, cm
-    """
-
-    d_s: np.ndarray
-    lift: np.ndarray
-    reach: np.ndarray
 
 
 def flat_ground_stride(cfg: GaitConfig, geom: RobotGeometry) -> float:
@@ -164,7 +150,10 @@ def slip_distribution(cfg: GaitConfig, geom: RobotGeometry, bins: int,
 
 def stance_geometry(cfg: GaitConfig, geom: RobotGeometry, u,
                     a_v=None) -> tuple:
-    """(d_s, reach, lift) arrays at reduced stance phases u in [0, duty).
+    """(d_s, reach, lift) arrays at reduced stance phases u in [0, duty), cm:
+    the rearward foot travel since stance onset, the deepest drop below the
+    current surface the foot can reach, and the foot's lift above the
+    nominal ground plane by the vertical wave (negative when lowered).
 
     reach and lift are taken at the vertical amplitude cfg.a_v, or at a_v
     (degrees), an array that broadcasts against u: a column of amplitudes
@@ -181,15 +170,6 @@ def stance_geometry(cfg: GaitConfig, geom: RobotGeometry, u,
     reach = geom.d_l * np.sin(theta_v) + geom.h_l * np.cos(theta_v)
     lift = geom.h_l - reach
     return d_s, reach, lift
-
-
-def retraction_profile(cfg: GaitConfig, geom: RobotGeometry,
-                       m: int) -> RetractionProfile:
-    """Sample d_s, reach and lift at m uniform points over one stance."""
-    if m < 4:
-        raise ValueError(f"m must be >= 4, got {m}")
-    d_s, reach, lift = stance_geometry(cfg, geom, cfg.duty * np.arange(m) / m)
-    return RetractionProfile(d_s=d_s, lift=lift, reach=reach)
 
 
 def recoverable_heights(geom: RobotGeometry, d_s: Sequence[float]) -> np.ndarray:

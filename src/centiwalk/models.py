@@ -23,7 +23,7 @@ from .kinematics import (
     RobotGeometry,
     SlipDistribution,
     recoverable_heights,
-    retraction_profile,
+    stance_geometry,
 )
 from .terrain import HeightDeltaModel, tail_probability
 
@@ -105,18 +105,20 @@ def predict_gamma(geom: RobotGeometry, cfg: GaitConfig,
 
     Terrain drops cost contact when the drop exceeds the foot's reach;
     terrain rises cost contact when the rise, less any lift from the
-    vertical wave, exceeds what leg retraction can recover.
+    vertical wave, exceeds what leg retraction can recover.  The stance is
+    sampled at m uniform phases.
     """
-    prof = retraction_profile(cfg, geom, m)
-    p_loss1 = float(np.mean(
-        tail_probability(model, prof.reach, "dh_nonpositive")))
-    thresholds = recoverable_heights(geom, prof.d_s) + np.maximum(prof.lift, 0.0)
+    if m < 4:
+        raise ValueError(f"m must be >= 4, got {m}")
+    d_s, reach, lift = stance_geometry(cfg, geom, cfg.duty * np.arange(m) / m)
+    p_loss1 = float(np.mean(tail_probability(model, reach, "dh_nonpositive")))
+    thresholds = recoverable_heights(geom, d_s) + np.maximum(lift, 0.0)
     p_loss2 = float(np.mean(tail_probability(model, thresholds, "dh_positive")))
     p_loss = model.p1 * p_loss1 + (1.0 - model.p1) * p_loss2
     gamma = 1.0 - p_loss
     # the flat-terrain contact ratio: samples the vertical wave leaves on
     # the nominal ground plane
-    gamma_ideal = float(np.mean(prof.lift <= 1e-12))
+    gamma_ideal = float(np.mean(lift <= 1e-12))
     p_e = (1.0 - gamma) / gamma_ideal if gamma_ideal > 0.0 else float("inf")
     return LossModelOutput(
         p_loss1=p_loss1,

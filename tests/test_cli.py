@@ -98,6 +98,14 @@ class TestBadInput:
         (NO_SLIP, ["controller-compare"]),
         ("terrains = 0.17, 0.170\n", ["validate"]),
         ("terrains = {twin_a}, {twin_b}\n", ["walk"]),
+        ("[meta]\nschema_version = one\n", ["walk"]),
+        ("terrains = 0.1, rough%1.txt\n", ["model-sweep"]),
+        ("[gait]\nduty = %(x)s\n", ["walk"]),
+        ("[geometry]\nh_l = inf\n", ["model-sweep"]),
+        ("[geometry]\nh_l = inf\n", ["validate"]),
+        ("[gait]\na_v = inf\n", ["walk"]),
+        ("[controller]\nk_p = inf\n", ["controller-compare"]),
+        ("[controller]\nfixed_av = inf\n", ["controller-compare"]),
     ], ids=["odd-steps-flag", "odd-steps-config", "nan-rugosity",
             "negative-rugosity", "compare-only-files", "no-r_g-header",
             "ragged-rows", "one-row-file", "nan-height-walk",
@@ -113,7 +121,10 @@ class TestBadInput:
             "negative-seed-flag-terrain-gen", "negative-seed-config-walk",
             "no-slip-sweep", "no-slip-walk",
             "no-slip-validate", "no-slip-compare",
-            "repeated-label-levels-validate", "repeated-label-files-walk"])
+            "repeated-label-levels-validate", "repeated-label-files-walk",
+            "non-integer-schema-version", "percent-in-terrain-path",
+            "percent-missing-reference", "inf-h_l-sweep", "inf-h_l-validate",
+            "inf-a_v-walk", "inf-k_p-compare", "inf-fixed_av-compare"])
     def test_one_line_error(self, tmp_path, capsys, experiment, argv):
         files = {
             "good": self.GOOD,
@@ -132,15 +143,18 @@ class TestBadInput:
             paths[name].parent.mkdir(exist_ok=True)
             paths[name].write_text(text)
         cfg = tmp_path / "c.cfg"
-        # a case that sets its own seeds replaces the one default seed
+        # a case that sets its own seeds or [meta] replaces the default one
         seeds = "" if experiment.startswith("seeds") else "seeds = 0\n"
-        cfg.write_text("[meta]\nschema_version = 1\n[experiment]\n"
-                       + seeds + "cycles = 2\n" + experiment.format(**paths))
+        meta = "" if "[meta]" in experiment else "[meta]\nschema_version = 1\n"
+        cfg.write_text(meta + "[experiment]\n" + seeds + "cycles = 2\n"
+                       + experiment.format(**paths))
         out = tmp_path / "out"
         assert run(["--config", str(cfg), "--out", str(out)] + argv) == 1
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1
         assert err.startswith(("config error:", "usage error:"))
+        if "[meta]" in experiment or "%" in experiment:
+            assert str(cfg) in err
         # a failing command leaves no partial output
         assert not list(out.glob("**/*.csv"))
 
@@ -206,6 +220,16 @@ class TestStamps:
         first = stamp("a", "0")
         assert stamp("b", "0") == first
         assert stamp("c", "1") != first
+
+    def test_meta_only_config_stamps_like_the_default(self, tmp_path):
+        # every omitted key takes the value the shipped file sets
+        meta_only = tmp_path / "meta.cfg"
+        meta_only.write_text("[meta]\nschema_version = 1\n")
+        for out, args in (("a", []), ("b", ["--config", str(meta_only)])):
+            assert run(args + ["--out", str(tmp_path / out), "gait-dump"]) == 0
+        for name in ("contact_map.csv", "joint_angles.csv"):
+            assert (tmp_path / "a" / name).read_bytes() == \
+                (tmp_path / "b" / name).read_bytes(), name
 
 
 class TestGaitDump:

@@ -1,14 +1,58 @@
 """Config loading tests."""
 
+from dataclasses import fields, replace
+
 import pytest
 
 from centiwalk.config import (
     ConfigError,
     ExperimentSpec,
+    FullConfig,
     _seeds,
     default_config_path,
     load_config,
 )
+from centiwalk.control import ControllerConfig
+from centiwalk.gait import GaitConfig
+from centiwalk.kinematics import RobotGeometry
+
+DEFAULTS = FullConfig(GaitConfig(), RobotGeometry(), ControllerConfig(),
+                      ExperimentSpec())
+# (section, key) of every config key, in field order
+KEYS = [(section.name, f.name) for section in fields(FullConfig)
+        for f in fields(getattr(DEFAULTS, section.name))]
+
+# A non-default value of every config key: the INI text and the value it
+# must load as, type included
+VALUES = {
+    ("gait", "n_pairs"): ("4", 4),
+    ("gait", "xi"): ("1.5", 1.5),
+    ("gait", "duty"): ("0.6", 0.6),
+    ("gait", "theta_leg_amp"): ("20", 20.0),
+    ("gait", "theta_body_amp"): ("25.5", 25.5),
+    ("gait", "a_v"): ("12", 12.0),
+    ("gait", "phase_offset"): ("-2", -2.0),
+    ("geometry", "h_l"): ("6", 6.0),
+    ("geometry", "h_l2"): ("3.5", 3.5),
+    ("geometry", "d_l"): ("8", 8.0),
+    ("geometry", "module_length"): ("12", 12.0),
+    ("geometry", "leg_length"): ("11", 11.0),
+    ("controller", "k_p"): ("45", 45.0),
+    ("controller", "gamma_set"): ("0.8", 0.8),
+    ("controller", "av_min"): ("5", 5.0),
+    ("controller", "av_max"): ("20", 20.0),
+    ("controller", "fixed_av"): ("7.5", 7.5),
+    ("experiment", "terrains"): ("0.1, rough.txt 0.3", ["0.1", "rough.txt",
+                                                        "0.3"]),
+    ("experiment", "a_v_grid"): ("0, 7 15", [0.0, 7.0, 15.0]),
+    ("experiment", "seeds"): ("0..2, 9", [0, 1, 2, 9]),
+    ("experiment", "cycles"): ("8", 8),
+    ("experiment", "steps"): ("48", 48),
+    ("experiment", "tolerance"): ("0.1", 0.1),
+    ("experiment", "sensor_flip_prob"): ("0.05", 0.05),
+    ("experiment", "terrain_rows"): ("30", 30),
+    ("experiment", "terrain_cols"): ("3", 3),
+}
 
 
 class TestDefaults:
@@ -21,6 +65,33 @@ class TestDefaults:
 
     def test_default_config_file_exists(self):
         assert default_config_path().is_file()
+
+    def test_shipped_file_matches_dataclass_defaults(self):
+        # data/default.cfg lists every default a second time, for readers
+        assert load_config() == DEFAULTS
+
+
+class TestEveryKey:
+    @pytest.mark.parametrize("section, key", KEYS)
+    def test_value_reaches_its_field_with_its_type(self, tmp_path, section,
+                                                   key):
+        text, expected = VALUES[section, key]
+        assert expected != getattr(getattr(DEFAULTS, section), key)
+        p = tmp_path / "c.cfg"
+        p.write_text(f"[meta]\nschema_version = 1\n[{section}]\n"
+                     f"{key} = {text}\n")
+        fc = load_config(str(p))
+        value = getattr(getattr(fc, section), key)
+        assert value == expected
+        assert type(value) is type(expected)
+        if isinstance(value, list):
+            assert list(map(type, value)) == list(map(type, expected))
+        # every other field keeps its default
+        assert fc == replace(DEFAULTS, **{section: replace(
+            getattr(DEFAULTS, section), **{key: expected})})
+
+    def test_values_name_every_key_once(self):
+        assert sorted(VALUES) == sorted(KEYS) and len(KEYS) == 26
 
 
 class TestSeedsParser:
@@ -96,3 +167,11 @@ class TestOverrides:
         assert fc.experiment.seeds == [0, 1, 2, 3, 4]
         assert fc.experiment.cycles == 7
         assert fc.geometry.h_l == 7.0
+
+    def test_default_section_fills_only_present_sections(self, tmp_path):
+        p = tmp_path / "c.cfg"
+        p.write_text("[meta]\nschema_version = 1\n"
+                     "[DEFAULT]\nn_pairs = 3\ncycles = 5\n[gait]\n")
+        fc = load_config(str(p))
+        assert fc.gait.n_pairs == 3
+        assert fc.experiment.cycles == 10          # no [experiment] section

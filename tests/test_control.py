@@ -49,10 +49,11 @@ class TestUpdateAv:
             ControllerConfig(gamma_set=0.0)
         with pytest.raises(ValueError):
             ControllerConfig(av_min=10.0, av_max=5.0)
-        nan = float("nan")
+        nan, inf = float("nan"), float("inf")
         for kwargs in (dict(k_p=nan), dict(av_min=nan), dict(av_max=nan),
                        dict(av_min=-1.0), dict(fixed_av=-1.0),
-                       dict(fixed_av=nan)):
+                       dict(fixed_av=nan), dict(k_p=inf), dict(av_max=inf),
+                       dict(av_min=inf, av_max=inf), dict(fixed_av=inf)):
             with pytest.raises(ValueError):
                 ControllerConfig(**kwargs)
 

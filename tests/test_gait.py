@@ -47,6 +47,7 @@ class TestConfigValidation:
         dict(a_v=float("nan")),
         dict(xi=float("nan")),
         dict(phase_offset=float("inf")),
+        dict(a_v=float("inf")),
     ])
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ValueError):

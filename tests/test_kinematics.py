@@ -14,7 +14,6 @@ from centiwalk.kinematics import (
     flat_ground_stride,
     foot_trajectory,
     recoverable_heights,
-    retraction_profile,
     slip_distribution,
     stance_geometry,
 )
@@ -32,6 +31,9 @@ class TestGeometryValidation:
         dict(h_l=float("nan")), dict(h_l2=float("nan")),
         dict(d_l=float("nan")), dict(leg_length=float("nan")),
         dict(module_length=float("nan")),
+        dict(h_l=float("inf")), dict(h_l2=float("inf")),
+        dict(d_l=float("inf")), dict(leg_length=float("inf")),
+        dict(module_length=float("inf")),
     ])
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ValueError):
@@ -77,12 +79,18 @@ class TestRecoverableHeight:
 
 
 class TestRetractionProfile:
+    """Stance geometry on predict_gamma's grid of m uniform stance phases."""
+
+    @staticmethod
+    def profile(cfg, geom, m):
+        return stance_geometry(cfg, geom, cfg.duty * np.arange(m) / m)
+
     def test_reach_without_vertical_wave(self):
         # a_v = 0: reach is h_l everywhere, lift is 0
         cfg = GaitConfig(a_v=0.0)
-        prof = retraction_profile(cfg, RobotGeometry(h_l=7.0), 64)
-        assert np.allclose(prof.reach, 7.0)
-        assert np.allclose(prof.lift, 0.0)
+        _, reach, lift = self.profile(cfg, RobotGeometry(h_l=7.0), 64)
+        assert np.allclose(reach, 7.0)
+        assert np.allclose(lift, 0.0)
 
     def test_reach_frozen_oracle(self):
         # [DERIVED] at theta_v = 15 deg, d_l=5, h_l=7:
@@ -95,31 +103,32 @@ class TestRetractionProfile:
         expected = 5.0 * math.sin(theta_max) + 7.0 * math.cos(theta_max)
         peak = reach[0]
         # crest occurs where cos(...) = 1; check the profile max instead
-        prof = retraction_profile(cfg, geom, 720)
-        assert prof.reach.max() == pytest.approx(8.055576009536082, abs=1e-4)
+        _, reach_grid, _ = self.profile(cfg, geom, 720)
+        assert reach_grid.max() == pytest.approx(8.055576009536082, abs=1e-4)
         assert peak <= expected + 1e-12
 
     def test_d_s_monotone_and_full_sweep(self):
         cfg = GaitConfig(theta_leg_amp=30.0)
         geom = RobotGeometry()
-        prof = retraction_profile(cfg, geom, 256)
-        assert prof.d_s[0] == pytest.approx(0.0)
-        assert np.all(np.diff(prof.d_s) >= -1e-12)
+        d_s, _, _ = self.profile(cfg, geom, 256)
+        assert d_s[0] == pytest.approx(0.0)
+        assert np.all(np.diff(d_s) >= -1e-12)
         # end of stance approaches the full stride
-        assert prof.d_s[-1] == pytest.approx(
+        assert d_s[-1] == pytest.approx(
             flat_ground_stride(cfg, geom), abs=0.01)
 
     def test_lift_definition(self):
         # lift = h_l - reach, positive when the wave raises the foot
         cfg = GaitConfig(a_v=20.0)
         geom = RobotGeometry(h_l=7.0)
-        prof = retraction_profile(cfg, geom, 128)
-        assert np.allclose(prof.lift, geom.h_l - prof.reach)
-        assert prof.lift.max() > 0.0
+        _, reach, lift = self.profile(cfg, geom, 128)
+        assert np.allclose(lift, geom.h_l - reach)
+        assert lift.max() > 0.0
 
     def test_rejects_tiny_m(self):
-        with pytest.raises(ValueError):
-            retraction_profile(GaitConfig(), RobotGeometry(), 3)
+        with pytest.raises(ValueError, match="m must be >= 4"):
+            predict_gamma(RobotGeometry(), GaitConfig(),
+                          HeightDeltaModel.from_rugosity(0.32), 3)
 
 
 class TestIdealGamma:
