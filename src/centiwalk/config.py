@@ -112,7 +112,8 @@ def load_config(path: Optional[str] = None) -> FullConfig:
     cfg_path = Path(path) if path is not None else default_config_path()
     if not cfg_path.is_file():
         raise ConfigError(f"config file not found: {cfg_path}")
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+    parser = configparser.ConfigParser(interpolation=None,
+                                       inline_comment_prefixes=("#", ";"))
     try:
         parser.read_string(cfg_path.read_text())
     except configparser.Error as exc:

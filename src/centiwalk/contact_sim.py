@@ -313,7 +313,6 @@ def simulate_walk(cfg: GaitConfig, geom: RobotGeometry, terrain: TerrainGrid,
     w = simulate_walks(cfg, geom, [terrain], [seed], [cfg.a_v], cycles, steps,
                        sensor)
     n = cfg.n_pairs
-    stance = _stance_table(cfg, geom, steps)[0]
     c, leg, k = np.nonzero(w.lost[0, 0])
     causes = np.where(_height_steps(terrain, n, cycles)[c, leg] <= 0.0,
                       "too_deep", "deformed")
@@ -321,8 +320,7 @@ def simulate_walk(cfg: GaitConfig, geom: RobotGeometry, terrain: TerrainGrid,
         measured=ContactMap(legs=2 * n, steps=steps, cycles=cycles,
                             bits=w.bits[0, 0].transpose(1, 0, 2)
                             .reshape(2 * n, -1)),
-        ideal=ContactMap(legs=2 * n, steps=steps, cycles=cycles,
-                         bits=np.tile(stance, (1, cycles))),
+        ideal=ideal_contact_map(cfg, steps, cycles),
         gamma_per_cycle=w.gamma[0, 0].tolist(),
         forward_speed_ratio=w.v_ratio[0, 0].tolist(),
         loss_events=list(zip(leg.tolist(), (c * steps + k).tolist(),

@@ -153,7 +153,7 @@ class TestBadInput:
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1
         assert err.startswith(("config error:", "usage error:"))
-        if "[meta]" in experiment or "%" in experiment:
+        if "[meta]" in experiment or "%(" in experiment:
             assert str(cfg) in err
         # a failing command leaves no partial output
         assert not list(out.glob("**/*.csv"))
@@ -169,6 +169,17 @@ class TestBadInput:
         out = tmp_path / "out"
         assert run(["--config", fast_config, "--out", str(out)] + argv) == 1
         assert not out.exists()
+
+    def test_percent_in_terrain_path_is_literal(self, tmp_path):
+        terrain = tmp_path / "rough%1.txt"
+        terrain.write_text(self.GOOD)
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("[meta]\nschema_version = 1\n[experiment]\n"
+                       f"terrains = {terrain}\n")
+        out = tmp_path / "out"
+        assert run(["--config", str(cfg), "--out", str(out),
+                    "model-sweep"]) == 0
+        assert "rough%1" in (out / "model_sweep.csv").read_text()
 
     def test_explicit_override_wins(self, tmp_path, fast_config):
         assert run(["--config", fast_config, "--out", str(tmp_path),

@@ -175,3 +175,11 @@ class TestOverrides:
         fc = load_config(str(p))
         assert fc.gait.n_pairs == 3
         assert fc.experiment.cycles == 10          # no [experiment] section
+
+    def test_percent_is_literal(self, tmp_path):
+        # values are not interpolated, so a '%' is an ordinary character
+        p = tmp_path / "c.cfg"
+        p.write_text("[meta]\nschema_version = 1\n"
+                     "[experiment]\nterrains = 0.1, rough%1.txt, %(x)s\n")
+        assert load_config(str(p)).experiment.terrains == [
+            "0.1", "rough%1.txt", "%(x)s"]
