@@ -20,8 +20,6 @@ from pathlib import Path
 from statistics import mean, pvariance
 from typing import Iterable, List, Optional
 
-import numpy as np
-
 from . import __version__
 from .config import ConfigError, FullConfig, load_config, _seeds
 from .contact_sim import (
@@ -186,18 +184,14 @@ def cmd_model_sweep(fc: FullConfig, args) -> int:
     out = _out_dir(args)
     dist = gait_slip_distribution(fc.gait, fc.geometry)
     lines = []
+    grid = fc.experiment.a_v_grid
     for entry in entries:
-        model = entry.model()
-        outs = [predict_gamma(fc.geometry, replace(fc.gait, a_v=a_v), model,
-                              PREDICT_M)
-                for a_v in fc.experiment.a_v_grid]
-        band = predict_speed_band(dist, np.array([o.gamma for o in outs]))
-        for a_v, o, v_min, v_max in zip(fc.experiment.a_v_grid, outs,
-                                        band.v_ratio_min, band.v_ratio_max):
-            lines.append(
-                f"{entry.label},{a_v:g},{o.p_loss1:.6f},{o.p_loss2:.6f},"
-                f"{o.gamma:.6f},{o.gamma_ideal:.6f},{o.p_e:.6f},"
-                f"{v_min:.6f},{v_max:.6f}")
+        o = predict_gamma(fc.geometry, fc.gait, entry.model(), PREDICT_M, grid)
+        band = predict_speed_band(dist, o.gamma)
+        for a_v, *row in zip(grid, o.p_loss1, o.p_loss2, o.gamma, o.gamma_ideal,
+                             o.p_e, band.v_ratio_min, band.v_ratio_max):
+            lines.append(f"{entry.label},{a_v:g},"
+                         + ",".join(f"{x:.6f}" for x in row))
     path = out / "model_sweep.csv"
     _write_csv(path, _stamp(fc), "terrain,a_v_deg,p_loss1,p_loss2,gamma,"
                "gamma_ideal,p_e,v_min,v_max", lines)
@@ -214,12 +208,11 @@ def cmd_validate(fc: FullConfig, args) -> int:
     max_dev = 0.0
     lines = []
     for entry in entries:
-        model = entry.model()
         walks = simulate_walks(fc.gait, fc.geometry, _terrains(fc, entry),
                                exp.seeds, grid, exp.cycles, exp.steps, sensor)
-        for i, a_v in enumerate(grid):
-            cfg = replace(fc.gait, a_v=a_v)
-            predicted = predict_gamma(fc.geometry, cfg, model, PREDICT_M).gamma
+        gammas = predict_gamma(fc.geometry, fc.gait, entry.model(), PREDICT_M,
+                               grid).gamma.tolist()
+        for i, (a_v, predicted) in enumerate(zip(grid, gammas)):
             simulated = mean(mean(g) for g in walks.gamma[:, i].tolist())
             dev = abs(simulated - predicted)
             max_dev = max(max_dev, dev)

@@ -114,8 +114,17 @@ def load_config(path: Optional[str] = None) -> FullConfig:
         raise ConfigError(f"config file not found: {cfg_path}")
     parser = configparser.ConfigParser(interpolation=None,
                                        inline_comment_prefixes=("#", ";"))
+    text = cfg_path.read_text()
     try:
-        parser.read_string(cfg_path.read_text())
+        parser.read_string(text, source=str(cfg_path))
+    except configparser.ParsingError as exc:
+        # one line naming the first line the parser could not read
+        n = getattr(exc, "lineno", None) or exc.errors[0][0]
+        line = text.split("\n")[n - 1].strip()
+        why = ("comes before any [section] header"
+               if isinstance(exc, configparser.MissingSectionHeaderError)
+               else "is neither a [section] header nor a key = value line")
+        raise ConfigError(f"{cfg_path}: line {n}: {line!r} {why}") from exc
     except configparser.Error as exc:
         raise ConfigError(f"cannot parse {cfg_path}: {exc}") from exc
     try:

@@ -52,14 +52,15 @@ class FrictionPrediction:
 
 @dataclass
 class LossModelOutput:
-    """Analytic loss bundle for one (terrain model, gait) pair."""
+    """Analytic loss bundle for one (terrain model, gait) pair: arrays with
+    one entry per vertical amplitude."""
 
-    p_loss1: float
-    p_loss2: float
-    p_loss: float
-    gamma: float
-    gamma_ideal: float
-    p_e: float
+    p_loss1: np.ndarray
+    p_loss2: np.ndarray
+    p_loss: np.ndarray
+    gamma: np.ndarray
+    gamma_ideal: np.ndarray
+    p_e: np.ndarray
 
 
 def friction_bounds(dist: SlipDistribution,
@@ -99,33 +100,30 @@ def predict_speed_band(dist: SlipDistribution, gamma) -> FrictionPrediction:
                               v_ratio_max=np.maximum(0.0, k * f_max))
 
 
-def predict_gamma(geom: RobotGeometry, cfg: GaitConfig,
-                  model: HeightDeltaModel, m: int) -> LossModelOutput:
-    """Analytic contact ratio for one gait on a height-difference model.
+def predict_gamma(geom: RobotGeometry, cfg: GaitConfig, model: HeightDeltaModel,
+                  m: int, a_v) -> LossModelOutput:
+    """Analytic contact ratio for one gait on a height-difference model, at
+    each vertical amplitude of the 1-D grid a_v (degrees; cfg.a_v is not
+    read).
 
     Terrain drops cost contact when the drop exceeds the foot's reach;
     terrain rises cost contact when the rise, less any lift from the
     vertical wave, exceeds what leg retraction can recover.  The stance is
-    sampled at m uniform phases.
+    sampled at m uniform phases: one row of m samples per amplitude.
     """
     if m < 4:
         raise ValueError(f"m must be >= 4, got {m}")
-    d_s, reach, lift = stance_geometry(cfg, geom, cfg.duty * np.arange(m) / m)
-    p_loss1 = float(np.mean(tail_probability(model, reach, "dh_nonpositive")))
+    d_s, reach, lift = stance_geometry(cfg, geom, cfg.duty * np.arange(m) / m,
+                                       np.asarray(a_v, dtype=float)[:, None])
+    p_loss1 = np.mean(tail_probability(model, reach, "dh_nonpositive"), axis=-1)
     thresholds = recoverable_heights(geom, d_s) + np.maximum(lift, 0.0)
-    p_loss2 = float(np.mean(tail_probability(model, thresholds, "dh_positive")))
+    p_loss2 = np.mean(tail_probability(model, thresholds, "dh_positive"), axis=-1)
     p_loss = model.p1 * p_loss1 + (1.0 - model.p1) * p_loss2
     gamma = 1.0 - p_loss
     # the flat-terrain contact ratio: samples the vertical wave leaves on
     # the nominal ground plane
-    gamma_ideal = float(np.mean(lift <= 1e-12))
-    p_e = (1.0 - gamma) / gamma_ideal if gamma_ideal > 0.0 else float("inf")
-    return LossModelOutput(
-        p_loss1=p_loss1,
-        p_loss2=p_loss2,
-        p_loss=p_loss,
-        gamma=gamma,
-        gamma_ideal=gamma_ideal,
-        p_e=p_e,
-    )
-
+    gamma_ideal = np.mean(lift <= 1e-12, axis=-1)
+    p_e = np.divide(1.0 - gamma, gamma_ideal, out=np.full_like(gamma, np.inf),
+                    where=gamma_ideal > 0.0)
+    return LossModelOutput(p_loss1=p_loss1, p_loss2=p_loss2, p_loss=p_loss,
+                           gamma=gamma, gamma_ideal=gamma_ideal, p_e=p_e)

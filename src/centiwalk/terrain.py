@@ -153,10 +153,6 @@ class HeightDeltaModel:
         return cls(kind="empirical", sigma=0.0, samples=np.asarray(samples))
 
 
-# math.erf per element; importing scipy.special would double the import time
-_erf = np.vectorize(math.erf, otypes=[float])
-
-
 def tail_probability(model: HeightDeltaModel, thresholds,
                      conditioned: str) -> np.ndarray:
     """Conditional tail probabilities of the height-difference magnitude,
@@ -175,8 +171,12 @@ def tail_probability(model: HeightDeltaModel, thresholds,
         if model.sigma == 0.0:
             # degenerate: dH is identically 0, so no strict exceedance
             return np.zeros(t.shape)
-        # both conditional tails reduce to 2 Phi(-t / sigma) by symmetry
-        tail = 2.0 * (0.5 * (1.0 + _erf(-t / model.sigma / math.sqrt(2.0))))
+        # both conditional tails reduce to 2 Phi(-t / sigma) by symmetry;
+        # math.erf over one flat list, as importing scipy.special would
+        # double the import time
+        z = -t / model.sigma / math.sqrt(2.0)
+        erf = np.fromiter(map(math.erf, z.ravel().tolist()), float, z.size)
+        tail = 2.0 * (0.5 * (1.0 + erf.reshape(t.shape)))
         return np.where(t <= 0.0, 1.0, tail)
     s = model.samples
     mags = np.sort(-s[s <= 0.0] if conditioned == "dh_nonpositive"

@@ -139,7 +139,7 @@ def test_05_analytic_vs_simulation():
         model = HeightDeltaModel.from_rugosity(r_g)
         for a_v in A_V_GRID:
             cfg = replace(cfg0, a_v=a_v)
-            predicted = predict_gamma(geom, cfg, model, 720).gamma
+            predicted = predict_gamma(geom, cfg, model, 720, [a_v]).gamma[0]
             sims = []
             for seed in SEEDS:
                 terrain = generate_terrain(r_g, rows=rows, cols=5, seed=seed)
@@ -158,8 +158,8 @@ def test_06_trend_reproduction():
     cfg0 = GaitConfig()
 
     def gamma(r_g, a_v):
-        return predict_gamma(geom, replace(cfg0, a_v=a_v),
-                             HeightDeltaModel.from_rugosity(r_g), 720).gamma
+        return predict_gamma(geom, cfg0, HeightDeltaModel.from_rugosity(r_g),
+                             720, [a_v]).gamma[0]
 
     g0 = [gamma(r, 0.0) for r in R_G_GRID]
     decreasing_ok = g0[0] > g0[1] > g0[2]
@@ -167,10 +167,8 @@ def test_06_trend_reproduction():
     sens0 = [abs(a - b) for a, b in zip(g0, g0[1:])]
     sens20 = [abs(a - b) for a, b in zip(g20, g20[1:])]
     sens_ok = all(s20 < s0 for s20, s0 in zip(sens20, sens0))
-    g_ideal = [predict_gamma(geom, replace(cfg0, a_v=a),
-                             HeightDeltaModel.from_rugosity(0.32),
-                             720).gamma_ideal
-               for a in (0.0, 5.0, 10.0, 15.0, 20.0, 25.0)]
+    g_ideal = predict_gamma(geom, cfg0, HeightDeltaModel.from_rugosity(0.32),
+                            720, [0.0, 5.0, 10.0, 15.0, 20.0, 25.0]).gamma_ideal
     ideal_ok = all(a >= b - 1e-12 for a, b in zip(g_ideal, g_ideal[1:]))
     report(6, "gamma trends: decreasing in r_g, damped sensitivity at a_v=20, "
               "gamma' non-increasing",

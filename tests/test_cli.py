@@ -106,6 +106,8 @@ class TestBadInput:
         ("[gait]\na_v = inf\n", ["walk"]),
         ("[controller]\nk_p = inf\n", ["controller-compare"]),
         ("[controller]\nfixed_av = inf\n", ["controller-compare"]),
+        ("[gait\n", ["walk"]),
+        ("duty = 0.5\n[meta]\nschema_version = 1\n", ["walk"]),
     ], ids=["odd-steps-flag", "odd-steps-config", "nan-rugosity",
             "negative-rugosity", "compare-only-files", "no-r_g-header",
             "ragged-rows", "one-row-file", "nan-height-walk",
@@ -124,7 +126,8 @@ class TestBadInput:
             "repeated-label-levels-validate", "repeated-label-files-walk",
             "non-integer-schema-version", "percent-in-terrain-path",
             "percent-missing-reference", "inf-h_l-sweep", "inf-h_l-validate",
-            "inf-a_v-walk", "inf-k_p-compare", "inf-fixed_av-compare"])
+            "inf-a_v-walk", "inf-k_p-compare", "inf-fixed_av-compare",
+            "unclosed-section-walk", "key-before-section-walk"])
     def test_one_line_error(self, tmp_path, capsys, experiment, argv):
         files = {
             "good": self.GOOD,
@@ -143,17 +146,21 @@ class TestBadInput:
             paths[name].parent.mkdir(exist_ok=True)
             paths[name].write_text(text)
         cfg = tmp_path / "c.cfg"
-        # a case that sets its own seeds or [meta] replaces the default one
+        # a case that sets its own seeds replaces the default one; a case
+        # that holds [meta] replaces the default header and opens the file
         seeds = "" if experiment.startswith("seeds") else "seeds = 0\n"
-        meta = "" if "[meta]" in experiment else "[meta]\nschema_version = 1\n"
-        cfg.write_text(meta + "[experiment]\n" + seeds + "cycles = 2\n"
-                       + experiment.format(**paths))
+        body = "[experiment]\n" + seeds + "cycles = 2\n"
+        if "[meta]" in experiment:
+            cfg.write_text(experiment.format(**paths) + body)
+        else:
+            cfg.write_text("[meta]\nschema_version = 1\n" + body
+                           + experiment.format(**paths))
         out = tmp_path / "out"
         assert run(["--config", str(cfg), "--out", str(out)] + argv) == 1
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1
         assert err.startswith(("config error:", "usage error:"))
-        if "[meta]" in experiment or "%(" in experiment:
+        if any(text in experiment for text in ("[meta]", "%(", "[gait\n")):
             assert str(cfg) in err
         # a failing command leaves no partial output
         assert not list(out.glob("**/*.csv"))

@@ -132,6 +132,18 @@ class TestErrors:
         with pytest.raises(ConfigError):
             load_config(str(p))
 
+    @pytest.mark.parametrize("text, line", [
+        ("[meta]\nschema_version = 1\n[gait\nduty = 0.5\n", "3: '[gait'"),
+        ("duty = 0.5\n[meta]\nschema_version = 1\n", "1: 'duty = 0.5'"),
+    ], ids=["unclosed-section", "key-before-section"])
+    def test_unreadable_line_named_on_one_line(self, tmp_path, text, line):
+        p = tmp_path / "c.cfg"
+        p.write_text(text)
+        with pytest.raises(ConfigError) as info:
+            load_config(str(p))
+        assert str(info.value).startswith(f"{p}: line {line} ")
+        assert "\n" not in str(info.value)
+
     def test_invalid_gait_value(self, tmp_path):
         p = tmp_path / "c.cfg"
         p.write_text("[meta]\nschema_version = 1\n[gait]\nduty = 1.5\n")

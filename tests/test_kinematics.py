@@ -128,16 +128,16 @@ class TestRetractionProfile:
     def test_rejects_tiny_m(self):
         with pytest.raises(ValueError, match="m must be >= 4"):
             predict_gamma(RobotGeometry(), GaitConfig(),
-                          HeightDeltaModel.from_rugosity(0.32), 3)
+                          HeightDeltaModel.from_rugosity(0.32), 3, [0.0])
 
 
 class TestIdealGamma:
     @staticmethod
     def ideal_gamma(a_v, m):
         # the flat-terrain contact ratio does not depend on the terrain model
-        return predict_gamma(RobotGeometry(), GaitConfig(a_v=a_v),
+        return predict_gamma(RobotGeometry(), GaitConfig(),
                              HeightDeltaModel.from_rugosity(0.32),
-                             m).gamma_ideal
+                             m, [a_v]).gamma_ideal[0]
 
     def test_flat_wave_full_contact(self):
         # [TRIVIAL] no vertical wave -> gamma' = 1

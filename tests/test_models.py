@@ -2,17 +2,21 @@
 
 import itertools
 import math
-from dataclasses import replace
+import warnings
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import model_reference
 from centiwalk.config import ConfigError, ExperimentSpec
+from centiwalk.control import ControllerConfig
 from centiwalk.gait import GaitConfig
 from centiwalk.kinematics import RobotGeometry, SlipDistribution, slip_distribution
 from centiwalk.models import (
+    LossModelOutput,
     friction_bounds,
     predict_gamma,
     predict_speed_band,
@@ -135,8 +139,8 @@ class TestSpeedLaw:
 class TestPredictGamma:
     def test_flat_terrain_trivial(self):
         # [TRIVIAL] sigma = 0: no loss, gamma = 1, p_e = 0
-        out = predict_gamma(RobotGeometry(), GaitConfig(a_v=10.0),
-                            HeightDeltaModel.from_rugosity(0.0), 360)
+        out = predict_gamma(RobotGeometry(), GaitConfig(),
+                            HeightDeltaModel.from_rugosity(0.0), 360, [10.0])
         assert out.p_loss == 0.0
         assert out.gamma == 1.0
         assert out.p_e == 0.0
@@ -145,28 +149,78 @@ class TestPredictGamma:
         # [DERIVED] a_v=0 makes reach constant h_l, so
         # P_loss,1 = 2 Phi(-h_l / sigma) = 2 Phi(-7/4.8)
         geom = RobotGeometry(h_l=7.0)
-        out = predict_gamma(geom, GaitConfig(a_v=0.0),
-                            HeightDeltaModel.from_rugosity(0.32), 360)
+        out = predict_gamma(geom, GaitConfig(),
+                            HeightDeltaModel.from_rugosity(0.32), 360, [0.0])
         assert out.p_loss1 == pytest.approx(0.14474868660299556, abs=1e-12)
 
     def test_mixture_identity(self):
         model = HeightDeltaModel.from_rugosity(0.32)
-        out = predict_gamma(RobotGeometry(), GaitConfig(a_v=10.0), model, 360)
+        out = predict_gamma(RobotGeometry(), GaitConfig(), model, 360, [10.0])
         assert out.p_loss == pytest.approx(
             model.p1 * out.p_loss1 + (1 - model.p1) * out.p_loss2)
         assert out.gamma == pytest.approx(1.0 - out.p_loss)
 
     def test_p_e_uses_ideal_gamma(self):
-        out = predict_gamma(RobotGeometry(), GaitConfig(a_v=10.0),
-                            HeightDeltaModel.from_rugosity(0.32), 360)
+        out = predict_gamma(RobotGeometry(), GaitConfig(),
+                            HeightDeltaModel.from_rugosity(0.32), 360, [10.0])
         assert out.p_e == pytest.approx((1 - out.gamma) / out.gamma_ideal)
 
     def test_gamma_decreasing_in_rugosity(self):
         geom = RobotGeometry()
-        cfg = GaitConfig(a_v=0.0)
+        cfg = GaitConfig()
         gammas = [predict_gamma(geom, cfg, HeightDeltaModel.from_rugosity(r),
-                                360).gamma for r in (0.0, 0.17, 0.32)]
+                                360, [0.0]).gamma[0] for r in (0.0, 0.17, 0.32)]
         assert gammas[0] > gammas[1] > gammas[2]
+
+    def test_p_e_infinite_without_ideal_contact(self):
+        # a short stance that the vertical wave lifts throughout keeps no
+        # flat-ground contact at a_v > 0: p_e is inf there, with no warning
+        cfg = GaitConfig(duty=0.2, phase_offset=-1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = predict_gamma(RobotGeometry(), cfg,
+                                HeightDeltaModel.from_rugosity(0.0), 64,
+                                [0.0, 20.0])
+        assert out.gamma_ideal.tolist() == [1.0, 0.0]
+        assert out.p_e.tolist() == [0.0, math.inf]
+
+    @given(data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_scalar_reference(self, data):
+        # every field at every amplitude equals the one-amplitude oracle bit
+        # for bit, over Gaussian (sigma = 0 too) and empirical models and
+        # grids with 0, repeats and amplitudes past the controller's av_max
+        kind = data.draw(st.sampled_from(
+            ["gaussian", "mixed", "positive", "nonpositive"]))
+        if kind == "gaussian":
+            model = HeightDeltaModel(kind="gaussian", sigma=data.draw(
+                st.one_of(st.just(0.0), st.floats(0.0, 20.0))))
+        else:
+            lo, hi = {"mixed": (-15.0, 15.0), "positive": (1e-3, 15.0),
+                      "nonpositive": (-15.0, 0.0)}[kind]
+            model = HeightDeltaModel.from_samples(data.draw(
+                st.lists(st.floats(lo, hi), min_size=1, max_size=40)))
+        av_max = ControllerConfig().av_max
+        grid = data.draw(st.lists(
+            st.one_of(st.just(0.0), st.just(av_max),
+                      st.floats(0.0, 4.0 * av_max)), min_size=1, max_size=6))
+        grid += grid[:data.draw(st.integers(0, len(grid)))]
+        cfg = GaitConfig(
+            n_pairs=data.draw(st.integers(2, 8)),
+            xi=data.draw(st.sampled_from([0.5, 1.0, 1.5, 2.0])),
+            duty=data.draw(st.sampled_from([0.1, 0.2, 0.5, 0.6, 0.9])),
+            phase_offset=data.draw(st.one_of(st.none(),
+                                             st.floats(-math.pi, math.pi))))
+        m = data.draw(st.integers(4, 200))
+        out = predict_gamma(RobotGeometry(), cfg, model, m, grid)
+        for f in fields(LossModelOutput):
+            assert getattr(out, f.name).shape == (len(grid),)
+        for i, a_v in enumerate(grid):
+            ref = model_reference.predict_gamma(
+                RobotGeometry(), replace(cfg, a_v=a_v), model, m)
+            for f in fields(LossModelOutput):
+                assert getattr(out, f.name)[i] == getattr(ref, f.name), \
+                    (f.name, a_v)
 
 
 def best_av(r_g, grid):
@@ -174,8 +228,7 @@ def best_av(r_g, grid):
     fastest (argmax: ties go to the smaller amplitude), and that band."""
     geom, cfg = RobotGeometry(), GaitConfig()
     model = HeightDeltaModel.from_rugosity(r_g)
-    gammas = np.array([predict_gamma(geom, replace(cfg, a_v=a_v), model,
-                                     360).gamma for a_v in grid])
+    gammas = predict_gamma(geom, cfg, model, 360, grid).gamma
     band = predict_speed_band(slip_distribution(cfg, geom, bins=36), gammas)
     best = int(np.argmax(band.v_ratio_mid))
     return grid[best], band.v_ratio_mid[best]

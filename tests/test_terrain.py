@@ -122,6 +122,13 @@ class TestTailProbability:
         assert p[0, 0] == p[1, 1] == pytest.approx(0.14474868660299556,
                                                    abs=1e-12)
         assert p[0, 1] == p[1, 0] == 1.0
+        # a 2-D grid of positive thresholds: every element is the scalar
+        # closed form, bit for bit
+        t = np.linspace(0.25, 15.0, 12).reshape(3, 4)
+        p = tail_probability(model, t, "dh_nonpositive")
+        assert p.shape == t.shape
+        assert p.tolist() == [[2 * (0.5 * (1 + math.erf(-x / 4.8 / math.sqrt(2))))
+                               for x in row] for row in t.tolist()]
 
     def test_symmetry_of_conditional_tails(self):
         model = HeightDeltaModel(kind="gaussian", sigma=3.0)
