@@ -10,7 +10,6 @@ from .kinematics import (
     RobotGeometry,
     SlipDistribution,
     flat_ground_stride,
-    foot_trajectory,
     recoverable_heights,
     slip_distribution,
 )
@@ -48,8 +47,7 @@ __all__ = [
     "__version__",
     "GaitConfig", "joint_angles", "phase_table",
     "RobotGeometry", "SlipDistribution",
-    "flat_ground_stride", "foot_trajectory",
-    "recoverable_heights", "slip_distribution",
+    "flat_ground_stride", "recoverable_heights", "slip_distribution",
     "HeightDeltaModel", "TerrainGrid", "generate_terrain",
     "sigma_from_rugosity", "tail_probability",
     "FrictionPrediction", "LossModelOutput", "friction_bounds",

@@ -26,13 +26,12 @@ from .contact_sim import (
     NoStanceError,
     SensorModel,
     WalkOffTerrainError,
-    gait_slip_distribution,
     ideal_contact_map,
     simulate_walks,
 )
 from .control import ARMS, compare_controllers
 from .gait import joint_angles
-from .kinematics import NoSlipError, flat_ground_stride
+from .kinematics import NoSlipError, flat_ground_stride, slip_distribution
 from .models import predict_gamma, predict_speed_band
 from .terrain import HeightDeltaModel, TerrainGrid, generate_terrain
 
@@ -182,7 +181,7 @@ def cmd_terrain_gen(fc: FullConfig, args) -> int:
 def cmd_model_sweep(fc: FullConfig, args) -> int:
     entries = _entries(fc)
     out = _out_dir(args)
-    dist = gait_slip_distribution(fc.gait, fc.geometry)
+    dist = slip_distribution(fc.gait, fc.geometry)
     lines = []
     grid = fc.experiment.a_v_grid
     for entry in entries:

@@ -114,9 +114,11 @@ def load_config(path: Optional[str] = None) -> FullConfig:
         raise ConfigError(f"config file not found: {cfg_path}")
     parser = configparser.ConfigParser(interpolation=None,
                                        inline_comment_prefixes=("#", ";"))
-    text = cfg_path.read_text()
     try:
+        text = cfg_path.read_text()
         parser.read_string(text, source=str(cfg_path))
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{cfg_path}: {exc}") from exc
     except configparser.ParsingError as exc:
         # one line naming the first line the parser could not read
         n = getattr(exc, "lineno", None) or exc.errors[0][0]

@@ -11,7 +11,7 @@ debounce) stands in for the physical contact-sensing hardware.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, List, Optional, Sequence, Tuple
 
@@ -20,7 +20,6 @@ import numpy as np
 from .gait import GaitConfig, phase_table
 from .kinematics import (
     RobotGeometry,
-    SlipDistribution,
     recoverable_heights,
     slip_distribution,
     stance_geometry,
@@ -140,20 +139,6 @@ def _debounce(bits: np.ndarray, latch_steps: int) -> np.ndarray:
 
 
 @lru_cache
-def _gait_slip_distribution(cfg: GaitConfig,
-                            geom: RobotGeometry) -> SlipDistribution:
-    return slip_distribution(cfg, geom, bins=36)
-
-
-def gait_slip_distribution(cfg: GaitConfig,
-                           geom: RobotGeometry) -> SlipDistribution:
-    """The gait's 36-bin slip distribution.  The planar slip path does not
-    depend on a_v, so it is built once per gait at a_v = 0 and shared by
-    every caller, which must not modify it."""
-    return _gait_slip_distribution(replace(cfg, a_v=0.0), geom)
-
-
-@lru_cache
 def _stance_table(cfg: GaitConfig, geom: RobotGeometry, steps: int) -> tuple:
     """The gait's stance mask over one cycle of `steps` samples, shape
     (2n, steps), and per stance sample in row-major order: its leg, its
@@ -224,7 +209,7 @@ def simulate_walks(cfg: GaitConfig, geom: RobotGeometry,
     if retraction == 0:
         raise NoStanceError(f"{cfg} has no stance sample in a cycle of "
                             f"steps={steps}")
-    dist = gait_slip_distribution(cfg, geom)
+    dist = slip_distribution(cfg, geom)
     shape = (cycles, 2 * n, steps)
 
     def lost_at(d, reach, lift):
@@ -257,32 +242,30 @@ def simulate_walks(cfg: GaitConfig, geom: RobotGeometry,
         else:
             flips = np.broadcast_to(np.uint8(0), (grid[0], 1) + shape)
         lost = np.zeros(grid + shape, dtype=bool)
-        if next_av is None:
-            lost_s = lost_at(d, reach[:, :, None], lift[:, :, None])
-            lost[..., stance] = lost_s
-            bits = sense(stance & ~lost, flips)
-            a_vs = np.repeat(av[..., None], cycles, axis=-1)
-        else:
-            # the next amplitude needs this cycle's sensed contact ratio
-            lost_s = np.empty(d.shape, dtype=bool)
-            bits = np.empty(lost.shape, dtype=np.uint8)
-            a_vs = np.empty(grid + (cycles,))
-            for c in range(cycles):
-                a_vs[..., c] = av
-                lost_s[:, :, c] = lost_at(d[:, :, c], reach, lift)
-                lost[:, :, c, stance] = lost_s[:, :, c]
-                bits[:, :, c] = sense(stance & ~lost[:, :, c], flips[:, :, c])
-                if c + 1 < cycles:
-                    sensed = sensed_ratio(bits[:, :, c])
-                    new = np.asarray(next_av(c, sensed, av),
-                                     dtype=float).reshape(grid)
-                    if not np.all(new >= 0.0):
-                        raise ValueError(f"a_v must be >= 0, got {new.min()}")
-                    changed = new != av
-                    if changed.any():
-                        _, reach[changed], lift[changed] = stance_geometry(
-                            cfg, geom, u, new[changed, None])
-                        av = new
+        lost_s = np.empty(d.shape, dtype=bool)
+        bits = np.empty(lost.shape, dtype=np.uint8)
+        a_vs = np.empty(grid + (cycles,))
+        # the next amplitude needs this cycle's sensed contact ratio, so
+        # feedback walks one cycle per span; held amplitudes walk all at once
+        span = max(cycles, 1) if next_av is None else 1
+        for c in range(0, cycles, span):
+            now = slice(c, c + span)
+            a_vs[..., now] = av[..., None]
+            lost_s[:, :, now] = lost_at(d[:, :, now], reach[:, :, None],
+                                        lift[:, :, None])
+            lost[:, :, now, stance] = lost_s[:, :, now]
+            bits[:, :, now] = sense(stance & ~lost[:, :, now], flips[:, :, now])
+            if c + span < cycles:
+                sensed = sensed_ratio(bits[:, :, c])
+                new = np.asarray(next_av(c, sensed, av),
+                                 dtype=float).reshape(grid)
+                if not np.all(new >= 0.0):
+                    raise ValueError(f"a_v must be >= 0, got {new.min()}")
+                changed = new != av
+                if changed.any():
+                    _, reach[changed], lift[changed] = stance_geometry(
+                        cfg, geom, u, new[changed, None])
+                    av = new
         gamma = (retraction - lost_s.sum(axis=-1)) / retraction
         return (gamma, sensed_ratio(bits), a_vs,
                 predict_speed_band(dist, gamma).v_ratio_mid, bits, lost)

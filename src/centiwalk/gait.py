@@ -65,15 +65,9 @@ class GaitConfig:
         return -(self.xi / (2.0 * self.n_pairs) + 0.25)
 
 
-def wave_lag(cfg: GaitConfig, i: int) -> float:
-    """Cycle fraction by which the waves at pair i lag pair 1: xi*(i-1)/n."""
-    if not 1 <= i <= cfg.n_pairs:
-        raise IndexError(f"leg index {i} out of range 1..{cfg.n_pairs}")
-    return cfg.xi * (i - 1) / cfg.n_pairs
-
-
 def _wave_lags(cfg: GaitConfig) -> np.ndarray:
-    """wave_lag of pairs 1..n, with the same rounding."""
+    """Cycle fractions by which the waves at pairs 1..n lag pair 1:
+    xi*(i-1)/n for pair i."""
     return cfg.xi * np.arange(cfg.n_pairs) / cfg.n_pairs
 
 

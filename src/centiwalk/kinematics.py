@@ -12,12 +12,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Sequence
 
 import numpy as np
 
-from .gait import GaitConfig, TWO_PI, wave_lag
+from .gait import GaitConfig, TWO_PI
+
+SLIP_BINS = 36               # slip-angle histogram bins over [-180, 180]
+SLIP_PATH_SAMPLES = 4096     # samples of the stance foot's slipping path
 
 
 class NoSlipError(ValueError):
@@ -71,10 +74,6 @@ class SlipDistribution:
         if np.any(np.diff(self.bin_centers) <= 0.0):
             raise ValueError("bin centers must be strictly increasing")
 
-    @property
-    def bin_count(self) -> int:
-        return len(self.bin_centers)
-
     @cached_property
     def speed_coeff(self) -> float:
         """Linear force-to-speed coefficient consistent with this
@@ -95,52 +94,39 @@ def flat_ground_stride(cfg: GaitConfig, geom: RobotGeometry) -> float:
     return 2.0 * geom.leg_length * math.sin(math.radians(cfg.theta_leg_amp))
 
 
-def foot_trajectory(cfg: GaitConfig, geom: RobotGeometry, leg: int,
-                    steps: int) -> np.ndarray:
-    """Ground-frame slipping trajectory of a left leg's stance foot, shape
-    (steps, 2) cm.
-
-    The leg is parameterized by its own reduced phase, so every leg traces
-    the same shape; the absolute stance-onset time and the shoulder's
-    longitudinal station only translate it.
-    """
-    if steps < 8:
-        raise ValueError(f"steps must be >= 8, got {steps}")
-    off = cfg.contact_fraction_offset
-    lag = wave_lag(cfg, leg)
-    u = cfg.duty * np.arange(steps) / steps          # reduced phase in [0, D)
-    t = (lag - off) + u                              # absolute time, cycle units
-    theta_leg = np.radians(cfg.theta_leg_amp) * np.cos(np.pi * u / cfg.duty)
-    theta_body = np.radians(cfg.theta_body_amp) * np.cos(TWO_PI * (u - off))
-    v = flat_ground_stride(cfg, geom)                # per cycle of unit duration
-    x_sh = v * t - (leg - 1) * geom.module_length
-    y_sh = 0.5 * geom.module_length * np.sin(theta_body)
-    x = x_sh + geom.leg_length * np.sin(theta_leg)
-    y = y_sh + geom.leg_length * np.cos(theta_leg)
-    return np.column_stack([x, y])
-
-
-def slip_distribution(cfg: GaitConfig, geom: RobotGeometry, bins: int,
-                      steps: int = 4096) -> SlipDistribution:
-    """Arc-length-weighted histogram of slip angles along the stance path.
+@lru_cache
+def slip_distribution(cfg: GaitConfig,
+                      geom: RobotGeometry) -> SlipDistribution:
+    """Arc-length-weighted histogram of slip angles along the ground-frame
+    slipping path of a stance foot, SLIP_BINS bins over SLIP_PATH_SAMPLES
+    path samples.
 
     The slip angle is measured between the friction (anti-slip) direction
     and the robot's forward axis, so predominantly rearward slip yields
-    angles near zero.  Invariant across legs by construction.
+    angles near zero.  Each leg is parameterized by its own reduced phase,
+    so every leg traces the same path up to translation; leg 1's is taken.
+    Built once per (cfg, geom) and shared: callers must not modify it.
     """
-    if bins < 8:
-        raise ValueError(f"bins must be >= 8, got {bins}")
-    path = foot_trajectory(cfg, geom, 1, steps)
-    delta = np.diff(path, axis=0)
-    seg_len = np.hypot(delta[:, 0], delta[:, 1])
+    off = cfg.contact_fraction_offset
+    u = cfg.duty * np.arange(SLIP_PATH_SAMPLES) / SLIP_PATH_SAMPLES
+    theta_leg = np.radians(cfg.theta_leg_amp) * np.cos(np.pi * u / cfg.duty)
+    theta_body = np.radians(cfg.theta_body_amp) * np.cos(TWO_PI * (u - off))
+    # the shoulder advances one flat-ground stride per cycle of body-wave
+    # time u - off
+    x = flat_ground_stride(cfg, geom) * (u - off) \
+        + geom.leg_length * np.sin(theta_leg)
+    y = 0.5 * geom.module_length * np.sin(theta_body) \
+        + geom.leg_length * np.cos(theta_leg)
+    dx, dy = np.diff(x), np.diff(y)
+    seg_len = np.hypot(dx, dy)
     total = seg_len.sum()
     if total <= 0.0:
         raise NoSlipError(f"degenerate foot trajectory: no slip motion at "
                           f"theta_leg_amp = {cfg.theta_leg_amp:g} and "
                           f"theta_body_amp = {cfg.theta_body_amp:g}")
     # friction opposes slip: thrust direction is minus the velocity
-    phi = np.degrees(np.arctan2(-delta[:, 1], -delta[:, 0]))
-    edges = np.linspace(-180.0, 180.0, bins + 1)
+    phi = np.degrees(np.arctan2(-dy, -dx))
+    edges = np.linspace(-180.0, 180.0, SLIP_BINS + 1)
     hist, _ = np.histogram(phi, bins=edges, weights=seg_len)
     probs = hist / total
     probs = probs / probs.sum()

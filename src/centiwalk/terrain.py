@@ -174,7 +174,9 @@ def tail_probability(model: HeightDeltaModel, thresholds,
         # both conditional tails reduce to 2 Phi(-t / sigma) by symmetry;
         # math.erf over one flat list, as importing scipy.special would
         # double the import time
-        z = -t / model.sigma / math.sqrt(2.0)
+        with np.errstate(over="ignore"):
+            # a subnormal sigma overflows -t / sigma to -inf: a tail of 0
+            z = -t / model.sigma / math.sqrt(2.0)
         erf = np.fromiter(map(math.erf, z.ravel().tolist()), float, z.size)
         tail = 2.0 * (0.5 * (1.0 + erf.reshape(t.shape)))
         return np.where(t <= 0.0, 1.0, tail)

@@ -3,13 +3,33 @@
 These are the scalar gait API that `centiwalk.gait.phase_table` and
 `centiwalk.gait.joint_angles` replaced: one leg and one phase per call, with
 `side` strings.  The array functions must equal them bit for bit.
+
+`foot_trajectory` and `slip_distribution` are the per-leg slip path and the
+uncached histogram of any resolution that the cached
+`centiwalk.kinematics.slip_distribution` replaced.  At its 36 bins and 4096
+samples of leg 1's path, the two must be equal bit for bit.
 """
 
 import math
 from dataclasses import dataclass
 from typing import List
 
-from centiwalk.gait import TWO_PI, GaitConfig, wave_lag
+import numpy as np
+
+from centiwalk.gait import TWO_PI, GaitConfig
+from centiwalk.kinematics import (
+    NoSlipError,
+    RobotGeometry,
+    SlipDistribution,
+    flat_ground_stride,
+)
+
+
+def wave_lag(cfg: GaitConfig, i: int) -> float:
+    """Cycle fraction by which the waves at pair i lag pair 1: xi*(i-1)/n."""
+    if not 1 <= i <= cfg.n_pairs:
+        raise IndexError(f"leg index {i} out of range 1..{cfg.n_pairs}")
+    return cfg.xi * (i - 1) / cfg.n_pairs
 
 
 @dataclass
@@ -95,3 +115,50 @@ def sample_cycle(cfg: GaitConfig, steps_per_cycle: int) -> List[JointCommand]:
                            for i in idx],
         ))
     return commands
+
+
+def foot_trajectory(cfg: GaitConfig, geom: RobotGeometry, leg: int,
+                    steps: int) -> np.ndarray:
+    """Ground-frame slipping trajectory of a left leg's stance foot, shape
+    (steps, 2) cm.
+
+    The leg is parameterized by its own reduced phase, so every leg traces
+    the same shape; the absolute stance-onset time and the shoulder's
+    longitudinal station only translate it.
+    """
+    if steps < 8:
+        raise ValueError(f"steps must be >= 8, got {steps}")
+    off = cfg.contact_fraction_offset
+    lag = wave_lag(cfg, leg)
+    u = cfg.duty * np.arange(steps) / steps          # reduced phase in [0, D)
+    t = (lag - off) + u                              # absolute time, cycle units
+    theta_leg = np.radians(cfg.theta_leg_amp) * np.cos(np.pi * u / cfg.duty)
+    theta_body = np.radians(cfg.theta_body_amp) * np.cos(TWO_PI * (u - off))
+    v = flat_ground_stride(cfg, geom)                # per cycle of unit duration
+    x_sh = v * t - (leg - 1) * geom.module_length
+    y_sh = 0.5 * geom.module_length * np.sin(theta_body)
+    x = x_sh + geom.leg_length * np.sin(theta_leg)
+    y = y_sh + geom.leg_length * np.cos(theta_leg)
+    return np.column_stack([x, y])
+
+
+def slip_distribution(cfg: GaitConfig, geom: RobotGeometry, bins: int,
+                      steps: int = 4096) -> SlipDistribution:
+    """Arc-length-weighted histogram of slip angles along leg 1's stance
+    path, in `bins` bins over `steps` path samples."""
+    if bins < 8:
+        raise ValueError(f"bins must be >= 8, got {bins}")
+    path = foot_trajectory(cfg, geom, 1, steps)
+    delta = np.diff(path, axis=0)
+    seg_len = np.hypot(delta[:, 0], delta[:, 1])
+    total = seg_len.sum()
+    if total <= 0.0:
+        raise NoSlipError("degenerate foot trajectory: no slip motion")
+    # friction opposes slip: thrust direction is minus the velocity
+    phi = np.degrees(np.arctan2(-delta[:, 1], -delta[:, 0]))
+    edges = np.linspace(-180.0, 180.0, bins + 1)
+    hist, _ = np.histogram(phi, bins=edges, weights=seg_len)
+    probs = hist / total
+    probs = probs / probs.sum()
+    centers = 0.5 * (edges[:-1] + edges[1:])
+    return SlipDistribution(bin_centers=centers, probs=probs)

@@ -77,7 +77,7 @@ def test_02_terrain_statistics():
 def test_03_lp_vertex_oracle():
     """Greedy friction bounds match exhaustive vertex enumeration."""
     def enum_bounds(dist, gamma):
-        probs, b = dist.probs, dist.bin_count
+        probs, b = dist.probs, len(dist.bin_centers)
         cosb = np.cos(np.radians(dist.bin_centers))
 
         def val(w):
@@ -180,7 +180,7 @@ def test_07_speed_gamma_band():
     correlates with simulated gamma (Spearman > 0.9)."""
     cfg = GaitConfig()
     geom = RobotGeometry()
-    dist = slip_distribution(cfg, geom, bins=36)
+    dist = slip_distribution(cfg, geom)
     gammas = np.linspace(0.0, 1.0, 41)
     bands = [predict_speed_band(dist, float(g)) for g in gammas]
     v_min = [b.v_ratio_min for b in bands]

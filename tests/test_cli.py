@@ -108,6 +108,7 @@ class TestBadInput:
         ("[controller]\nfixed_av = inf\n", ["controller-compare"]),
         ("[gait\n", ["walk"]),
         ("duty = 0.5\n[meta]\nschema_version = 1\n", ["walk"]),
+        ("# caf\xe9\n", ["gait-dump"]),
     ], ids=["odd-steps-flag", "odd-steps-config", "nan-rugosity",
             "negative-rugosity", "compare-only-files", "no-r_g-header",
             "ragged-rows", "one-row-file", "nan-height-walk",
@@ -127,7 +128,8 @@ class TestBadInput:
             "non-integer-schema-version", "percent-in-terrain-path",
             "percent-missing-reference", "inf-h_l-sweep", "inf-h_l-validate",
             "inf-a_v-walk", "inf-k_p-compare", "inf-fixed_av-compare",
-            "unclosed-section-walk", "key-before-section-walk"])
+            "unclosed-section-walk", "key-before-section-walk",
+            "latin-1-comment-gait-dump"])
     def test_one_line_error(self, tmp_path, capsys, experiment, argv):
         files = {
             "good": self.GOOD,
@@ -147,20 +149,23 @@ class TestBadInput:
             paths[name].write_text(text)
         cfg = tmp_path / "c.cfg"
         # a case that sets its own seeds replaces the default one; a case
-        # that holds [meta] replaces the default header and opens the file
+        # that holds [meta] replaces the default header and opens the file;
+        # Latin-1 keeps ASCII as is and makes a non-ASCII case invalid UTF-8
         seeds = "" if experiment.startswith("seeds") else "seeds = 0\n"
         body = "[experiment]\n" + seeds + "cycles = 2\n"
         if "[meta]" in experiment:
-            cfg.write_text(experiment.format(**paths) + body)
+            content = experiment.format(**paths) + body
         else:
-            cfg.write_text("[meta]\nschema_version = 1\n" + body
-                           + experiment.format(**paths))
+            content = ("[meta]\nschema_version = 1\n" + body
+                       + experiment.format(**paths))
+        cfg.write_text(content, encoding="latin-1")
         out = tmp_path / "out"
         assert run(["--config", str(cfg), "--out", str(out)] + argv) == 1
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1
         assert err.startswith(("config error:", "usage error:"))
-        if any(text in experiment for text in ("[meta]", "%(", "[gait\n")):
+        if any(text in experiment
+               for text in ("[meta]", "%(", "[gait\n", "\xe9")):
             assert str(cfg) in err
         # a failing command leaves no partial output
         assert not list(out.glob("**/*.csv"))

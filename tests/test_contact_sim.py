@@ -8,12 +8,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import gait_reference
 from centiwalk.contact_sim import (
     ContactMap,
     SensorModel,
     WalkOffTerrainError,
     _debounce,
-    _gait_slip_distribution,
     ideal_contact_map,
     simulate_walk,
     simulate_walks,
@@ -187,24 +187,25 @@ class TestSlipDistributionCache:
         geom = RobotGeometry()
         terrain = generate_terrain(0.32, rows=12, cols=5, seed=3)
         base = GaitConfig(n_pairs=4)
-        _gait_slip_distribution.cache_clear()
-        for a_v in (0.0, 12.0, 25.0):
-            simulate_walk(replace(base, a_v=a_v), geom, terrain, 4, 72,
-                          SensorModel(), seed=3)
-        info = _gait_slip_distribution.cache_info()
+        slip_distribution.cache_clear()
+        for _ in range(3):
+            simulate_walks(base, geom, [terrain], [3], [0.0, 12.0, 25.0], 4,
+                           72, SensorModel())
+        info = slip_distribution.cache_info()
         assert (info.misses, info.hits) == (1, 2)
+        assert slip_distribution(base, geom) is slip_distribution(base, geom)
         variants = [(replace(base, theta_leg_amp=20.0), geom),
                     (replace(base, duty=0.6), geom),
                     (replace(base, xi=1.5), geom),
                     (replace(base, phase_offset=1.0), geom),
                     (base, RobotGeometry(leg_length=14.0))]
         for cfg, g in variants + [(base, geom)]:
-            res = simulate_walk(replace(cfg, a_v=10.0), g, terrain, 4, 72,
-                                SensorModel(), seed=3)
-            fresh = slip_distribution(cfg, g, bins=36)
-            speeds = predict_speed_band(fresh, np.array(res.gamma_per_cycle))
-            assert res.forward_speed_ratio == speeds.v_ratio_mid.tolist()
-        assert _gait_slip_distribution.cache_info().misses == 1 + len(variants)
+            w = simulate_walks(cfg, g, [terrain], [3], [10.0], 4, 72,
+                               SensorModel())
+            fresh = gait_reference.slip_distribution(cfg, g, 36)
+            speeds = predict_speed_band(fresh, w.gamma[0, 0])
+            assert w.v_ratio[0, 0].tolist() == speeds.v_ratio_mid.tolist()
+        assert slip_distribution.cache_info().misses == 1 + len(variants)
 
 
 class TestSimulationHarness:

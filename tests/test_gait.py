@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from centiwalk.config import ConfigError, ExperimentSpec
-from centiwalk.gait import GaitConfig, joint_angles, phase_table, wave_lag
+from centiwalk.gait import GaitConfig, joint_angles, phase_table
 from gait_reference import sample_cycle
 
 TWO_PI = 2.0 * math.pi
@@ -98,13 +98,6 @@ class TestContact:
         cfg = GaitConfig(n_pairs=4, xi=xi, duty=duty)
         counts = contact_rows(cfg, 360).sum(axis=1)
         assert np.all(np.abs(counts - duty * 360) <= 1.0)
-
-    def test_bad_leg_index(self):
-        cfg = GaitConfig(n_pairs=4)
-        with pytest.raises(IndexError):
-            wave_lag(cfg, 5)
-        with pytest.raises(IndexError):
-            wave_lag(cfg, 0)
 
 
 class TestLegAngle:

@@ -7,12 +7,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gait_reference
 from centiwalk.gait import GaitConfig
 from centiwalk.kinematics import (
+    SLIP_BINS,
+    SLIP_PATH_SAMPLES,
+    NoSlipError,
     RobotGeometry,
     SlipDistribution,
     flat_ground_stride,
-    foot_trajectory,
     recoverable_heights,
     slip_distribution,
     stance_geometry,
@@ -155,37 +158,59 @@ class TestIdealGamma:
 
 class TestSlipDistribution:
     def test_normalized(self):
-        dist = slip_distribution(GaitConfig(), RobotGeometry(), bins=36)
+        dist = slip_distribution(GaitConfig(), RobotGeometry())
         assert dist.probs.sum() == pytest.approx(1.0, abs=1e-12)
         assert np.all(dist.probs >= 0.0)
 
     def test_leg_invariance(self):
-        # every leg traces the same stance shape up to translation
+        # every leg traces the same stance shape up to translation, so leg
+        # 1's path, the one the distribution is built from, stands for all
         cfg = GaitConfig(n_pairs=6)
         geom = RobotGeometry()
-        base = foot_trajectory(cfg, geom, 1, 512)
+        base = gait_reference.foot_trajectory(cfg, geom, 1, 512)
         for leg in (2, 4, 6):
-            other = foot_trajectory(cfg, geom, leg, 512)
+            other = gait_reference.foot_trajectory(cfg, geom, leg, 512)
             offsets = other - base
             assert np.allclose(offsets, offsets[0], atol=1e-9)
 
     def test_mostly_forward_thrust(self):
         # retraction slips rearward, so thrust angles concentrate near 0
-        dist = slip_distribution(GaitConfig(), RobotGeometry(), bins=36)
+        dist = slip_distribution(GaitConfig(), RobotGeometry())
         cosb = np.cos(np.radians(dist.bin_centers))
         assert float(np.dot(dist.probs, cosb)) > 0.3
 
     def test_bin_count_follows_the_bins(self):
-        dist = slip_distribution(GaitConfig(), RobotGeometry(), bins=36)
-        assert dist.bin_count == len(dist.bin_centers) == 36
+        dist = slip_distribution(GaitConfig(), RobotGeometry())
+        assert len(dist.bin_centers) == len(dist.probs) == SLIP_BINS
         with pytest.raises(ValueError, match="length"):
             SlipDistribution(bin_centers=dist.bin_centers,
                              probs=np.append(dist.probs[:-1], [0.0, 0.0]))
 
-    def test_rejects_few_bins(self):
-        with pytest.raises(ValueError):
-            slip_distribution(GaitConfig(), RobotGeometry(), bins=4)
-
-    def test_trajectory_rejects_few_steps(self):
-        with pytest.raises(ValueError):
-            foot_trajectory(GaitConfig(), RobotGeometry(), 1, 4)
+    @given(n_pairs=st.integers(2, 8), xi=st.floats(-3.0, 3.0),
+           duty=st.floats(0.05, 0.95),
+           phase_offset=st.one_of(st.none(), st.floats(-10.0, 10.0)),
+           theta_leg_amp=st.one_of(st.just(0.0), st.floats(0.0, 89.0)),
+           theta_body_amp=st.one_of(st.just(0.0), st.floats(0.0, 89.0)),
+           leg_length=st.floats(0.5, 30.0),
+           module_length=st.floats(0.5, 30.0))
+    @settings(max_examples=100, deadline=None)
+    def test_matches_reference(self, n_pairs, xi, duty, phase_offset,
+                               theta_leg_amp, theta_body_amp, leg_length,
+                               module_length):
+        # bit for bit the per-leg oracle's histogram of leg 1's path
+        cfg = GaitConfig(n_pairs=n_pairs, xi=xi, duty=duty,
+                         phase_offset=phase_offset,
+                         theta_leg_amp=theta_leg_amp,
+                         theta_body_amp=theta_body_amp)
+        geom = RobotGeometry(leg_length=leg_length,
+                             module_length=module_length)
+        try:
+            ref = gait_reference.slip_distribution(cfg, geom, SLIP_BINS,
+                                                   SLIP_PATH_SAMPLES)
+        except NoSlipError:
+            with pytest.raises(NoSlipError):
+                slip_distribution(cfg, geom)
+            return
+        dist = slip_distribution(cfg, geom)
+        assert dist.bin_centers.tolist() == ref.bin_centers.tolist()
+        assert dist.probs.tolist() == ref.probs.tolist()

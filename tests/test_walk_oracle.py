@@ -29,11 +29,11 @@ from centiwalk.gait import GaitConfig, phase_table
 from centiwalk.kinematics import (
     RobotGeometry,
     recoverable_heights,
-    slip_distribution,
     stance_geometry,
 )
 from centiwalk.models import predict_speed_band
 from centiwalk.terrain import generate_terrain
+from gait_reference import slip_distribution
 
 
 def reference_debounce(bits, latch_steps):
