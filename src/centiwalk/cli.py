@@ -17,7 +17,6 @@ import math
 import sys
 from dataclasses import asdict, replace
 from pathlib import Path
-from statistics import mean, pvariance
 from typing import Iterable, List, Optional
 
 from . import __version__
@@ -211,8 +210,9 @@ def cmd_validate(fc: FullConfig, args) -> int:
                                exp.seeds, grid, exp.cycles, exp.steps, sensor)
         gammas = predict_gamma(fc.geometry, fc.gait, entry.model(), PREDICT_M,
                                grid).gamma.tolist()
-        for i, (a_v, predicted) in enumerate(zip(grid, gammas)):
-            simulated = mean(mean(g) for g in walks.gamma[:, i].tolist())
+        # per amplitude: the mean over seeds of each seed's mean over cycles
+        sims = walks.gamma.mean(axis=-1).mean(axis=0).tolist()
+        for a_v, predicted, simulated in zip(grid, gammas, sims):
             dev = abs(simulated - predicted)
             max_dev = max(max_dev, dev)
             status = "pass" if dev <= exp.tolerance else "FAIL"
@@ -277,26 +277,28 @@ def cmd_controller_compare(fc: FullConfig, args) -> int:
                                 exp.steps, exp.sensor_flip_prob)
     stride = flat_ground_stride(fc.gait, fc.geometry)
     stamp = _stamp(fc)
+    speeds = walks.v_ratio
+    displacements = stride * speeds
+    # per seed and arm, over the cycles: mean speed ratio, its variance and
+    # the distance walked
+    mean_speeds = speeds.mean(axis=-1)
+    variances = speeds.var(axis=-1)
+    distances = displacements.sum(axis=-1)
     summary = []
     for j, name in enumerate(ARMS):
-        speeds = walks.v_ratio[:, j].tolist()
-        displacements = (stride * walks.v_ratio[:, j]).tolist()
-        # per seed: mean speed ratio and distance walked
-        means = [mean(v) for v in speeds]
-        distances = [sum(d) for d in displacements]
-        summary.append(f"{name},{mean(means):.6f},"
-                       f"{mean(pvariance(v) for v in speeds):.6f},"
-                       f"{mean(distances):.6f}")
+        summary.append(f"{name},{mean_speeds[:, j].mean():.6f},"
+                       f"{variances[:, j].mean():.6f},"
+                       f"{distances[:, j].mean():.6f}")
         # the first seed's walk
-        gamma_s = walks.gamma_measured[0, j].tolist()
-        rows = zip(gamma_s, walks.a_v[0, j].tolist(), speeds[0],
-                   displacements[0])
+        gamma_s = walks.gamma_measured[0, j]
+        rows = zip(gamma_s.tolist(), walks.a_v[0, j].tolist(),
+                   speeds[0, j].tolist(), displacements[0, j].tolist())
         _write_csv(out / f"trace_{name}.csv", stamp,
                    "cycle,gamma_s,a_v_deg,v_ratio,displacement_cm",
                    [f"{c},{g:.6f},{a:.6f},{v:.6f},{d:.6f}"
                     for c, (g, a, v, d) in enumerate(rows)]
-                   + [f"summary,{mean(gamma_s):.6f},,"
-                      f"{means[0]:.6f},{distances[0]:.6f}"])
+                   + [f"summary,{gamma_s.mean():.6f},,"
+                      f"{mean_speeds[0, j]:.6f},{distances[0, j]:.6f}"])
     path = out / "controller_summary.csv"
     _write_csv(path, stamp,
                "scenario,mean_speed_ratio,speed_variance,mean_distance_cm",

@@ -11,6 +11,7 @@ debounce) stands in for the physical contact-sensing hardware.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, List, Optional, Sequence, Tuple
@@ -31,6 +32,9 @@ from .terrain import TerrainGrid
 # walks per array pass: bounds the (walks x cycles x legs x steps) arrays,
 # and so peak memory, at any batch size
 BLOCK_ROWS = 64
+
+# a loss event's cause, indexed by whether its height step is a drop
+_CAUSES = np.array(["deformed", "too_deep"], dtype=object)
 
 
 class NoStanceError(ValueError):
@@ -68,7 +72,9 @@ class ContactMap:
 @dataclass
 class SensorModel:
     """Binary contact sensor abstraction: i.i.d. bit-flip noise per sample
-    plus an optional debounce window."""
+    plus an optional debounce window of latch_steps samples, which restarts
+    at each gait cycle's first sample.  latch_steps is set through the
+    library only: no config key and no CLI command turns debounce on."""
 
     flip_prob: float = 0.0
     latch_steps: int = 0
@@ -76,6 +82,11 @@ class SensorModel:
     def __post_init__(self):
         if not 0.0 <= self.flip_prob < 1.0:
             raise ValueError(f"flip_prob must be in [0, 1), got {self.flip_prob}")
+        try:
+            self.latch_steps = operator.index(self.latch_steps)
+        except TypeError:
+            raise ValueError(f"latch_steps must be an integer, got "
+                             f"{self.latch_steps!r}") from None
         if self.latch_steps < 0:
             raise ValueError("latch_steps must be >= 0")
 
@@ -116,26 +127,36 @@ def ideal_contact_map(cfg: GaitConfig, steps: int, cycles: int = 1) -> ContactMa
 
 def _debounce(bits: np.ndarray, latch_steps: int) -> np.ndarray:
     """Hold each leg's output until the raw signal persists latch_steps
-    consecutive samples in the new state, along the last axis.
+    consecutive samples in the new state, along the last axis.  Each row of
+    that axis (one leg in one gait cycle in the engine) restarts from its
+    own first raw sample.
 
-    Equivalently, the output at sample k is the value of the latest window
-    of latch_steps equal raw samples ending at or before k, or the row's
-    first raw sample before any such window.
+    Equivalently, the output at sample k is the raw value at the row's
+    latest event at or before k.  The events are the row's first sample and
+    the last sample of every window of latch_steps equal raw samples that
+    starts a run of such windows.
     """
     if latch_steps <= 1:
         return bits
     steps = bits.shape[-1]
-    # same[..., k]: equal neighbouring pairs among samples 0..k
-    same = np.cumsum(bits[..., 1:] == bits[..., :-1], axis=-1)
-    same = np.concatenate([np.zeros_like(same[..., :1]), same], axis=-1)
-    last = np.zeros(bits.shape, dtype=np.intp)
+    events = np.zeros(bits.shape, dtype=bool)
+    events[..., 0] = True
     if latch_steps <= steps:
-        ends = np.arange(latch_steps - 1, steps)
-        stable = same[..., ends] - same[..., ends - (latch_steps - 1)] \
-            == latch_steps - 1
-        last[..., ends] = np.where(stable, ends, 0)
-    return np.take_along_axis(bits, np.maximum.accumulate(last, axis=-1),
-                              axis=-1)
+        # stable[..., j]: samples j .. j + latch_steps - 1 are all equal
+        same = bits[..., 1:] == bits[..., :-1]
+        width = steps - latch_steps + 1
+        stable = same[..., :width]
+        for i in range(1, latch_steps - 1):
+            stable = stable & same[..., i:i + width]
+        events[..., latch_steps - 1:] = stable
+        # a window whose predecessor was stable too holds the value the
+        # predecessor already set, so only a run's first window is kept
+        events[..., latch_steps:] &= ~stable[..., :-1]
+    # each event's raw value holds up to the next event; every row starts
+    # with an event, so no value reaches into the row after its own
+    at = np.flatnonzero(events)
+    held = np.repeat(bits.ravel()[at], np.diff(at, append=bits.size))
+    return held.reshape(bits.shape)
 
 
 @lru_cache
@@ -297,8 +318,8 @@ def simulate_walk(cfg: GaitConfig, geom: RobotGeometry, terrain: TerrainGrid,
                        sensor)
     n = cfg.n_pairs
     c, leg, k = np.nonzero(w.lost[0, 0])
-    causes = np.where(_height_steps(terrain, n, cycles)[c, leg] <= 0.0,
-                      "too_deep", "deformed")
+    causes = _CAUSES[(_height_steps(terrain, n, cycles)[c, leg] <= 0.0)
+                     .view(np.uint8)]
     return WalkResult(
         measured=ContactMap(legs=2 * n, steps=steps, cycles=cycles,
                             bits=w.bits[0, 0].transpose(1, 0, 2)

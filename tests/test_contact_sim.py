@@ -139,6 +139,19 @@ class TestLossRules:
         assert res.gamma_per_cycle[0] == 0.0
         assert {cause for _, _, cause in res.loss_events} == {"deformed"}
 
+    def test_loss_events_hold_builtin_types(self):
+        # the events' repr is what a caller hashes, so a numpy scalar in
+        # place of a builtin would change it
+        terrain = generate_terrain(0.32, rows=20, cols=5, seed=4)
+        res = simulate_walk(GaitConfig(), RobotGeometry(), terrain, 10, 72,
+                            SensorModel(flip_prob=0.05, latch_steps=3),
+                            seed=4)
+        assert {cause for _, _, cause in res.loss_events} \
+            == {"too_deep", "deformed"}
+        for event in res.loss_events:
+            assert type(event) is tuple
+            assert [type(x) for x in event] == [int, int, str]
+
     def test_rise_partially_recoverable(self):
         # a modest rise is lost early in stance (small d_s) and regained
         # later once retraction can deform the distal link far enough
@@ -154,6 +167,9 @@ class TestSensor:
             SensorModel(flip_prob=1.0)
         with pytest.raises(ValueError):
             SensorModel(latch_steps=-1)
+        with pytest.raises(ValueError, match="integer"):
+            SensorModel(latch_steps=2.5)
+        assert SensorModel(latch_steps=np.int64(3)).latch_steps == 3
 
     def test_noiseless_sensor_reports_truth(self):
         terrain = generate_terrain(0.32, rows=20, cols=5, seed=4)

@@ -82,6 +82,23 @@ def test_debounce_matches_reference(shape, data):
         assert np.array_equal(out, np.repeat(bits[..., :1], steps, axis=-1))
 
 
+@pytest.mark.parametrize("flip_prob", [0.05, 0.5])
+def test_debounce_matches_reference_at_engine_shape(flip_prob):
+    # the engine's (block seeds, amplitudes, cycles, 2n, steps) shape: the
+    # ideal gait's bits with flips, each (leg, cycle) row debounced alone
+    steps = 72
+    shape = (2, 3, 4, 12, steps)
+    cfg = GaitConfig()
+    ideal = phase_table(cfg, steps) < cfg.duty
+    flips = np.random.default_rng(17).random(shape) < flip_prob
+    bits = (ideal ^ flips).view(np.uint8)
+    for latch_steps in range(steps + 3):
+        out = _debounce(bits, latch_steps)
+        ref = reference_debounce(bits.reshape(-1, steps), latch_steps)
+        assert out.dtype == bits.dtype
+        assert np.array_equal(out, ref.reshape(shape)), latch_steps
+
+
 def reference_walk(cfg, geom, terrain, cycles, steps, sensor, seed, cc=None,
                    update_every=None):
     """Per-leg walk; with an update period, a_v follows cc's feedback law,
