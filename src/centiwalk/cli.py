@@ -32,7 +32,12 @@ from .control import ARMS, compare_controllers
 from .gait import joint_angles
 from .kinematics import NoSlipError, flat_ground_stride, slip_distribution
 from .models import predict_gamma, predict_speed_band
-from .terrain import HeightDeltaModel, TerrainGrid, generate_terrain
+from .terrain import (
+    HeightDeltaModel,
+    TerrainGrid,
+    generate_terrain,
+    generate_terrains,
+)
 
 PREDICT_M = 720          # retraction samples for analytic predictions
 
@@ -132,15 +137,20 @@ def _entries(fc: FullConfig) -> List[TerrainEntry]:
     return list(entries.values())
 
 
-def _terrains(fc: FullConfig, entry: TerrainEntry) -> List[TerrainGrid]:
-    """The terrain each seed walks, in seed order: the entry's file, or a
-    grid generated from the seed with rows enough for the walk."""
+def _terrains(fc: FullConfig,
+              entries: List[TerrainEntry]) -> List[List[TerrainGrid]]:
+    """Per entry, the terrain each seed walks, in seed order: the entry's
+    file, or a grid generated from the seed with rows enough for the walk.
+    A seed's grids at the rugosity levels share its one normal draw."""
     exp = fc.experiment
-    if entry.grid is not None:
-        return [entry.grid] * len(exp.seeds)
     rows = exp.cycles + fc.gait.n_pairs + 2
-    return [generate_terrain(entry.r_g, rows=rows, cols=exp.terrain_cols,
-                             seed=seed) for seed in exp.seeds]
+    levels = [entry.r_g for entry in entries if entry.grid is None]
+    # per seed a grid per level, turned into per level a grid per seed
+    per_level = iter(zip(*(generate_terrains(levels, rows, exp.terrain_cols,
+                                             seed=seed)
+                           for seed in exp.seeds)))
+    return [[entry.grid] * len(exp.seeds) if entry.grid is not None
+            else list(next(per_level)) for entry in entries]
 
 
 def cmd_gait_dump(fc: FullConfig, args) -> int:
@@ -205,9 +215,9 @@ def cmd_validate(fc: FullConfig, args) -> int:
     grid = exp.a_v_grid
     max_dev = 0.0
     lines = []
-    for entry in entries:
-        walks = simulate_walks(fc.gait, fc.geometry, _terrains(fc, entry),
-                               exp.seeds, grid, exp.cycles, exp.steps, sensor)
+    for entry, terrains in zip(entries, _terrains(fc, entries)):
+        walks = simulate_walks(fc.gait, fc.geometry, terrains, exp.seeds, grid,
+                               exp.cycles, exp.steps, sensor)
         gammas = predict_gamma(fc.geometry, fc.gait, entry.model(), PREDICT_M,
                                grid).gamma.tolist()
         # per amplitude: the mean over seeds of each seed's mean over cycles
@@ -237,10 +247,10 @@ def cmd_walk(fc: FullConfig, args) -> int:
     sensor = SensorModel(flip_prob=exp.sensor_flip_prob)
     # every walk runs before anything is written, so a failed walk leaves
     # no partial output
-    walks = [(entry, simulate_walks(fc.gait, fc.geometry, _terrains(fc, entry),
-                                    exp.seeds, [fc.gait.a_v], exp.cycles,
-                                    exp.steps, sensor))
-             for entry in entries]
+    walks = [(entry, simulate_walks(fc.gait, fc.geometry, terrains, exp.seeds,
+                                    [fc.gait.a_v], exp.cycles, exp.steps,
+                                    sensor))
+             for entry, terrains in zip(entries, _terrains(fc, entries))]
     stamp = _stamp(fc)
     path = out / "walk.csv"
     _write_csv(path, stamp, "seed,terrain,a_v_deg,cycle,gamma,v_ratio",
@@ -272,9 +282,10 @@ def cmd_controller_compare(fc: FullConfig, args) -> int:
                           "value in terrains")
     out = _out_dir(args)
     rough = max(levels, key=lambda e: e.r_g)
-    walks = compare_controllers(fc.gait, fc.geometry, fc.controller,
-                                _terrains(fc, rough), exp.seeds, exp.cycles,
-                                exp.steps, exp.sensor_flip_prob)
+    (terrains,) = _terrains(fc, [rough])
+    walks = compare_controllers(fc.gait, fc.geometry, fc.controller, terrains,
+                                exp.seeds, exp.cycles, exp.steps,
+                                exp.sensor_flip_prob)
     stride = flat_ground_stride(fc.gait, fc.geometry)
     stamp = _stamp(fc)
     speeds = walks.v_ratio

@@ -12,8 +12,8 @@ debounce) stands in for the physical contact-sensing hardware.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -32,6 +32,11 @@ from .terrain import TerrainGrid
 # walks per array pass: bounds the (walks x cycles x legs x steps) arrays,
 # and so peak memory, at any batch size
 BLOCK_ROWS = 64
+
+# amplitudes per loss-rank table: a table holds (amplitudes x stance samples)
+# rows by (amplitudes x legs) columns, so its size grows with the square of
+# its amplitudes, and a longer grid is counted this many at a time
+RANK_AMPLITUDES = 4
 
 # a loss event's cause, indexed by whether its height step is a drop
 _CAUSES = np.array(["deformed", "too_deep"], dtype=object)
@@ -95,15 +100,31 @@ class SensorModel:
 class Walks:
     """Per-cycle outcomes of every seed walked at every starting amplitude,
     each of shape (seeds, amplitudes, cycles).  The contact maps, of shape
-    (block seeds, amplitudes, cycles, 2n, steps), are kept for the first
-    block of seeds only, so that memory stays flat at any number of seeds."""
+    (block seeds, amplitudes, cycles, 2n, steps), cover the first block of
+    seeds only, so that memory stays flat at any number of seeds; a walk
+    that counts its losses builds them when they are first read."""
 
     gamma: np.ndarray            # true contact ratio
     gamma_measured: np.ndarray   # sensed contact ratio
     a_v: np.ndarray              # vertical amplitude
     v_ratio: np.ndarray          # speed ratio v/v_open
-    bits: np.ndarray             # measured bits
-    lost: np.ndarray             # contact lost to the terrain, same shape
+    # returns the first block's (bits, lost)
+    _build_maps: Callable[[], Tuple[np.ndarray, np.ndarray]] = field(
+        repr=False)
+
+    @cached_property
+    def _maps(self) -> Tuple[np.ndarray, np.ndarray]:
+        return self._build_maps()
+
+    @property
+    def bits(self) -> np.ndarray:
+        """Measured bits."""
+        return self._maps[0]
+
+    @property
+    def lost(self) -> np.ndarray:
+        """Contact lost to the terrain, the shape of bits."""
+        return self._maps[1]
 
 
 @dataclass
@@ -176,6 +197,68 @@ def _stance_table(cfg: GaitConfig, geom: RobotGeometry, steps: int) -> tuple:
     return table
 
 
+def _rise_cutoffs(recover: np.ndarray, lift: np.ndarray) -> np.ndarray:
+    """Per stance sample, the largest float c with c - max(lift, 0) <=
+    recover: a terrain rise d loses the sample exactly when d > c, under
+    the rule's own rounding of d - max(lift, 0).  recover + max(lift, 0)
+    rounds to within one float of c, so one step down where it fails the
+    rule and one step up where the next float still passes find c."""
+    lift = np.maximum(lift, 0.0)
+    c = recover + lift
+    c = np.where(c - lift <= recover, c, np.nextafter(c, -np.inf))
+    up = np.nextafter(c, np.inf)
+    return np.where(up - lift <= recover, up, c)
+
+
+@lru_cache
+def _loss_ranks(cfg: GaitConfig, geom: RobotGeometry, steps: int,
+                a_v: Tuple[float, ...]) -> tuple:
+    """Loss thresholds of every stance sample at every amplitude of a_v,
+    for counting: a drop d loses the samples whose reach is below -d, a
+    rise d the samples whose rise cutoff is below d.  Per side (0 drop,
+    1 rise): the thresholds in ascending order, shape (2, amplitudes x
+    stance samples), and below[side, r, g], how many of group g's
+    thresholds are among that side's r smallest, where group g is leg
+    g % 2n at amplitude a_v[g // 2n].  Built once per grid and shared,
+    read-only, by every walk."""
+    _, stance_leg, u, recover = _stance_table(cfg, geom, steps)
+    _, reach, lift = stance_geometry(cfg, geom, u, np.array(a_v)[:, None])
+    groups = len(a_v) * 2 * cfg.n_pairs
+    group = (2 * cfg.n_pairs * np.arange(len(a_v))[:, None]
+             + stance_leg).ravel()
+    thresholds = np.stack([reach.ravel(),
+                           _rise_cutoffs(recover, lift).ravel()])
+    order = np.argsort(thresholds, axis=-1)
+    # a group's count is at most its leg's stance samples, so at most steps
+    below = np.zeros((2, order.shape[1] + 1, groups),
+                     dtype=np.min_scalar_type(steps))
+    np.cumsum(group[order][..., None] == np.arange(groups), axis=1,
+              dtype=below.dtype, out=below[:, 1:])
+    table = (np.take_along_axis(thresholds, order, axis=-1), below)
+    for a in table:
+        a.setflags(write=False)
+    return table
+
+
+def _count_losses(cfg: GaitConfig, geom: RobotGeometry, steps: int,
+                  a_v: np.ndarray, dh: np.ndarray) -> np.ndarray:
+    """Stance samples each leg loses, shape (seeds, amplitudes, cycles, 2n),
+    where the legs meet the height steps dh, shape (seeds, cycles, 2n), at
+    each amplitude of the 1-D a_v: the per-sample loss rules' count, from
+    one sorted search per side for every RANK_AMPLITUDES amplitudes."""
+    rise = dh > 0.0
+    side = rise.view(np.int8)[:, None]
+    counts = []
+    for j in range(0, len(a_v), RANK_AMPLITUDES):
+        chunk = tuple(a_v[j:j + RANK_AMPLITUDES].tolist())
+        thresholds, below = _loss_ranks(cfg, geom, steps, chunk)
+        rank = np.where(rise, np.searchsorted(thresholds[1], dh),
+                        np.searchsorted(thresholds[0], -dh))
+        group = np.arange(below.shape[-1]).reshape(len(chunk), 1, -1)
+        counts.append(below[side, rank[:, None], group])
+    return np.concatenate(counts, axis=1)
+
+
 def _height_steps(terrain: TerrainGrid, n: int, cycles: int) -> np.ndarray:
     """Height step H(next) - H(current) under each leg's foothold, shape
     (cycles, 2n): a leg's block row advances one per cycle, with a
@@ -210,6 +293,11 @@ def simulate_walks(cfg: GaitConfig, geom: RobotGeometry,
     ratios and amplitudes in that cycle, both of shape (block seeds,
     amplitudes), and returns the amplitudes of the next cycle in that shape;
     a negative or NaN amplitude raises ValueError.
+
+    An open-loop walk with a noise-free sensor (no flips, latch_steps <= 1)
+    senses its true contact ratio, so it counts each leg's lost samples
+    from the cycle's height steps and builds no per-sample array; its
+    contact maps are walked sample by sample when first read.
     """
     if steps % 2 != 0:
         raise ValueError(f"steps must be even, got {steps}")
@@ -248,8 +336,19 @@ def simulate_walks(cfg: GaitConfig, geom: RobotGeometry,
         # measured contact over the stance samples of each cycle
         return (bits & stance).sum(axis=(-2, -1)) / retraction
 
+    def block_steps(block: slice) -> np.ndarray:
+        return np.stack([_height_steps(t, n, cycles) for t in terrains[block]])
+
+    def count_block(block: slice):
+        dh = block_steps(block)
+        lost = _count_losses(cfg, geom, steps, a_v, dh).sum(axis=-1)
+        gamma = (retraction - lost) / retraction
+        a_vs = np.broadcast_to(a_v[:, None], lost.shape)
+        return (gamma, gamma.copy(), a_vs,
+                predict_speed_band(dist, gamma).v_ratio_mid)
+
     def walk_block(block: slice):
-        dh = np.stack([_height_steps(t, n, cycles) for t in terrains[block]])
+        dh = block_steps(block)
         grid = (len(dh), len(a_v))
         # seeds x amplitudes x cycles x stance samples, a fresh array
         d = np.repeat(dh[:, None], len(a_v), axis=1)[..., stance_leg]
@@ -292,16 +391,27 @@ def simulate_walks(cfg: GaitConfig, geom: RobotGeometry,
                 predict_speed_band(dist, gamma).v_ratio_mid, bits, lost)
 
     block = max(1, BLOCK_ROWS // len(a_v))
-    per_cycle = []
-    for i in range(0, len(seeds), block):
-        *arrays, bits, lost = walk_block(slice(i, i + block))
-        per_cycle.append(arrays)
-        if i == 0:
-            maps = bits, lost
+    blocks = [slice(i, i + block) for i in range(0, len(seeds), block)]
+    if (next_av is None and sensor.flip_prob == 0.0
+            and sensor.latch_steps <= 1):
+        per_cycle = [count_block(b) for b in blocks]
+
+        def first_maps():
+            return walk_block(blocks[0])[4:]
+    else:
+        per_cycle = []
+        for b in blocks:
+            *arrays, bits, lost = walk_block(b)
+            per_cycle.append(arrays)
+            if b is blocks[0]:
+                maps = bits, lost
+
+        def first_maps():
+            return maps
     gamma, gamma_measured, a_vs, v_ratio = (np.concatenate(a)
                                             for a in zip(*per_cycle))
     return Walks(gamma=gamma, gamma_measured=gamma_measured, a_v=a_vs,
-                 v_ratio=v_ratio, bits=maps[0], lost=maps[1])
+                 v_ratio=v_ratio, _build_maps=first_maps)
 
 
 def simulate_walk(cfg: GaitConfig, geom: RobotGeometry, terrain: TerrainGrid,

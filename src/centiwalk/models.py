@@ -14,6 +14,7 @@ Two models, validated elsewhere against the Monte Carlo walker:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Tuple
 
 import numpy as np
@@ -100,6 +101,23 @@ def predict_speed_band(dist: SlipDistribution, gamma) -> FrictionPrediction:
                               v_ratio_max=np.maximum(0.0, k * f_max))
 
 
+@lru_cache
+def _stance_thresholds(geom: RobotGeometry, cfg: GaitConfig, m: int,
+                       a_v: Tuple[float, ...]) -> tuple:
+    """The terrain-independent part of predict_gamma, per amplitude of a_v
+    (one row each) and uniform stance phase (m columns): the foot's reach,
+    the rise it recovers after its lift, and per amplitude the flat-terrain
+    contact ratio, the share of samples the vertical wave leaves on the
+    nominal ground plane.  Built once per grid and shared, read-only."""
+    d_s, reach, lift = stance_geometry(cfg, geom, cfg.duty * np.arange(m) / m,
+                                       np.array(a_v)[:, None])
+    table = (reach, recoverable_heights(geom, d_s) + np.maximum(lift, 0.0),
+             np.mean(lift <= 1e-12, axis=-1))
+    for a in table:
+        a.setflags(write=False)
+    return table
+
+
 def predict_gamma(geom: RobotGeometry, cfg: GaitConfig, model: HeightDeltaModel,
                   m: int, a_v) -> LossModelOutput:
     """Analytic contact ratio for one gait on a height-difference model, at
@@ -113,17 +131,14 @@ def predict_gamma(geom: RobotGeometry, cfg: GaitConfig, model: HeightDeltaModel,
     """
     if m < 4:
         raise ValueError(f"m must be >= 4, got {m}")
-    d_s, reach, lift = stance_geometry(cfg, geom, cfg.duty * np.arange(m) / m,
-                                       np.asarray(a_v, dtype=float)[:, None])
+    reach, rise, gamma_ideal = _stance_thresholds(
+        geom, cfg, m, tuple(np.asarray(a_v, dtype=float).tolist()))
     p_loss1 = np.mean(tail_probability(model, reach, "dh_nonpositive"), axis=-1)
-    thresholds = recoverable_heights(geom, d_s) + np.maximum(lift, 0.0)
-    p_loss2 = np.mean(tail_probability(model, thresholds, "dh_positive"), axis=-1)
+    p_loss2 = np.mean(tail_probability(model, rise, "dh_positive"), axis=-1)
     p_loss = model.p1 * p_loss1 + (1.0 - model.p1) * p_loss2
     gamma = 1.0 - p_loss
-    # the flat-terrain contact ratio: samples the vertical wave leaves on
-    # the nominal ground plane
-    gamma_ideal = np.mean(lift <= 1e-12, axis=-1)
     p_e = np.divide(1.0 - gamma, gamma_ideal, out=np.full_like(gamma, np.inf),
                     where=gamma_ideal > 0.0)
     return LossModelOutput(p_loss1=p_loss1, p_loss2=p_loss2, p_loss=p_loss,
-                           gamma=gamma, gamma_ideal=gamma_ideal, p_e=p_e)
+                           gamma=gamma, gamma_ideal=gamma_ideal.copy(),
+                           p_e=p_e)

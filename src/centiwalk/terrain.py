@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -105,17 +105,30 @@ def generate_terrain(r_g: float, rows: int, cols: int, block_size: float = 10.0,
     Each column is an independent random walk along the travel direction
     with N(0, 15*r_g) increments; deterministic for a fixed seed.
     """
-    if not math.isfinite(r_g) or r_g < 0.0:
-        raise ValueError(f"r_g must be finite and >= 0, got {r_g}")
+    (grid,) = generate_terrains([r_g], rows, cols, block_size, seed)
+    return grid
+
+
+def generate_terrains(levels: Sequence[float], rows: int, cols: int,
+                      block_size: float = 10.0,
+                      seed: int = 0) -> List[TerrainGrid]:
+    """generate_terrain at each rugosity of levels from one seed: the seed's
+    standard normals are drawn once and scaled per level, as 0 + sigma * z,
+    which is how Generator.normal(0, sigma) makes the same floats."""
+    for r_g in levels:
+        if not math.isfinite(r_g) or r_g < 0.0:
+            raise ValueError(f"r_g must be finite and >= 0, got {r_g}")
     if rows < 1 or cols < 1:
         raise ValueError("rows and cols must be >= 1")
-    sigma = sigma_from_rugosity(r_g)
-    rng = np.random.default_rng(seed)
-    increments = rng.normal(0.0, sigma, size=(rows - 1, cols)) if rows > 1 \
-        else np.zeros((0, cols))
-    heights = np.vstack([np.zeros((1, cols)), np.cumsum(increments, axis=0)])
-    return TerrainGrid(block_size=block_size, heights=heights, r_g=r_g,
-                       seed=seed)
+    z = np.random.default_rng(seed).standard_normal((rows - 1, cols))
+    grids = []
+    for r_g in levels:
+        # 0 + turns the -0.0 of a zero sigma into 0.0, as normal() does
+        increments = 0.0 + sigma_from_rugosity(r_g) * z
+        heights = np.vstack([np.zeros((1, cols)), np.cumsum(increments, axis=0)])
+        grids.append(TerrainGrid(block_size=block_size, heights=heights,
+                                 r_g=r_g, seed=seed))
+    return grids
 
 
 @dataclass

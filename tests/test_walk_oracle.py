@@ -6,7 +6,8 @@ of `simulate_walk` must equal it exactly, and so must every (seed,
 amplitude) cell of `simulate_walks`, in open loop and under the
 controller's feedback rule, alone or in a mixed grid.  `reference_debounce`
 is the sensor's earlier per-sample state machine, the oracle for the
-windowed `_debounce`.
+windowed `_debounce`.  The per-sample loss rules are the oracle for the
+counts that noise-free open-loop walks take from sorted thresholds.
 """
 
 import math
@@ -14,13 +15,17 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from centiwalk.contact_sim import (
     BLOCK_ROWS,
+    RANK_AMPLITUDES,
     SensorModel,
+    _count_losses,
     _debounce,
+    _rise_cutoffs,
+    _stance_table,
     simulate_walk,
     simulate_walks,
 )
@@ -300,3 +305,122 @@ def test_batch_beyond_one_block_equals_single_walks():
             if i < block:
                 assert np.array_equal(batch.bits[i, j], one.bits[0, 0])
                 assert np.array_equal(batch.lost[i, j], one.lost[0, 0])
+
+
+GAIT_SHAPES = st.builds(
+    GaitConfig, n_pairs=st.integers(min_value=2, max_value=4),
+    xi=st.floats(min_value=0.0, max_value=3.0),
+    duty=st.floats(min_value=0.1, max_value=0.9),
+    phase_offset=st.one_of(st.none(), st.floats(min_value=-2 * math.pi,
+                                                max_value=2 * math.pi)))
+AMPLITUDE_GRIDS = st.lists(st.floats(min_value=0.0, max_value=60.0),
+                           min_size=1, max_size=RANK_AMPLITUDES + 2)
+
+
+def per_sample_losses(cfg, geom, steps, a_v, d):
+    """The per-sample loss rules at every amplitude of a_v, every leg
+    meeting the height step d[k]: lost samples per (amplitude, k, leg)."""
+    _, stance_leg, u, recover = _stance_table(cfg, geom, steps)
+    counts = np.zeros((len(a_v), len(d), 2 * cfg.n_pairs), dtype=int)
+    for j, av in enumerate(a_v):
+        _, reach, lift = stance_geometry(cfg, geom, u, av)
+        dd = d[:, None]
+        lost = np.where(dd <= 0.0, dd < -reach,
+                        dd - np.maximum(lift, 0.0) > recover)
+        for leg in range(2 * cfg.n_pairs):
+            counts[j, :, leg] = lost[:, stance_leg == leg].sum(axis=1)
+    return counts
+
+
+@given(cfg=GAIT_SHAPES, half_steps=st.integers(min_value=2, max_value=12),
+       a_v=AMPLITUDE_GRIDS, sigma=st.floats(min_value=0.0, max_value=10.0),
+       seed=st.integers(min_value=0, max_value=2**16))
+@example(cfg=GaitConfig(), half_steps=12, a_v=[0.0, 5.0, 10.0, 15.0, 20.0,
+                                               25.0, 30.0, 40.0, 50.0, 60.0],
+         sigma=4.8, seed=0)
+@settings(max_examples=40, deadline=None)
+def test_counts_equal_the_per_sample_rules_at_every_threshold(
+        cfg, half_steps, a_v, sigma, seed):
+    # d exactly on, and one float either side of, every sample's -reach
+    # and rise cutoff at every amplitude, plus both zeros and N(0, sigma)
+    # draws: each leg's count is the per-sample rules' sum
+    geom = RobotGeometry()
+    steps = 2 * half_steps
+    _, stance_leg, u, recover = _stance_table(cfg, geom, steps)
+    assume(len(u) > 0)
+    a_v = np.array(a_v)
+    _, reach, lift = stance_geometry(cfg, geom, u, a_v[:, None])
+    cutoffs = _rise_cutoffs(recover, lift)
+    edges = np.concatenate([-reach.ravel(), cutoffs.ravel()])
+    d = np.concatenate([edges, np.nextafter(edges, -np.inf),
+                        np.nextafter(edges, np.inf), [0.0, -0.0],
+                        np.random.default_rng(seed).normal(0.0, sigma, 50)])
+    dh = np.repeat(d[None, :, None], 2 * cfg.n_pairs, axis=2)
+    counts = _count_losses(cfg, geom, steps, a_v, dh)
+    assert counts.shape == (1, len(a_v), len(d), 2 * cfg.n_pairs)
+    assert np.array_equal(counts[0],
+                          per_sample_losses(cfg, geom, steps, a_v, d))
+
+
+@given(cfg=GAIT_SHAPES, half_steps=st.integers(min_value=2, max_value=40),
+       a_v=AMPLITUDE_GRIDS)
+@settings(max_examples=60, deadline=None)
+def test_rise_cutoff_is_the_largest_float_the_rule_keeps(cfg, half_steps, a_v):
+    # c - L <= R and the next float above c breaks it, with L = max(lift,
+    # 0) and R the recoverable rise, at the walker's own stance samples
+    geom = RobotGeometry()
+    _, _, u, recover = _stance_table(cfg, geom, 2 * half_steps)
+    _, _, lift = stance_geometry(cfg, geom, u, np.array(a_v)[:, None])
+    c = _rise_cutoffs(recover, lift)
+    top = np.maximum(lift, 0.0)
+    assert np.all(c - top <= recover)
+    assert np.all(np.nextafter(c, np.inf) - top > recover)
+
+
+@given(recover=st.lists(st.floats(min_value=0.0, max_value=1e6), min_size=1,
+                        max_size=20),
+       lift=st.floats(min_value=-1e6, max_value=1e6))
+@settings(max_examples=200, deadline=None)
+def test_rise_cutoff_definition_on_any_floats(recover, lift):
+    # the same definition on arbitrary magnitudes, where recover + lift
+    # rounds either way
+    recover = np.array(recover)
+    c = _rise_cutoffs(recover, lift)
+    top = max(lift, 0.0)
+    assert np.all(c - top <= recover)
+    assert np.all(np.nextafter(c, np.inf) - top > recover)
+
+
+@given(cfg=GAIT_SHAPES, half_steps=st.integers(min_value=2, max_value=20),
+       r_g=st.sampled_from([0.0, 0.17, 0.32, 0.6, 1.5]),
+       a_v=AMPLITUDE_GRIDS,
+       seeds=st.lists(st.integers(min_value=0, max_value=2**16), min_size=1,
+                      max_size=30),
+       flip_prob=st.sampled_from([0.0, 0.02, 0.2]),
+       latch_steps=st.integers(min_value=0, max_value=3),
+       cycles=st.integers(min_value=1, max_value=5))
+@settings(max_examples=40, deadline=None)
+def test_counted_gamma_is_the_loss_maps_count(cfg, half_steps, r_g, a_v, seeds,
+                                              flip_prob, latch_steps, cycles):
+    # noise-free walks count their losses and build the maps on read, noisy
+    # ones test every sample: either way the first block's loss map holds
+    # each cycle's count, and a noise-free sensor reads the true ratio
+    geom = RobotGeometry()
+    steps = 2 * half_steps
+    stance = _stance_table(cfg, geom, steps)[0]
+    assume(stance.any())
+    terrains = [generate_terrain(r_g, rows=cycles + cfg.n_pairs + 2, cols=5,
+                                 seed=s) for s in seeds]
+    walks = simulate_walks(cfg, geom, terrains, seeds, a_v, cycles, steps,
+                           SensorModel(flip_prob, latch_steps))
+    retraction = int(stance.sum())
+    first = len(walks.lost)
+    assert first == min(len(seeds), max(1, BLOCK_ROWS // len(a_v)))
+    assert np.array_equal(
+        walks.gamma[:first],
+        (retraction - walks.lost.sum(axis=(-2, -1))) / retraction)
+    assert not (walks.lost & ~stance).any()
+    if flip_prob == 0.0 and latch_steps <= 1:
+        assert np.array_equal(walks.gamma_measured, walks.gamma)
+        assert np.array_equal(walks.bits, (stance & ~walks.lost)
+                              .view(np.uint8))
