@@ -21,9 +21,11 @@ import numpy as np
 from .gait import GaitConfig, phase_table
 from .kinematics import (
     RobotGeometry,
+    reach_and_lift,
     recoverable_heights,
     slip_distribution,
     stance_geometry,
+    vertical_wave,
 )
 from .models import predict_speed_band
 from .terrain import TerrainGrid
@@ -183,15 +185,17 @@ def _debounce(bits: np.ndarray, latch_steps: int) -> np.ndarray:
 @lru_cache
 def _stance_table(cfg: GaitConfig, geom: RobotGeometry, steps: int) -> tuple:
     """The gait's stance mask over one cycle of `steps` samples, shape
-    (2n, steps), and per stance sample in row-major order: its leg, its
-    reduced phase and the terrain rise its retraction recovers.  None of
-    these depends on cfg.a_v.  Built once per config and shared, read-only,
-    by every walk."""
+    (2n, steps), and per stance sample in row-major order: its leg, the
+    terrain rise its retraction recovers and the vertical wave's shape at
+    its reduced phase, from which reach_and_lift gives its reach and lift
+    at any amplitude.  None of these depends on cfg.a_v.  Built once per
+    config and shared, read-only, by every walk."""
     phases = phase_table(cfg, steps)
     stance = phases < cfg.duty
     u = phases[stance]
     d_s, _, _ = stance_geometry(cfg, geom, u)
-    table = (stance, np.nonzero(stance)[0], u, recoverable_heights(geom, d_s))
+    table = (stance, np.nonzero(stance)[0], recoverable_heights(geom, d_s),
+             vertical_wave(cfg, u))
     for a in table:
         a.setflags(write=False)
     return table
@@ -221,8 +225,8 @@ def _loss_ranks(cfg: GaitConfig, geom: RobotGeometry, steps: int,
     thresholds are among that side's r smallest, where group g is leg
     g % 2n at amplitude a_v[g // 2n].  Built once per grid and shared,
     read-only, by every walk."""
-    _, stance_leg, u, recover = _stance_table(cfg, geom, steps)
-    _, reach, lift = stance_geometry(cfg, geom, u, np.array(a_v)[:, None])
+    _, stance_leg, recover, wave = _stance_table(cfg, geom, steps)
+    reach, lift = reach_and_lift(geom, wave, np.array(a_v)[:, None])
     groups = len(a_v) * 2 * cfg.n_pairs
     group = (2 * cfg.n_pairs * np.arange(len(a_v))[:, None]
              + stance_leg).ravel()
@@ -313,8 +317,8 @@ def simulate_walks(cfg: GaitConfig, geom: RobotGeometry,
     available = max(0, shortest.rows - n)
     if cycles > available:
         raise WalkOffTerrainError(available, shortest.rows)
-    stance, stance_leg, u, recover = _stance_table(cfg, geom, steps)
-    retraction = len(u)
+    stance, stance_leg, recover, wave = _stance_table(cfg, geom, steps)
+    retraction = len(stance_leg)
     if retraction == 0:
         raise NoStanceError(f"{cfg} has no stance sample in a cycle of "
                             f"steps={steps}")
@@ -353,7 +357,7 @@ def simulate_walks(cfg: GaitConfig, geom: RobotGeometry,
         # seeds x amplitudes x cycles x stance samples, a fresh array
         d = np.repeat(dh[:, None], len(a_v), axis=1)[..., stance_leg]
         av = np.broadcast_to(a_v, grid)
-        _, reach, lift = stance_geometry(cfg, geom, u, av[..., None])
+        reach, lift = reach_and_lift(geom, wave, av[..., None])
         if sensor.flip_prob > 0.0:
             # one draw per seed, shared by its amplitudes
             flips = np.stack([
@@ -361,10 +365,21 @@ def simulate_walks(cfg: GaitConfig, geom: RobotGeometry,
                 for s in seeds[block]]).view(np.uint8)[:, None]
         else:
             flips = np.broadcast_to(np.uint8(0), (grid[0], 1) + shape)
-        lost = np.zeros(grid + shape, dtype=bool)
         lost_s = np.empty(d.shape, dtype=bool)
-        bits = np.empty(lost.shape, dtype=np.uint8)
         a_vs = np.empty(grid + (cycles,))
+
+        def sensed_at(c):
+            # cycle c's sensed contact ratio, of shape grid
+            if sensor.latch_steps <= 1:
+                # a stance sample reads 1 unless exactly one of a loss and
+                # a flip hit it, so the stance samples alone give the count
+                wrong = lost_s[:, :, c] ^ flips[:, :, c][..., stance]
+                return (retraction - wrong.sum(axis=-1)) / retraction
+            # the debounce reads protraction samples too: the cycle's rows
+            truth = np.zeros(grid + shape[1:], dtype=bool)
+            truth[..., stance] = ~lost_s[:, :, c]
+            return sensed_ratio(sense(truth, flips[:, :, c]))
+
         # the next amplitude needs this cycle's sensed contact ratio, so
         # feedback walks one cycle per span; held amplitudes walk all at once
         span = max(cycles, 1) if next_av is None else 1
@@ -373,19 +388,19 @@ def simulate_walks(cfg: GaitConfig, geom: RobotGeometry,
             a_vs[..., now] = av[..., None]
             lost_s[:, :, now] = lost_at(d[:, :, now], reach[:, :, None],
                                         lift[:, :, None])
-            lost[:, :, now, stance] = lost_s[:, :, now]
-            bits[:, :, now] = sense(stance & ~lost[:, :, now], flips[:, :, now])
             if c + span < cycles:
-                sensed = sensed_ratio(bits[:, :, c])
-                new = np.asarray(next_av(c, sensed, av),
+                new = np.asarray(next_av(c, sensed_at(c), av),
                                  dtype=float).reshape(grid)
                 if not np.all(new >= 0.0):
                     raise ValueError(f"a_v must be >= 0, got {new.min()}")
                 changed = new != av
                 if changed.any():
-                    _, reach[changed], lift[changed] = stance_geometry(
-                        cfg, geom, u, new[changed, None])
+                    reach[changed], lift[changed] = reach_and_lift(
+                        geom, wave, new[changed, None])
                     av = new
+        lost = np.zeros(grid + shape, dtype=bool)
+        lost[..., stance] = lost_s
+        bits = sense(stance & ~lost, flips)
         gamma = (retraction - lost_s.sum(axis=-1)) / retraction
         return (gamma, sensed_ratio(bits), a_vs,
                 predict_speed_band(dist, gamma).v_ratio_mid, bits, lost)

@@ -149,13 +149,27 @@ def stance_geometry(cfg: GaitConfig, geom: RobotGeometry, u,
     amp = math.radians(cfg.theta_leg_amp)
     theta_leg = amp * np.cos(np.pi * u / cfg.duty)
     d_s = geom.leg_length * (math.sin(amp) - np.sin(theta_leg))
-    # body pitch at the leg's module; the vertical wave runs at twice the
-    # gait frequency, so one stance spans a full up-down oscillation
-    theta_v = np.radians(cfg.a_v if a_v is None else a_v) \
-        * np.cos(2.0 * TWO_PI * (u - cfg.contact_fraction_offset))
-    reach = geom.d_l * np.sin(theta_v) + geom.h_l * np.cos(theta_v)
-    lift = geom.h_l - reach
+    reach, lift = reach_and_lift(geom, vertical_wave(cfg, u),
+                                 cfg.a_v if a_v is None else a_v)
     return d_s, reach, lift
+
+
+def vertical_wave(cfg: GaitConfig, u) -> np.ndarray:
+    """The vertical wave's shape at reduced stance phases u: body pitch
+    per unit amplitude at the leg's module.  The wave runs at twice the
+    gait frequency, so one stance spans a full up-down oscillation.  It
+    does not depend on cfg.a_v."""
+    return np.cos(2.0 * TWO_PI * (np.asarray(u, dtype=float)
+                                  - cfg.contact_fraction_offset))
+
+
+def reach_and_lift(geom: RobotGeometry, wave, a_v) -> tuple:
+    """(reach, lift) arrays, cm, of stance_geometry from the vertical wave's
+    shape `wave` (vertical_wave at the stance phases) and the vertical
+    amplitude a_v (degrees), which broadcast against each other."""
+    theta_v = np.radians(a_v) * wave
+    reach = geom.d_l * np.sin(theta_v) + geom.h_l * np.cos(theta_v)
+    return reach, geom.h_l - reach
 
 
 def recoverable_heights(geom: RobotGeometry, d_s: Sequence[float]) -> np.ndarray:

@@ -105,13 +105,17 @@ def predict_speed_band(dist: SlipDistribution, gamma) -> FrictionPrediction:
 def _stance_thresholds(geom: RobotGeometry, cfg: GaitConfig, m: int,
                        a_v: Tuple[float, ...]) -> tuple:
     """The terrain-independent part of predict_gamma, per amplitude of a_v
-    (one row each) and uniform stance phase (m columns): the foot's reach,
-    the rise it recovers after its lift, and per amplitude the flat-terrain
-    contact ratio, the share of samples the vertical wave leaves on the
-    nominal ground plane.  Built once per grid and shared, read-only."""
+    (one row each) and uniform stance phase (m columns): the foot's reach
+    and the rise it recovers after its lift, each as its distinct values
+    and the index of every entry's value among them, and per amplitude the
+    flat-terrain contact ratio, the share of samples the vertical wave
+    leaves on the nominal ground plane.  Built once per grid and shared,
+    read-only."""
     d_s, reach, lift = stance_geometry(cfg, geom, cfg.duty * np.arange(m) / m,
                                        np.array(a_v)[:, None])
-    table = (reach, recoverable_heights(geom, d_s) + np.maximum(lift, 0.0),
+    rise = recoverable_heights(geom, d_s) + np.maximum(lift, 0.0)
+    table = (*np.unique(reach.ravel(), return_inverse=True),
+             *np.unique(rise.ravel(), return_inverse=True),
              np.mean(lift <= 1e-12, axis=-1))
     for a in table:
         a.setflags(write=False)
@@ -127,14 +131,18 @@ def predict_gamma(geom: RobotGeometry, cfg: GaitConfig, model: HeightDeltaModel,
     Terrain drops cost contact when the drop exceeds the foot's reach;
     terrain rises cost contact when the rise, less any lift from the
     vertical wave, exceeds what leg retraction can recover.  The stance is
-    sampled at m uniform phases: one row of m samples per amplitude.
+    sampled at m uniform phases: one row of m samples per amplitude.  Each
+    tail is evaluated once per distinct threshold.
     """
     if m < 4:
         raise ValueError(f"m must be >= 4, got {m}")
-    reach, rise, gamma_ideal = _stance_thresholds(
+    reach, at_reach, rise, at_rise, gamma_ideal = _stance_thresholds(
         geom, cfg, m, tuple(np.asarray(a_v, dtype=float).tolist()))
-    p_loss1 = np.mean(tail_probability(model, reach, "dh_nonpositive"), axis=-1)
-    p_loss2 = np.mean(tail_probability(model, rise, "dh_positive"), axis=-1)
+    shape = gamma_ideal.shape + (m,)
+    p_loss1 = np.mean(tail_probability(model, reach, "dh_nonpositive")
+                      [at_reach].reshape(shape), axis=-1)
+    p_loss2 = np.mean(tail_probability(model, rise, "dh_positive")
+                      [at_rise].reshape(shape), axis=-1)
     p_loss = model.p1 * p_loss1 + (1.0 - model.p1) * p_loss2
     gamma = 1.0 - p_loss
     p_e = np.divide(1.0 - gamma, gamma_ideal, out=np.full_like(gamma, np.inf),

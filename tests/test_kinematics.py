@@ -1,6 +1,7 @@
 """Foot-tip kinematics unit tests with hand-derived frozen oracles."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,9 +17,11 @@ from centiwalk.kinematics import (
     RobotGeometry,
     SlipDistribution,
     flat_ground_stride,
+    reach_and_lift,
     recoverable_heights,
     slip_distribution,
     stance_geometry,
+    vertical_wave,
 )
 from centiwalk.models import predict_gamma
 from centiwalk.terrain import HeightDeltaModel
@@ -119,6 +122,30 @@ class TestRetractionProfile:
         # end of stance approaches the full stride
         assert d_s[-1] == pytest.approx(
             flat_ground_stride(cfg, geom), abs=0.01)
+
+    @given(cfg=st.builds(
+               GaitConfig, n_pairs=st.integers(2, 8),
+               duty=st.floats(0.05, 0.95),
+               phase_offset=st.one_of(st.none(),
+                                      st.floats(-math.pi, math.pi))),
+           geom=st.builds(RobotGeometry, h_l=st.floats(0.5, 20.0),
+                          d_l=st.floats(0.5, 20.0)),
+           m=st.integers(1, 200),
+           a_v=st.lists(st.floats(0.0, 90.0), min_size=1, max_size=5))
+    @settings(max_examples=100, deadline=None)
+    def test_reach_and_lift_equal_stance_geometry(self, cfg, geom, m, a_v):
+        # the walker's reach and lift from the cached wave shape are
+        # stance_geometry's bit for bit, at one amplitude and at a column
+        # of them, amplitudes where reach turns negative included
+        u = cfg.duty * np.arange(m) / m
+        wave = vertical_wave(cfg, u)
+        column = np.array(a_v)[:, None]
+        _, reach, lift = stance_geometry(cfg, geom, u, column)
+        got = reach_and_lift(geom, wave, column)
+        assert np.array_equal(got[0], reach) and np.array_equal(got[1], lift)
+        _, reach, lift = stance_geometry(replace(cfg, a_v=a_v[0]), geom, u)
+        got = reach_and_lift(geom, wave, a_v[0])
+        assert np.array_equal(got[0], reach) and np.array_equal(got[1], lift)
 
     def test_lift_definition(self):
         # lift = h_l - reach, positive when the wave raises the foot

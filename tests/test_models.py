@@ -21,7 +21,7 @@ from centiwalk.models import (
     predict_gamma,
     predict_speed_band,
 )
-from centiwalk.terrain import HeightDeltaModel
+from centiwalk.terrain import HeightDeltaModel, generate_terrain
 
 
 @st.composite
@@ -221,6 +221,15 @@ class TestPredictGamma:
     # a subnormal sigma: -t / sigma overflows to -inf, a tail of 0
     @example(model=HeightDeltaModel(kind="gaussian", sigma=2.2e-311),
              grid=[0.0], cfg=GaitConfig(n_pairs=2, xi=0.5, duty=0.1), m=4)
+    # model-sweep's shape: m = 720 on a five-amplitude grid, where the
+    # tails are evaluated once per distinct threshold and gathered back,
+    # for a rugosity level and for a terrain file's empirical sample
+    @example(model=HeightDeltaModel.from_rugosity(0.32),
+             grid=[0.0, 6.0, 12.0, 18.0, 24.0], cfg=GaitConfig(), m=720)
+    @example(model=HeightDeltaModel.from_samples(
+                 generate_terrain(0.32, rows=40, cols=5, seed=3)
+                 .longitudinal_deltas()),
+             grid=[0.0, 6.0, 12.0, 18.0, 24.0], cfg=GaitConfig(), m=720)
     @settings(max_examples=150, deadline=None)
     def test_matches_scalar_reference(self, model, grid, cfg, m):
         # every field at every amplitude equals the one-amplitude oracle bit

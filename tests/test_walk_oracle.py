@@ -166,6 +166,15 @@ def reference_walk(cfg, geom, terrain, cycles, steps, sensor, seed, cc=None,
        latch_steps=st.integers(min_value=0, max_value=4),
        cycles=st.integers(min_value=1, max_value=6),
        update_every=st.integers(min_value=1, max_value=3))
+# controller-compare's walk shape, 72 steps and 20 cycles with flips, at
+# an amplitude past 38 degrees, where the default geometry's reach turns
+# negative, undebounced and debounced
+@example(n_pairs=6, xi=1.0, duty=0.5, phase_offset=None, half_steps=36,
+         r_g=0.32, a_v=45.0, seed=7, flip_prob=0.05, latch_steps=0,
+         cycles=20, update_every=1)
+@example(n_pairs=6, xi=1.0, duty=0.5, phase_offset=None, half_steps=36,
+         r_g=0.32, a_v=45.0, seed=7, flip_prob=0.05, latch_steps=3,
+         cycles=20, update_every=1)
 @settings(max_examples=60, deadline=None)
 def test_engine_matches_reference_loop(feedback, n_pairs, xi, duty,
                                        phase_offset, half_steps, r_g, a_v,
@@ -229,6 +238,7 @@ def assert_cell_matches(walks, i, j, ref, cycles, legs, steps):
        cycles=st.integers(min_value=1, max_value=5),
        k_p=st.floats(min_value=1.0, max_value=200.0),
        gamma_set=st.floats(min_value=0.5, max_value=1.0),
+       av_max=st.sampled_from([25.0, 60.0]),
        walkers=st.lists(st.tuples(
            st.integers(min_value=0, max_value=3),             # seed
            st.sampled_from([0.0, 0.1, 0.17, 0.32, 0.6]),      # rugosity
@@ -238,12 +248,28 @@ def assert_cell_matches(walks, i, j, ref, cycles, legs, steps):
            st.floats(min_value=0.0, max_value=25.0),          # start a_v
            st.sampled_from([None, 1, 2, 3])),                 # update period
            min_size=1, max_size=4))
+# controller-compare's benchmark shape: 72 steps, 20 cycles and its four
+# arms with flips, undebounced and debounced
+@example(n_pairs=6, xi=1.0, duty=0.5, phase_offset=None, half_steps=36,
+         flip_prob=0.05, latch_steps=0, cycles=20, k_p=60.0, gamma_set=0.9,
+         av_max=25.0, walkers=[(678444, 0.32, 5)],
+         variants=[(0.0, None), (0.0, 1), (0.0, 2), (0.0, 3)])
+@example(n_pairs=6, xi=1.0, duty=0.5, phase_offset=None, half_steps=36,
+         flip_prob=0.05, latch_steps=3, cycles=20, k_p=60.0, gamma_set=0.9,
+         av_max=25.0, walkers=[(678444, 0.32, 5)],
+         variants=[(0.0, None), (0.0, 1), (0.0, 2), (0.0, 3)])
+# amplitudes past 38 degrees, where the default geometry's reach turns
+# negative, at the start and from the controller's updates
+@example(n_pairs=6, xi=1.0, duty=0.5, phase_offset=None, half_steps=36,
+         flip_prob=0.2, latch_steps=0, cycles=12, k_p=100.0, gamma_set=0.95,
+         av_max=60.0, walkers=[(1, 0.6, 5), (2, 0.32, 5)],
+         variants=[(45.0, None), (0.0, 1), (50.0, 2), (60.0, 3)])
 @settings(max_examples=40, deadline=None)
 def test_mixed_batch_rows_match_reference_loop(n_pairs, xi, duty,
                                                phase_offset, half_steps,
                                                flip_prob, latch_steps, cycles,
-                                               k_p, gamma_set, walkers,
-                                               variants):
+                                               k_p, gamma_set, av_max,
+                                               walkers, variants):
     # one grid of seeds (duplicates included, each with a terrain of its
     # own) by variants (start amplitude, update period): each cell walks
     # as if alone
@@ -253,7 +279,7 @@ def test_mixed_batch_rows_match_reference_loop(n_pairs, xi, duty,
     steps = 2 * half_steps
     assume((phase_table(cfg, steps) < duty).any())
     sensor = SensorModel(flip_prob, latch_steps)
-    cc = ControllerConfig(k_p=k_p, gamma_set=gamma_set)
+    cc = ControllerConfig(k_p=k_p, gamma_set=gamma_set, av_max=av_max)
     # a terrain is seeded apart from the sensor, so that equal sensor
     # seeds walk different terrains
     terrains = [generate_terrain(r_g, rows=cycles + n_pairs + 1 + i % 3,
@@ -320,7 +346,8 @@ AMPLITUDE_GRIDS = st.lists(st.floats(min_value=0.0, max_value=60.0),
 def per_sample_losses(cfg, geom, steps, a_v, d):
     """The per-sample loss rules at every amplitude of a_v, every leg
     meeting the height step d[k]: lost samples per (amplitude, k, leg)."""
-    _, stance_leg, u, recover = _stance_table(cfg, geom, steps)
+    stance, stance_leg, recover, _ = _stance_table(cfg, geom, steps)
+    u = phase_table(cfg, steps)[stance]
     counts = np.zeros((len(a_v), len(d), 2 * cfg.n_pairs), dtype=int)
     for j, av in enumerate(a_v):
         _, reach, lift = stance_geometry(cfg, geom, u, av)
@@ -346,7 +373,8 @@ def test_counts_equal_the_per_sample_rules_at_every_threshold(
     # draws: each leg's count is the per-sample rules' sum
     geom = RobotGeometry()
     steps = 2 * half_steps
-    _, stance_leg, u, recover = _stance_table(cfg, geom, steps)
+    stance, stance_leg, recover, _ = _stance_table(cfg, geom, steps)
+    u = phase_table(cfg, steps)[stance]
     assume(len(u) > 0)
     a_v = np.array(a_v)
     _, reach, lift = stance_geometry(cfg, geom, u, a_v[:, None])
@@ -369,7 +397,8 @@ def test_rise_cutoff_is_the_largest_float_the_rule_keeps(cfg, half_steps, a_v):
     # c - L <= R and the next float above c breaks it, with L = max(lift,
     # 0) and R the recoverable rise, at the walker's own stance samples
     geom = RobotGeometry()
-    _, _, u, recover = _stance_table(cfg, geom, 2 * half_steps)
+    stance, _, recover, _ = _stance_table(cfg, geom, 2 * half_steps)
+    u = phase_table(cfg, 2 * half_steps)[stance]
     _, _, lift = stance_geometry(cfg, geom, u, np.array(a_v)[:, None])
     c = _rise_cutoffs(recover, lift)
     top = np.maximum(lift, 0.0)

@@ -8,9 +8,11 @@ BASE_REV is checked out in a temporary git worktree, which is removed
 afterwards.  The same centiwalk commands then run from both trees, each with
 PYTHONPATH=<tree>/src: gait-dump, terrain-gen --r-g 0.32, model-sweep,
 validate, walk and controller-compare at the shipped default config with
---seeds 0..19, and walk and controller-compare again at
-sensor_flip_prob = 0.05.  Every run's exit code, standard output, standard
-error and output files are compared byte for byte.  Each run works in its
+--seeds 0..19, walk and controller-compare again at
+sensor_flip_prob = 0.05, and model-sweep and validate again on a rugosity
+level and a written terrain file, whose empirical height steps take the
+tail path that rugosity levels do not.  Every run's exit code, standard
+output, standard error and output files are compared byte for byte.  Each run works in its
 own directory with the same relative paths in both trees, so the printed
 output paths agree too.
 
@@ -23,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import random
 import subprocess
 import sys
 import tempfile
@@ -32,6 +35,25 @@ from typing import Dict, List, Tuple
 SEEDS = "0..19"
 FLIP_CONFIG = "flip.cfg"
 FLIP_TEXT = "[meta]\nschema_version = 1\n\n[experiment]\nsensor_flip_prob = 0.05\n"
+TERRAIN_FILE = "rough.terrain"
+TERRAIN_CONFIG = "terrain.cfg"
+TERRAIN_CONFIG_TEXT = ("[meta]\nschema_version = 1\n\n[experiment]\n"
+                       f"terrains = 0.17, {TERRAIN_FILE}\n")
+
+
+def _terrain_text() -> str:
+    """A terrain file of 40 x 5 normal block heights, 3 cm standard
+    deviation, the same text on every call."""
+    rng = random.Random(0)
+    lines = ["# terrain v1", "# block_size=10.000000", "# r_g=0.000000",
+             "# seed=0", "# rows=40 cols=5"]
+    lines += [",".join(f"{rng.gauss(0.0, 3.0):.6f}" for _ in range(5))
+              for _ in range(40)]
+    return "\n".join(lines) + "\n"
+
+
+TERRAIN_FILES = {TERRAIN_CONFIG: TERRAIN_CONFIG_TEXT,
+                 TERRAIN_FILE: _terrain_text()}
 
 # (run name, files written into the run directory, command-line arguments)
 RUNS: List[Tuple[str, Dict[str, str], List[str]]] = [
@@ -45,6 +67,9 @@ RUNS: List[Tuple[str, Dict[str, str], List[str]]] = [
      ["--config", FLIP_CONFIG, "walk"]),
     ("controller-compare-flip", {FLIP_CONFIG: FLIP_TEXT},
      ["--config", FLIP_CONFIG, "controller-compare"]),
+    ("model-sweep-file", TERRAIN_FILES,
+     ["--config", TERRAIN_CONFIG, "model-sweep"]),
+    ("validate-file", TERRAIN_FILES, ["--config", TERRAIN_CONFIG, "validate"]),
 ]
 
 
