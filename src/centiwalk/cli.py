@@ -318,27 +318,26 @@ def cmd_controller_compare(fc: FullConfig, args) -> int:
     return 0
 
 
-def build_parser() -> _Parser:
-    parser = _Parser(prog="centiwalk",
-                     description="Multi-legged locomotion experiment runner")
-    parser.add_argument("--config", default=None, help="config file path")
-    parser.add_argument("--out", default="out", help="output directory")
-    parser.add_argument("--seeds", type=_seeds, default=None,
-                        help="seed list, e.g. '0..19' or '1,2,3'")
-    parser.add_argument("--cycles", type=int, default=None)
-    parser.add_argument("--steps", type=int, default=None)
-    parser.add_argument("--tolerance", type=float, default=None)
-    sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("gait-dump", help="dump ideal contact map and joint angles")
-    tg = sub.add_parser("terrain-gen", help="generate a terrain file")
-    tg.add_argument("--r-g", type=float, required=True, dest="r_g")
-    sub.add_parser("model-sweep", help="evaluate the analytic models on a grid")
-    sub.add_parser("validate", help="analytic vs Monte Carlo gamma agreement")
-    sub.add_parser("walk", help="Monte Carlo walks, per-cycle gamma and speed")
-    sub.add_parser("controller-compare",
-                   help="open-loop vs feedback controller comparison")
-    return parser
-
+# built once, at import: every main call in a process parses with it, and a
+# parse leaves it as it was
+_PARSER = _Parser(prog="centiwalk",
+                  description="Multi-legged locomotion experiment runner")
+_PARSER.add_argument("--config", default=None, help="config file path")
+_PARSER.add_argument("--out", default="out", help="output directory")
+_PARSER.add_argument("--seeds", type=_seeds, default=None,
+                     help="seed list, e.g. '0..19' or '1,2,3'")
+_PARSER.add_argument("--cycles", type=int, default=None)
+_PARSER.add_argument("--steps", type=int, default=None)
+_PARSER.add_argument("--tolerance", type=float, default=None)
+_sub = _PARSER.add_subparsers(dest="command", required=True)
+_sub.add_parser("gait-dump", help="dump ideal contact map and joint angles")
+_sub.add_parser("terrain-gen", help="generate a terrain file").add_argument(
+    "--r-g", type=float, required=True, dest="r_g")
+_sub.add_parser("model-sweep", help="evaluate the analytic models on a grid")
+_sub.add_parser("validate", help="analytic vs Monte Carlo gamma agreement")
+_sub.add_parser("walk", help="Monte Carlo walks, per-cycle gamma and speed")
+_sub.add_parser("controller-compare",
+                help="open-loop vs feedback controller comparison")
 
 _COMMANDS = {
     "gait-dump": cmd_gait_dump,
@@ -351,9 +350,8 @@ _COMMANDS = {
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
         fc = _with_overrides(load_config(args.config), args)
         return _COMMANDS[args.command](fc, args)
     except UsageError as exc:

@@ -214,24 +214,37 @@ def _rise_cutoffs(recover: np.ndarray, lift: np.ndarray) -> np.ndarray:
     return np.where(up - lift <= recover, up, c)
 
 
+@lru_cache(maxsize=1024)
+def _loss_thresholds(cfg: GaitConfig, geom: RobotGeometry, steps: int,
+                     a_v: float) -> np.ndarray:
+    """The loss rule at the amplitude a_v, shape (2, stance samples): a step
+    d loses a sample when d < lower or d > upper.  lower = min(-reach,
+    5e-324), the least positive float, so d < lower exactly when d <= 0 and
+    -d > reach; upper is the rise cutoff.  The cache bound is ample, since
+    a feedback amplitude is a function of a count over retraction."""
+    _, _, recover, wave = _stance_table(cfg, geom, steps)
+    reach, lift = reach_and_lift(geom, wave, a_v)
+    table = np.stack([np.minimum(-reach, 5e-324),
+                      _rise_cutoffs(recover, lift)])
+    table.setflags(write=False)
+    return table
+
+
 @lru_cache
 def _loss_ranks(cfg: GaitConfig, geom: RobotGeometry, steps: int,
                 a_v: Tuple[float, ...]) -> tuple:
-    """Loss thresholds of every stance sample at every amplitude of a_v,
-    for counting: a drop d loses the samples whose reach is below -d, a
-    rise d the samples whose rise cutoff is below d.  Per side (0 drop,
-    1 rise): the thresholds in ascending order, shape (2, amplitudes x
-    stance samples), and below[side, r, g], how many of group g's
-    thresholds are among that side's r smallest, where group g is leg
-    g % 2n at amplitude a_v[g // 2n].  Built once per grid and shared,
-    read-only, by every walk."""
-    _, stance_leg, recover, wave = _stance_table(cfg, geom, steps)
-    reach, lift = reach_and_lift(geom, wave, np.array(a_v)[:, None])
+    """The loss thresholds at every amplitude of a_v, sorted for counting: a
+    drop d loses the samples whose -lower is below -d, a rise d those whose
+    upper is below d.  Per side (0 drop, 1 rise): those keys in ascending
+    order, shape (2, amplitudes x stance samples), and below[side, r, g],
+    how many of group g's keys are among that side's r smallest, where
+    group g is leg g % 2n at amplitude a_v[g // 2n]."""
+    lower, upper = np.stack([_loss_thresholds(cfg, geom, steps, a)
+                             for a in a_v], axis=1)
     groups = len(a_v) * 2 * cfg.n_pairs
     group = (2 * cfg.n_pairs * np.arange(len(a_v))[:, None]
-             + stance_leg).ravel()
-    thresholds = np.stack([reach.ravel(),
-                           _rise_cutoffs(recover, lift).ravel()])
+             + _stance_table(cfg, geom, steps)[1]).ravel()
+    thresholds = np.stack([-lower.ravel(), upper.ravel()])
     order = np.argsort(thresholds, axis=-1)
     # a group's count is at most its leg's stance samples, so at most steps
     below = np.zeros((2, order.shape[1] + 1, groups),
@@ -248,8 +261,8 @@ def _count_losses(cfg: GaitConfig, geom: RobotGeometry, steps: int,
                   a_v: np.ndarray, dh: np.ndarray) -> np.ndarray:
     """Stance samples each leg loses, shape (seeds, amplitudes, cycles, 2n),
     where the legs meet the height steps dh, shape (seeds, cycles, 2n), at
-    each amplitude of the 1-D a_v: the per-sample loss rules' count, from
-    one sorted search per side for every RANK_AMPLITUDES amplitudes."""
+    each amplitude of the 1-D a_v: the loss rule's count, from one sorted
+    search per side for every RANK_AMPLITUDES amplitudes."""
     rise = dh > 0.0
     side = rise.view(np.int8)[:, None]
     counts = []
@@ -317,7 +330,7 @@ def simulate_walks(cfg: GaitConfig, geom: RobotGeometry,
     available = max(0, shortest.rows - n)
     if cycles > available:
         raise WalkOffTerrainError(available, shortest.rows)
-    stance, stance_leg, recover, wave = _stance_table(cfg, geom, steps)
+    stance, stance_leg, _, _ = _stance_table(cfg, geom, steps)
     retraction = len(stance_leg)
     if retraction == 0:
         raise NoStanceError(f"{cfg} has no stance sample in a cycle of "
@@ -325,20 +338,15 @@ def simulate_walks(cfg: GaitConfig, geom: RobotGeometry,
     dist = slip_distribution(cfg, geom)
     shape = (cycles, 2 * n, steps)
 
-    def lost_at(d, reach, lift):
-        # d, the terrain steps, is used up: the rise less the lift is
-        # computed in its place
-        drop = d <= 0.0
-        too_deep = d < -reach                   # -d > reach, exactly
-        d -= np.maximum(lift, 0.0)
-        return np.where(drop, too_deep, d > recover)
+    tables = {}     # the walk's amplitudes, each looked up once
 
-    def sense(truth, flips):
-        return _debounce(truth ^ flips, sensor.latch_steps)
-
-    def sensed_ratio(bits):
-        # measured contact over the stance samples of each cycle
-        return (bits & stance).sum(axis=(-2, -1)) / retraction
+    def thresholds(av):
+        # each cell's (lower, upper), shape av.shape + (1, stance samples)
+        keys = av.ravel().tolist()
+        for a in set(keys).difference(tables):
+            tables[a] = _loss_thresholds(cfg, geom, steps, a)
+        return np.stack([tables[a] for a in keys], axis=1).reshape(
+            (2,) + av.shape + (1, -1))
 
     def block_steps(block: slice) -> np.ndarray:
         return np.stack([_height_steps(t, n, cycles) for t in terrains[block]])
@@ -351,13 +359,12 @@ def simulate_walks(cfg: GaitConfig, geom: RobotGeometry,
         return (gamma, gamma.copy(), a_vs,
                 predict_speed_band(dist, gamma).v_ratio_mid)
 
-    def walk_block(block: slice):
-        dh = block_steps(block)
-        grid = (len(dh), len(a_v))
-        # seeds x amplitudes x cycles x stance samples, a fresh array
-        d = np.repeat(dh[:, None], len(a_v), axis=1)[..., stance_leg]
+    def walk_block(block: slice, maps: bool):
+        # seeds x 1 x cycles x stance samples, broadcast over amplitudes
+        d = block_steps(block)[:, None][..., stance_leg]
+        grid = (len(d), len(a_v))
         av = np.broadcast_to(a_v, grid)
-        reach, lift = reach_and_lift(geom, wave, av[..., None])
+        lower, upper = thresholds(av)
         if sensor.flip_prob > 0.0:
             # one draw per seed, shared by its amplitudes
             flips = np.stack([
@@ -365,68 +372,63 @@ def simulate_walks(cfg: GaitConfig, geom: RobotGeometry,
                 for s in seeds[block]]).view(np.uint8)[:, None]
         else:
             flips = np.broadcast_to(np.uint8(0), (grid[0], 1) + shape)
-        lost_s = np.empty(d.shape, dtype=bool)
-        a_vs = np.empty(grid + (cycles,))
-
-        def sensed_at(c):
-            # cycle c's sensed contact ratio, of shape grid
-            if sensor.latch_steps <= 1:
-                # a stance sample reads 1 unless exactly one of a loss and
-                # a flip hit it, so the stance samples alone give the count
-                wrong = lost_s[:, :, c] ^ flips[:, :, c][..., stance]
-                return (retraction - wrong.sum(axis=-1)) / retraction
-            # the debounce reads protraction samples too: the cycle's rows
-            truth = np.zeros(grid + shape[1:], dtype=bool)
-            truth[..., stance] = ~lost_s[:, :, c]
-            return sensed_ratio(sense(truth, flips[:, :, c]))
-
+        debounced = sensor.latch_steps > 1
+        bits = np.empty(grid + shape, dtype=np.uint8) if debounced else None
+        flips_s = None if debounced else flips[..., stance]
+        lost_s = np.empty(grid + (cycles, retraction), dtype=bool)
+        a_vs, gamma_s = np.empty((2,) + grid + (cycles,))
         # the next amplitude needs this cycle's sensed contact ratio, so
         # feedback walks one cycle per span; held amplitudes walk all at once
         span = max(cycles, 1) if next_av is None else 1
         for c in range(0, cycles, span):
             now = slice(c, c + span)
             a_vs[..., now] = av[..., None]
-            lost_s[:, :, now] = lost_at(d[:, :, now], reach[:, :, None],
-                                        lift[:, :, None])
+            dc, lost = d[:, :, now], lost_s[:, :, now]
+            np.logical_or(dc < lower, dc > upper, out=lost)
+            if debounced:
+                # the debounce reads whole rows, kept as the bit map
+                truth = np.zeros(lost.shape[:-1] + shape[1:], dtype=bool)
+                truth[..., stance] = ~lost
+                bits[:, :, now] = rows = _debounce(truth ^ flips[:, :, now],
+                                                   sensor.latch_steps)
+                count = (rows & stance).sum(axis=(-2, -1))
+            else:
+                # a stance sample reads 1 unless exactly one of a loss and
+                # a flip hit it, so the stance samples alone give the count
+                count = retraction - np.count_nonzero(
+                    lost ^ flips_s[:, :, now], axis=-1)
+            gamma_s[..., now] = count / retraction
             if c + span < cycles:
-                new = np.asarray(next_av(c, sensed_at(c), av),
+                new = np.asarray(next_av(c, gamma_s[..., c], av),
                                  dtype=float).reshape(grid)
                 if not np.all(new >= 0.0):
                     raise ValueError(f"a_v must be >= 0, got {new.min()}")
-                changed = new != av
-                if changed.any():
-                    reach[changed], lift[changed] = reach_and_lift(
-                        geom, wave, new[changed, None])
-                    av = new
-        lost = np.zeros(grid + shape, dtype=bool)
-        lost[..., stance] = lost_s
-        bits = sense(stance & ~lost, flips)
+                lower, upper = thresholds(new)
+                av = new
         gamma = (retraction - lost_s.sum(axis=-1)) / retraction
-        return (gamma, sensed_ratio(bits), a_vs,
-                predict_speed_band(dist, gamma).v_ratio_mid, bits, lost)
+        out = gamma, gamma_s, a_vs, predict_speed_band(dist, gamma).v_ratio_mid
+        if not maps:
+            return out
+        lost_map = np.zeros(grid + shape, dtype=bool)
+        lost_map[..., stance] = lost_s
+        if not debounced:
+            bits = (stance & ~lost_map) ^ flips
+        return out + (bits, lost_map)
 
     block = max(1, BLOCK_ROWS // len(a_v))
     blocks = [slice(i, i + block) for i in range(0, len(seeds), block)]
-    if (next_av is None and sensor.flip_prob == 0.0
-            and sensor.latch_steps <= 1):
-        per_cycle = [count_block(b) for b in blocks]
-
-        def first_maps():
-            return walk_block(blocks[0])[4:]
-    else:
-        per_cycle = []
-        for b in blocks:
-            *arrays, bits, lost = walk_block(b)
-            per_cycle.append(arrays)
-            if b is blocks[0]:
-                maps = bits, lost
-
-        def first_maps():
-            return maps
+    counted = (next_av is None and sensor.flip_prob == 0.0
+               and sensor.latch_steps <= 1)
+    # only the first block's maps are kept; a walk that counts its losses
+    # walks them when they are first read
+    first = None if counted else walk_block(blocks[0], maps=True)
+    per_cycle = ([count_block(b) for b in blocks] if counted else
+                 [first[:4]] + [walk_block(b, maps=False) for b in blocks[1:]])
     gamma, gamma_measured, a_vs, v_ratio = (np.concatenate(a)
                                             for a in zip(*per_cycle))
     return Walks(gamma=gamma, gamma_measured=gamma_measured, a_v=a_vs,
-                 v_ratio=v_ratio, _build_maps=first_maps)
+                 v_ratio=v_ratio, _build_maps=lambda: (
+                     first or walk_block(blocks[0], maps=True))[4:])
 
 
 def simulate_walk(cfg: GaitConfig, geom: RobotGeometry, terrain: TerrainGrid,

@@ -1,10 +1,16 @@
 """CLI behaviour tests: exit codes, file outputs, determinism."""
 
+import argparse
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 from statistics import mean, pvariance
 
 import pytest
 
+import centiwalk
 from centiwalk import cli
 from centiwalk.cli import main
 from centiwalk.config import load_config
@@ -480,3 +486,37 @@ class TestWalkAndCompare:
                         "controller-compare"]) == 0
         assert (out1 / "controller_summary.csv").read_bytes() == \
             (out2 / "controller_summary.csv").read_bytes()
+
+
+class TestParserReuse:
+    def test_one_parser_serves_every_call_in_a_process(self, tmp_path,
+                                                       monkeypatch):
+        # the module's parser, built at import, across a --seeds override,
+        # a usage error after a --seeds value, and a run on the config's
+        # own seeds, which must match the same command in a fresh process
+        def no_new_parser(*args, **kwargs):
+            raise AssertionError("main built a parser")
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__",
+                            no_new_parser)
+        cfg = tmp_path / "seeds.cfg"
+        cfg.write_text(FAST_CFG.replace("seeds = 0..2", "seeds = 5..6"))
+        base = ["--config", str(cfg), "--cycles", "4"]
+        assert run(["--out", str(tmp_path / "first"), "--seeds", "0..2",
+                    *base, "walk"]) == 0
+        assert run(["--out", str(tmp_path / "bad"), "--seeds", "0..2",
+                    *base, "--steps", "many", "walk"]) == 1
+        assert run(["--out", str(tmp_path / "third"), *base, "walk"]) == 0
+        rows = (tmp_path / "third" / "walk.csv").read_text().splitlines()[2:]
+        assert sorted({row.split(",")[0] for row in rows}) == ["5", "6"]
+        src = str(Path(centiwalk.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [src, os.environ.get("PYTHONPATH", "")])}
+        fresh = tmp_path / "fresh"
+        subprocess.run([sys.executable, "-m", "centiwalk.cli",
+                        "--out", str(fresh), *base, "walk"],
+                       env=env, check=True, capture_output=True)
+        names = sorted(p.name for p in fresh.iterdir())
+        assert names == sorted(p.name for p in (tmp_path / "third").iterdir())
+        for name in names:
+            assert (fresh / name).read_bytes() == \
+                (tmp_path / "third" / name).read_bytes(), name

@@ -24,6 +24,7 @@ from centiwalk.contact_sim import (
     SensorModel,
     _count_losses,
     _debounce,
+    _loss_thresholds,
     _rise_cutoffs,
     _stance_table,
     simulate_walk,
@@ -104,6 +105,15 @@ def test_debounce_matches_reference_at_engine_shape(flip_prob):
         assert np.array_equal(out, ref.reshape(shape)), latch_steps
 
 
+def reference_rule(d, reach, lift, recover):
+    """The per-sample loss rule for a terrain step d: a drop loses a
+    sample deeper than its reach, a rise one higher than its recoverable
+    rise plus any lift of the vertical wave."""
+    if d <= 0.0:
+        return -d > reach
+    return d - np.maximum(lift, 0.0) > recover
+
+
 def reference_walk(cfg, geom, terrain, cycles, steps, sensor, seed, cc=None,
                    update_every=None):
     """Per-leg walk; with an update period, a_v follows cc's feedback law,
@@ -127,11 +137,9 @@ def reference_walk(cfg, geom, terrain, cycles, steps, sensor, seed, cc=None,
             mask = stance[leg]
             d_s, reach, lift = stance_geometry(cfg, geom, phases[leg][mask])
             d = dh[leg]
-            if d <= 0.0:
-                lost, cause = -d > reach, "too_deep"
-            else:
-                lost = d - np.maximum(lift, 0.0) > recoverable_heights(geom, d_s)
-                cause = "deformed"
+            lost = reference_rule(d, reach, lift,
+                                  recoverable_heights(geom, d_s))
+            cause = "too_deep" if d <= 0.0 else "deformed"
             truth[leg, mask] = (~lost).astype(np.uint8)
             out["losses"] += [(leg, c * steps + int(k), cause)
                               for k in np.nonzero(mask)[0][lost]]
@@ -453,3 +461,40 @@ def test_counted_gamma_is_the_loss_maps_count(cfg, half_steps, r_g, a_v, seeds,
         assert np.array_equal(walks.gamma_measured, walks.gamma)
         assert np.array_equal(walks.bits, (stance & ~walks.lost)
                               .view(np.uint8))
+
+
+# terrain steps on and one float either side of each loss boundary, given
+# each stance sample's reach and rise cutoff
+BOUNDARY_STEPS = {
+    "+0.0": lambda reach, cutoff: np.full_like(reach, 0.0),
+    "-0.0": lambda reach, cutoff: np.full_like(reach, -0.0),
+    "+5e-324": lambda reach, cutoff: np.full_like(reach, 5e-324),
+    "-5e-324": lambda reach, cutoff: np.full_like(reach, -5e-324),
+    "-reach": lambda reach, cutoff: -reach,
+    "below -reach": lambda reach, cutoff: np.nextafter(-reach, -np.inf),
+    "above -reach": lambda reach, cutoff: np.nextafter(-reach, np.inf),
+    "cutoff": lambda reach, cutoff: cutoff,
+    "below cutoff": lambda reach, cutoff: np.nextafter(cutoff, -np.inf),
+    "above cutoff": lambda reach, cutoff: np.nextafter(cutoff, np.inf),
+}
+
+
+# at the default gait, 10 degrees gives some stance samples a negative
+# lift, and 45 degrees some a negative reach
+@pytest.mark.parametrize("a_v", [0.0, 10.0, 45.0])
+@pytest.mark.parametrize("at", list(BOUNDARY_STEPS))
+def test_thresholds_equal_the_per_sample_rule_at_its_edges(a_v, at):
+    cfg, geom, steps = GaitConfig(), RobotGeometry(), 72
+    stance = _stance_table(cfg, geom, steps)[0]
+    d_s, reach, lift = stance_geometry(
+        cfg, geom, phase_table(cfg, steps)[stance], a_v)
+    recover = recoverable_heights(geom, d_s)
+    if a_v == 10.0:
+        assert (lift < 0.0).any()
+    if a_v == 45.0:
+        assert (reach <= 0.0).any()
+    d = BOUNDARY_STEPS[at](reach, _rise_cutoffs(recover, lift))
+    lower, upper = _loss_thresholds(cfg, geom, steps, a_v)
+    expected = [reference_rule(*sample)
+                for sample in zip(d, reach, lift, recover)]
+    assert ((d < lower) | (d > upper)).tolist() == expected

@@ -8,13 +8,14 @@ BASE_REV is checked out in a temporary git worktree, which is removed
 afterwards.  The same centiwalk commands then run from both trees, each with
 PYTHONPATH=<tree>/src: gait-dump, terrain-gen --r-g 0.32, model-sweep,
 validate, walk and controller-compare at the shipped default config with
---seeds 0..19, walk and controller-compare again at
-sensor_flip_prob = 0.05, and model-sweep and validate again on a rugosity
-level and a written terrain file, whose empirical height steps take the
-tail path that rugosity levels do not.  Every run's exit code, standard
-output, standard error and output files are compared byte for byte.  Each run works in its
-own directory with the same relative paths in both trees, so the printed
-output paths agree too.
+--seeds 0..19, walk and controller-compare again at sensor_flip_prob = 0.05,
+walk at that flip probability with --seeds 0..69, more seeds than one block
+of the walk engine holds, and model-sweep and validate again on a rugosity
+level and a written terrain file, whose empirical height steps take the tail
+path that rugosity levels do not.  Every run's exit code, standard output,
+standard error and output files are compared byte for byte.  Each run works
+in its own directory with the same relative paths in both trees, so the
+printed output paths agree too.
 
 Exit code 0 when every run is identical, 1 when any differs (each
 difference is listed), 2 when the comparison could not run.  Standard
@@ -55,21 +56,27 @@ def _terrain_text() -> str:
 TERRAIN_FILES = {TERRAIN_CONFIG: TERRAIN_CONFIG_TEXT,
                  TERRAIN_FILE: _terrain_text()}
 
-# (run name, files written into the run directory, command-line arguments)
-RUNS: List[Tuple[str, Dict[str, str], List[str]]] = [
-    ("gait-dump", {}, ["gait-dump"]),
-    ("terrain-gen", {}, ["terrain-gen", "--r-g", "0.32"]),
-    ("model-sweep", {}, ["model-sweep"]),
-    ("validate", {}, ["validate"]),
-    ("walk", {}, ["walk"]),
-    ("controller-compare", {}, ["controller-compare"]),
-    ("walk-flip", {FLIP_CONFIG: FLIP_TEXT},
+# (run name, files written into the run directory, seeds, command-line
+# arguments)
+RUNS: List[Tuple[str, Dict[str, str], str, List[str]]] = [
+    ("gait-dump", {}, SEEDS, ["gait-dump"]),
+    ("terrain-gen", {}, SEEDS, ["terrain-gen", "--r-g", "0.32"]),
+    ("model-sweep", {}, SEEDS, ["model-sweep"]),
+    ("validate", {}, SEEDS, ["validate"]),
+    ("walk", {}, SEEDS, ["walk"]),
+    ("controller-compare", {}, SEEDS, ["controller-compare"]),
+    ("walk-flip", {FLIP_CONFIG: FLIP_TEXT}, SEEDS,
      ["--config", FLIP_CONFIG, "walk"]),
-    ("controller-compare-flip", {FLIP_CONFIG: FLIP_TEXT},
+    # 70 seeds at one amplitude cross the engine's 64-seed block edge on
+    # the per-sample path, where blocks after the first build no maps
+    ("walk-flip-block-edge", {FLIP_CONFIG: FLIP_TEXT}, "0..69",
+     ["--config", FLIP_CONFIG, "walk"]),
+    ("controller-compare-flip", {FLIP_CONFIG: FLIP_TEXT}, SEEDS,
      ["--config", FLIP_CONFIG, "controller-compare"]),
-    ("model-sweep-file", TERRAIN_FILES,
+    ("model-sweep-file", TERRAIN_FILES, SEEDS,
      ["--config", TERRAIN_CONFIG, "model-sweep"]),
-    ("validate-file", TERRAIN_FILES, ["--config", TERRAIN_CONFIG, "validate"]),
+    ("validate-file", TERRAIN_FILES, SEEDS,
+     ["--config", TERRAIN_CONFIG, "validate"]),
 ]
 
 
@@ -100,7 +107,7 @@ def _check_import(tree: Path) -> None:
                          f"{proc.stderr.strip() or where}")
 
 
-def _run(tree: Path, workdir: Path, files: Dict[str, str],
+def _run(tree: Path, workdir: Path, files: Dict[str, str], seeds: str,
          argv: List[str]) -> Dict[str, bytes]:
     """Run one command; return its exit code, streams and output files,
     each as bytes under a name."""
@@ -109,7 +116,7 @@ def _run(tree: Path, workdir: Path, files: Dict[str, str],
         (workdir / name).write_text(text)
     proc = subprocess.run(
         [sys.executable, "-m", "centiwalk.cli", "--out", "out",
-         "--seeds", SEEDS, *argv],
+         "--seeds", seeds, *argv],
         cwd=workdir, env=_env(tree), capture_output=True)
     result = {"exit code": str(proc.returncode).encode(),
               "stdout": proc.stdout, "stderr": proc.stderr}
@@ -144,8 +151,8 @@ def compare(base_rev: str) -> int:
         try:
             for tree in (base, head):
                 _check_import(tree)
-            for name, files, argv in RUNS:
-                runs = [_run(tree, Path(tmp) / side / name, files, argv)
+            for name, files, seeds, argv in RUNS:
+                runs = [_run(tree, Path(tmp) / side / name, files, seeds, argv)
                         for side, tree in (("base_run", base),
                                            ("head_run", head))]
                 diffs = _differences(*runs)
