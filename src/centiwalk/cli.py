@@ -15,7 +15,7 @@ import hashlib
 import json
 import math
 import sys
-from dataclasses import asdict, replace
+from dataclasses import fields, replace
 from pathlib import Path
 from typing import Iterable, List, Optional
 
@@ -53,7 +53,9 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _stamp(fc: FullConfig) -> str:
-    text = json.dumps(asdict(fc), sort_keys=True)
+    # each section's own field dict, not a deep copy, gives the same JSON
+    text = json.dumps({f.name: vars(getattr(fc, f.name)) for f in fields(fc)},
+                      sort_keys=True)
     digest = hashlib.sha256(text.encode()).hexdigest()[:12]
     return f"# centiwalk v{__version__} config_hash={digest}\n"
 

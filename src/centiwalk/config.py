@@ -9,12 +9,12 @@ takes the field's default, and a key that names no field is ignored.
 
 from __future__ import annotations
 
-import configparser
 import math
+import re
 from dataclasses import dataclass, field, fields
 from importlib import resources
 from pathlib import Path
-from typing import List, Optional, get_type_hints
+from typing import Dict, List, Optional, get_type_hints
 
 from .control import ControllerConfig
 from .gait import GaitConfig
@@ -106,41 +106,69 @@ _PARSERS = {"int": int, "float": float, "Optional[float]": float,
 _SECTIONS = get_type_hints(FullConfig)
 
 
+# A comment starts at a '#' or ';' that opens its line or follows whitespace
+_COMMENT = re.compile(r"(?:^|\s)[#;]")
+_HEADER = re.compile(r"\[(.+)\]")
+_OPTION = re.compile(r"([^=:]+?)\s*[=:]\s*(.*)")
+
+
+def _read_ini(text: str, source) -> Dict[str, Dict[str, str]]:
+    """The INI text as {section: {key: value}}, [DEFAULT]'s keys filling each
+    section present; README's Configuration lists the syntax it accepts."""
+    read: Dict[str, Dict[str, List[str]]] = {}
+    keys, key, indent = None, None, 0
+    for n, raw in enumerate(text.split("\n"), 1):
+        comment = _COMMENT.search(raw)
+        line = raw[:comment.start() if comment else None].strip()
+        at = len(raw) - len(raw.lstrip())
+        if not line or (key is not None and at > indent):
+            # deeper-indented and blank lines go on with a value, comments not
+            if key is not None and (line or comment is None):
+                keys[key].append(line)
+            continue
+        indent, header, why = at, _HEADER.match(line), None
+        if header:
+            name, key = header.group(1), None
+            if name in read and name != "DEFAULT":
+                why = f"repeats the section [{name}]"
+            keys = read.setdefault(name, {})
+        elif keys is None:
+            why = "comes before any [section] header"
+        elif (option := _OPTION.match(line)) is None:
+            why = "is neither a [section] header nor a key = value line"
+        else:
+            key = option.group(1).lower()
+            why = f"repeats the key {key} of [{name}]" if key in keys else None
+            keys[key] = [option.group(2)]
+        if why:
+            raise ConfigError(f"{source}: line {n}: {raw.strip()!r} {why}")
+    defaults = read.pop("DEFAULT", {})
+    return {name: {k: "\n".join(v).rstrip()
+                   for k, v in {**defaults, **keys}.items()}
+            for name, keys in read.items()}
+
+
 def load_config(path: Optional[str] = None) -> FullConfig:
     """Load a full configuration; an omitted key takes its dataclass
     default."""
     cfg_path = Path(path) if path is not None else default_config_path()
     if not cfg_path.is_file():
         raise ConfigError(f"config file not found: {cfg_path}")
-    parser = configparser.ConfigParser(interpolation=None,
-                                       inline_comment_prefixes=("#", ";"))
     try:
-        text = cfg_path.read_text()
-        parser.read_string(text, source=str(cfg_path))
-    except UnicodeDecodeError as exc:
-        raise ConfigError(f"{cfg_path}: {exc}") from exc
-    except configparser.ParsingError as exc:
-        # one line naming the first line the parser could not read
-        n = getattr(exc, "lineno", None) or exc.errors[0][0]
-        line = text.split("\n")[n - 1].strip()
-        why = ("comes before any [section] header"
-               if isinstance(exc, configparser.MissingSectionHeaderError)
-               else "is neither a [section] header nor a key = value line")
-        raise ConfigError(f"{cfg_path}: line {n}: {line!r} {why}") from exc
-    except configparser.Error as exc:
-        raise ConfigError(f"cannot parse {cfg_path}: {exc}") from exc
-    try:
-        version = parser.getint("meta", "schema_version", fallback=None)
+        ini = _read_ini(cfg_path.read_text(), cfg_path)
+        meta = ini.get("meta", {})
+        version = (int(meta["schema_version"]) if "schema_version" in meta
+                   else None)
         if version != SCHEMA_VERSION:
             raise ConfigError(f"{cfg_path}: schema_version must be "
                               f"{SCHEMA_VERSION}, got {version}")
         sections = {}
         for name, cls in _SECTIONS.items():
-            given = parser[name] if parser.has_section(name) else {}
+            given = ini.get(name, {})
             sections[name] = cls(**{f.name: _PARSERS[f.type](given[f.name])
                                     for f in fields(cls) if f.name in given})
     except ConfigError:
         raise
-    except (ValueError, configparser.Error) as exc:
+    except ValueError as exc:       # UnicodeDecodeError included
         raise ConfigError(f"{cfg_path}: {exc}") from exc
     return FullConfig(**sections)

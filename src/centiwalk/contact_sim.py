@@ -141,11 +141,21 @@ class WalkResult:
     gamma_measured: List[float]                # sensed, per cycle
 
 
+@lru_cache
+def _stance_mask(cfg: GaitConfig, steps: int) -> np.ndarray:
+    """The gait's stance mask over one cycle of `steps` samples, shape
+    (2n, steps), read-only: the ideal contact map's cycle and the walker's
+    stance samples."""
+    mask = phase_table(cfg, steps) < cfg.duty
+    mask.setflags(write=False)
+    return mask
+
+
 def ideal_contact_map(cfg: GaitConfig, steps: int, cycles: int = 1) -> ContactMap:
     """Contact map of the ideal gait pattern."""
-    bits = (phase_table(cfg, steps) < cfg.duty).astype(np.uint8)
     return ContactMap(legs=2 * cfg.n_pairs, steps=steps, cycles=cycles,
-                      bits=np.tile(bits, (1, cycles)))
+                      bits=np.tile(_stance_mask(cfg, steps).view(np.uint8),
+                                   (1, cycles)))
 
 
 def _debounce(bits: np.ndarray, latch_steps: int) -> np.ndarray:
@@ -190,9 +200,8 @@ def _stance_table(cfg: GaitConfig, geom: RobotGeometry, steps: int) -> tuple:
     its reduced phase, from which reach_and_lift gives its reach and lift
     at any amplitude.  None of these depends on cfg.a_v.  Built once per
     config and shared, read-only, by every walk."""
-    phases = phase_table(cfg, steps)
-    stance = phases < cfg.duty
-    u = phases[stance]
+    stance = _stance_mask(cfg, steps)
+    u = phase_table(cfg, steps)[stance]
     d_s, _, _ = stance_geometry(cfg, geom, u)
     table = (stance, np.nonzero(stance)[0], recoverable_heights(geom, d_s),
              vertical_wave(cfg, u))

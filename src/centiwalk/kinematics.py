@@ -84,6 +84,17 @@ class SlipDistribution:
             raise ValueError("distribution has no net forward thrust")
         return 1.0 / f_full
 
+    @cached_property
+    def thrust_table(self) -> np.ndarray:
+        """Rows of the cumulative mass and thrust (mass times cos(beta)) of
+        the bins sorted by cos(beta), each led by a 0; read-only."""
+        cosb = np.cos(np.radians(self.bin_centers))
+        order = np.argsort(cosb)
+        p = self.probs[order]
+        table = np.insert(np.cumsum([p, p * cosb[order]], axis=1), 0, 0.0, 1)
+        table.setflags(write=False)
+        return table
+
 
 def flat_ground_stride(cfg: GaitConfig, geom: RobotGeometry) -> float:
     """Forward distance per gait cycle on flat ground, cm.

@@ -73,17 +73,13 @@ def friction_bounds(dist: SlipDistribution,
     The objective is linear over the box [0,1]^B with one equality
     constraint, so the optimum is the greedy fill: contact mass gamma on the
     bins of least (for the minimum) or greatest (for the maximum) cos(beta),
-    with one fractional bin, read off the cumulative mass and thrust of the
-    bins sorted by cos(beta).
+    with one fractional bin, read off the distribution's cumulative mass and
+    thrust of the bins sorted by cos(beta).
     """
     gamma = np.asarray(gamma, dtype=float)
     if not np.all((gamma >= 0.0) & (gamma <= 1.0 + WEIGHT_TOL)):
         raise ValueError(f"gamma must be in [0, 1], got {gamma}")
-    cosb = np.cos(np.radians(dist.bin_centers))
-    order = np.argsort(cosb)
-    p = dist.probs[order]
-    mass = np.concatenate([[0.0], np.cumsum(p)])
-    thrust = np.concatenate([[0.0], np.cumsum(p * cosb[order])])
+    mass, thrust = dist.thrust_table
     f_min = np.interp(gamma, mass, thrust) - (1.0 - gamma)
     f_max = thrust[-1] - np.interp(mass[-1] - gamma, mass, thrust) - (1.0 - gamma)
     return f_min, f_max

@@ -1,14 +1,17 @@
 """CLI behaviour tests: exit codes, file outputs, determinism."""
 
 import argparse
+import hashlib
+import json
 import os
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 from statistics import mean, pvariance
 
 import pytest
+from test_config import VALUES
 
 import centiwalk
 from centiwalk import cli
@@ -249,6 +252,30 @@ class TestStamps:
         first = stamp("a", "0")
         assert stamp("b", "0") == first
         assert stamp("c", "1") != first
+
+    @pytest.mark.parametrize("every_key", [False, True],
+                             ids=["default", "every-key-and-override"])
+    def test_stamp_hashes_as_asdict_does(self, tmp_path, every_key):
+        # every config_hash written so far hashed json.dumps(asdict(fc)),
+        # so the stamp must keep that text
+        argv = ["walk"]
+        if every_key:
+            cfg = tmp_path / "c.cfg"
+            sections = {}
+            for (section, key), (text, _) in VALUES.items():
+                sections.setdefault(section, f"[{section}]\n")
+                sections[section] += f"{key} = {text}\n"
+            cfg.write_text("[meta]\nschema_version = 1\n"
+                           + "".join(sections.values()))
+            argv = ["--config", str(cfg), "--seeds", "3..5", "--cycles", "7",
+                    "--steps", "40", "--tolerance", "0.2"] + argv
+        args = cli._PARSER.parse_args(argv)
+        fc = cli._with_overrides(load_config(args.config), args)
+        digest = hashlib.sha256(json.dumps(asdict(fc), sort_keys=True)
+                                .encode()).hexdigest()[:12]
+        assert cli._stamp(fc) == (f"# centiwalk v{centiwalk.__version__} "
+                                  f"config_hash={digest}\n")
+        assert (digest == "b63e788368b9") is not every_key
 
     def test_meta_only_config_stamps_like_the_default(self, tmp_path):
         # every omitted key takes the value the shipped file sets

@@ -1,5 +1,6 @@
 """Config loading tests."""
 
+import configparser
 from dataclasses import fields, replace
 
 import pytest
@@ -8,6 +9,7 @@ from centiwalk.config import (
     ConfigError,
     ExperimentSpec,
     FullConfig,
+    _read_ini,
     _seeds,
     default_config_path,
     load_config,
@@ -195,3 +197,55 @@ class TestOverrides:
                      "[experiment]\nterrains = 0.1, rough%1.txt, %(x)s\n")
         assert load_config(str(p)).experiment.terrains == [
             "0.1", "rough%1.txt", "%(x)s"]
+
+
+def _reference(text):
+    """configparser's reading of text, set up as the package's reader once
+    was: the oracle that reader must agree with."""
+    parser = configparser.ConfigParser(interpolation=None,
+                                       inline_comment_prefixes=("#", ";"))
+    parser.read_string(text)
+    return {name: dict(parser[name]) for name in parser.sections()}
+
+
+# INI texts of every accepted construct, by name
+READABLE = {
+    "inline-comments": "[gait]\nduty = 0.5 # after a space\n"
+                       "xi = 1.0\t; after a tab\nn_pairs = 4#kept\n"
+                       "a_v = 3;kept\n  # indented comment\n; comment\n",
+    "colon-delimiter": "[gait]\nduty: 0.5\nxi :2\n",
+    "upper-case-key": "[gait]\nN_PAIRS = 4\n",
+    "multi-line-value": "[experiment]\nseeds = 0..3,\n    7, 9\n\n    11\n"
+                        "  # not part of the value\n\ncycles = 2\n\n",
+    "default-section": "[DEFAULT]\nn_pairs = 3\ncycles = 5\n[gait]\n"
+                       "xi = 2\n[geometry]\nn_pairs = 4\n",
+    "percent": "[experiment]\nterrains = %(x)s, rough%1.txt, 100%\n",
+    "empty-value": "[gait]\nduty =\nxi:\n",
+    "indented-lines": "  [gait]\n  duty = 0.5\n  xi = 1\n",
+    "shipped-default": default_config_path().read_text(),
+}
+
+
+class TestReader:
+    @pytest.mark.parametrize("text", READABLE.values(), ids=READABLE)
+    def test_reads_as_configparser_does(self, text):
+        assert _read_ini(text, "c.cfg") == _reference(text)
+
+    @pytest.mark.parametrize("text, line", [
+        ("[meta]\nschema_version = 1\n[gait]\n[gait]\n", "4: '[gait]'"),
+        ("[meta]\nschema_version = 1\nSchema_Version = 1\n",
+         "3: 'Schema_Version = 1'"),
+        ("duty = 0.5\n[meta]\nschema_version = 1\n", "1: 'duty = 0.5'"),
+        ("[meta]\nschema_version = 1\n[gait\nduty = 0.5\n", "3: '[gait'"),
+        ("[meta]\nschema_version = 1\nduty\n", "3: 'duty'"),
+    ], ids=["duplicate-section", "duplicate-key", "key-before-section",
+            "unclosed-section", "no-delimiter"])
+    def test_rejects_what_configparser_rejects(self, tmp_path, text, line):
+        with pytest.raises(configparser.Error):
+            _reference(text)
+        p = tmp_path / "c.cfg"
+        p.write_text(text)
+        with pytest.raises(ConfigError) as info:
+            load_config(str(p))
+        assert str(info.value).startswith(f"{p}: line {line} ")
+        assert "\n" not in str(info.value)

@@ -19,7 +19,7 @@ from centiwalk.contact_sim import (
     simulate_walks,
 )
 from centiwalk.control import ControllerConfig, compare_controllers
-from centiwalk.gait import GaitConfig, TWO_PI
+from centiwalk.gait import GaitConfig, TWO_PI, phase_table
 from centiwalk.kinematics import RobotGeometry, slip_distribution
 from centiwalk.models import predict_speed_band
 from centiwalk.terrain import TerrainGrid, generate_terrain
@@ -52,6 +52,27 @@ class TestIdealContactMap:
         cmap = ideal_contact_map(GaitConfig(), 36, cycles=3)
         assert cmap.bits.shape == (12, 108)
         assert np.array_equal(cmap.bits[:, :36], cmap.bits[:, 36:72])
+
+    @pytest.mark.parametrize("cfg", [
+        GaitConfig(), GaitConfig(n_pairs=5, duty=0.3),
+        GaitConfig(n_pairs=3, xi=1.5, duty=0.7, phase_offset=1.0)])
+    @pytest.mark.parametrize("cycles", [1, 2, 5])
+    def test_walk_and_gait_dump_share_one_stance_mask(self, cfg, cycles):
+        # a walk's ideal map and ideal_contact_map read one cached stance
+        # mask: both are the phase table's stance window tiled over the
+        # cycles, and writing into a map's bits leaves the cache as it was
+        want = np.tile((phase_table(cfg, 36) < cfg.duty).astype(np.uint8),
+                       (1, cycles))
+        terrain = generate_terrain(0.17, rows=cfg.n_pairs + cycles + 1,
+                                   cols=5, seed=0)
+        res = simulate_walk(cfg, RobotGeometry(), terrain, cycles, 36,
+                            SensorModel(), seed=0)
+        cmap = ideal_contact_map(cfg, 36, cycles)
+        assert np.array_equal(res.ideal.bits, want)
+        assert np.array_equal(cmap.bits, want)
+        res.ideal.bits[:] = 0
+        cmap.bits[:] = 0
+        assert np.array_equal(ideal_contact_map(cfg, 36, cycles).bits, want)
 
     @given(n_pairs=st.integers(min_value=2, max_value=12),
            xi=st.floats(min_value=0.0, max_value=3.0),
