@@ -26,6 +26,7 @@ from .contact_sim import (
     SensorModel,
     WalkOffTerrainError,
     ideal_contact_map,
+    simulate_walk,
     simulate_walks,
 )
 from .control import ARMS, compare_controllers
@@ -247,26 +248,25 @@ def cmd_walk(fc: FullConfig, args) -> int:
     entries = _entries(fc)
     out = _out_dir(args)
     sensor = SensorModel(flip_prob=exp.sensor_flip_prob)
-    # every walk runs before anything is written, so a failed walk leaves
-    # no partial output
+    # every walk, each entry's first-seed map among them, runs before
+    # anything is written, so a failed walk leaves no partial output
     walks = [(entry, simulate_walks(fc.gait, fc.geometry, terrains, exp.seeds,
                                     [fc.gait.a_v], exp.cycles, exp.steps,
-                                    sensor))
+                                    sensor),
+              simulate_walk(fc.gait, fc.geometry, terrains[0], exp.cycles,
+                            exp.steps, sensor, exp.seeds[0]).measured.bits.T)
              for entry, terrains in zip(entries, _terrains(fc, entries))]
     stamp = _stamp(fc)
     path = out / "walk.csv"
     _write_csv(path, stamp, "seed,terrain,a_v_deg,cycle,gamma,v_ratio",
                (f"{seed},{entry.label},{fc.gait.a_v:g},{c},{g:.6f},{v:.6f}"
-                for entry, w in walks
+                for entry, w, _ in walks
                 for seed, gammas, speeds in zip(exp.seeds,
                                                 w.gamma[:, 0].tolist(),
                                                 w.v_ratio[:, 0].tolist())
                 for c, (g, v) in enumerate(zip(gammas, speeds))))
     legs = ",".join(_leg_names(fc.gait.n_pairs))
-    for entry, w in walks:
-        # the first seed's measured map, one row per sample
-        samples = w.bits[0, 0].transpose(0, 2, 1).reshape(
-            -1, 2 * fc.gait.n_pairs)
+    for entry, _, samples in walks:
         _write_csv(out / f"contact_{entry.label}.csv", stamp,
                    "cycle,step," + legs,
                    (f"{i // exp.steps},{i % exp.steps},"

@@ -12,8 +12,8 @@ debounce) stands in for the physical contact-sensing hardware.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -39,10 +39,6 @@ BLOCK_ROWS = 64
 # rows by (amplitudes x legs) columns, so its size grows with the square of
 # its amplitudes, and a longer grid is counted this many at a time
 RANK_AMPLITUDES = 4
-
-# a loss event's cause, indexed by whether its height step is a drop
-_CAUSES = np.array(["deformed", "too_deep"], dtype=object)
-
 
 class NoStanceError(ValueError):
     """Raised when a gait has no stance sample in a cycle of the commanded
@@ -101,32 +97,13 @@ class SensorModel:
 @dataclass
 class Walks:
     """Per-cycle outcomes of every seed walked at every starting amplitude,
-    each of shape (seeds, amplitudes, cycles).  The contact maps, of shape
-    (block seeds, amplitudes, cycles, 2n, steps), cover the first block of
-    seeds only, so that memory stays flat at any number of seeds; a walk
-    that counts its losses builds them when they are first read."""
+    each of shape (seeds, amplitudes, cycles).  A walk's contact maps come
+    from simulate_walk, one seed at a time."""
 
     gamma: np.ndarray            # true contact ratio
     gamma_measured: np.ndarray   # sensed contact ratio
     a_v: np.ndarray              # vertical amplitude
     v_ratio: np.ndarray          # speed ratio v/v_open
-    # returns the first block's (bits, lost)
-    _build_maps: Callable[[], Tuple[np.ndarray, np.ndarray]] = field(
-        repr=False)
-
-    @cached_property
-    def _maps(self) -> Tuple[np.ndarray, np.ndarray]:
-        return self._build_maps()
-
-    @property
-    def bits(self) -> np.ndarray:
-        """Measured bits."""
-        return self._maps[0]
-
-    @property
-    def lost(self) -> np.ndarray:
-        """Contact lost to the terrain, the shape of bits."""
-        return self._maps[1]
 
 
 @dataclass
@@ -298,6 +275,112 @@ def _height_steps(terrain: TerrainGrid, n: int, cycles: int) -> np.ndarray:
     return terrain.heights[rows + 1, leg_cols] - terrain.heights[rows, leg_cols]
 
 
+def _checked_a_v(cfg: GaitConfig, geom: RobotGeometry,
+                 terrains: Sequence[TerrainGrid], seeds: Sequence[int],
+                 a_v: Sequence[float], cycles: int, steps: int) -> np.ndarray:
+    """A walk's inputs checked as simulate_walks documents them; returns
+    a_v as a 1-D float array."""
+    if steps % 2 != 0:
+        raise ValueError(f"steps must be even, got {steps}")
+    if not len(terrains) == len(seeds) > 0:
+        raise ValueError("need one terrain per seed, and at least one seed")
+    a_v = np.array(a_v, dtype=float)
+    if a_v.ndim != 1 or len(a_v) == 0:
+        raise ValueError("need a list of one or more a_v")
+    if not np.all(a_v >= 0.0):
+        raise ValueError(f"a_v must be >= 0, got {a_v.min()}")
+    shortest = min(terrains, key=lambda t: t.rows)
+    available = max(0, shortest.rows - cfg.n_pairs)
+    if cycles > available:
+        raise WalkOffTerrainError(available, shortest.rows)
+    if not _stance_table(cfg, geom, steps)[1].size:
+        raise NoStanceError(f"{cfg} has no stance sample in a cycle of "
+                            f"steps={steps}")
+    return a_v
+
+
+def _walk_block(cfg: GaitConfig, geom: RobotGeometry,
+                terrains: Sequence[TerrainGrid], seeds: Sequence[int],
+                a_v: np.ndarray, cycles: int, steps: int, sensor: SensorModel,
+                next_av: Optional[Callable], maps: bool) -> tuple:
+    """simulate_walks on one block of seeds, from the checked a_v: the
+    per-cycle gamma, gamma_measured and a_v, (seeds, amplitudes, cycles)
+    each, then each stance sample's loss, (seeds, amplitudes, cycles, stance
+    samples), and with maps the sensed rows, (seeds, amplitudes, cycles, 2n,
+    steps), else None.  A noise-free open-loop walk without maps counts its
+    losses, and returns neither array."""
+    stance, stance_leg, _, _ = _stance_table(cfg, geom, steps)
+    retraction = len(stance_leg)
+    shape = (cycles, 2 * cfg.n_pairs, steps)
+    dh = np.stack([_height_steps(t, cfg.n_pairs, cycles) for t in terrains])
+    if (not maps and next_av is None and sensor.flip_prob == 0.0
+            and sensor.latch_steps <= 1):
+        # the sensor reads the true contact ratio, so each leg's lost
+        # samples are counted from its height steps, with no per-sample array
+        lost = _count_losses(cfg, geom, steps, a_v, dh).sum(axis=-1)
+        gamma = (retraction - lost) / retraction
+        return (gamma, gamma, np.broadcast_to(a_v[:, None], lost.shape),
+                None, None)
+
+    tables = {}     # the walk's amplitudes, each looked up once
+
+    def thresholds(av):
+        # each cell's (lower, upper), shape av.shape + (1, stance samples)
+        keys = av.ravel().tolist()
+        for a in set(keys).difference(tables):
+            tables[a] = _loss_thresholds(cfg, geom, steps, a)
+        return np.stack([tables[a] for a in keys], axis=1).reshape(
+            (2,) + av.shape + (1, -1))
+
+    # seeds x 1 x cycles x stance samples, broadcast over amplitudes
+    d = dh[:, None][..., stance_leg]
+    grid = (len(d), len(a_v))
+    av = np.broadcast_to(a_v, grid)
+    lower, upper = thresholds(av)
+    if sensor.flip_prob > 0.0:
+        # one draw per seed, shared by its amplitudes
+        flips = np.stack([
+            np.random.default_rng(s).random(shape) < sensor.flip_prob
+            for s in seeds]).view(np.uint8)[:, None]
+    else:
+        flips = np.broadcast_to(np.uint8(0), (grid[0], 1) + shape)
+    rows = maps or sensor.latch_steps > 1
+    bits = np.empty(grid + shape, dtype=np.uint8) if rows else None
+    flips_s = None if rows else flips[..., stance]
+    lost_s = np.empty(grid + (cycles, retraction), dtype=bool)
+    a_vs, gamma_s = np.empty((2,) + grid + (cycles,))
+    # the next amplitude needs this cycle's sensed contact ratio, so
+    # feedback walks one cycle per span; held amplitudes walk all at once
+    span = max(cycles, 1) if next_av is None else 1
+    for c in range(0, cycles, span):
+        now = slice(c, c + span)
+        a_vs[..., now] = av[..., None]
+        dc, lost = d[:, :, now], lost_s[:, :, now]
+        np.logical_or(dc < lower, dc > upper, out=lost)
+        if rows:
+            # the sensed rows, which the debounce reads and maps keep
+            truth = np.zeros(lost.shape[:-1] + shape[1:], dtype=bool)
+            truth[..., stance] = ~lost
+            bits[:, :, now] = sensed = _debounce(truth ^ flips[:, :, now],
+                                                 sensor.latch_steps)
+            count = (sensed & stance).sum(axis=(-2, -1))
+        else:
+            # a stance sample reads 1 unless exactly one of a loss and
+            # a flip hit it, so the stance samples alone give the count
+            count = retraction - np.count_nonzero(
+                lost ^ flips_s[:, :, now], axis=-1)
+        gamma_s[..., now] = count / retraction
+        if c + span < cycles:
+            new = np.asarray(next_av(c, gamma_s[..., c], av),
+                             dtype=float).reshape(grid)
+            if not np.all(new >= 0.0):
+                raise ValueError(f"a_v must be >= 0, got {new.min()}")
+            lower, upper = thresholds(new)
+            av = new
+    gamma = (retraction - lost_s.sum(axis=-1)) / retraction
+    return gamma, gamma_s, a_vs, lost_s, bits
+
+
 def simulate_walks(cfg: GaitConfig, geom: RobotGeometry,
                    terrains: Sequence[TerrainGrid], seeds: Sequence[int],
                    a_v: Sequence[float], cycles: int, steps: int,
@@ -322,148 +405,50 @@ def simulate_walks(cfg: GaitConfig, geom: RobotGeometry,
 
     An open-loop walk with a noise-free sensor (no flips, latch_steps <= 1)
     senses its true contact ratio, so it counts each leg's lost samples
-    from the cycle's height steps and builds no per-sample array; its
-    contact maps are walked sample by sample when first read.
+    from the cycle's height steps and builds no per-sample array.
     """
-    if steps % 2 != 0:
-        raise ValueError(f"steps must be even, got {steps}")
-    if not len(terrains) == len(seeds) > 0:
-        raise ValueError("need one terrain per seed, and at least one seed")
-    a_v = np.array(a_v, dtype=float)
-    if a_v.ndim != 1 or len(a_v) == 0:
-        raise ValueError("need a list of one or more a_v")
-    if not np.all(a_v >= 0.0):
-        raise ValueError(f"a_v must be >= 0, got {a_v.min()}")
-    n = cfg.n_pairs
-    shortest = min(terrains, key=lambda t: t.rows)
-    available = max(0, shortest.rows - n)
-    if cycles > available:
-        raise WalkOffTerrainError(available, shortest.rows)
-    stance, stance_leg, _, _ = _stance_table(cfg, geom, steps)
-    retraction = len(stance_leg)
-    if retraction == 0:
-        raise NoStanceError(f"{cfg} has no stance sample in a cycle of "
-                            f"steps={steps}")
+    a_v = _checked_a_v(cfg, geom, terrains, seeds, a_v, cycles, steps)
     dist = slip_distribution(cfg, geom)
-    shape = (cycles, 2 * n, steps)
-
-    tables = {}     # the walk's amplitudes, each looked up once
-
-    def thresholds(av):
-        # each cell's (lower, upper), shape av.shape + (1, stance samples)
-        keys = av.ravel().tolist()
-        for a in set(keys).difference(tables):
-            tables[a] = _loss_thresholds(cfg, geom, steps, a)
-        return np.stack([tables[a] for a in keys], axis=1).reshape(
-            (2,) + av.shape + (1, -1))
-
-    def block_steps(block: slice) -> np.ndarray:
-        return np.stack([_height_steps(t, n, cycles) for t in terrains[block]])
-
-    def count_block(block: slice):
-        dh = block_steps(block)
-        lost = _count_losses(cfg, geom, steps, a_v, dh).sum(axis=-1)
-        gamma = (retraction - lost) / retraction
-        a_vs = np.broadcast_to(a_v[:, None], lost.shape)
-        return (gamma, gamma.copy(), a_vs,
-                predict_speed_band(dist, gamma).v_ratio_mid)
-
-    def walk_block(block: slice, maps: bool):
-        # seeds x 1 x cycles x stance samples, broadcast over amplitudes
-        d = block_steps(block)[:, None][..., stance_leg]
-        grid = (len(d), len(a_v))
-        av = np.broadcast_to(a_v, grid)
-        lower, upper = thresholds(av)
-        if sensor.flip_prob > 0.0:
-            # one draw per seed, shared by its amplitudes
-            flips = np.stack([
-                np.random.default_rng(s).random(shape) < sensor.flip_prob
-                for s in seeds[block]]).view(np.uint8)[:, None]
-        else:
-            flips = np.broadcast_to(np.uint8(0), (grid[0], 1) + shape)
-        debounced = sensor.latch_steps > 1
-        bits = np.empty(grid + shape, dtype=np.uint8) if debounced else None
-        flips_s = None if debounced else flips[..., stance]
-        lost_s = np.empty(grid + (cycles, retraction), dtype=bool)
-        a_vs, gamma_s = np.empty((2,) + grid + (cycles,))
-        # the next amplitude needs this cycle's sensed contact ratio, so
-        # feedback walks one cycle per span; held amplitudes walk all at once
-        span = max(cycles, 1) if next_av is None else 1
-        for c in range(0, cycles, span):
-            now = slice(c, c + span)
-            a_vs[..., now] = av[..., None]
-            dc, lost = d[:, :, now], lost_s[:, :, now]
-            np.logical_or(dc < lower, dc > upper, out=lost)
-            if debounced:
-                # the debounce reads whole rows, kept as the bit map
-                truth = np.zeros(lost.shape[:-1] + shape[1:], dtype=bool)
-                truth[..., stance] = ~lost
-                bits[:, :, now] = rows = _debounce(truth ^ flips[:, :, now],
-                                                   sensor.latch_steps)
-                count = (rows & stance).sum(axis=(-2, -1))
-            else:
-                # a stance sample reads 1 unless exactly one of a loss and
-                # a flip hit it, so the stance samples alone give the count
-                count = retraction - np.count_nonzero(
-                    lost ^ flips_s[:, :, now], axis=-1)
-            gamma_s[..., now] = count / retraction
-            if c + span < cycles:
-                new = np.asarray(next_av(c, gamma_s[..., c], av),
-                                 dtype=float).reshape(grid)
-                if not np.all(new >= 0.0):
-                    raise ValueError(f"a_v must be >= 0, got {new.min()}")
-                lower, upper = thresholds(new)
-                av = new
-        gamma = (retraction - lost_s.sum(axis=-1)) / retraction
-        out = gamma, gamma_s, a_vs, predict_speed_band(dist, gamma).v_ratio_mid
-        if not maps:
-            return out
-        lost_map = np.zeros(grid + shape, dtype=bool)
-        lost_map[..., stance] = lost_s
-        if not debounced:
-            bits = (stance & ~lost_map) ^ flips
-        return out + (bits, lost_map)
-
     block = max(1, BLOCK_ROWS // len(a_v))
-    blocks = [slice(i, i + block) for i in range(0, len(seeds), block)]
-    counted = (next_av is None and sensor.flip_prob == 0.0
-               and sensor.latch_steps <= 1)
-    # only the first block's maps are kept; a walk that counts its losses
-    # walks them when they are first read
-    first = None if counted else walk_block(blocks[0], maps=True)
-    per_cycle = ([count_block(b) for b in blocks] if counted else
-                 [first[:4]] + [walk_block(b, maps=False) for b in blocks[1:]])
-    gamma, gamma_measured, a_vs, v_ratio = (np.concatenate(a)
-                                            for a in zip(*per_cycle))
+    per_cycle = [_walk_block(cfg, geom, terrains[i:i + block],
+                             seeds[i:i + block], a_v, cycles, steps, sensor,
+                             next_av, maps=False)[:3]
+                 for i in range(0, len(seeds), block)]
+    gamma, gamma_measured, a_vs = (np.concatenate(a) for a in zip(*per_cycle))
     return Walks(gamma=gamma, gamma_measured=gamma_measured, a_v=a_vs,
-                 v_ratio=v_ratio, _build_maps=lambda: (
-                     first or walk_block(blocks[0], maps=True))[4:])
+                 v_ratio=predict_speed_band(dist, gamma).v_ratio_mid)
 
 
 def simulate_walk(cfg: GaitConfig, geom: RobotGeometry, terrain: TerrainGrid,
                   cycles: int, steps: int, sensor: SensorModel, seed: int
                   ) -> WalkResult:
     """Walk `cycles` gait cycles over the terrain at the vertical amplitude
-    cfg.a_v: the one-walk case of simulate_walks.
+    cfg.a_v: the one-walk case of simulate_walks, with its contact maps.
 
     Each leg's foothold advances one block row per cycle (the height
     transition H(next) - H(current) drives the loss rules); the continuous
     forward displacement is tracked separately through the speed model.
     """
-    w = simulate_walks(cfg, geom, [terrain], [seed], [cfg.a_v], cycles, steps,
-                       sensor)
+    a_v = _checked_a_v(cfg, geom, [terrain], [seed], [cfg.a_v], cycles, steps)
+    gamma, gamma_measured, _, lost, bits = _walk_block(
+        cfg, geom, [terrain], [seed], a_v, cycles, steps, sensor, None,
+        maps=True)
     n = cfg.n_pairs
-    c, leg, k = np.nonzero(w.lost[0, 0])
-    causes = _CAUSES[(_height_steps(terrain, n, cycles)[c, leg] <= 0.0)
-                     .view(np.uint8)]
+    # each lost stance sample's cycle, then its leg and step in the cycle
+    c, s = np.nonzero(lost[0, 0])
+    leg, k = (a[s] for a in np.nonzero(_stance_mask(cfg, steps)))
+    # object strings: every event shares the two str objects, not a copy
+    causes = np.array(["deformed", "too_deep"], dtype=object)[
+        (_height_steps(terrain, n, cycles)[c, leg] <= 0.0).view(np.uint8)]
     return WalkResult(
         measured=ContactMap(legs=2 * n, steps=steps, cycles=cycles,
-                            bits=w.bits[0, 0].transpose(1, 0, 2)
+                            bits=bits[0, 0].transpose(1, 0, 2)
                             .reshape(2 * n, -1)),
         ideal=ideal_contact_map(cfg, steps, cycles),
-        gamma_per_cycle=w.gamma[0, 0].tolist(),
-        forward_speed_ratio=w.v_ratio[0, 0].tolist(),
+        gamma_per_cycle=gamma[0, 0].tolist(),
+        forward_speed_ratio=predict_speed_band(
+            slip_distribution(cfg, geom), gamma[0, 0]).v_ratio_mid.tolist(),
         loss_events=list(zip(leg.tolist(), (c * steps + k).tolist(),
                              causes.tolist())),
-        gamma_measured=w.gamma_measured[0, 0].tolist(),
+        gamma_measured=gamma_measured[0, 0].tolist(),
     )

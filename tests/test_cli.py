@@ -20,7 +20,7 @@ from centiwalk.config import load_config
 from centiwalk.contact_sim import SensorModel, simulate_walk, simulate_walks
 from centiwalk.control import ARMS, _feedback
 from centiwalk.kinematics import flat_ground_stride
-from centiwalk.terrain import generate_terrain
+from centiwalk.terrain import TerrainGrid, generate_terrain
 
 FAST_CFG = """\
 [meta]
@@ -310,7 +310,6 @@ class TestGaitDump:
 
 class TestTerrainGen:
     def test_writes_loadable_file(self, tmp_path):
-        from centiwalk.terrain import TerrainGrid
         assert run(["--out", str(tmp_path), "--seeds", "3", "terrain-gen",
                     "--r-g", "0.17"]) == 0
         grid = TerrainGrid.load(tmp_path / "terrain_rg0.17_seed3.txt")
@@ -410,6 +409,36 @@ class TestWalkAndCompare:
         lines = (tmp_path / "walk.csv").read_text().splitlines()
         # 3 terrains x 2 seeds x 5 cycles
         assert len(lines) == 2 + 30
+
+    @pytest.mark.parametrize("flip_prob", [0.0, 0.05])
+    def test_contact_csv_is_the_first_seeds_walk(self, tmp_path, flip_prob):
+        # each entry's contact map, rugosity levels and a terrain file
+        # alike, is its first seed's simulate_walk, in a run of more seeds
+        # than one engine block holds
+        tfile = tmp_path / "rough.txt"
+        generate_terrain(0.32, rows=30, cols=5, seed=123).save(tfile)
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(FAST_CFG + f"terrains = 0.0, 0.32, {tfile}\n"
+                       f"sensor_flip_prob = {flip_prob}\n")
+        out = tmp_path / "out"
+        assert run(["--config", str(cfg), "--out", str(out),
+                    "--seeds", "0..69", "walk"]) == 0
+        fc = load_config(str(cfg))
+        exp = fc.experiment
+        rows = exp.cycles + fc.gait.n_pairs + 2
+        grids = {"rg=0": generate_terrain(0.0, rows, exp.terrain_cols, seed=0),
+                 "rg=0.32": generate_terrain(0.32, rows, exp.terrain_cols,
+                                             seed=0),
+                 "rough": TerrainGrid.load(tfile)}
+        for label, grid in grids.items():
+            bits = simulate_walk(fc.gait, fc.geometry, grid, exp.cycles,
+                                 exp.steps, SensorModel(flip_prob=flip_prob),
+                                 0).measured.bits
+            lines = (out / f"contact_{label}.csv").read_text().splitlines()
+            assert lines[1] == "cycle,step," + ",".join(cli._leg_names(6))
+            assert lines[2:] == [
+                f"{i // exp.steps},{i % exp.steps}," + ",".join(map(str, col))
+                for i, col in enumerate(bits.T.tolist())], label
 
     def test_compare_outputs(self, tmp_path, fast_config):
         assert run(["--config", fast_config, "--out", str(tmp_path),

@@ -2,9 +2,9 @@
 
 `reference_walk` is the walker's earlier cycle loop, one leg at a time, kept
 here only as an oracle: every per-cycle number, loss event and measured bit
-of `simulate_walk` must equal it exactly, and so must every (seed,
-amplitude) cell of `simulate_walks`, in open loop and under the
-controller's feedback rule, alone or in a mixed grid.  `reference_debounce`
+of `simulate_walk` must equal it exactly, and so must every per-cycle number
+of every (seed, amplitude) cell of `simulate_walks`, in open loop and under
+the controller's feedback rule, alone or in a mixed grid.  `reference_debounce`
 is the sensor's earlier per-sample state machine, the oracle for the
 windowed `_debounce`.  The per-sample loss rules are the oracle for the
 counts that noise-free open-loop walks take from sorted thresholds.
@@ -206,33 +206,36 @@ def test_engine_matches_reference_loop(feedback, n_pairs, xi, duty,
                          cc, period)
     one = simulate_walks(cfg, geom, [terrain], [seed], [a_v], cycles, steps,
                          sensor, _feedback(cc, [period]))
-    assert_cell_matches(one, 0, 0, ref, cycles, 2 * n_pairs, steps)
+    assert_cell_matches(one, 0, 0, ref)
     if not feedback:
         res = simulate_walk(cfg, geom, terrain, cycles, steps, sensor, seed)
-        assert res.gamma_per_cycle == ref["gamma"]
-        assert res.gamma_measured == ref["gamma_measured"]
-        assert res.forward_speed_ratio == ref["v"]
-        assert res.loss_events == ref["losses"]
-        assert np.array_equal(res.measured.bits, np.hstack(ref["bits"]))
+        assert_walk_matches(res, ref)
 
 
 def reference_lost(losses, cycles, legs, steps):
-    """The loss mask, cycles x legs x steps, of reference_walk's events."""
+    """The loss mask, cycles x legs x steps, of a walk's loss events."""
     lost = np.zeros((cycles, legs, steps), dtype=bool)
     for leg, step, _ in losses:
         lost[step // steps, leg, step % steps] = True
     return lost
 
 
-def assert_cell_matches(walks, i, j, ref, cycles, legs, steps):
+def assert_cell_matches(walks, i, j, ref):
     """Seed i at amplitude column j of `walks` is reference_walk's `ref`."""
     assert walks.gamma[i, j].tolist() == ref["gamma"]
     assert walks.gamma_measured[i, j].tolist() == ref["gamma_measured"]
     assert walks.a_v[i, j].tolist() == ref["a_v"]
     assert walks.v_ratio[i, j].tolist() == ref["v"]
-    assert np.array_equal(walks.bits[i, j], np.stack(ref["bits"]))
-    assert np.array_equal(walks.lost[i, j],
-                          reference_lost(ref["losses"], cycles, legs, steps))
+
+
+def assert_walk_matches(res, ref):
+    """simulate_walk's result `res`, maps included, is reference_walk's
+    open-loop `ref`."""
+    assert res.gamma_per_cycle == ref["gamma"]
+    assert res.gamma_measured == ref["gamma_measured"]
+    assert res.forward_speed_ratio == ref["v"]
+    assert res.loss_events == ref["losses"]
+    assert np.array_equal(res.measured.bits, np.hstack(ref["bits"]))
 
 
 @given(n_pairs=st.integers(min_value=2, max_value=6),
@@ -280,7 +283,7 @@ def test_mixed_batch_rows_match_reference_loop(n_pairs, xi, duty,
                                                walkers, variants):
     # one grid of seeds (duplicates included, each with a terrain of its
     # own) by variants (start amplitude, update period): each cell walks
-    # as if alone
+    # as if alone, and an open-loop cell's maps are its simulate_walk's
     cfg = GaitConfig(n_pairs=n_pairs, xi=xi, duty=duty,
                      phase_offset=phase_offset)
     geom = RobotGeometry()
@@ -297,19 +300,22 @@ def test_mixed_batch_rows_match_reference_loop(n_pairs, xi, duty,
     batch = simulate_walks(cfg, geom, terrains, seeds,
                            [a_v for a_v, _ in variants], cycles, steps,
                            sensor, _feedback(cc, [p for _, p in variants]))
-    # one block, so that every cell's maps are kept
-    assert len(seeds) <= BLOCK_ROWS // len(variants)
     assert batch.gamma.shape == (len(seeds), len(variants), cycles)
     for i, seed in enumerate(seeds):
         for j, (a_v, period) in enumerate(variants):
             ref = reference_walk(replace(cfg, a_v=a_v), geom, terrains[i],
                                  cycles, steps, sensor, seed, cc, period)
-            assert_cell_matches(batch, i, j, ref, cycles, 2 * n_pairs, steps)
+            assert_cell_matches(batch, i, j, ref)
+            if period is None:
+                assert_walk_matches(
+                    simulate_walk(replace(cfg, a_v=a_v), geom, terrains[i],
+                                  cycles, steps, sensor, seed), ref)
 
 
 def test_batch_beyond_one_block_equals_single_walks():
     # more seeds than one block holds, so that the block edge falls
-    # inside the grid, with a seed's duplicates on both sides of it
+    # inside the grid, with a seed's duplicates on both sides of it; an
+    # open-loop cell's maps are its simulate_walk's
     cfg = GaitConfig(n_pairs=4)
     geom = RobotGeometry()
     cycles, steps = 4, 24
@@ -327,7 +333,6 @@ def test_batch_beyond_one_block_equals_single_walks():
     batch = simulate_walks(cfg, geom, terrains, seeds, a_vs, cycles, steps,
                            sensor, _feedback(cc, periods))
     assert batch.gamma.shape == (count, len(a_vs), cycles)
-    assert batch.bits.shape[:2] == (block, len(a_vs))
     for i in range(count):
         for j, (a_v, period) in enumerate(zip(a_vs, periods)):
             one = simulate_walks(cfg, geom, [terrains[i]], [seeds[i]], [a_v],
@@ -336,9 +341,13 @@ def test_batch_beyond_one_block_equals_single_walks():
             for name in ("gamma", "gamma_measured", "a_v", "v_ratio"):
                 assert np.array_equal(getattr(batch, name)[i, j],
                                       getattr(one, name)[0, 0]), (i, j, name)
-            if i < block:
-                assert np.array_equal(batch.bits[i, j], one.bits[0, 0])
-                assert np.array_equal(batch.lost[i, j], one.lost[0, 0])
+            if period is None:
+                walk_cfg = replace(cfg, a_v=a_v)
+                assert_walk_matches(
+                    simulate_walk(walk_cfg, geom, terrains[i], cycles, steps,
+                                  sensor, seeds[i]),
+                    reference_walk(walk_cfg, geom, terrains[i], cycles, steps,
+                                   sensor, seeds[i]))
 
 
 GAIT_SHAPES = st.builds(
@@ -439,28 +448,38 @@ def test_rise_cutoff_definition_on_any_floats(recover, lift):
 @settings(max_examples=40, deadline=None)
 def test_counted_gamma_is_the_loss_maps_count(cfg, half_steps, r_g, a_v, seeds,
                                               flip_prob, latch_steps, cycles):
-    # noise-free walks count their losses and build the maps on read, noisy
-    # ones test every sample: either way the first block's loss map holds
-    # each cycle's count, and a noise-free sensor reads the true ratio
+    # noise-free walks count their losses, noisy ones test every sample:
+    # either way each (seed, amplitude) cell's gamma is the count of the
+    # losses that the cell's own simulate_walk finds sample by sample, on
+    # stance samples only, and a noise-free sensor reads the true ratio
     geom = RobotGeometry()
     steps = 2 * half_steps
     stance = _stance_table(cfg, geom, steps)[0]
     assume(stance.any())
     terrains = [generate_terrain(r_g, rows=cycles + cfg.n_pairs + 2, cols=5,
                                  seed=s) for s in seeds]
+    sensor = SensorModel(flip_prob, latch_steps)
     walks = simulate_walks(cfg, geom, terrains, seeds, a_v, cycles, steps,
-                           SensorModel(flip_prob, latch_steps))
+                           sensor)
     retraction = int(stance.sum())
-    first = len(walks.lost)
-    assert first == min(len(seeds), max(1, BLOCK_ROWS // len(a_v)))
-    assert np.array_equal(
-        walks.gamma[:first],
-        (retraction - walks.lost.sum(axis=(-2, -1))) / retraction)
-    assert not (walks.lost & ~stance).any()
-    if flip_prob == 0.0 and latch_steps <= 1:
+    noise_free = flip_prob == 0.0 and latch_steps <= 1
+    if noise_free:
         assert np.array_equal(walks.gamma_measured, walks.gamma)
-        assert np.array_equal(walks.bits, (stance & ~walks.lost)
-                              .view(np.uint8))
+    for i, (seed, terrain) in enumerate(zip(seeds, terrains)):
+        for j, a in enumerate(a_v):
+            res = simulate_walk(replace(cfg, a_v=a), geom, terrain, cycles,
+                                steps, sensor, seed)
+            lost = reference_lost(res.loss_events, cycles, 2 * cfg.n_pairs,
+                                  steps)
+            assert not (lost & ~stance).any()
+            assert np.array_equal(
+                walks.gamma[i, j],
+                (retraction - lost.sum(axis=(-2, -1))) / retraction)
+            if noise_free:
+                assert np.array_equal(
+                    res.measured.bits,
+                    (stance & ~lost).view(np.uint8).transpose(1, 0, 2)
+                    .reshape(2 * cfg.n_pairs, -1))
 
 
 # terrain steps on and one float either side of each loss boundary, given

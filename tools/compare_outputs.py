@@ -10,12 +10,12 @@ PYTHONPATH=<tree>/src: gait-dump, terrain-gen --r-g 0.32, model-sweep,
 validate, walk and controller-compare at the shipped default config with
 --seeds 0..19, walk and controller-compare again at sensor_flip_prob = 0.05,
 walk at that flip probability with --seeds 0..69, more seeds than one block
-of the walk engine holds, and model-sweep and validate again on a rugosity
-level and a written terrain file, whose empirical height steps take the tail
-path that rugosity levels do not.  Every run's exit code, standard output,
-standard error and output files are compared byte for byte.  Each run works
-in its own directory with the same relative paths in both trees, so the
-printed output paths agree too.
+of the walk engine holds, and model-sweep, validate and walk again on a
+rugosity level and a written terrain file, whose empirical height steps take
+the tail path that rugosity levels do not.  Every run's exit code, standard
+output, standard error and output files are compared byte for byte.  Each
+run works in its own directory with the same relative paths in both trees,
+so the printed output paths agree too.
 
 Exit code 0 when every run is identical, 1 when any differs (each
 difference is listed), 2 when the comparison could not run.  Standard
@@ -68,7 +68,7 @@ RUNS: List[Tuple[str, Dict[str, str], str, List[str]]] = [
     ("walk-flip", {FLIP_CONFIG: FLIP_TEXT}, SEEDS,
      ["--config", FLIP_CONFIG, "walk"]),
     # 70 seeds at one amplitude cross the engine's 64-seed block edge on
-    # the per-sample path, where blocks after the first build no maps
+    # the per-sample path
     ("walk-flip-block-edge", {FLIP_CONFIG: FLIP_TEXT}, "0..69",
      ["--config", FLIP_CONFIG, "walk"]),
     ("controller-compare-flip", {FLIP_CONFIG: FLIP_TEXT}, SEEDS,
@@ -77,6 +77,9 @@ RUNS: List[Tuple[str, Dict[str, str], str, List[str]]] = [
      ["--config", TERRAIN_CONFIG, "model-sweep"]),
     ("validate-file", TERRAIN_FILES, SEEDS,
      ["--config", TERRAIN_CONFIG, "validate"]),
+    # a terrain file's entry writes its own contact map too
+    ("walk-file", TERRAIN_FILES, SEEDS,
+     ["--config", TERRAIN_CONFIG, "walk"]),
 ]
 
 
