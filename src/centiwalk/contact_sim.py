@@ -21,11 +21,9 @@ import numpy as np
 from .gait import GaitConfig, phase_table
 from .kinematics import (
     RobotGeometry,
-    reach_and_lift,
     recoverable_heights,
     slip_distribution,
     stance_geometry,
-    vertical_wave,
 )
 from .models import predict_speed_band
 from .terrain import TerrainGrid
@@ -119,19 +117,24 @@ class WalkResult:
 
 
 @lru_cache
-def _stance_mask(cfg: GaitConfig, steps: int) -> np.ndarray:
+def _stance_table(cfg: GaitConfig, steps: int) -> tuple:
     """The gait's stance mask over one cycle of `steps` samples, shape
-    (2n, steps), read-only: the ideal contact map's cycle and the walker's
-    stance samples."""
-    mask = phase_table(cfg, steps) < cfg.duty
-    mask.setflags(write=False)
-    return mask
+    (2n, steps), and per stance sample in row-major order its leg and its
+    reduced phase.  None of these depends on cfg.a_v or the geometry.
+    Built once per gait and shared, read-only, by the ideal contact map
+    and every walk."""
+    phases = phase_table(cfg, steps)
+    stance = phases < cfg.duty
+    table = (stance, np.nonzero(stance)[0], phases[stance])
+    for a in table:
+        a.setflags(write=False)
+    return table
 
 
 def ideal_contact_map(cfg: GaitConfig, steps: int, cycles: int = 1) -> ContactMap:
     """Contact map of the ideal gait pattern."""
     return ContactMap(legs=2 * cfg.n_pairs, steps=steps, cycles=cycles,
-                      bits=np.tile(_stance_mask(cfg, steps).view(np.uint8),
+                      bits=np.tile(_stance_table(cfg, steps)[0].view(np.uint8),
                                    (1, cycles)))
 
 
@@ -169,24 +172,6 @@ def _debounce(bits: np.ndarray, latch_steps: int) -> np.ndarray:
     return held.reshape(bits.shape)
 
 
-@lru_cache
-def _stance_table(cfg: GaitConfig, geom: RobotGeometry, steps: int) -> tuple:
-    """The gait's stance mask over one cycle of `steps` samples, shape
-    (2n, steps), and per stance sample in row-major order: its leg, the
-    terrain rise its retraction recovers and the vertical wave's shape at
-    its reduced phase, from which reach_and_lift gives its reach and lift
-    at any amplitude.  None of these depends on cfg.a_v.  Built once per
-    config and shared, read-only, by every walk."""
-    stance = _stance_mask(cfg, steps)
-    u = phase_table(cfg, steps)[stance]
-    d_s, _, _ = stance_geometry(cfg, geom, u)
-    table = (stance, np.nonzero(stance)[0], recoverable_heights(geom, d_s),
-             vertical_wave(cfg, u))
-    for a in table:
-        a.setflags(write=False)
-    return table
-
-
 def _rise_cutoffs(recover: np.ndarray, lift: np.ndarray) -> np.ndarray:
     """Per stance sample, the largest float c with c - max(lift, 0) <=
     recover: a terrain rise d loses the sample exactly when d > c, under
@@ -206,12 +191,13 @@ def _loss_thresholds(cfg: GaitConfig, geom: RobotGeometry, steps: int,
     """The loss rule at the amplitude a_v, shape (2, stance samples): a step
     d loses a sample when d < lower or d > upper.  lower = min(-reach,
     5e-324), the least positive float, so d < lower exactly when d <= 0 and
-    -d > reach; upper is the rise cutoff.  The cache bound is ample, since
-    a feedback amplitude is a function of a count over retraction."""
-    _, _, recover, wave = _stance_table(cfg, geom, steps)
-    reach, lift = reach_and_lift(geom, wave, a_v)
+    -d > reach; upper is the rise cutoff, from stance_geometry at the
+    walker's stance phases.  The cache bound is ample, since a feedback
+    amplitude is a function of a count over retraction."""
+    d_s, reach, lift = stance_geometry(
+        cfg, geom, _stance_table(cfg, steps)[2], a_v)
     table = np.stack([np.minimum(-reach, 5e-324),
-                      _rise_cutoffs(recover, lift)])
+                      _rise_cutoffs(recoverable_heights(geom, d_s), lift)])
     table.setflags(write=False)
     return table
 
@@ -229,7 +215,7 @@ def _loss_ranks(cfg: GaitConfig, geom: RobotGeometry, steps: int,
                              for a in a_v], axis=1)
     groups = len(a_v) * 2 * cfg.n_pairs
     group = (2 * cfg.n_pairs * np.arange(len(a_v))[:, None]
-             + _stance_table(cfg, geom, steps)[1]).ravel()
+             + _stance_table(cfg, steps)[1]).ravel()
     thresholds = np.stack([-lower.ravel(), upper.ravel()])
     order = np.argsort(thresholds, axis=-1)
     # a group's count is at most its leg's stance samples, so at most steps
@@ -287,13 +273,14 @@ def _checked_a_v(cfg: GaitConfig, geom: RobotGeometry,
     a_v = np.array(a_v, dtype=float)
     if a_v.ndim != 1 or len(a_v) == 0:
         raise ValueError("need a list of one or more a_v")
-    if not np.all(a_v >= 0.0):
-        raise ValueError(f"a_v must be >= 0, got {a_v.min()}")
+    ok = (a_v >= 0.0) & (a_v < np.inf)      # NaN fails this test too
+    if not ok.all():
+        raise ValueError(f"a_v must be finite and >= 0, got {a_v[~ok][0]}")
     shortest = min(terrains, key=lambda t: t.rows)
     available = max(0, shortest.rows - cfg.n_pairs)
     if cycles > available:
         raise WalkOffTerrainError(available, shortest.rows)
-    if not _stance_table(cfg, geom, steps)[1].size:
+    if not _stance_table(cfg, steps)[1].size:
         raise NoStanceError(f"{cfg} has no stance sample in a cycle of "
                             f"steps={steps}")
     return a_v
@@ -309,7 +296,7 @@ def _walk_block(cfg: GaitConfig, geom: RobotGeometry,
     samples), and with maps the sensed rows, (seeds, amplitudes, cycles, 2n,
     steps), else None.  A noise-free open-loop walk without maps counts its
     losses, and returns neither array."""
-    stance, stance_leg, _, _ = _stance_table(cfg, geom, steps)
+    stance, stance_leg, _ = _stance_table(cfg, steps)
     retraction = len(stance_leg)
     shape = (cycles, 2 * cfg.n_pairs, steps)
     dh = np.stack([_height_steps(t, cfg.n_pairs, cycles) for t in terrains])
@@ -373,8 +360,10 @@ def _walk_block(cfg: GaitConfig, geom: RobotGeometry,
         if c + span < cycles:
             new = np.asarray(next_av(c, gamma_s[..., c], av),
                              dtype=float).reshape(grid)
-            if not np.all(new >= 0.0):
-                raise ValueError(f"a_v must be >= 0, got {new.min()}")
+            ok = (new >= 0.0) & (new < np.inf)
+            if not ok.all():
+                raise ValueError(f"a_v must be finite and >= 0, got "
+                                 f"{new[~ok][0]}")
             lower, upper = thresholds(new)
             av = new
     gamma = (retraction - lost_s.sum(axis=-1)) / retraction
@@ -401,7 +390,7 @@ def simulate_walks(cfg: GaitConfig, geom: RobotGeometry,
     next_av(cycle, gamma_measured, a_v) is given the block's sensed contact
     ratios and amplitudes in that cycle, both of shape (block seeds,
     amplitudes), and returns the amplitudes of the next cycle in that shape;
-    a negative or NaN amplitude raises ValueError.
+    any negative, infinite or NaN amplitude raises ValueError.
 
     An open-loop walk with a noise-free sensor (no flips, latch_steps <= 1)
     senses its true contact ratio, so it counts each leg's lost samples
@@ -436,7 +425,7 @@ def simulate_walk(cfg: GaitConfig, geom: RobotGeometry, terrain: TerrainGrid,
     n = cfg.n_pairs
     # each lost stance sample's cycle, then its leg and step in the cycle
     c, s = np.nonzero(lost[0, 0])
-    leg, k = (a[s] for a in np.nonzero(_stance_mask(cfg, steps)))
+    leg, k = (a[s] for a in np.nonzero(_stance_table(cfg, steps)[0]))
     # object strings: every event shares the two str objects, not a copy
     causes = np.array(["deformed", "too_deep"], dtype=object)[
         (_height_steps(terrain, n, cycles)[c, leg] <= 0.0).view(np.uint8)]

@@ -33,18 +33,11 @@ WEIGHT_TOL = 1e-9
 
 @dataclass
 class FrictionPrediction:
-    """Band of normalized friction and speed consistent with gamma: floats
-    for one gamma, arrays of its shape for an array of them."""
+    """Band of the speed ratio v/v_open consistent with gamma: floats for
+    one gamma, arrays of its shape for an array of them."""
 
-    gamma: float
-    f_norm_min: float
-    f_norm_max: float
     v_ratio_min: float
     v_ratio_max: float
-
-    def __post_init__(self):
-        if np.any(self.f_norm_min > self.f_norm_max + WEIGHT_TOL):
-            raise ValueError("friction band inverted")
 
     @property
     def v_ratio_mid(self) -> float:
@@ -82,6 +75,8 @@ def friction_bounds(dist: SlipDistribution,
     mass, thrust = dist.thrust_table
     f_min = np.interp(gamma, mass, thrust) - (1.0 - gamma)
     f_max = thrust[-1] - np.interp(mass[-1] - gamma, mass, thrust) - (1.0 - gamma)
+    if np.any(f_min > f_max + WEIGHT_TOL):
+        raise ValueError("friction band inverted")
     return f_min, f_max
 
 
@@ -92,8 +87,7 @@ def predict_speed_band(dist: SlipDistribution, gamma) -> FrictionPrediction:
     >= 0) to 1 / speed_coeff at gamma = 1, so v_ratio_max <= 1."""
     f_min, f_max = friction_bounds(dist, gamma)
     k = dist.speed_coeff
-    return FrictionPrediction(gamma=gamma, f_norm_min=f_min, f_norm_max=f_max,
-                              v_ratio_min=np.maximum(0.0, k * f_min),
+    return FrictionPrediction(v_ratio_min=np.maximum(0.0, k * f_min),
                               v_ratio_max=np.maximum(0.0, k * f_max))
 
 
@@ -132,8 +126,12 @@ def predict_gamma(geom: RobotGeometry, cfg: GaitConfig, model: HeightDeltaModel,
     """
     if m < 4:
         raise ValueError(f"m must be >= 4, got {m}")
+    a_v = np.asarray(a_v, dtype=float)
+    ok = (a_v >= 0.0) & (a_v < np.inf)      # NaN fails this test too
+    if not ok.all():
+        raise ValueError(f"a_v must be finite and >= 0, got {a_v[~ok][0]}")
     reach, at_reach, rise, at_rise, gamma_ideal = _stance_thresholds(
-        geom, cfg, m, tuple(np.asarray(a_v, dtype=float).tolist()))
+        geom, cfg, m, tuple(a_v.tolist()))
     shape = gamma_ideal.shape + (m,)
     p_loss1 = np.mean(tail_probability(model, reach, "dh_nonpositive")
                       [at_reach].reshape(shape), axis=-1)

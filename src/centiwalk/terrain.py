@@ -98,19 +98,18 @@ class TerrainGrid:
         )
 
 
-def generate_terrain(r_g: float, rows: int, cols: int, block_size: float = 10.0,
+def generate_terrain(r_g: float, rows: int, cols: int,
                      seed: int = 0) -> TerrainGrid:
     """Generate a block terrain of the requested rugosity.
 
     Each column is an independent random walk along the travel direction
     with N(0, 15*r_g) increments; deterministic for a fixed seed.
     """
-    (grid,) = generate_terrains([r_g], rows, cols, block_size, seed)
+    (grid,) = generate_terrains([r_g], rows, cols, seed)
     return grid
 
 
 def generate_terrains(levels: Sequence[float], rows: int, cols: int,
-                      block_size: float = 10.0,
                       seed: int = 0) -> List[TerrainGrid]:
     """generate_terrain at each rugosity of levels from one seed: the seed's
     standard normals are drawn once and scaled per level, as 0 + sigma * z,
@@ -126,7 +125,7 @@ def generate_terrains(levels: Sequence[float], rows: int, cols: int,
         # 0 + turns the -0.0 of a zero sigma into 0.0, as normal() does
         increments = 0.0 + sigma_from_rugosity(r_g) * z
         heights = np.vstack([np.zeros((1, cols)), np.cumsum(increments, axis=0)])
-        grids.append(TerrainGrid(block_size=block_size, heights=heights,
+        grids.append(TerrainGrid(block_size=10.0, heights=heights,
                                  r_g=r_g, seed=seed))
     return grids
 

@@ -304,13 +304,16 @@ class TestSimulationHarness:
         (1, [0, 1], [0.0], None, "one terrain per seed"),
         (0, [], [0.0], None, "at least one seed"),
         (1, [0], [], None, "one or more a_v"),
-        (1, [0], [5.0, -1.0], None, "a_v must be >= 0"),
+        (1, [0], [5.0, -1.0], None, "a_v must be finite and >= 0"),
+        (1, [0], [5.0, np.inf], None, "a_v must be finite and >= 0"),
         (1, [0], [5.0], lambda cycle, gamma_measured, a_v: a_v - 10.0,
-         "a_v must be >= 0"),
+         "a_v must be finite and >= 0"),
         (1, [0], [5.0], lambda cycle, gamma_measured, a_v: a_v * np.nan,
-         "a_v must be >= 0"),
-    ], ids=["terrain-count", "no-seed", "no-a_v", "negative-a_v",
-            "law-negative-a_v", "law-nan-a_v"])
+         "a_v must be finite and >= 0"),
+        (1, [0], [5.0], lambda cycle, gamma_measured, a_v: a_v * np.inf,
+         "a_v must be finite and >= 0"),
+    ], ids=["terrain-count", "no-seed", "no-a_v", "negative-a_v", "inf-a_v",
+            "law-negative-a_v", "law-nan-a_v", "law-inf-a_v"])
     def test_batch_input_rejected(self, terrains, seeds, a_v, law, match):
         terrain = generate_terrain(0.32, rows=20, cols=5, seed=0)
         with pytest.raises(ValueError, match=match):

@@ -17,11 +17,9 @@ from centiwalk.kinematics import (
     RobotGeometry,
     SlipDistribution,
     flat_ground_stride,
-    reach_and_lift,
     recoverable_heights,
     slip_distribution,
     stance_geometry,
-    vertical_wave,
 )
 from centiwalk.models import predict_gamma
 from centiwalk.terrain import HeightDeltaModel
@@ -133,19 +131,22 @@ class TestRetractionProfile:
            m=st.integers(1, 200),
            a_v=st.lists(st.floats(0.0, 90.0), min_size=1, max_size=5))
     @settings(max_examples=100, deadline=None)
-    def test_reach_and_lift_equal_stance_geometry(self, cfg, geom, m, a_v):
-        # the walker's reach and lift from the cached wave shape are
-        # stance_geometry's bit for bit, at one amplitude and at a column
-        # of them, amplitudes where reach turns negative included
+    def test_amplitude_column_rows_equal_scalar_amplitudes(self, cfg, geom,
+                                                            m, a_v):
+        # predict_gamma reads a column of amplitudes, the walker one float
+        # at a time: row j of the column form is, bit for bit, the float
+        # form at a_v[j] and the form that reads cfg.a_v = a_v[j],
+        # amplitudes where reach turns negative included
         u = cfg.duty * np.arange(m) / m
-        wave = vertical_wave(cfg, u)
-        column = np.array(a_v)[:, None]
-        _, reach, lift = stance_geometry(cfg, geom, u, column)
-        got = reach_and_lift(geom, wave, column)
-        assert np.array_equal(got[0], reach) and np.array_equal(got[1], lift)
-        _, reach, lift = stance_geometry(replace(cfg, a_v=a_v[0]), geom, u)
-        got = reach_and_lift(geom, wave, a_v[0])
-        assert np.array_equal(got[0], reach) and np.array_equal(got[1], lift)
+        d_s, reach, lift = stance_geometry(cfg, geom, u,
+                                           np.array(a_v)[:, None])
+        assert reach.shape == lift.shape == (len(a_v), m)
+        for j, a in enumerate(a_v):
+            for got in (stance_geometry(cfg, geom, u, a),
+                        stance_geometry(replace(cfg, a_v=a), geom, u)):
+                assert np.array_equal(got[0], d_s)
+                assert np.array_equal(got[1], reach[j])
+                assert np.array_equal(got[2], lift[j])
 
     def test_lift_definition(self):
         # lift = h_l - reach, positive when the wave raises the foot

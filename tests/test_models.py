@@ -216,6 +216,14 @@ class TestPredictGamma:
         assert out.gamma_ideal.tolist() == [1.0, 0.0]
         assert out.p_e.tolist() == [0.0, math.inf]
 
+    @pytest.mark.parametrize("bad", [math.inf, -1.0, math.nan])
+    def test_rejects_amplitudes_gait_config_rejects(self, bad):
+        # the grid's amplitudes obey GaitConfig's rule and wording
+        with pytest.raises(ValueError, match="a_v must be finite and >= 0"):
+            predict_gamma(RobotGeometry(), GaitConfig(),
+                          HeightDeltaModel.from_rugosity(0.32), 360,
+                          [0.0, bad])
+
     @given(model=height_models(), grid=amplitude_grids(), cfg=GAITS,
            m=st.integers(4, 200))
     # a subnormal sigma: -t / sigma overflows to -inf, a tail of 0

@@ -363,8 +363,9 @@ AMPLITUDE_GRIDS = st.lists(st.floats(min_value=0.0, max_value=60.0),
 def per_sample_losses(cfg, geom, steps, a_v, d):
     """The per-sample loss rules at every amplitude of a_v, every leg
     meeting the height step d[k]: lost samples per (amplitude, k, leg)."""
-    stance, stance_leg, recover, _ = _stance_table(cfg, geom, steps)
+    stance, stance_leg, _ = _stance_table(cfg, steps)
     u = phase_table(cfg, steps)[stance]
+    recover = recoverable_heights(geom, stance_geometry(cfg, geom, u)[0])
     counts = np.zeros((len(a_v), len(d), 2 * cfg.n_pairs), dtype=int)
     for j, av in enumerate(a_v):
         _, reach, lift = stance_geometry(cfg, geom, u, av)
@@ -390,9 +391,9 @@ def test_counts_equal_the_per_sample_rules_at_every_threshold(
     # draws: each leg's count is the per-sample rules' sum
     geom = RobotGeometry()
     steps = 2 * half_steps
-    stance, stance_leg, recover, _ = _stance_table(cfg, geom, steps)
-    u = phase_table(cfg, steps)[stance]
+    u = phase_table(cfg, steps)[_stance_table(cfg, steps)[0]]
     assume(len(u) > 0)
+    recover = recoverable_heights(geom, stance_geometry(cfg, geom, u)[0])
     a_v = np.array(a_v)
     _, reach, lift = stance_geometry(cfg, geom, u, a_v[:, None])
     cutoffs = _rise_cutoffs(recover, lift)
@@ -414,8 +415,8 @@ def test_rise_cutoff_is_the_largest_float_the_rule_keeps(cfg, half_steps, a_v):
     # c - L <= R and the next float above c breaks it, with L = max(lift,
     # 0) and R the recoverable rise, at the walker's own stance samples
     geom = RobotGeometry()
-    stance, _, recover, _ = _stance_table(cfg, geom, 2 * half_steps)
-    u = phase_table(cfg, 2 * half_steps)[stance]
+    u = phase_table(cfg, 2 * half_steps)[_stance_table(cfg, 2 * half_steps)[0]]
+    recover = recoverable_heights(geom, stance_geometry(cfg, geom, u)[0])
     _, _, lift = stance_geometry(cfg, geom, u, np.array(a_v)[:, None])
     c = _rise_cutoffs(recover, lift)
     top = np.maximum(lift, 0.0)
@@ -454,7 +455,7 @@ def test_counted_gamma_is_the_loss_maps_count(cfg, half_steps, r_g, a_v, seeds,
     # stance samples only, and a noise-free sensor reads the true ratio
     geom = RobotGeometry()
     steps = 2 * half_steps
-    stance = _stance_table(cfg, geom, steps)[0]
+    stance = _stance_table(cfg, steps)[0]
     assume(stance.any())
     terrains = [generate_terrain(r_g, rows=cycles + cfg.n_pairs + 2, cols=5,
                                  seed=s) for s in seeds]
@@ -504,7 +505,7 @@ BOUNDARY_STEPS = {
 @pytest.mark.parametrize("at", list(BOUNDARY_STEPS))
 def test_thresholds_equal_the_per_sample_rule_at_its_edges(a_v, at):
     cfg, geom, steps = GaitConfig(), RobotGeometry(), 72
-    stance = _stance_table(cfg, geom, steps)[0]
+    stance = _stance_table(cfg, steps)[0]
     d_s, reach, lift = stance_geometry(
         cfg, geom, phase_table(cfg, steps)[stance], a_v)
     recover = recoverable_heights(geom, d_s)
