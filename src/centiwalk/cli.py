@@ -19,6 +19,8 @@ from dataclasses import fields, replace
 from pathlib import Path
 from typing import Iterable, List, Optional
 
+import numpy as np
+
 from . import __version__
 from .config import ConfigError, FullConfig, load_config, _seeds
 from .contact_sim import (
@@ -91,11 +93,6 @@ def _with_overrides(fc: FullConfig, args) -> FullConfig:
         raise UsageError(str(exc)) from exc
 
 
-def _check_rugosity(r_g: float, error) -> None:
-    if not math.isfinite(r_g) or r_g < 0.0:
-        raise error(f"rugosity must be finite and >= 0, got {r_g:g}")
-
-
 class TerrainEntry:
     """One terrain in an experiment: a rugosity level or a terrain file."""
 
@@ -106,7 +103,9 @@ class TerrainEntry:
         except ValueError:
             self.r_g = None
         if self.r_g is not None:
-            _check_rugosity(self.r_g, ConfigError)
+            if not math.isfinite(self.r_g) or self.r_g < 0.0:
+                raise ConfigError(f"rugosity must be finite and >= 0, got "
+                                  f"{self.r_g:g}")
             self.grid: Optional[TerrainGrid] = None
             self.label = f"rg={self.r_g:g}"
             return
@@ -117,7 +116,7 @@ class TerrainEntry:
             self.grid = TerrainGrid.load(path)
         except ValueError as exc:
             raise ConfigError(f"{token}: {exc}") from exc
-        if self.grid.rows < 2:
+        if len(self.grid.heights) < 2:
             raise ConfigError(f"{token}: a terrain file needs at least 2 rows")
         self.label = path.stem
 
@@ -140,20 +139,21 @@ def _entries(fc: FullConfig) -> List[TerrainEntry]:
     return list(entries.values())
 
 
-def _terrains(fc: FullConfig,
-              entries: List[TerrainEntry]) -> List[List[TerrainGrid]]:
-    """Per entry, the terrain each seed walks, in seed order: the entry's
-    file, or a grid generated from the seed with rows enough for the walk.
-    A seed's grids at the rugosity levels share its one normal draw."""
+def _terrains(fc: FullConfig, entries: List[TerrainEntry]) -> List[np.ndarray]:
+    """Per entry, its seeds' (seeds, rows, cols) block heights: the entry's
+    file, read in place, or generated grids with rows enough for the walk."""
     exp = fc.experiment
-    rows = exp.cycles + fc.gait.n_pairs + 2
     levels = [entry.r_g for entry in entries if entry.grid is None]
-    # per seed a grid per level, turned into per level a grid per seed
-    per_level = iter(zip(*(generate_terrains(levels, rows, exp.terrain_cols,
-                                             seed=seed)
-                           for seed in exp.seeds)))
-    return [[entry.grid] * len(exp.seeds) if entry.grid is not None
-            else list(next(per_level)) for entry in entries]
+    try:
+        generated = iter(generate_terrains(
+            levels, exp.cycles + fc.gait.n_pairs + 2, exp.terrain_cols,
+            exp.seeds))
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+    return [np.broadcast_to(entry.grid.heights,
+                            (len(exp.seeds),) + entry.grid.heights.shape)
+            if entry.grid is not None else next(generated)
+            for entry in entries]
 
 
 def cmd_gait_dump(fc: FullConfig, args) -> int:
@@ -179,12 +179,13 @@ def cmd_gait_dump(fc: FullConfig, args) -> int:
 
 def cmd_terrain_gen(fc: FullConfig, args) -> int:
     exp = fc.experiment
-    _check_rugosity(args.r_g, UsageError)
-    out = _out_dir(args)
     seed = exp.seeds[0]
-    grid = generate_terrain(args.r_g, rows=exp.terrain_rows,
-                            cols=exp.terrain_cols, seed=seed)
-    path = out / f"terrain_rg{args.r_g:g}_seed{seed}.txt"
+    try:
+        grid = generate_terrain(args.r_g, rows=exp.terrain_rows,
+                                cols=exp.terrain_cols, seed=seed)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
+    path = _out_dir(args) / f"terrain_rg{args.r_g:g}_seed{seed}.txt"
     grid.save(path)
     print(f"wrote {path}")
     return 0
@@ -218,8 +219,8 @@ def cmd_validate(fc: FullConfig, args) -> int:
     grid = exp.a_v_grid
     max_dev = 0.0
     lines = []
-    for entry, terrains in zip(entries, _terrains(fc, entries)):
-        walks = simulate_walks(fc.gait, fc.geometry, terrains, exp.seeds, grid,
+    for entry, heights in zip(entries, _terrains(fc, entries)):
+        walks = simulate_walks(fc.gait, fc.geometry, heights, exp.seeds, grid,
                                exp.cycles, exp.steps, sensor)
         gammas = predict_gamma(fc.geometry, fc.gait, entry.model(), PREDICT_M,
                                grid).gamma.tolist()
@@ -250,12 +251,13 @@ def cmd_walk(fc: FullConfig, args) -> int:
     sensor = SensorModel(flip_prob=exp.sensor_flip_prob)
     # every walk, each entry's first-seed map among them, runs before
     # anything is written, so a failed walk leaves no partial output
-    walks = [(entry, simulate_walks(fc.gait, fc.geometry, terrains, exp.seeds,
+    walks = [(entry, simulate_walks(fc.gait, fc.geometry, heights, exp.seeds,
                                     [fc.gait.a_v], exp.cycles, exp.steps,
                                     sensor),
-              simulate_walk(fc.gait, fc.geometry, terrains[0], exp.cycles,
-                            exp.steps, sensor, exp.seeds[0]).measured.bits.T)
-             for entry, terrains in zip(entries, _terrains(fc, entries))]
+              simulate_walk(fc.gait, fc.geometry, TerrainGrid(
+                  10.0, heights[0], entry.r_g, exp.seeds[0]), exp.cycles,
+                  exp.steps, sensor, exp.seeds[0]).measured.bits.T)
+             for entry, heights in zip(entries, _terrains(fc, entries))]
     stamp = _stamp(fc)
     path = out / "walk.csv"
     _write_csv(path, stamp, "seed,terrain,a_v_deg,cycle,gamma,v_ratio",
@@ -284,8 +286,8 @@ def cmd_controller_compare(fc: FullConfig, args) -> int:
                           "value in terrains")
     out = _out_dir(args)
     rough = max(levels, key=lambda e: e.r_g)
-    (terrains,) = _terrains(fc, [rough])
-    walks = compare_controllers(fc.gait, fc.geometry, fc.controller, terrains,
+    (heights,) = _terrains(fc, [rough])
+    walks = compare_controllers(fc.gait, fc.geometry, fc.controller, heights,
                                 exp.seeds, exp.cycles, exp.steps,
                                 exp.sensor_flip_prob)
     stride = flat_ground_stride(fc.gait, fc.geometry)

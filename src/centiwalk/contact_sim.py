@@ -1,6 +1,6 @@
 """Monte Carlo walker: the independent oracle for the analytic models.
 
-Walks the virtual robot across a TerrainGrid, applying the geometric
+Walks the virtual robot across block terrain heights, applying the geometric
 contact-loss rules at every retraction sample: a terrain drop deeper than
 the foot's reach loses contact (too_deep), a terrain rise that retraction
 cannot recover, after discounting any lift from the vertical wave, loses
@@ -18,7 +18,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .gait import GaitConfig, phase_table
+from .gait import GaitConfig, checked_amplitudes, phase_table
 from .kinematics import (
     RobotGeometry,
     recoverable_heights,
@@ -248,38 +248,36 @@ def _count_losses(cfg: GaitConfig, geom: RobotGeometry, steps: int,
     return np.concatenate(counts, axis=1)
 
 
-def _height_steps(terrain: TerrainGrid, n: int, cycles: int) -> np.ndarray:
+def _height_steps(heights: np.ndarray, n: int, cycles: int) -> np.ndarray:
     """Height step H(next) - H(current) under each leg's foothold, shape
-    (cycles, 2n): a leg's block row advances one per cycle, with a
-    longitudinal stagger of one block per module (module_length equals the
-    block size by default), on a lateral block column per side."""
-    center = terrain.cols // 2
+    (..., cycles, 2n), on block heights of shape (..., rows, cols): a leg's
+    block row advances one per cycle, with a longitudinal stagger of one
+    block per module (module_length equals the block size by default), on a
+    lateral block column per side."""
+    center = heights.shape[-1] // 2
     leg_cols = np.array([max(center - 1, 0)] * n
-                        + [min(center + 1, terrain.cols - 1)] * n)
+                        + [min(center + 1, heights.shape[-1] - 1)] * n)
     leg_rows = np.array([n - 1 - i for i in range(n)] * 2)
-    rows = leg_rows + np.arange(cycles)[:, None]
-    return terrain.heights[rows + 1, leg_cols] - terrain.heights[rows, leg_cols]
+    return np.diff(heights[..., leg_rows + np.arange(cycles + 1)[:, None],
+                           leg_cols], axis=-2)
 
 
-def _checked_a_v(cfg: GaitConfig, geom: RobotGeometry,
-                 terrains: Sequence[TerrainGrid], seeds: Sequence[int],
+def _checked_a_v(cfg: GaitConfig, heights: np.ndarray, seeds: Sequence[int],
                  a_v: Sequence[float], cycles: int, steps: int) -> np.ndarray:
     """A walk's inputs checked as simulate_walks documents them; returns
     a_v as a 1-D float array."""
     if steps % 2 != 0:
         raise ValueError(f"steps must be even, got {steps}")
-    if not len(terrains) == len(seeds) > 0:
-        raise ValueError("need one terrain per seed, and at least one seed")
-    a_v = np.array(a_v, dtype=float)
+    if np.ndim(heights) != 3 or not len(heights) == len(seeds) > 0:
+        raise ValueError("need a (seeds, rows, cols) height stack: one "
+                         "terrain per seed, and at least one seed")
+    a_v = checked_amplitudes(a_v)
     if a_v.ndim != 1 or len(a_v) == 0:
         raise ValueError("need a list of one or more a_v")
-    ok = (a_v >= 0.0) & (a_v < np.inf)      # NaN fails this test too
-    if not ok.all():
-        raise ValueError(f"a_v must be finite and >= 0, got {a_v[~ok][0]}")
-    shortest = min(terrains, key=lambda t: t.rows)
-    available = max(0, shortest.rows - cfg.n_pairs)
+    rows = heights.shape[1]
+    available = max(0, rows - cfg.n_pairs)
     if cycles > available:
-        raise WalkOffTerrainError(available, shortest.rows)
+        raise WalkOffTerrainError(available, rows)
     if not _stance_table(cfg, steps)[1].size:
         raise NoStanceError(f"{cfg} has no stance sample in a cycle of "
                             f"steps={steps}")
@@ -287,7 +285,7 @@ def _checked_a_v(cfg: GaitConfig, geom: RobotGeometry,
 
 
 def _walk_block(cfg: GaitConfig, geom: RobotGeometry,
-                terrains: Sequence[TerrainGrid], seeds: Sequence[int],
+                heights: np.ndarray, seeds: Sequence[int],
                 a_v: np.ndarray, cycles: int, steps: int, sensor: SensorModel,
                 next_av: Optional[Callable], maps: bool) -> tuple:
     """simulate_walks on one block of seeds, from the checked a_v: the
@@ -299,7 +297,7 @@ def _walk_block(cfg: GaitConfig, geom: RobotGeometry,
     stance, stance_leg, _ = _stance_table(cfg, steps)
     retraction = len(stance_leg)
     shape = (cycles, 2 * cfg.n_pairs, steps)
-    dh = np.stack([_height_steps(t, cfg.n_pairs, cycles) for t in terrains])
+    dh = _height_steps(heights, cfg.n_pairs, cycles)
     if (not maps and next_av is None and sensor.flip_prob == 0.0
             and sensor.latch_steps <= 1):
         # the sensor reads the true contact ratio, so each leg's lost
@@ -358,12 +356,8 @@ def _walk_block(cfg: GaitConfig, geom: RobotGeometry,
                 lost ^ flips_s[:, :, now], axis=-1)
         gamma_s[..., now] = count / retraction
         if c + span < cycles:
-            new = np.asarray(next_av(c, gamma_s[..., c], av),
-                             dtype=float).reshape(grid)
-            ok = (new >= 0.0) & (new < np.inf)
-            if not ok.all():
-                raise ValueError(f"a_v must be finite and >= 0, got "
-                                 f"{new[~ok][0]}")
+            new = checked_amplitudes(next_av(c, gamma_s[..., c], av)
+                                     ).reshape(grid)
             lower, upper = thresholds(new)
             av = new
     gamma = (retraction - lost_s.sum(axis=-1)) / retraction
@@ -371,18 +365,18 @@ def _walk_block(cfg: GaitConfig, geom: RobotGeometry,
 
 
 def simulate_walks(cfg: GaitConfig, geom: RobotGeometry,
-                   terrains: Sequence[TerrainGrid], seeds: Sequence[int],
+                   heights: np.ndarray, seeds: Sequence[int],
                    a_v: Sequence[float], cycles: int, steps: int,
                    sensor: SensorModel,
                    next_av: Optional[Callable[
                        [int, np.ndarray, np.ndarray], np.ndarray]] = None
                    ) -> Walks:
     """Walk `cycles` gait cycles of the gait shape cfg from every seed at
-    every starting amplitude: seed i walks terrains[i] and draws its sensor
-    flips from default_rng(seeds[i]), the same flips at every amplitude,
-    and amplitude column j starts at the vertical amplitude a_v[j] (cfg.a_v
-    is not read).  The per-cycle outcomes have shape (seeds, amplitudes,
-    cycles).
+    every starting amplitude: seed i walks heights[i] of the (seeds, rows,
+    cols) stack of block heights and draws its sensor flips from
+    default_rng(seeds[i]), the same flips at every amplitude, and amplitude
+    column j starts at the vertical amplitude a_v[j] (cfg.a_v is not read).
+    The per-cycle outcomes have shape (seeds, amplitudes, cycles).
 
     Seeds are walked max(1, BLOCK_ROWS // len(a_v)) at a time.  Without
     next_av the amplitudes hold, and all cycles of a block are one array
@@ -396,10 +390,10 @@ def simulate_walks(cfg: GaitConfig, geom: RobotGeometry,
     senses its true contact ratio, so it counts each leg's lost samples
     from the cycle's height steps and builds no per-sample array.
     """
-    a_v = _checked_a_v(cfg, geom, terrains, seeds, a_v, cycles, steps)
+    a_v = _checked_a_v(cfg, heights, seeds, a_v, cycles, steps)
     dist = slip_distribution(cfg, geom)
     block = max(1, BLOCK_ROWS // len(a_v))
-    per_cycle = [_walk_block(cfg, geom, terrains[i:i + block],
+    per_cycle = [_walk_block(cfg, geom, heights[i:i + block],
                              seeds[i:i + block], a_v, cycles, steps, sensor,
                              next_av, maps=False)[:3]
                  for i in range(0, len(seeds), block)]
@@ -418,9 +412,10 @@ def simulate_walk(cfg: GaitConfig, geom: RobotGeometry, terrain: TerrainGrid,
     transition H(next) - H(current) drives the loss rules); the continuous
     forward displacement is tracked separately through the speed model.
     """
-    a_v = _checked_a_v(cfg, geom, [terrain], [seed], [cfg.a_v], cycles, steps)
+    heights = terrain.heights[None]
+    a_v = _checked_a_v(cfg, heights, [seed], [cfg.a_v], cycles, steps)
     gamma, gamma_measured, _, lost, bits = _walk_block(
-        cfg, geom, [terrain], [seed], a_v, cycles, steps, sensor, None,
+        cfg, geom, heights, [seed], a_v, cycles, steps, sensor, None,
         maps=True)
     n = cfg.n_pairs
     # each lost stance sample's cycle, then its leg and step in the cycle
@@ -428,7 +423,7 @@ def simulate_walk(cfg: GaitConfig, geom: RobotGeometry, terrain: TerrainGrid,
     leg, k = (a[s] for a in np.nonzero(_stance_table(cfg, steps)[0]))
     # object strings: every event shares the two str objects, not a copy
     causes = np.array(["deformed", "too_deep"], dtype=object)[
-        (_height_steps(terrain, n, cycles)[c, leg] <= 0.0).view(np.uint8)]
+        (_height_steps(heights[0], n, cycles)[c, leg] <= 0.0).view(np.uint8)]
     return WalkResult(
         measured=ContactMap(legs=2 * n, steps=steps, cycles=cycles,
                             bits=bits[0, 0].transpose(1, 0, 2)

@@ -18,7 +18,6 @@ import numpy as np
 from .gait import GaitConfig
 from .kinematics import RobotGeometry
 from .contact_sim import SensorModel, Walks, simulate_walks
-from .terrain import TerrainGrid
 
 
 @dataclass
@@ -78,15 +77,16 @@ def _feedback(cc: ControllerConfig, periods: Sequence[Optional[int]]):
 
 
 def compare_controllers(cfg: GaitConfig, geom: RobotGeometry,
-                        cc: ControllerConfig, terrains: Sequence[TerrainGrid],
+                        cc: ControllerConfig, heights: np.ndarray,
                         seeds: Sequence[int], cycles: int, steps: int,
                         flip_prob: float) -> Walks:
     """Paired-seed comparison of the ARMS: every seed walks its terrain,
-    terrains[i] for seeds[i], once per arm with the same sensor noise
-    stream.  The arms are the amplitude columns of one batch, in ARMS
-    order: open loop holds cc.fixed_av, feedback starts at cc.av_min."""
+    heights[i] of the (seeds, rows, cols) stack for seeds[i], once per arm
+    with the same sensor noise stream.  The arms are the amplitude columns
+    of one batch, in ARMS order: open loop holds cc.fixed_av, feedback
+    starts at cc.av_min."""
     periods = list(ARMS.values())
     return simulate_walks(
-        cfg, geom, terrains, seeds,
+        cfg, geom, heights, seeds,
         [cc.fixed_av if p is None else cc.av_min for p in periods], cycles,
         steps, SensorModel(flip_prob=flip_prob), _feedback(cc, periods))

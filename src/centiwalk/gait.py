@@ -65,6 +65,16 @@ class GaitConfig:
         return -(self.xi / (2.0 * self.n_pairs) + 0.25)
 
 
+def checked_amplitudes(a_v) -> np.ndarray:
+    """a_v as a new float array; ValueError, in GaitConfig's words, at its
+    first negative, infinite or NaN amplitude."""
+    a_v = np.array(a_v, dtype=float)
+    ok = (a_v >= 0.0) & (a_v < np.inf)      # NaN fails this test too
+    if not ok.all():
+        raise ValueError(f"a_v must be finite and >= 0, got {a_v[~ok][0]}")
+    return a_v
+
+
 def _wave_lags(cfg: GaitConfig) -> np.ndarray:
     """Cycle fractions by which the waves at pairs 1..n lag pair 1:
     xi*(i-1)/n for pair i."""

@@ -19,7 +19,7 @@ from typing import Tuple
 
 import numpy as np
 
-from .gait import GaitConfig
+from .gait import GaitConfig, checked_amplitudes
 from .kinematics import (
     RobotGeometry,
     SlipDistribution,
@@ -126,10 +126,7 @@ def predict_gamma(geom: RobotGeometry, cfg: GaitConfig, model: HeightDeltaModel,
     """
     if m < 4:
         raise ValueError(f"m must be >= 4, got {m}")
-    a_v = np.asarray(a_v, dtype=float)
-    ok = (a_v >= 0.0) & (a_v < np.inf)      # NaN fails this test too
-    if not ok.all():
-        raise ValueError(f"a_v must be finite and >= 0, got {a_v[~ok][0]}")
+    a_v = checked_amplitudes(a_v)
     reach, at_reach, rise, at_rise, gamma_ideal = _stance_thresholds(
         geom, cfg, m, tuple(a_v.tolist()))
     shape = gamma_ideal.shape + (m,)

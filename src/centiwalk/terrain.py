@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -41,14 +41,6 @@ class TerrainGrid:
         if self.heights.ndim != 2:
             raise ValueError("heights must be a 2-D array")
 
-    @property
-    def rows(self) -> int:
-        return self.heights.shape[0]
-
-    @property
-    def cols(self) -> int:
-        return self.heights.shape[1]
-
     def longitudinal_deltas(self) -> np.ndarray:
         """All successive height differences along the travel direction."""
         return np.diff(self.heights, axis=0).ravel()
@@ -59,7 +51,7 @@ class TerrainGrid:
             fh.write(f"# block_size={self.block_size:.6f}\n")
             fh.write(f"# r_g={self.r_g:.6f}\n")
             fh.write(f"# seed={self.seed}\n")
-            fh.write(f"# rows={self.rows} cols={self.cols}\n")
+            fh.write("# rows={} cols={}\n".format(*self.heights.shape))
             for row in self.heights:
                 fh.write(",".join(f"{h:.6f}" for h in row) + "\n")
 
@@ -105,29 +97,33 @@ def generate_terrain(r_g: float, rows: int, cols: int,
     Each column is an independent random walk along the travel direction
     with N(0, 15*r_g) increments; deterministic for a fixed seed.
     """
-    (grid,) = generate_terrains([r_g], rows, cols, seed)
-    return grid
+    heights = generate_terrains([r_g], rows, cols, [seed])[0, 0]
+    return TerrainGrid(block_size=10.0, heights=heights, r_g=r_g, seed=seed)
 
 
 def generate_terrains(levels: Sequence[float], rows: int, cols: int,
-                      seed: int = 0) -> List[TerrainGrid]:
-    """generate_terrain at each rugosity of levels from one seed: the seed's
-    standard normals are drawn once and scaled per level, as 0 + sigma * z,
-    which is how Generator.normal(0, sigma) makes the same floats."""
-    for r_g in levels:
-        if not math.isfinite(r_g) or r_g < 0.0:
-            raise ValueError(f"r_g must be finite and >= 0, got {r_g}")
+                      seeds: Sequence[int]) -> np.ndarray:
+    """generate_terrain's heights at every rugosity of levels from every
+    seed, shape (levels, seeds, rows, cols): each seed's standard normals
+    are drawn once and scaled per level, as 0 + sigma * z, which is how
+    Generator.normal(0, sigma) makes the same floats.  ValueError when a
+    level's heights overflow."""
     if rows < 1 or cols < 1:
         raise ValueError("rows and cols must be >= 1")
-    z = np.random.default_rng(seed).standard_normal((rows - 1, cols))
-    grids = []
-    for r_g in levels:
-        # 0 + turns the -0.0 of a zero sigma into 0.0, as normal() does
-        increments = 0.0 + sigma_from_rugosity(r_g) * z
-        heights = np.vstack([np.zeros((1, cols)), np.cumsum(increments, axis=0)])
-        grids.append(TerrainGrid(block_size=10.0, heights=heights,
-                                 r_g=r_g, seed=seed))
-    return grids
+    z = np.empty((len(seeds), rows - 1, cols))
+    for z_seed, seed in zip(z, seeds):
+        np.random.default_rng(seed).standard_normal(out=z_seed)
+    heights = np.zeros((len(levels), len(seeds), rows, cols))
+    for level, r_g in zip(heights, levels):
+        if not math.isfinite(r_g) or r_g < 0.0:
+            raise ValueError(f"r_g must be finite and >= 0, got {r_g}")
+        with np.errstate(over="ignore", invalid="ignore"):
+            # 0 + turns the -0.0 of a zero sigma into 0.0, as normal() does
+            np.cumsum(0.0 + sigma_from_rugosity(r_g) * z, axis=1,
+                      out=level[:, 1:])
+        if not np.isfinite(level).all():
+            raise ValueError(f"r_g={r_g:g} overflows the terrain heights")
+    return heights
 
 
 @dataclass

@@ -22,6 +22,7 @@ from centiwalk.models import friction_bounds, predict_gamma, predict_speed_band
 from centiwalk.terrain import (
     HeightDeltaModel,
     generate_terrain,
+    generate_terrains,
     tail_probability,
 )
 
@@ -40,10 +41,9 @@ def report(num, desc, ok):
 def controller_walks():
     """Paired-seed controller comparison shared by criteria 8 and 9."""
     cfg = GaitConfig()
-    terrains = [generate_terrain(0.32, rows=30 + cfg.n_pairs + 2, cols=5,
-                                 seed=seed) for seed in SEEDS]
+    (heights,) = generate_terrains([0.32], 30 + cfg.n_pairs + 2, 5, SEEDS)
     return compare_controllers(cfg, RobotGeometry(), ControllerConfig(),
-                               terrains, SEEDS, cycles=30, steps=STEPS,
+                               heights, SEEDS, cycles=30, steps=STEPS,
                                flip_prob=0.0)
 
 

@@ -118,6 +118,9 @@ class TestBadInput:
         ("[gait\n", ["walk"]),
         ("duty = 0.5\n[meta]\nschema_version = 1\n", ["walk"]),
         ("# caf\xe9\n", ["gait-dump"]),
+        ("", ["terrain-gen", "--r-g", "1e308"]),
+        ("seeds = 0..1\nterrains = 1e307\n", ["walk"]),
+        ("seeds = 0..1\nterrains = 1e307\n", ["controller-compare"]),
     ], ids=["odd-steps-flag", "odd-steps-config", "nan-rugosity",
             "negative-rugosity", "compare-only-files", "no-r_g-header",
             "ragged-rows", "one-row-file", "nan-height-walk",
@@ -138,7 +141,8 @@ class TestBadInput:
             "percent-missing-reference", "inf-h_l-sweep", "inf-h_l-validate",
             "inf-a_v-walk", "inf-k_p-compare", "inf-fixed_av-compare",
             "unclosed-section-walk", "key-before-section-walk",
-            "latin-1-comment-gait-dump"])
+            "latin-1-comment-gait-dump", "overflowing-rugosity-flag",
+            "overflowing-rugosity-walk", "overflowing-rugosity-compare"])
     def test_one_line_error(self, tmp_path, capsys, experiment, argv):
         files = {
             "good": self.GOOD,
@@ -482,8 +486,9 @@ class TestWalkAndCompare:
             start = cc.fixed_av if period is None else cc.av_min
             walks = [simulate_walks(
                 fc.gait, fc.geometry,
-                [generate_terrain(r_g, rows=exp.cycles + fc.gait.n_pairs + 2,
-                                  cols=exp.terrain_cols, seed=seed)],
+                generate_terrain(r_g, rows=exp.cycles + fc.gait.n_pairs + 2,
+                                 cols=exp.terrain_cols,
+                                 seed=seed).heights[None],
                 [seed], [start], exp.cycles, exp.steps,
                 SensorModel(flip_prob=exp.sensor_flip_prob),
                 _feedback(cc, [period])) for seed in exp.seeds]

@@ -22,7 +22,7 @@ from centiwalk.control import ControllerConfig, compare_controllers
 from centiwalk.gait import GaitConfig, TWO_PI, phase_table
 from centiwalk.kinematics import RobotGeometry, slip_distribution
 from centiwalk.models import predict_speed_band
-from centiwalk.terrain import TerrainGrid, generate_terrain
+from centiwalk.terrain import TerrainGrid, generate_terrain, generate_terrains
 from gait_reference import ideal_contact
 
 
@@ -226,8 +226,8 @@ class TestSlipDistributionCache:
         base = GaitConfig(n_pairs=4)
         slip_distribution.cache_clear()
         for _ in range(3):
-            simulate_walks(base, geom, [terrain], [3], [0.0, 12.0, 25.0], 4,
-                           72, SensorModel())
+            simulate_walks(base, geom, terrain.heights[None], [3],
+                           [0.0, 12.0, 25.0], 4, 72, SensorModel())
         info = slip_distribution.cache_info()
         assert (info.misses, info.hits) == (1, 2)
         assert slip_distribution(base, geom) is slip_distribution(base, geom)
@@ -237,8 +237,8 @@ class TestSlipDistributionCache:
                     (replace(base, phase_offset=1.0), geom),
                     (base, RobotGeometry(leg_length=14.0))]
         for cfg, g in variants + [(base, geom)]:
-            w = simulate_walks(cfg, g, [terrain], [3], [10.0], 4, 72,
-                               SensorModel())
+            w = simulate_walks(cfg, g, terrain.heights[None], [3], [10.0], 4,
+                               72, SensorModel())
             fresh = gait_reference.slip_distribution(cfg, g, 36)
             speeds = predict_speed_band(fresh, w.gamma[0, 0])
             assert w.v_ratio[0, 0].tolist() == speeds.v_ratio_mid.tolist()
@@ -264,26 +264,40 @@ class TestSimulationHarness:
         assert exc.value.cycle == 2
         with pytest.raises(WalkOffTerrainError) as exc:
             compare_controllers(GaitConfig(), RobotGeometry(),
-                                ControllerConfig(), [terrain], [0], 30, 72,
-                                flip_prob=0.0)
+                                ControllerConfig(), terrain.heights[None],
+                                [0], 30, 72, flip_prob=0.0)
         assert exc.value.cycle == 2
 
     @pytest.mark.parametrize("feedback", [False, True],
                              ids=["open_loop", "feedback"])
-    def test_batch_walks_off_its_shortest_terrain(self, feedback):
-        # n_pairs = 6: the 9-row terrain holds 3 cycles, the others more
-        terrains = [generate_terrain(0.32, rows=rows, cols=5, seed=seed)
-                    for seed, rows in enumerate((20, 9, 15))]
+    def test_batch_walks_off_its_terrain(self, feedback):
+        # n_pairs = 6: a stack of 9-row terrains holds 3 cycles
+        (heights,) = generate_terrains([0.32], 9, 5, [0, 1, 2])
 
         def hold(cycle, gamma_measured, a_v):
             return a_v
 
         with pytest.raises(WalkOffTerrainError, match=r"\(9 rows available\)") \
                 as exc:
-            simulate_walks(GaitConfig(), RobotGeometry(), terrains, [0, 1, 2],
+            simulate_walks(GaitConfig(), RobotGeometry(), heights, [0, 1, 2],
                            [0.0, 10.0, 20.0], 5, 72, SensorModel(),
                            hold if feedback else None)
         assert exc.value.cycle == 3
+
+    @pytest.mark.parametrize("shape", ["2-D", "4-D", "short", "grid-list"])
+    def test_batch_needs_one_stack_of_seed_terrains(self, shape):
+        # the batch walks a 3-D stack of one (rows, cols) terrain per seed;
+        # every case but the short stack is as long as the seed list, so
+        # only its shape is wrong, and a list of grids is the per-seed form
+        levels = generate_terrains([0.32], 20, 5, [0, 1, 2])
+        heights = {"2-D": levels[0, 0], "4-D": levels, "short": levels[0, :2],
+                   "grid-list": [generate_terrain(0.32, 20, 5, s)
+                                 for s in (0, 1, 2)]}[shape]
+        seeds = [0, 1, 2] if shape == "short" else list(range(len(heights)))
+        with pytest.raises(ValueError, match=r"\(seeds, rows, cols\) height "
+                                             "stack"):
+            simulate_walks(GaitConfig(), RobotGeometry(), heights, seeds,
+                           [0.0], 4, 72, SensorModel())
 
     def test_odd_steps_rejected(self):
         terrain = generate_terrain(0.0, rows=20, cols=5, seed=0)
@@ -317,7 +331,8 @@ class TestSimulationHarness:
     def test_batch_input_rejected(self, terrains, seeds, a_v, law, match):
         terrain = generate_terrain(0.32, rows=20, cols=5, seed=0)
         with pytest.raises(ValueError, match=match):
-            simulate_walks(GaitConfig(), RobotGeometry(), [terrain] * terrains,
+            simulate_walks(GaitConfig(), RobotGeometry(),
+                           np.repeat(terrain.heights[None], terrains, axis=0),
                            seeds, a_v, 4, 72, SensorModel(), law)
 
 

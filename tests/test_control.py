@@ -13,7 +13,7 @@ from centiwalk.control import (
 )
 from centiwalk.gait import GaitConfig
 from centiwalk.kinematics import RobotGeometry
-from centiwalk.terrain import generate_terrain
+from centiwalk.terrain import generate_terrain, generate_terrains
 
 
 class TestUpdateAv:
@@ -67,8 +67,9 @@ def arm_column(walks, name):
 def compare(r_g, seed, cycles, cc, flip_prob=0.0, rows=20):
     """compare_controllers on one seed's generated terrain."""
     terrain = generate_terrain(r_g, rows=rows, cols=5, seed=seed)
-    return compare_controllers(GaitConfig(), RobotGeometry(), cc, [terrain],
-                               [seed], cycles, 72, flip_prob)
+    return compare_controllers(GaitConfig(), RobotGeometry(), cc,
+                               terrain.heights[None], [seed], cycles, 72,
+                               flip_prob)
 
 
 class TestRunTrial:
@@ -123,7 +124,8 @@ class TestRunTrial:
 class TestCompareControllers:
     @staticmethod
     def terrains(seeds):
-        return [generate_terrain(0.32, rows=14, cols=5, seed=s) for s in seeds]
+        (heights,) = generate_terrains([0.32], 14, 5, seeds)
+        return heights
 
     def test_identical_scenarios_identical_stats(self):
         # [TRIVIAL] paired seeds: with av_min = av_max = fixed_av every arm
@@ -155,9 +157,9 @@ class TestCompareControllers:
         for j, period in enumerate(periods.values()):
             start = cc.fixed_av if period is None else cc.av_min
             for i, (terrain, seed) in enumerate(zip(terrains, seeds)):
-                one = simulate_walks(GaitConfig(), RobotGeometry(), [terrain],
-                                     [seed], [start], 6, 72, sensor,
-                                     _feedback(cc, [period]))
+                one = simulate_walks(GaitConfig(), RobotGeometry(),
+                                     terrain[None], [seed], [start], 6, 72,
+                                     sensor, _feedback(cc, [period]))
                 for field in ("gamma", "gamma_measured", "a_v", "v_ratio"):
                     assert np.array_equal(getattr(walks, field)[i, j],
                                           getattr(one, field)[0, 0])
@@ -165,5 +167,5 @@ class TestCompareControllers:
     def test_requires_seeds(self):
         with pytest.raises(ValueError):
             compare_controllers(GaitConfig(), RobotGeometry(),
-                                ControllerConfig(), [], seeds=[], cycles=6,
-                                steps=72, flip_prob=0.0)
+                                ControllerConfig(), np.empty((0, 14, 5)),
+                                seeds=[], cycles=6, steps=72, flip_prob=0.0)

@@ -49,26 +49,29 @@ class TestGenerateTerrain:
                                               size=(29, 4))
         assert np.array_equal(grid.heights[1:], np.cumsum(dh, axis=0))
 
-    @given(seed=st.integers(min_value=0, max_value=2**32 - 1),
+    @given(seeds=st.lists(st.integers(min_value=0, max_value=2**32 - 1),
+                          min_size=1, max_size=4),
            levels=st.lists(st.sampled_from([0.0, 5e-324, 1e-300, 0.17, 0.32,
                                             1.5]), min_size=1, max_size=6),
            rows=st.integers(min_value=1, max_value=12),
            cols=st.integers(min_value=1, max_value=5))
     @settings(max_examples=100, deadline=None)
-    def test_levels_share_the_seed_normal_stream(self, seed, levels, rows,
+    def test_levels_share_the_seed_normal_stream(self, seeds, levels, rows,
                                                  cols):
-        # one draw scaled per level gives each level's rng.normal bytes,
-        # signed zeros included, so a command may draw a seed once for all
-        # of its rugosity levels
-        grids = generate_terrains(levels, rows, cols, seed=seed)
-        for r_g, grid in zip(levels, grids):
-            dh = np.random.default_rng(seed).normal(
-                0.0, sigma_from_rugosity(r_g), size=(rows - 1, cols))
-            want = np.vstack([np.zeros((1, cols)), np.cumsum(dh, axis=0)])
-            assert grid.heights.tobytes() == want.tobytes()
-            assert (grid.r_g, grid.seed) == (r_g, seed)
-            assert grid.heights.tobytes() == generate_terrain(
-                r_g, rows, cols, seed=seed).heights.tobytes()
+        # one draw per seed scaled per level gives each level's rng.normal
+        # bytes, signed zeros included, so a command may draw a seed once
+        # for all of its rugosity levels
+        heights = generate_terrains(levels, rows, cols, seeds)
+        assert heights.shape == (len(levels), len(seeds), rows, cols)
+        for i, r_g in enumerate(levels):
+            for j, seed in enumerate(seeds):
+                dh = np.random.default_rng(seed).normal(
+                    0.0, sigma_from_rugosity(r_g), size=(rows - 1, cols))
+                want = np.vstack([np.zeros((1, cols)), np.cumsum(dh, axis=0)])
+                assert heights[i, j].tobytes() == want.tobytes()
+                grid = generate_terrain(r_g, rows, cols, seed=seed)
+                assert (grid.r_g, grid.seed) == (r_g, seed)
+                assert grid.heights.tobytes() == heights[i, j].tobytes()
 
     def test_flat_at_zero_rugosity(self):
         grid = generate_terrain(0.0, rows=20, cols=3, seed=0)

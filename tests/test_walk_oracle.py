@@ -122,9 +122,10 @@ def reference_walk(cfg, geom, terrain, cycles, steps, sensor, seed, cc=None,
     n = cfg.n_pairs
     phases = phase_table(cfg, steps)
     stance = phases < cfg.duty
-    center = terrain.cols // 2
+    cols = terrain.heights.shape[1]
+    center = cols // 2
     leg_cols = np.array([max(center - 1, 0)] * n
-                        + [min(center + 1, terrain.cols - 1)] * n)
+                        + [min(center + 1, cols - 1)] * n)
     leg_rows = np.array([n - 1 - i for i in range(n)] * 2)
     dist = slip_distribution(cfg, geom, bins=36)
     out = {"gamma": [], "gamma_measured": [], "v": [], "a_v": [],
@@ -204,8 +205,8 @@ def test_engine_matches_reference_loop(feedback, n_pairs, xi, duty,
         return
     ref = reference_walk(cfg, geom, terrain, cycles, steps, sensor, seed,
                          cc, period)
-    one = simulate_walks(cfg, geom, [terrain], [seed], [a_v], cycles, steps,
-                         sensor, _feedback(cc, [period]))
+    one = simulate_walks(cfg, geom, terrain.heights[None], [seed], [a_v],
+                         cycles, steps, sensor, _feedback(cc, [period]))
     assert_cell_matches(one, 0, 0, ref)
     if not feedback:
         res = simulate_walk(cfg, geom, terrain, cycles, steps, sensor, seed)
@@ -252,9 +253,10 @@ def assert_walk_matches(res, ref):
        av_max=st.sampled_from([25.0, 60.0]),
        walkers=st.lists(st.tuples(
            st.integers(min_value=0, max_value=3),             # seed
-           st.sampled_from([0.0, 0.1, 0.17, 0.32, 0.6]),      # rugosity
-           st.integers(min_value=3, max_value=7)),            # terrain cols
+           st.sampled_from([0.0, 0.1, 0.17, 0.32, 0.6])),     # rugosity
            min_size=1, max_size=4),
+       extra_rows=st.integers(min_value=0, max_value=2),
+       cols=st.integers(min_value=3, max_value=7),
        variants=st.lists(st.tuples(
            st.floats(min_value=0.0, max_value=25.0),          # start a_v
            st.sampled_from([None, 1, 2, 3])),                 # update period
@@ -263,27 +265,29 @@ def assert_walk_matches(res, ref):
 # arms with flips, undebounced and debounced
 @example(n_pairs=6, xi=1.0, duty=0.5, phase_offset=None, half_steps=36,
          flip_prob=0.05, latch_steps=0, cycles=20, k_p=60.0, gamma_set=0.9,
-         av_max=25.0, walkers=[(678444, 0.32, 5)],
+         av_max=25.0, walkers=[(678444, 0.32)], extra_rows=0, cols=5,
          variants=[(0.0, None), (0.0, 1), (0.0, 2), (0.0, 3)])
 @example(n_pairs=6, xi=1.0, duty=0.5, phase_offset=None, half_steps=36,
          flip_prob=0.05, latch_steps=3, cycles=20, k_p=60.0, gamma_set=0.9,
-         av_max=25.0, walkers=[(678444, 0.32, 5)],
+         av_max=25.0, walkers=[(678444, 0.32)], extra_rows=0, cols=5,
          variants=[(0.0, None), (0.0, 1), (0.0, 2), (0.0, 3)])
 # amplitudes past 38 degrees, where the default geometry's reach turns
 # negative, at the start and from the controller's updates
 @example(n_pairs=6, xi=1.0, duty=0.5, phase_offset=None, half_steps=36,
          flip_prob=0.2, latch_steps=0, cycles=12, k_p=100.0, gamma_set=0.95,
-         av_max=60.0, walkers=[(1, 0.6, 5), (2, 0.32, 5)],
+         av_max=60.0, walkers=[(1, 0.6), (2, 0.32)], extra_rows=1, cols=5,
          variants=[(45.0, None), (0.0, 1), (50.0, 2), (60.0, 3)])
 @settings(max_examples=40, deadline=None)
 def test_mixed_batch_rows_match_reference_loop(n_pairs, xi, duty,
                                                phase_offset, half_steps,
                                                flip_prob, latch_steps, cycles,
                                                k_p, gamma_set, av_max,
-                                               walkers, variants):
+                                               walkers, extra_rows, cols,
+                                               variants):
     # one grid of seeds (duplicates included, each with a terrain of its
-    # own) by variants (start amplitude, update period): each cell walks
-    # as if alone, and an open-loop cell's maps are its simulate_walk's
+    # own, all of one shape) by variants (start amplitude, update period):
+    # each cell walks as if alone, and an open-loop cell's maps are its
+    # simulate_walk's
     cfg = GaitConfig(n_pairs=n_pairs, xi=xi, duty=duty,
                      phase_offset=phase_offset)
     geom = RobotGeometry()
@@ -293,12 +297,12 @@ def test_mixed_batch_rows_match_reference_loop(n_pairs, xi, duty,
     cc = ControllerConfig(k_p=k_p, gamma_set=gamma_set, av_max=av_max)
     # a terrain is seeded apart from the sensor, so that equal sensor
     # seeds walk different terrains
-    terrains = [generate_terrain(r_g, rows=cycles + n_pairs + 1 + i % 3,
+    terrains = [generate_terrain(r_g, rows=cycles + n_pairs + 1 + extra_rows,
                                  cols=cols, seed=100 + i)
-                for i, (_, r_g, cols) in enumerate(walkers)]
+                for i, (_, r_g) in enumerate(walkers)]
     seeds = [w[0] for w in walkers]
-    batch = simulate_walks(cfg, geom, terrains, seeds,
-                           [a_v for a_v, _ in variants], cycles, steps,
+    batch = simulate_walks(cfg, geom, np.stack([t.heights for t in terrains]),
+                           seeds, [a_v for a_v, _ in variants], cycles, steps,
                            sensor, _feedback(cc, [p for _, p in variants]))
     assert batch.gamma.shape == (len(seeds), len(variants), cycles)
     for i, seed in enumerate(seeds):
@@ -315,7 +319,8 @@ def test_mixed_batch_rows_match_reference_loop(n_pairs, xi, duty,
 def test_batch_beyond_one_block_equals_single_walks():
     # more seeds than one block holds, so that the block edge falls
     # inside the grid, with a seed's duplicates on both sides of it; an
-    # open-loop cell's maps are its simulate_walk's
+    # open-loop cell's maps are its simulate_walk's.  One terrain shape
+    # per batch, at an even and an odd row count
     cfg = GaitConfig(n_pairs=4)
     geom = RobotGeometry()
     cycles, steps = 4, 24
@@ -327,27 +332,30 @@ def test_batch_beyond_one_block_equals_single_walks():
     count = block + 5
     seeds = [i // 3 for i in range(count)]
     assert seeds[block - 1] == seeds[block]
-    terrains = [generate_terrain(0.32, rows=cycles + 4 + i % 2, cols=5,
-                                 seed=seed)
-                for i, seed in enumerate(seeds)]
-    batch = simulate_walks(cfg, geom, terrains, seeds, a_vs, cycles, steps,
-                           sensor, _feedback(cc, periods))
-    assert batch.gamma.shape == (count, len(a_vs), cycles)
-    for i in range(count):
-        for j, (a_v, period) in enumerate(zip(a_vs, periods)):
-            one = simulate_walks(cfg, geom, [terrains[i]], [seeds[i]], [a_v],
-                                 cycles, steps, sensor,
-                                 _feedback(cc, [period]))
-            for name in ("gamma", "gamma_measured", "a_v", "v_ratio"):
-                assert np.array_equal(getattr(batch, name)[i, j],
-                                      getattr(one, name)[0, 0]), (i, j, name)
-            if period is None:
-                walk_cfg = replace(cfg, a_v=a_v)
-                assert_walk_matches(
-                    simulate_walk(walk_cfg, geom, terrains[i], cycles, steps,
-                                  sensor, seeds[i]),
-                    reference_walk(walk_cfg, geom, terrains[i], cycles, steps,
-                                   sensor, seeds[i]))
+    for rows in (cycles + 4, cycles + 5):
+        terrains = [generate_terrain(0.32, rows=rows, cols=5, seed=seed)
+                    for seed in seeds]
+        batch = simulate_walks(cfg, geom,
+                               np.stack([t.heights for t in terrains]), seeds,
+                               a_vs, cycles, steps, sensor,
+                               _feedback(cc, periods))
+        assert batch.gamma.shape == (count, len(a_vs), cycles)
+        for i in range(count):
+            for j, (a_v, period) in enumerate(zip(a_vs, periods)):
+                one = simulate_walks(cfg, geom, terrains[i].heights[None],
+                                     [seeds[i]], [a_v], cycles, steps, sensor,
+                                     _feedback(cc, [period]))
+                for name in ("gamma", "gamma_measured", "a_v", "v_ratio"):
+                    assert np.array_equal(getattr(batch, name)[i, j],
+                                          getattr(one, name)[0, 0]), \
+                        (rows, i, j, name)
+                if period is None:
+                    walk_cfg = replace(cfg, a_v=a_v)
+                    assert_walk_matches(
+                        simulate_walk(walk_cfg, geom, terrains[i], cycles,
+                                      steps, sensor, seeds[i]),
+                        reference_walk(walk_cfg, geom, terrains[i], cycles,
+                                       steps, sensor, seeds[i]))
 
 
 GAIT_SHAPES = st.builds(
@@ -460,8 +468,8 @@ def test_counted_gamma_is_the_loss_maps_count(cfg, half_steps, r_g, a_v, seeds,
     terrains = [generate_terrain(r_g, rows=cycles + cfg.n_pairs + 2, cols=5,
                                  seed=s) for s in seeds]
     sensor = SensorModel(flip_prob, latch_steps)
-    walks = simulate_walks(cfg, geom, terrains, seeds, a_v, cycles, steps,
-                           sensor)
+    walks = simulate_walks(cfg, geom, np.stack([t.heights for t in terrains]),
+                           seeds, a_v, cycles, steps, sensor)
     retraction = int(stance.sum())
     noise_free = flip_prob == 0.0 and latch_steps <= 1
     if noise_free:

@@ -12,7 +12,8 @@ validate, walk and controller-compare at the shipped default config with
 walk at that flip probability with --seeds 0..69, more seeds than one block
 of the walk engine holds, and model-sweep, validate and walk again on a
 rugosity level and a written terrain file, whose empirical height steps take
-the tail path that rugosity levels do not.  Every run's exit code, standard
+the tail path that rugosity levels do not, validate on those two with
+--seeds 0..69 too.  Every run's exit code, standard
 output, standard error and output files are compared byte for byte.  Each
 run works in its own directory with the same relative paths in both trees,
 so the printed output paths agree too.
@@ -76,6 +77,10 @@ RUNS: List[Tuple[str, Dict[str, str], str, List[str]]] = [
     ("model-sweep-file", TERRAIN_FILES, SEEDS,
      ["--config", TERRAIN_CONFIG, "model-sweep"]),
     ("validate-file", TERRAIN_FILES, SEEDS,
+     ["--config", TERRAIN_CONFIG, "validate"]),
+    # at 3 amplitudes a block holds 21 seeds: 70 seeds cross three block
+    # edges on the counted path, on a generated and a file entry
+    ("validate-block-edge", TERRAIN_FILES, "0..69",
      ["--config", TERRAIN_CONFIG, "validate"]),
     # a terrain file's entry writes its own contact map too
     ("walk-file", TERRAIN_FILES, SEEDS,
