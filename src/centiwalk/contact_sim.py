@@ -310,12 +310,13 @@ def _walk_block(cfg: GaitConfig, geom: RobotGeometry,
     tables = {}     # the walk's amplitudes, each looked up once
 
     def thresholds(av):
-        # each cell's (lower, upper), shape av.shape + (1, stance samples)
+        # each cell's lower and upper, shape av.shape + (1, stance samples)
         keys = av.ravel().tolist()
         for a in set(keys).difference(tables):
             tables[a] = _loss_thresholds(cfg, geom, steps, a)
-        return np.stack([tables[a] for a in keys], axis=1).reshape(
-            (2,) + av.shape + (1, -1))
+        table = np.array([tables[a] for a in keys]).reshape(
+            av.shape + (2, 1, -1))
+        return table[..., 0, :, :], table[..., 1, :, :]
 
     # seeds x 1 x cycles x stance samples, broadcast over amplitudes
     d = dh[:, None][..., stance_leg]
@@ -352,8 +353,7 @@ def _walk_block(cfg: GaitConfig, geom: RobotGeometry,
         else:
             # a stance sample reads 1 unless exactly one of a loss and
             # a flip hit it, so the stance samples alone give the count
-            count = retraction - np.count_nonzero(
-                lost ^ flips_s[:, :, now], axis=-1)
+            count = retraction - (lost ^ flips_s[:, :, now]).sum(axis=-1)
         gamma_s[..., now] = count / retraction
         if c + span < cycles:
             new = checked_amplitudes(next_av(c, gamma_s[..., c], av)
@@ -372,11 +372,11 @@ def simulate_walks(cfg: GaitConfig, geom: RobotGeometry,
                        [int, np.ndarray, np.ndarray], np.ndarray]] = None
                    ) -> Walks:
     """Walk `cycles` gait cycles of the gait shape cfg from every seed at
-    every starting amplitude: seed i walks heights[i] of the (seeds, rows,
-    cols) stack of block heights and draws its sensor flips from
-    default_rng(seeds[i]), the same flips at every amplitude, and amplitude
-    column j starts at the vertical amplitude a_v[j] (cfg.a_v is not read).
-    The per-cycle outcomes have shape (seeds, amplitudes, cycles).
+    every starting amplitude: row i walks heights[i] of the (seeds, rows,
+    cols) stack and draws its own sensor flips from default_rng(seeds[i]),
+    the same at every amplitude (a seed may repeat: each of its rows draws
+    those flips), and amplitude column j starts at a_v[j] (cfg.a_v is not
+    read).  The per-cycle outcomes have shape (seeds, amplitudes, cycles).
 
     Seeds are walked max(1, BLOCK_ROWS // len(a_v)) at a time.  Without
     next_av the amplitudes hold, and all cycles of a block are one array

@@ -110,7 +110,8 @@ def generate_terrains(levels: Sequence[float], rows: int, cols: int,
     level's heights overflow."""
     if rows < 1 or cols < 1:
         raise ValueError("rows and cols must be >= 1")
-    z = np.empty((len(seeds), rows - 1, cols))
+    # with no level, no seed's normals are drawn
+    z = np.empty((len(seeds) if levels else 0, rows - 1, cols))
     for z_seed, seed in zip(z, seeds):
         np.random.default_rng(seed).standard_normal(out=z_seed)
     heights = np.zeros((len(levels), len(seeds), rows, cols))

@@ -406,6 +406,89 @@ class TestValidate:
                 f"{mean(mean(w.gamma_per_cycle) for w in walks):.6f}", row
 
 
+class TestEntriesWalkAsAlone:
+    @pytest.mark.parametrize("command, flip_prob",
+                             [("validate", 0.0), ("walk", 0.0),
+                              ("walk", 0.05)])
+    def test_each_entry_equals_its_run_alone(self, tmp_path, command,
+                                             flip_prob):
+        # the generated levels walk as one batch, each seed once per level,
+        # with a terrain file between them walked on its own; at 70 seeds
+        # the engine's blocks (21 rows at validate's 3 amplitudes, 64 at
+        # walk's one) straddle the level boundaries.  Every entry's CSV
+        # rows and contact map are those of a run on that entry alone.
+        tfile = tmp_path / "rough.txt"
+        generate_terrain(0.32, rows=30, cols=5, seed=123).save(tfile)
+        terrains = ["0.17", str(tfile), "0.32", "0.0"]
+        csv, col = {"validate": ("validation.csv", 0),
+                    "walk": ("walk.csv", 1)}[command]
+
+        def outputs(name, tokens):
+            cfg = tmp_path / f"{name}.cfg"
+            cfg.write_text(FAST_CFG + f"terrains = {', '.join(tokens)}\n"
+                           f"sensor_flip_prob = {flip_prob}\n")
+            out = tmp_path / name
+            assert run(["--config", str(cfg), "--out", str(out),
+                        "--seeds", "0..69", "--tolerance", "1",
+                        command]) == 0
+            return out
+
+        def rows(path):
+            return path.read_text().splitlines()[2:]
+
+        batch = outputs("batch", terrains)
+        batch_rows = rows(batch / csv)
+        for i, token in enumerate(terrains):
+            alone = outputs(f"alone{i}", [token])
+            alone_rows = rows(alone / csv)
+            label = alone_rows[0].split(",")[col]
+            assert len(alone_rows) == {"validate": 3, "walk": 70 * 6}[command]
+            assert [r for r in batch_rows
+                    if r.split(",")[col] == label] == alone_rows, label
+            if command == "walk":
+                name = f"contact_{label}.csv"
+                assert rows(batch / name) == rows(alone / name), label
+        assert len(batch_rows) == 4 * len(alone_rows)
+
+    @pytest.mark.parametrize("command", ["validate", "walk"])
+    def test_levels_walk_in_one_call_on_their_own_heights(
+            self, tmp_path, monkeypatch, command):
+        # a file first walks first; then one call walks every level, each
+        # seed once per level, on a view of the generated heights
+        tfile = tmp_path / "rough.txt"
+        generate_terrain(0.32, rows=30, cols=5, seed=123).save(tfile)
+        calls = []
+
+        def spy(cfg, geom, heights, seeds, *args):
+            calls.append((heights, list(seeds)))
+            return simulate_walks(cfg, geom, heights, seeds, *args)
+
+        monkeypatch.setattr(cli, "simulate_walks", spy)
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(FAST_CFG + f"terrains = {tfile}, 0.17, 0.32, 0.0\n")
+        assert run(["--config", str(cfg), "--out", str(tmp_path),
+                    "--seeds", "3..7", "--tolerance", "1", command]) == 0
+        assert [seeds for _, seeds in calls] == \
+            [[3, 4, 5, 6, 7], [3, 4, 5, 6, 7] * 3]
+        assert [heights.shape[:2] for heights, _ in calls] == [(5, 30),
+                                                                (15, 14)]
+        assert not any(heights.flags.owndata for heights, _ in calls)
+
+    @pytest.mark.parametrize("command", ["validate", "walk"])
+    def test_short_file_between_levels_is_one_line_error(
+            self, tmp_path, capsys, command):
+        tfile = tmp_path / "short.txt"
+        generate_terrain(0.32, rows=10, cols=5, seed=123).save(tfile)
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(FAST_CFG + f"terrains = 0.17, {tfile}, 0.32\n")
+        out = tmp_path / "out"
+        assert run(["--config", str(cfg), "--out", str(out), command]) == 1
+        assert capsys.readouterr().err == ("error: robot walks off the "
+                                           "terrain at cycle 4 (10 rows "
+                                           "available)\n")
+        assert list(out.iterdir()) == []
+
+
 class TestWalkAndCompare:
     def test_walk_outputs(self, tmp_path, fast_config):
         assert run(["--config", fast_config, "--out", str(tmp_path),

@@ -73,6 +73,19 @@ class TestGenerateTerrain:
                 assert (grid.r_g, grid.seed) == (r_g, seed)
                 assert grid.heights.tobytes() == heights[i, j].tobytes()
 
+    def test_no_level_draws_no_normals(self, monkeypatch):
+        # a command whose terrain entries are all files asks for no level,
+        # and must not pay for a generator and a draw per seed
+        calls = []
+        real = np.random.default_rng
+        monkeypatch.setattr(np.random, "default_rng",
+                            lambda *a, **k: calls.append(a) or real(*a, **k))
+        heights = generate_terrains([], 13, 5, list(range(50)))
+        assert heights.shape == (0, 50, 13, 5)
+        assert calls == []
+        generate_terrains([0.32], 13, 5, [4, 9])
+        assert calls == [(4,), (9,)]
+
     def test_flat_at_zero_rugosity(self):
         grid = generate_terrain(0.0, rows=20, cols=3, seed=0)
         assert np.allclose(grid.heights, 0.0)

@@ -13,10 +13,13 @@ walk at that flip probability with --seeds 0..69, more seeds than one block
 of the walk engine holds, and model-sweep, validate and walk again on a
 rugosity level and a written terrain file, whose empirical height steps take
 the tail path that rugosity levels do not, validate on those two with
---seeds 0..69 too.  Every run's exit code, standard
-output, standard error and output files are compared byte for byte.  Each
-run works in its own directory with the same relative paths in both trees,
-so the printed output paths agree too.
+--seeds 0..69 too, and validate and walk at --seeds 0..69 on three rugosity
+levels with the terrain file between them (walk at sensor_flip_prob =
+0.05), where the levels walk as one batch whose blocks cross level
+boundaries and repeat each seed once per level.  Every run's exit code,
+standard output, standard error and output files are compared byte for
+byte.  Each run works in its own directory with the same relative paths in
+both trees, so the printed output paths agree too.
 
 Exit code 0 when every run is identical, 1 when any differs (each
 difference is listed), 2 when the comparison could not run.  Standard
@@ -41,6 +44,10 @@ TERRAIN_FILE = "rough.terrain"
 TERRAIN_CONFIG = "terrain.cfg"
 TERRAIN_CONFIG_TEXT = ("[meta]\nschema_version = 1\n\n[experiment]\n"
                        f"terrains = 0.17, {TERRAIN_FILE}\n")
+LEVELS_CONFIG = "levels.cfg"
+LEVELS_CONFIG_TEXT = ("[meta]\nschema_version = 1\n\n[experiment]\n"
+                      f"terrains = 0.17, {TERRAIN_FILE}, 0.32, 0.0\n"
+                      "sensor_flip_prob = 0.05\n")
 
 
 def _terrain_text() -> str:
@@ -56,6 +63,8 @@ def _terrain_text() -> str:
 
 TERRAIN_FILES = {TERRAIN_CONFIG: TERRAIN_CONFIG_TEXT,
                  TERRAIN_FILE: _terrain_text()}
+LEVELS_FILES = {LEVELS_CONFIG: LEVELS_CONFIG_TEXT,
+                TERRAIN_FILE: _terrain_text()}
 
 # (run name, files written into the run directory, seeds, command-line
 # arguments)
@@ -85,6 +94,13 @@ RUNS: List[Tuple[str, Dict[str, str], str, List[str]]] = [
     # a terrain file's entry writes its own contact map too
     ("walk-file", TERRAIN_FILES, SEEDS,
      ["--config", TERRAIN_CONFIG, "walk"]),
+    # three levels walk as one batch of 210 rows, each seed once per level,
+    # and the file alone: validate's 21-row and walk's 64-row blocks
+    # straddle the level boundaries at rows 70 and 140
+    ("validate-levels-block-edge", LEVELS_FILES, "0..69",
+     ["--config", LEVELS_CONFIG, "validate"]),
+    ("walk-levels-block-edge", LEVELS_FILES, "0..69",
+     ["--config", LEVELS_CONFIG, "walk"]),
 ]
 
 
