@@ -378,7 +378,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     except (ConfigError, NoStanceError, NoSlipError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
-    except WalkOffTerrainError as exc:
+    except (WalkOffTerrainError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

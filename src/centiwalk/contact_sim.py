@@ -19,12 +19,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .gait import GaitConfig, checked_amplitudes, phase_table
-from .kinematics import (
-    RobotGeometry,
-    recoverable_heights,
-    slip_distribution,
-    stance_geometry,
-)
+from .kinematics import RobotGeometry, loss_thresholds, slip_distribution
 from .models import predict_speed_band
 from .terrain import TerrainGrid
 
@@ -172,32 +167,18 @@ def _debounce(bits: np.ndarray, latch_steps: int) -> np.ndarray:
     return held.reshape(bits.shape)
 
 
-def _rise_cutoffs(recover: np.ndarray, lift: np.ndarray) -> np.ndarray:
-    """Per stance sample, the largest float c with c - max(lift, 0) <=
-    recover: a terrain rise d loses the sample exactly when d > c, under
-    the rule's own rounding of d - max(lift, 0).  recover + max(lift, 0)
-    rounds to within one float of c, so one step down where it fails the
-    rule and one step up where the next float still passes find c."""
-    lift = np.maximum(lift, 0.0)
-    c = recover + lift
-    c = np.where(c - lift <= recover, c, np.nextafter(c, -np.inf))
-    up = np.nextafter(c, np.inf)
-    return np.where(up - lift <= recover, up, c)
-
-
 @lru_cache(maxsize=1024)
 def _loss_thresholds(cfg: GaitConfig, geom: RobotGeometry, steps: int,
                      a_v: float) -> np.ndarray:
     """The loss rule at the amplitude a_v, shape (2, stance samples): a step
     d loses a sample when d < lower or d > upper.  lower = min(-reach,
     5e-324), the least positive float, so d < lower exactly when d <= 0 and
-    -d > reach; upper is the rise cutoff, from stance_geometry at the
+    -d > reach; upper is the rise, both from loss_thresholds at the
     walker's stance phases.  The cache bound is ample, since a feedback
     amplitude is a function of a count over retraction."""
-    d_s, reach, lift = stance_geometry(
-        cfg, geom, _stance_table(cfg, steps)[2], a_v)
-    table = np.stack([np.minimum(-reach, 5e-324),
-                      _rise_cutoffs(recoverable_heights(geom, d_s), lift)])
+    reach, rise = loss_thresholds(cfg, geom, _stance_table(cfg, steps)[2],
+                                  a_v)
+    table = np.stack([np.minimum(-reach, 5e-324), rise])
     table.setflags(write=False)
     return table
 

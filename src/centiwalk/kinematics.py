@@ -3,7 +3,7 @@
 Everything here is planar or scalar kinematics: the slipping trajectory of a
 stance foot (for the slip-angle distribution), the stance geometry
 (rearward travel, vertical reach and lift of the foot over one stance), the
-deformation-recovery height, and the flat-terrain contact ratio.  No
+deformation-recovery height, and the contact-loss rule built on them.  No
 dynamics are involved; the body is assumed to advance at the gait's ideal
 flat-ground speed so that stance feet slip backward.
 """
@@ -175,3 +175,13 @@ def recoverable_heights(geom: RobotGeometry, d_s: Sequence[float]) -> np.ndarray
     ratio = np.minimum(np.asarray(d_s, dtype=float), geom.h_l2) / geom.h_l2
     return geom.h_l2 * (1.0 - np.cos(np.arcsin(ratio)))
 
+
+def loss_thresholds(cfg: GaitConfig, geom: RobotGeometry, u, a_v) -> tuple:
+    """The contact-loss rule's (reach, rise) arrays, cm, at reduced stance
+    phases u and the vertical amplitude a_v (degrees; broadcast against u as
+    in stance_geometry).  A terrain step d loses a stance sample when it is
+    a drop deeper than the reach (d <= 0 and -d > reach) or a rise above
+    what retraction recovers plus any lift of the vertical wave (d > rise).
+    The one definition of the rule: predict_gamma and the walker read it."""
+    d_s, reach, lift = stance_geometry(cfg, geom, u, a_v)
+    return reach, recoverable_heights(geom, d_s) + np.maximum(lift, 0.0)

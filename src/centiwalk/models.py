@@ -20,12 +20,7 @@ from typing import Tuple
 import numpy as np
 
 from .gait import GaitConfig, checked_amplitudes
-from .kinematics import (
-    RobotGeometry,
-    SlipDistribution,
-    recoverable_heights,
-    stance_geometry,
-)
+from .kinematics import RobotGeometry, SlipDistribution, loss_thresholds
 from .terrain import HeightDeltaModel, tail_probability
 
 WEIGHT_TOL = 1e-9
@@ -101,12 +96,12 @@ def _stance_thresholds(geom: RobotGeometry, cfg: GaitConfig, m: int,
     flat-terrain contact ratio, the share of samples the vertical wave
     leaves on the nominal ground plane.  Built once per grid and shared,
     read-only."""
-    d_s, reach, lift = stance_geometry(cfg, geom, cfg.duty * np.arange(m) / m,
-                                       np.array(a_v)[:, None])
-    rise = recoverable_heights(geom, d_s) + np.maximum(lift, 0.0)
+    reach, rise = loss_thresholds(cfg, geom, cfg.duty * np.arange(m) / m,
+                                  np.array(a_v)[:, None])
+    # the lift is h_l - reach
     table = (*np.unique(reach.ravel(), return_inverse=True),
              *np.unique(rise.ravel(), return_inverse=True),
-             np.mean(lift <= 1e-12, axis=-1))
+             np.mean(geom.h_l - reach <= 1e-12, axis=-1))
     for a in table:
         a.setflags(write=False)
     return table

@@ -195,6 +195,25 @@ class TestBadInput:
         assert run(["--config", fast_config, "--out", str(out)] + argv) == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("out, blocker, command", [
+        ("afile", "afile", "gait-dump"),
+        ("out", "out/model_sweep.csv/", "model-sweep"),
+    ], ids=["out-is-a-file", "csv-is-a-directory"])
+    def test_refused_output_path(self, tmp_path, capsys, out, blocker,
+                                 command):
+        # an output path the OS refuses, a file where --out's directory
+        # goes or a directory where a CSV goes, is one error line naming it
+        blocked = tmp_path / blocker
+        if blocker.endswith("/"):
+            blocked.mkdir(parents=True)
+        else:
+            blocked.write_text("")
+        assert run(["--out", str(tmp_path / out), command]) == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: ")
+        assert str(blocked) in err
+
     def test_percent_in_terrain_path_is_literal(self, tmp_path):
         terrain = tmp_path / "rough%1.txt"
         terrain.write_text(self.GOOD)

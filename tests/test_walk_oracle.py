@@ -25,7 +25,6 @@ from centiwalk.contact_sim import (
     _count_losses,
     _debounce,
     _loss_thresholds,
-    _rise_cutoffs,
     _stance_table,
     simulate_walk,
     simulate_walks,
@@ -34,10 +33,11 @@ from centiwalk.control import ControllerConfig, _feedback, update_av
 from centiwalk.gait import GaitConfig, phase_table
 from centiwalk.kinematics import (
     RobotGeometry,
+    loss_thresholds,
     recoverable_heights,
     stance_geometry,
 )
-from centiwalk.models import predict_speed_band
+from centiwalk.models import _stance_thresholds, predict_speed_band
 from centiwalk.terrain import generate_terrain
 from gait_reference import slip_distribution
 
@@ -111,7 +111,7 @@ def reference_rule(d, reach, lift, recover):
     rise plus any lift of the vertical wave."""
     if d <= 0.0:
         return -d > reach
-    return d - np.maximum(lift, 0.0) > recover
+    return d > recover + np.maximum(lift, 0.0)
 
 
 def reference_walk(cfg, geom, terrain, cycles, steps, sensor, seed, cc=None,
@@ -379,7 +379,7 @@ def per_sample_losses(cfg, geom, steps, a_v, d):
         _, reach, lift = stance_geometry(cfg, geom, u, av)
         dd = d[:, None]
         lost = np.where(dd <= 0.0, dd < -reach,
-                        dd - np.maximum(lift, 0.0) > recover)
+                        dd > recover + np.maximum(lift, 0.0))
         for leg in range(2 * cfg.n_pairs):
             counts[j, :, leg] = lost[:, stance_leg == leg].sum(axis=1)
     return counts
@@ -395,8 +395,8 @@ def per_sample_losses(cfg, geom, steps, a_v, d):
 def test_counts_equal_the_per_sample_rules_at_every_threshold(
         cfg, half_steps, a_v, sigma, seed):
     # d exactly on, and one float either side of, every sample's -reach
-    # and rise cutoff at every amplitude, plus both zeros and N(0, sigma)
-    # draws: each leg's count is the per-sample rules' sum
+    # and rise at every amplitude, plus both zeros and N(0, sigma) draws:
+    # each leg's count is the per-sample rules' sum
     geom = RobotGeometry()
     steps = 2 * half_steps
     u = phase_table(cfg, steps)[_stance_table(cfg, steps)[0]]
@@ -404,8 +404,8 @@ def test_counts_equal_the_per_sample_rules_at_every_threshold(
     recover = recoverable_heights(geom, stance_geometry(cfg, geom, u)[0])
     a_v = np.array(a_v)
     _, reach, lift = stance_geometry(cfg, geom, u, a_v[:, None])
-    cutoffs = _rise_cutoffs(recover, lift)
-    edges = np.concatenate([-reach.ravel(), cutoffs.ravel()])
+    rise = recover + np.maximum(lift, 0.0)
+    edges = np.concatenate([-reach.ravel(), rise.ravel()])
     d = np.concatenate([edges, np.nextafter(edges, -np.inf),
                         np.nextafter(edges, np.inf), [0.0, -0.0],
                         np.random.default_rng(seed).normal(0.0, sigma, 50)])
@@ -417,33 +417,29 @@ def test_counts_equal_the_per_sample_rules_at_every_threshold(
 
 
 @given(cfg=GAIT_SHAPES, half_steps=st.integers(min_value=2, max_value=40),
-       a_v=AMPLITUDE_GRIDS)
+       a_v=AMPLITUDE_GRIDS, m=st.integers(min_value=4, max_value=200))
 @settings(max_examples=60, deadline=None)
-def test_rise_cutoff_is_the_largest_float_the_rule_keeps(cfg, half_steps, a_v):
-    # c - L <= R and the next float above c breaks it, with L = max(lift,
-    # 0) and R the recoverable rise, at the walker's own stance samples
+def test_walker_and_model_read_one_loss_rule(cfg, half_steps, a_v, m):
+    # bit for bit, the walker's thresholds at its stance phases and the
+    # model's distinct thresholds gathered back at duty * k / m are
+    # loss_thresholds' reach and rise there, and the model's flat-terrain
+    # contact ratio counts the same lift as stance_geometry's
     geom = RobotGeometry()
-    u = phase_table(cfg, 2 * half_steps)[_stance_table(cfg, 2 * half_steps)[0]]
-    recover = recoverable_heights(geom, stance_geometry(cfg, geom, u)[0])
-    _, _, lift = stance_geometry(cfg, geom, u, np.array(a_v)[:, None])
-    c = _rise_cutoffs(recover, lift)
-    top = np.maximum(lift, 0.0)
-    assert np.all(c - top <= recover)
-    assert np.all(np.nextafter(c, np.inf) - top > recover)
-
-
-@given(recover=st.lists(st.floats(min_value=0.0, max_value=1e6), min_size=1,
-                        max_size=20),
-       lift=st.floats(min_value=-1e6, max_value=1e6))
-@settings(max_examples=200, deadline=None)
-def test_rise_cutoff_definition_on_any_floats(recover, lift):
-    # the same definition on arbitrary magnitudes, where recover + lift
-    # rounds either way
-    recover = np.array(recover)
-    c = _rise_cutoffs(recover, lift)
-    top = max(lift, 0.0)
-    assert np.all(c - top <= recover)
-    assert np.all(np.nextafter(c, np.inf) - top > recover)
+    steps = 2 * half_steps
+    for a in a_v:
+        reach, rise = loss_thresholds(cfg, geom, _stance_table(cfg, steps)[2],
+                                      a)
+        lower, upper = _loss_thresholds(cfg, geom, steps, a)
+        assert lower.tobytes() == np.minimum(-reach, 5e-324).tobytes()
+        assert upper.tobytes() == rise.tobytes()
+    u, grid = cfg.duty * np.arange(m) / m, np.array(a_v)[:, None]
+    reach, rise = loss_thresholds(cfg, geom, u, grid)
+    reach_values, at_reach, rise_values, at_rise, gamma_ideal = \
+        _stance_thresholds(geom, cfg, m, tuple(a_v))
+    assert reach_values[at_reach].tobytes() == reach.ravel().tobytes()
+    assert rise_values[at_rise].tobytes() == rise.ravel().tobytes()
+    lift = stance_geometry(cfg, geom, u, grid)[2]
+    assert gamma_ideal.tobytes() == np.mean(lift <= 1e-12, axis=-1).tobytes()
 
 
 @given(cfg=GAIT_SHAPES, half_steps=st.integers(min_value=2, max_value=20),
@@ -492,18 +488,19 @@ def test_counted_gamma_is_the_loss_maps_count(cfg, half_steps, r_g, a_v, seeds,
 
 
 # terrain steps on and one float either side of each loss boundary, given
-# each stance sample's reach and rise cutoff
+# each stance sample's reach and rise: the rise is the rule's cutoff, the
+# highest step it keeps
 BOUNDARY_STEPS = {
-    "+0.0": lambda reach, cutoff: np.full_like(reach, 0.0),
-    "-0.0": lambda reach, cutoff: np.full_like(reach, -0.0),
-    "+5e-324": lambda reach, cutoff: np.full_like(reach, 5e-324),
-    "-5e-324": lambda reach, cutoff: np.full_like(reach, -5e-324),
-    "-reach": lambda reach, cutoff: -reach,
-    "below -reach": lambda reach, cutoff: np.nextafter(-reach, -np.inf),
-    "above -reach": lambda reach, cutoff: np.nextafter(-reach, np.inf),
-    "cutoff": lambda reach, cutoff: cutoff,
-    "below cutoff": lambda reach, cutoff: np.nextafter(cutoff, -np.inf),
-    "above cutoff": lambda reach, cutoff: np.nextafter(cutoff, np.inf),
+    "+0.0": lambda reach, rise: np.full_like(reach, 0.0),
+    "-0.0": lambda reach, rise: np.full_like(reach, -0.0),
+    "+5e-324": lambda reach, rise: np.full_like(reach, 5e-324),
+    "-5e-324": lambda reach, rise: np.full_like(reach, -5e-324),
+    "-reach": lambda reach, rise: -reach,
+    "below -reach": lambda reach, rise: np.nextafter(-reach, -np.inf),
+    "above -reach": lambda reach, rise: np.nextafter(-reach, np.inf),
+    "cutoff": lambda reach, rise: rise,
+    "below cutoff": lambda reach, rise: np.nextafter(rise, -np.inf),
+    "above cutoff": lambda reach, rise: np.nextafter(rise, np.inf),
 }
 
 
@@ -521,7 +518,7 @@ def test_thresholds_equal_the_per_sample_rule_at_its_edges(a_v, at):
         assert (lift < 0.0).any()
     if a_v == 45.0:
         assert (reach <= 0.0).any()
-    d = BOUNDARY_STEPS[at](reach, _rise_cutoffs(recover, lift))
+    d = BOUNDARY_STEPS[at](reach, recover + np.maximum(lift, 0.0))
     lower, upper = _loss_thresholds(cfg, geom, steps, a_v)
     expected = [reference_rule(*sample)
                 for sample in zip(d, reach, lift, recover)]

@@ -16,7 +16,11 @@ the tail path that rugosity levels do not, validate on those two with
 --seeds 0..69 too, and validate and walk at --seeds 0..69 on three rugosity
 levels with the terrain file between them (walk at sensor_flip_prob =
 0.05), where the levels walk as one batch whose blocks cross level
-boundaries and repeat each seed once per level.  Every run's exit code,
+boundaries and repeat each seed once per level, and validate, model-sweep
+and walk at --seeds 0..69 on a wide amplitude grid (a_v_grid = 0, 5, 10,
+20, 30, 45, 60 on terrains 0.0, 0.17, 0.32 and 0.6, walk at a_v = 45),
+which the walk engine counts in two loss-rank tables and whose stance
+samples include a negative lift and a negative reach.  Every run's exit code,
 standard output, standard error and output files are compared byte for
 byte.  Each run works in its own directory with the same relative paths in
 both trees, so the printed output paths agree too.
@@ -48,6 +52,11 @@ LEVELS_CONFIG = "levels.cfg"
 LEVELS_CONFIG_TEXT = ("[meta]\nschema_version = 1\n\n[experiment]\n"
                       f"terrains = 0.17, {TERRAIN_FILE}, 0.32, 0.0\n"
                       "sensor_flip_prob = 0.05\n")
+
+WIDE_CONFIG = "wide.cfg"
+WIDE_TEXT = ("[meta]\nschema_version = 1\n\n[gait]\na_v = 45\n\n"
+             "[experiment]\nterrains = 0.0, 0.17, 0.32, 0.6\n"
+             "a_v_grid = 0, 5, 10, 20, 30, 45, 60\n")
 
 
 def _terrain_text() -> str:
@@ -101,6 +110,17 @@ RUNS: List[Tuple[str, Dict[str, str], str, List[str]]] = [
      ["--config", LEVELS_CONFIG, "validate"]),
     ("walk-levels-block-edge", LEVELS_FILES, "0..69",
      ["--config", LEVELS_CONFIG, "walk"]),
+    # seven amplitudes are two loss-rank tables of at most four; from 5
+    # degrees some stance samples have a negative lift, past 38 some a
+    # negative reach, and at every nonzero amplitude about a quarter of the
+    # samples' rise is one float from the cutoff of the same rule written
+    # as d - max(lift, 0) > recover, so a change in how it rounds shows
+    ("validate-wide-grid", {WIDE_CONFIG: WIDE_TEXT}, "0..69",
+     ["--config", WIDE_CONFIG, "validate"]),
+    ("model-sweep-wide-grid", {WIDE_CONFIG: WIDE_TEXT}, "0..69",
+     ["--config", WIDE_CONFIG, "model-sweep"]),
+    ("walk-wide-grid", {WIDE_CONFIG: WIDE_TEXT}, "0..69",
+     ["--config", WIDE_CONFIG, "walk"]),
 ]
 
 
