@@ -114,13 +114,14 @@ class WalkResult:
 @lru_cache
 def _stance_table(cfg: GaitConfig, steps: int) -> tuple:
     """The gait's stance mask over one cycle of `steps` samples, shape
-    (2n, steps), and per stance sample in row-major order its leg and its
-    reduced phase.  None of these depends on cfg.a_v or the geometry.
-    Built once per gait and shared, read-only, by the ideal contact map
-    and every walk."""
+    (2n, steps), and per stance sample in row-major order its leg, its
+    reduced phase and its step in the cycle.  None of these depends on
+    cfg.a_v or the geometry.  The one decoding of the mask, built once per
+    gait and shared, read-only, by the ideal contact map and every walk."""
     phases = phase_table(cfg, steps)
     stance = phases < cfg.duty
-    table = (stance, np.nonzero(stance)[0], phases[stance])
+    leg, step = np.nonzero(stance)
+    table = (stance, leg, phases[stance], step)
     for a in table:
         a.setflags(write=False)
     return table
@@ -272,10 +273,11 @@ def _walk_block(cfg: GaitConfig, geom: RobotGeometry,
     """simulate_walks on one block of seeds, from the checked a_v: the
     per-cycle gamma, gamma_measured and a_v, (seeds, amplitudes, cycles)
     each, then each stance sample's loss, (seeds, amplitudes, cycles, stance
-    samples), and with maps the sensed rows, (seeds, amplitudes, cycles, 2n,
-    steps), else None.  A noise-free open-loop walk without maps counts its
-    losses, and returns neither array."""
-    stance, stance_leg, _ = _stance_table(cfg, steps)
+    samples), with maps the sensed rows, (seeds, amplitudes, cycles, 2n,
+    steps), else None, and each stance sample's height step, (seeds, 1,
+    cycles, stance samples).  A noise-free open-loop walk without maps
+    counts its losses, and returns none of the last three arrays."""
+    stance, stance_leg = _stance_table(cfg, steps)[:2]
     retraction = len(stance_leg)
     shape = (cycles, 2 * cfg.n_pairs, steps)
     dh = _height_steps(heights, cfg.n_pairs, cycles)
@@ -286,7 +288,7 @@ def _walk_block(cfg: GaitConfig, geom: RobotGeometry,
         lost = _count_losses(cfg, geom, steps, a_v, dh).sum(axis=-1)
         gamma = (retraction - lost) / retraction
         return (gamma, gamma, np.broadcast_to(a_v[:, None], lost.shape),
-                None, None)
+                None, None, None)
 
     tables = {}     # the walk's amplitudes, each looked up once
 
@@ -337,12 +339,11 @@ def _walk_block(cfg: GaitConfig, geom: RobotGeometry,
             count = retraction - (lost ^ flips_s[:, :, now]).sum(axis=-1)
         gamma_s[..., now] = count / retraction
         if c + span < cycles:
-            new = checked_amplitudes(next_av(c, gamma_s[..., c], av)
-                                     ).reshape(grid)
-            lower, upper = thresholds(new)
-            av = new
+            av = checked_amplitudes(next_av(c, gamma_s[..., c], av)
+                                    ).reshape(grid)
+            lower, upper = thresholds(av)
     gamma = (retraction - lost_s.sum(axis=-1)) / retraction
-    return gamma, gamma_s, a_vs, lost_s, bits
+    return gamma, gamma_s, a_vs, lost_s, bits, d
 
 
 def simulate_walks(cfg: GaitConfig, geom: RobotGeometry,
@@ -395,25 +396,23 @@ def simulate_walk(cfg: GaitConfig, geom: RobotGeometry, terrain: TerrainGrid,
     """
     heights = terrain.heights[None]
     a_v = _checked_a_v(cfg, heights, [seed], [cfg.a_v], cycles, steps)
-    gamma, gamma_measured, _, lost, bits = _walk_block(
+    gamma, gamma_measured, _, lost, bits, d = _walk_block(
         cfg, geom, heights, [seed], a_v, cycles, steps, sensor, None,
         maps=True)
-    n = cfg.n_pairs
-    # each lost stance sample's cycle, then its leg and step in the cycle
-    c, s = np.nonzero(lost[0, 0])
-    leg, k = (a[s] for a in np.nonzero(_stance_table(cfg, steps)[0]))
+    _, leg, _, step = _stance_table(cfg, steps)
+    # each lost sample's cycle and stance sample, from its flat index
+    c, s = np.divmod(at := np.flatnonzero(lost), len(leg))
     # object strings: every event shares the two str objects, not a copy
     causes = np.array(["deformed", "too_deep"], dtype=object)[
-        (_height_steps(heights[0], n, cycles)[c, leg] <= 0.0).view(np.uint8)]
+        (d.ravel()[at] <= 0.0).view(np.uint8)]
     return WalkResult(
-        measured=ContactMap(legs=2 * n, steps=steps, cycles=cycles,
-                            bits=bits[0, 0].transpose(1, 0, 2)
-                            .reshape(2 * n, -1)),
+        measured=ContactMap(legs=2 * cfg.n_pairs, steps=steps, cycles=cycles,
+                            bits=np.concatenate(bits[0, 0], axis=1)),
         ideal=ideal_contact_map(cfg, steps, cycles),
         gamma_per_cycle=gamma[0, 0].tolist(),
         forward_speed_ratio=predict_speed_band(
             slip_distribution(cfg, geom), gamma[0, 0]).v_ratio_mid.tolist(),
-        loss_events=list(zip(leg.tolist(), (c * steps + k).tolist(),
+        loss_events=list(zip(leg[s].tolist(), (c * steps + step[s]).tolist(),
                              causes.tolist())),
         gamma_measured=gamma_measured[0, 0].tolist(),
     )

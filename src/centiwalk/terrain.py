@@ -144,7 +144,7 @@ class HeightDeltaModel:
         if self.kind == "gaussian":
             if self.sigma < 0.0:
                 raise ValueError("sigma must be >= 0")
-            self.p1 = 0.5
+            self.p1 = 1.0 if self.sigma == 0.0 else 0.5
         elif self.kind == "empirical":
             if self.samples is None or len(self.samples) == 0:
                 raise ValueError("empirical model requires a non-empty sample")
@@ -171,15 +171,15 @@ def tail_probability(model: HeightDeltaModel, thresholds,
     terrain-drop case; "dh_positive": Pr(dH > t | dH > 0), the
     terrain-rise case.  Closed form for the gaussian kind, an empirical
     fraction otherwise.  t <= 0 yields 1 by convention (every conditioning
-    event exceeds it).
+    event exceeds it), except at sigma 0, where dH = 0 exceeds only t < 0.
     """
     if conditioned not in ("dh_nonpositive", "dh_positive"):
         raise ValueError(f"unknown conditioning {conditioned!r}")
     t = np.asarray(thresholds, dtype=float)
     if model.kind == "gaussian":
         if model.sigma == 0.0:
-            # degenerate: dH is identically 0, so no strict exceedance
-            return np.zeros(t.shape)
+            # degenerate: dH is identically 0, which exceeds t < 0 only
+            return np.where(t < 0.0, 1.0, 0.0)
         # both conditional tails reduce to 2 Phi(-t / sigma) by symmetry;
         # math.erf over one flat list, as importing scipy.special would
         # double the import time

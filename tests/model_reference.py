@@ -26,7 +26,7 @@ def tail_probability(model: HeightDeltaModel, thresholds,
     t = np.asarray(thresholds, dtype=float)
     if model.kind == "gaussian":
         if model.sigma == 0.0:
-            return np.zeros(t.shape)
+            return np.where(t < 0.0, 1.0, 0.0)
         tail = 2.0 * (0.5 * (1.0 + _erf(-t / model.sigma / math.sqrt(2.0))))
         return np.where(t <= 0.0, 1.0, tail)
     s = model.samples

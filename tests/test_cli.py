@@ -403,6 +403,18 @@ class TestValidate:
         assert all(l.endswith(",pass") for l in lines[2:])
 
 
+    def test_flat_terrain_passes_past_a_negative_reach(self, tmp_path):
+        # on flat terrain the walker loses the stance samples whose reach
+        # is negative (past about 38 degrees), and the model predicts it
+        cfg = tmp_path / "flat.cfg"
+        cfg.write_text("[meta]\nschema_version = 1\n[experiment]\n"
+                       "terrains = 0.0\na_v_grid = 0, 30, 40, 45, 60\n")
+        assert run(["--config", str(cfg), "--out", str(tmp_path),
+                    "validate"]) == 0
+        lines = (tmp_path / "validation.csv").read_text().splitlines()
+        assert len(lines) == 2 + 5
+        assert all(l.endswith(",pass") for l in lines[2:])
+
     def test_validate_equals_single_walks(self, tmp_path, fast_config):
         # each cell's simulated gamma is the mean over seeds of one-walk
         # simulate_walk runs' mean per-cycle gamma

@@ -14,7 +14,12 @@ import model_reference
 from centiwalk.config import ConfigError, ExperimentSpec
 from centiwalk.control import ControllerConfig
 from centiwalk.gait import GaitConfig
-from centiwalk.kinematics import RobotGeometry, SlipDistribution, slip_distribution
+from centiwalk.kinematics import (
+    RobotGeometry,
+    SlipDistribution,
+    slip_distribution,
+    stance_geometry,
+)
 from centiwalk.models import (
     LossModelOutput,
     friction_bounds,
@@ -176,6 +181,20 @@ class TestPredictGamma:
         assert out.p_loss == 0.0
         assert out.gamma == 1.0
         assert out.p_e == 0.0
+
+    @pytest.mark.parametrize("a_v", [45.0, 60.0])
+    def test_flat_terrain_loses_where_the_reach_is_negative(self, a_v):
+        # [DERIVED] on flat terrain every step is d = 0, a drop that exceeds
+        # a negative reach only: gamma is the share of the m uniform stance
+        # phases whose reach is not negative
+        cfg, geom, m = GaitConfig(), RobotGeometry(), 360
+        reach = stance_geometry(cfg, geom, cfg.duty * np.arange(m) / m,
+                                a_v)[1]
+        out = predict_gamma(geom, cfg, HeightDeltaModel.from_rugosity(0.0),
+                            m, [a_v])
+        lost = np.count_nonzero(reach < 0.0)
+        assert 0 < lost < m
+        assert out.gamma[0] == 1.0 - lost / m
 
     def test_p_loss1_frozen_oracle(self):
         # [DERIVED] a_v=0 makes reach constant h_l, so

@@ -180,6 +180,19 @@ class TestTailProbability:
         assert tail_probability(model, 0.0, "dh_positive") == 0.0
         assert tail_probability(model, 5.0, "dh_nonpositive") == 0.0
 
+    @pytest.mark.parametrize("conditioned", ["dh_nonpositive", "dh_positive"])
+    def test_degenerate_sigma_exceeds_a_negative_threshold(self, conditioned):
+        # [TRIVIAL] dH identically 0 strictly exceeds t = -1 but not t = 0
+        model = HeightDeltaModel(kind="gaussian", sigma=0.0)
+        assert tail_probability(model, -1.0, conditioned) == 1.0
+        assert tail_probability(model, [-1.0, 0.0], conditioned).tolist() == \
+            [1.0, 0.0]
+
+    def test_flat_terrain_steps_are_nonpositive(self):
+        # [TRIVIAL] p1 = Pr(dH <= 0) is 1 when dH is identically 0
+        assert HeightDeltaModel.from_rugosity(0.0).p1 == 1.0
+        assert HeightDeltaModel.from_rugosity(0.32).p1 == 0.5
+
     def test_nonpositive_threshold(self):
         model = HeightDeltaModel(kind="gaussian", sigma=2.0)
         assert tail_probability(model, 0.0, "dh_positive") == 1.0

@@ -371,7 +371,7 @@ AMPLITUDE_GRIDS = st.lists(st.floats(min_value=0.0, max_value=60.0),
 def per_sample_losses(cfg, geom, steps, a_v, d):
     """The per-sample loss rules at every amplitude of a_v, every leg
     meeting the height step d[k]: lost samples per (amplitude, k, leg)."""
-    stance, stance_leg, _ = _stance_table(cfg, steps)
+    stance, stance_leg = _stance_table(cfg, steps)[:2]
     u = phase_table(cfg, steps)[stance]
     recover = recoverable_heights(geom, stance_geometry(cfg, geom, u)[0])
     counts = np.zeros((len(a_v), len(d), 2 * cfg.n_pairs), dtype=int)
@@ -440,6 +440,21 @@ def test_walker_and_model_read_one_loss_rule(cfg, half_steps, a_v, m):
     assert rise_values[at_rise].tobytes() == rise.ravel().tobytes()
     lift = stance_geometry(cfg, geom, u, grid)[2]
     assert gamma_ideal.tobytes() == np.mean(lift <= 1e-12, axis=-1).tobytes()
+
+
+@given(cfg=GAIT_SHAPES, half_steps=st.integers(min_value=2, max_value=40))
+@settings(max_examples=60, deadline=None)
+def test_stance_table_lists_each_stance_sample_once(cfg, half_steps):
+    # the table's leg, phase and step entries are the mask's stance samples
+    # in row-major order: scattered back they rebuild the mask, and each
+    # phase is the phase table's at that leg and step
+    steps = 2 * half_steps
+    stance, leg, u, step = _stance_table(cfg, steps)
+    rebuilt = np.zeros_like(stance)
+    rebuilt[leg, step] = True
+    assert np.array_equal(rebuilt, stance)
+    assert np.all(np.diff(leg * steps + step) > 0)
+    assert phase_table(cfg, steps)[leg, step].tobytes() == u.tobytes()
 
 
 @given(cfg=GAIT_SHAPES, half_steps=st.integers(min_value=2, max_value=20),

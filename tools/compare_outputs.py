@@ -22,8 +22,10 @@ and walk at --seeds 0..69 on a wide amplitude grid (a_v_grid = 0, 5, 10,
 which the walk engine counts in two loss-rank tables and whose stance
 samples include a negative lift and a negative reach.  Every run's exit code,
 standard output, standard error and output files are compared byte for
-byte.  Each run works in its own directory with the same relative paths in
-both trees, so the printed output paths agree too.
+byte; for a text output that differs, the number of differing lines and
+the first differing line on each side are printed.  Each run works in its
+own directory with the same relative paths in both trees, so the printed
+output paths agree too.
 
 Exit code 0 when every run is identical, 1 when any differs (each
 difference is listed), 2 when the comparison could not run.  Standard
@@ -33,6 +35,7 @@ library only.
 from __future__ import annotations
 
 import argparse
+import itertools
 import os
 import random
 import subprocess
@@ -172,6 +175,22 @@ def _run(tree: Path, workdir: Path, files: Dict[str, str], seeds: str,
     return result
 
 
+def _describe(base: bytes, head: bytes) -> str:
+    """How two different outputs differ: for text, the number of lines that
+    differ, position by position, and the first such line on each side."""
+    try:
+        pairs = list(itertools.zip_longest(base.decode().splitlines(),
+                                           head.decode().splitlines()))
+    except UnicodeDecodeError:
+        return "differs"
+    changed = [(a, b) for a, b in pairs if a != b]
+    if not changed:
+        return "differs in line endings only"
+    a, b = ("<no line>" if line is None else line for line in changed[0])
+    return (f"differs in {len(changed)} of {len(pairs)} lines, first:\n"
+            f"    base: {a}\n    head: {b}")
+
+
 def _differences(base: Dict[str, bytes], head: Dict[str, bytes]) -> List[str]:
     diffs = []
     for name in sorted(base.keys() | head.keys()):
@@ -180,7 +199,7 @@ def _differences(base: Dict[str, bytes], head: Dict[str, bytes]) -> List[str]:
         elif name not in base:
             diffs.append(f"{name}: only in the working tree")
         elif base[name] != head[name]:
-            diffs.append(f"{name}: differs")
+            diffs.append(f"{name}: {_describe(base[name], head[name])}")
     return diffs
 
 
