@@ -141,10 +141,11 @@ def _entries(fc: FullConfig) -> List[TerrainEntry]:
 
 
 def _levels(fc: FullConfig, levels: List[float]) -> np.ndarray:
-    """The (levels, seeds, rows, cols) heights of a walk's generated levels."""
+    """The (levels, seeds, rows, cols) heights of a walk's generated levels,
+    cycles + n_pairs rows: the rows a walk of the experiment's cycles reads."""
     exp = fc.experiment
     try:
-        return generate_terrains(levels, exp.cycles + fc.gait.n_pairs + 2,
+        return generate_terrains(levels, exp.cycles + fc.gait.n_pairs,
                                  exp.terrain_cols, exp.seeds)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
@@ -154,8 +155,9 @@ def _walk_entries(fc: FullConfig, entries: List[TerrainEntry], a_v: list,
                   sensor: SensorModel) -> List[Tuple[np.ndarray, Walks]]:
     """Per entry, its (seeds, rows, cols) heights and walks at each a_v.  The
     levels walk in one call at the first level's place, reshaped without a
-    copy to (levels x seeds, rows, cols); rows walk independently, so each
-    entry's numbers and errors are its own call's.  Files walk one by one."""
+    copy to (levels x seeds, rows, cols), and each level's walks are views
+    of that call's; rows walk independently, so each entry's numbers and
+    errors are its own call's.  Files walk one by one."""
     exp = fc.experiment
     generated = _levels(fc, [e.r_g for e in entries if e.grid is None])
 
@@ -166,8 +168,12 @@ def _walk_entries(fc: FullConfig, entries: List[TerrainEntry], a_v: list,
     def level_walks():
         _, batch = walk(generated.reshape((-1,) + generated.shape[2:]),
                         exp.seeds * len(generated))
-        yield from zip(generated, map(Walks, *(
-            np.split(a, len(generated)) for a in vars(batch).values())))
+        gamma, gamma_measured, a_vs = (
+            a.reshape(generated.shape[:2] + a.shape[1:])
+            for a in (batch.gamma, batch.gamma_measured, batch.a_v))
+        for k, heights in enumerate(generated):
+            yield heights, Walks(gamma[k], gamma_measured[k], a_vs[k],
+                                 batch.dist)
 
     level = level_walks()
     return [next(level) if e.grid is None else walk(np.broadcast_to(

@@ -13,13 +13,14 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .gait import GaitConfig, checked_amplitudes, phase_table
-from .kinematics import RobotGeometry, loss_thresholds, slip_distribution
+from .kinematics import (RobotGeometry, SlipDistribution, loss_thresholds,
+                         slip_distribution)
 from .models import predict_speed_band
 from .terrain import TerrainGrid
 
@@ -90,13 +91,19 @@ class SensorModel:
 @dataclass
 class Walks:
     """Per-cycle outcomes of every seed walked at every starting amplitude,
-    each of shape (seeds, amplitudes, cycles).  A walk's contact maps come
-    from simulate_walk, one seed at a time."""
+    three arrays of shape (seeds, amplitudes, cycles).  A walk's contact
+    maps come from simulate_walk, one seed at a time."""
 
     gamma: np.ndarray            # true contact ratio
     gamma_measured: np.ndarray   # sensed contact ratio
     a_v: np.ndarray              # vertical amplitude
-    v_ratio: np.ndarray          # speed ratio v/v_open
+    dist: SlipDistribution       # the gait's, for the speed band
+
+    @cached_property
+    def v_ratio(self) -> np.ndarray:
+        """Speed ratio v/v_open, the speed band's middle at gamma, computed
+        on first read."""
+        return predict_speed_band(self.dist, self.gamma).v_ratio_mid
 
 
 @dataclass
@@ -270,26 +277,16 @@ def _walk_block(cfg: GaitConfig, geom: RobotGeometry,
                 heights: np.ndarray, seeds: Sequence[int],
                 a_v: np.ndarray, cycles: int, steps: int, sensor: SensorModel,
                 next_av: Optional[Callable], maps: bool) -> tuple:
-    """simulate_walks on one block of seeds, from the checked a_v: the
-    per-cycle gamma, gamma_measured and a_v, (seeds, amplitudes, cycles)
-    each, then each stance sample's loss, (seeds, amplitudes, cycles, stance
-    samples), with maps the sensed rows, (seeds, amplitudes, cycles, 2n,
-    steps), else None, and each stance sample's height step, (seeds, 1,
-    cycles, stance samples).  A noise-free open-loop walk without maps
-    counts its losses, and returns none of the last three arrays."""
+    """simulate_walks on one block of seeds, from the checked a_v, sample
+    by sample: the per-cycle gamma, gamma_measured and a_v, (seeds,
+    amplitudes, cycles) each, then each stance sample's loss, (seeds,
+    amplitudes, cycles, stance samples), with maps the sensed rows, (seeds,
+    amplitudes, cycles, 2n, steps), else None, and each stance sample's
+    height step, (seeds, 1, cycles, stance samples)."""
     stance, stance_leg = _stance_table(cfg, steps)[:2]
     retraction = len(stance_leg)
     shape = (cycles, 2 * cfg.n_pairs, steps)
     dh = _height_steps(heights, cfg.n_pairs, cycles)
-    if (not maps and next_av is None and sensor.flip_prob == 0.0
-            and sensor.latch_steps <= 1):
-        # the sensor reads the true contact ratio, so each leg's lost
-        # samples are counted from its height steps, with no per-sample array
-        lost = _count_losses(cfg, geom, steps, a_v, dh).sum(axis=-1)
-        gamma = (retraction - lost) / retraction
-        return (gamma, gamma, np.broadcast_to(a_v[:, None], lost.shape),
-                None, None, None)
-
     tables = {}     # the walk's amplitudes, each looked up once
 
     def thresholds(av):
@@ -370,18 +367,30 @@ def simulate_walks(cfg: GaitConfig, geom: RobotGeometry,
 
     An open-loop walk with a noise-free sensor (no flips, latch_steps <= 1)
     senses its true contact ratio, so it counts each leg's lost samples
-    from the cycle's height steps and builds no per-sample array.
+    from the cycle's height steps and builds no per-sample array; its
+    gamma_measured is its gamma array and its a_v a read-only broadcast.
     """
     a_v = _checked_a_v(cfg, heights, seeds, a_v, cycles, steps)
     dist = slip_distribution(cfg, geom)
     block = max(1, BLOCK_ROWS // len(a_v))
+    starts = range(0, len(seeds), block)
+    if (next_av is None and sensor.flip_prob == 0.0
+            and sensor.latch_steps <= 1):
+        retraction = len(_stance_table(cfg, steps)[1])
+        lost = np.concatenate([_count_losses(
+            cfg, geom, steps, a_v, _height_steps(heights[i:i + block],
+                                                 cfg.n_pairs, cycles)
+        ).sum(axis=-1) for i in starts])
+        gamma = (retraction - lost) / retraction
+        return Walks(gamma=gamma, gamma_measured=gamma,
+                     a_v=np.broadcast_to(a_v[:, None], gamma.shape), dist=dist)
     per_cycle = [_walk_block(cfg, geom, heights[i:i + block],
                              seeds[i:i + block], a_v, cycles, steps, sensor,
                              next_av, maps=False)[:3]
-                 for i in range(0, len(seeds), block)]
+                 for i in starts]
     gamma, gamma_measured, a_vs = (np.concatenate(a) for a in zip(*per_cycle))
     return Walks(gamma=gamma, gamma_measured=gamma_measured, a_v=a_vs,
-                 v_ratio=predict_speed_band(dist, gamma).v_ratio_mid)
+                 dist=dist)
 
 
 def simulate_walk(cfg: GaitConfig, geom: RobotGeometry, terrain: TerrainGrid,

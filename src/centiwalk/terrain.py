@@ -115,15 +115,15 @@ def generate_terrains(levels: Sequence[float], rows: int, cols: int,
     for z_seed, seed in zip(z, seeds):
         np.random.default_rng(seed).standard_normal(out=z_seed)
     heights = np.zeros((len(levels), len(seeds), rows, cols))
-    for level, r_g in zip(heights, levels):
-        if not math.isfinite(r_g) or r_g < 0.0:
-            raise ValueError(f"r_g must be finite and >= 0, got {r_g}")
-        with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
+        for level, r_g in zip(heights, levels):
+            if not math.isfinite(r_g) or r_g < 0.0:
+                raise ValueError(f"r_g must be finite and >= 0, got {r_g}")
             # 0 + turns the -0.0 of a zero sigma into 0.0, as normal() does
             np.cumsum(0.0 + sigma_from_rugosity(r_g) * z, axis=1,
                       out=level[:, 1:])
-        if not np.isfinite(level).all():
-            raise ValueError(f"r_g={r_g:g} overflows the terrain heights")
+            if not np.isfinite(level).all():
+                raise ValueError(f"r_g={r_g:g} overflows the terrain heights")
     return heights
 
 

@@ -14,7 +14,7 @@ import pytest
 from test_config import VALUES
 
 import centiwalk
-from centiwalk import cli
+from centiwalk import cli, contact_sim
 from centiwalk.cli import main
 from centiwalk.config import load_config
 from centiwalk.contact_sim import SensorModel, simulate_walk, simulate_walks
@@ -429,12 +429,33 @@ class TestValidate:
             r_g = float(label.removeprefix("rg="))
             walks = [simulate_walk(
                 replace(fc.gait, a_v=float(a_v)), fc.geometry,
-                generate_terrain(r_g, rows=exp.cycles + fc.gait.n_pairs + 2,
+                generate_terrain(r_g, rows=exp.cycles + fc.gait.n_pairs,
                                  cols=exp.terrain_cols, seed=seed),
                 exp.cycles, exp.steps, SensorModel(), seed)
                 for seed in exp.seeds]
             assert simulated == \
                 f"{mean(mean(w.gamma_per_cycle) for w in walks):.6f}", row
+
+    def test_runs_no_speed_band(self, tmp_path, monkeypatch):
+        # validation.csv reads only the walks' gamma: a speed band that
+        # raises leaves the exit code and the CSV as they were
+        tfile = tmp_path / "rough.txt"
+        generate_terrain(0.32, rows=30, cols=5, seed=123).save(tfile)
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(FAST_CFG + f"terrains = 0.17, {tfile}, 0.32\n")
+
+        def outputs(name):
+            out = tmp_path / name
+            code = run(["--config", str(cfg), "--out", str(out), "validate"])
+            return code, (out / "validation.csv").read_text()
+
+        plain = outputs("plain")
+
+        def band(*args):
+            raise AssertionError("validate ran the speed band")
+
+        monkeypatch.setattr(contact_sim, "predict_speed_band", band)
+        assert outputs("no_band") == plain
 
 
 class TestEntriesWalkAsAlone:
@@ -502,7 +523,7 @@ class TestEntriesWalkAsAlone:
         assert [seeds for _, seeds in calls] == \
             [[3, 4, 5, 6, 7], [3, 4, 5, 6, 7] * 3]
         assert [heights.shape[:2] for heights, _ in calls] == [(5, 30),
-                                                                (15, 14)]
+                                                                (15, 12)]
         assert not any(heights.flags.owndata for heights, _ in calls)
 
     @pytest.mark.parametrize("command", ["validate", "walk"])
@@ -543,7 +564,7 @@ class TestWalkAndCompare:
                     "--seeds", "0..69", "walk"]) == 0
         fc = load_config(str(cfg))
         exp = fc.experiment
-        rows = exp.cycles + fc.gait.n_pairs + 2
+        rows = exp.cycles + fc.gait.n_pairs
         grids = {"rg=0": generate_terrain(0.0, rows, exp.terrain_cols, seed=0),
                  "rg=0.32": generate_terrain(0.32, rows, exp.terrain_cols,
                                              seed=0),
@@ -600,7 +621,7 @@ class TestWalkAndCompare:
             start = cc.fixed_av if period is None else cc.av_min
             walks = [simulate_walks(
                 fc.gait, fc.geometry,
-                generate_terrain(r_g, rows=exp.cycles + fc.gait.n_pairs + 2,
+                generate_terrain(r_g, rows=exp.cycles + fc.gait.n_pairs,
                                  cols=exp.terrain_cols,
                                  seed=seed).heights[None],
                 [seed], [start], exp.cycles, exp.steps,

@@ -219,6 +219,36 @@ class TestSensor:
         assert np.array_equal(_debounce(bits, 0), bits)
 
 
+class TestCountedWalkPassesGammaOnOnce:
+    def walks(self, flip_prob=0.0, next_av=None):
+        # 70 seeds at 3 amplitudes are four engine blocks of 21 seeds
+        seeds = list(range(70))
+        (heights,) = generate_terrains([0.32], 12, 5, seeds)
+        return simulate_walks(GaitConfig(), RobotGeometry(), heights, seeds,
+                              [0.0, 10.0, 20.0], 6, 72,
+                              SensorModel(flip_prob=flip_prob), next_av)
+
+    def test_counted_walk_shares_gamma_and_broadcasts_a_v(self):
+        w = self.walks()
+        assert w.gamma_measured is w.gamma
+        assert not w.a_v.flags.writeable
+        assert w.a_v.shape == w.gamma.shape == (70, 3, 6)
+        assert w.a_v.strides[0] == w.a_v.strides[2] == 0
+        assert w.a_v[:, :, 0].tolist() == [[0.0, 10.0, 20.0]] * 70
+
+    @pytest.mark.parametrize("flip_prob, feedback", [(0.05, False),
+                                                     (0.0, True)],
+                             ids=["flips", "next_av"])
+    def test_sampled_walk_has_its_own_arrays(self, flip_prob, feedback):
+        w = self.walks(flip_prob,
+                       (lambda cycle, gamma_s, a_v: a_v) if feedback else None)
+        assert not np.shares_memory(w.gamma_measured, w.gamma)
+        for a in (w.gamma, w.gamma_measured, w.a_v):
+            assert a.flags.owndata and a.flags.writeable
+        if not feedback:
+            assert np.array_equal(w.a_v, self.walks().a_v)
+
+
 class TestSlipDistributionCache:
     def test_one_distribution_per_gait_shape(self):
         geom = RobotGeometry()
