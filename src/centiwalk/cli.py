@@ -24,7 +24,6 @@ import numpy as np
 from . import __version__
 from .config import ConfigError, FullConfig, load_config, _seeds
 from .contact_sim import (
-    NoStanceError,
     SensorModel,
     WalkOffTerrainError,
     Walks,
@@ -33,7 +32,7 @@ from .contact_sim import (
     simulate_walks,
 )
 from .control import ARMS, compare_controllers
-from .gait import joint_angles
+from .gait import NoStanceError, joint_angles
 from .kinematics import NoSlipError, flat_ground_stride, slip_distribution
 from .models import predict_gamma, predict_speed_band
 from .terrain import (
@@ -42,8 +41,6 @@ from .terrain import (
     generate_terrain,
     generate_terrains,
 )
-
-PREDICT_M = 720          # retraction samples for analytic predictions
 
 
 class UsageError(Exception):
@@ -95,9 +92,11 @@ def _with_overrides(fc: FullConfig, args) -> FullConfig:
 
 
 class TerrainEntry:
-    """One terrain in an experiment: a rugosity level or a terrain file."""
+    """One terrain in an experiment: a rugosity level or a terrain file,
+    whose blocks must be one module long (to the file's 6 decimals), as a
+    walk places one block per module."""
 
-    def __init__(self, token: str):
+    def __init__(self, token: str, module_length: float):
         self.token = token
         try:
             self.r_g: Optional[float] = float(token)
@@ -119,6 +118,9 @@ class TerrainEntry:
             raise ConfigError(f"{token}: {exc}") from exc
         if len(self.grid.heights) < 2:
             raise ConfigError(f"{token}: a terrain file needs at least 2 rows")
+        if abs(self.grid.block_size - module_length) > 5e-7:
+            raise ConfigError(f"{token}: block_size {self.grid.block_size:g} "
+                              f"is not geometry.module_length {module_length:g}")
         self.label = path.stem
 
     def model(self) -> HeightDeltaModel:
@@ -132,7 +134,7 @@ def _entries(fc: FullConfig) -> List[TerrainEntry]:
     which names each one's rows and output files."""
     entries = {}
     for token in fc.experiment.terrains:
-        entry = TerrainEntry(token)
+        entry = TerrainEntry(token, fc.geometry.module_length)
         if entry.label in entries:
             raise ConfigError(f"terrains {entries[entry.label].token!r} and "
                               f"{token!r} share the label {entry.label}")
@@ -211,7 +213,7 @@ def cmd_terrain_gen(fc: FullConfig, args) -> int:
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     path = _out_dir(args) / f"terrain_rg{args.r_g:g}_seed{seed}.txt"
-    grid.save(path)
+    replace(grid, block_size=fc.geometry.module_length).save(path)
     print(f"wrote {path}")
     return 0
 
@@ -221,9 +223,9 @@ def cmd_model_sweep(fc: FullConfig, args) -> int:
     out = _out_dir(args)
     dist = slip_distribution(fc.gait, fc.geometry)
     lines = []
-    grid = fc.experiment.a_v_grid
+    steps, grid = fc.experiment.steps, fc.experiment.a_v_grid
     for entry in entries:
-        o = predict_gamma(fc.geometry, fc.gait, entry.model(), PREDICT_M, grid)
+        o = predict_gamma(fc.geometry, fc.gait, entry.model(), steps, grid)
         band = predict_speed_band(dist, o.gamma)
         for a_v, *row in zip(grid, o.p_loss1, o.p_loss2, o.gamma, o.gamma_ideal,
                              o.p_e, band.v_ratio_min, band.v_ratio_max):
@@ -245,7 +247,7 @@ def cmd_validate(fc: FullConfig, args) -> int:
     lines = []
     for entry, (_, walks) in zip(entries,
                                  _walk_entries(fc, entries, grid, sensor)):
-        gammas = predict_gamma(fc.geometry, fc.gait, entry.model(), PREDICT_M,
+        gammas = predict_gamma(fc.geometry, fc.gait, entry.model(), exp.steps,
                                grid).gamma.tolist()
         # per amplitude: the mean over seeds of each seed's mean over cycles
         sims = walks.gamma.mean(axis=-1).mean(axis=0).tolist()

@@ -18,8 +18,8 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .gait import GaitConfig, checked_amplitudes, phase_table
-from .kinematics import (RobotGeometry, SlipDistribution, loss_thresholds,
+from .gait import GaitConfig, _stance_table, checked_amplitudes
+from .kinematics import (RobotGeometry, SlipDistribution, _loss_thresholds,
                          slip_distribution)
 from .models import predict_speed_band
 from .terrain import TerrainGrid
@@ -33,11 +33,6 @@ BLOCK_ROWS = 64
 # rows by (amplitudes x legs) columns, so its size grows with the square of
 # its amplitudes, and a longer grid is counted this many at a time
 RANK_AMPLITUDES = 4
-
-class NoStanceError(ValueError):
-    """Raised when a gait has no stance sample in a cycle of the commanded
-    steps, so that a cycle's contact ratio would be 0/0."""
-
 
 class WalkOffTerrainError(RuntimeError):
     """Raised when the terrain is too short for the commanded walk."""
@@ -118,22 +113,6 @@ class WalkResult:
     gamma_measured: List[float]                # sensed, per cycle
 
 
-@lru_cache
-def _stance_table(cfg: GaitConfig, steps: int) -> tuple:
-    """The gait's stance mask over one cycle of `steps` samples, shape
-    (2n, steps), and per stance sample in row-major order its leg, its
-    reduced phase and its step in the cycle.  None of these depends on
-    cfg.a_v or the geometry.  The one decoding of the mask, built once per
-    gait and shared, read-only, by the ideal contact map and every walk."""
-    phases = phase_table(cfg, steps)
-    stance = phases < cfg.duty
-    leg, step = np.nonzero(stance)
-    table = (stance, leg, phases[stance], step)
-    for a in table:
-        a.setflags(write=False)
-    return table
-
-
 def ideal_contact_map(cfg: GaitConfig, steps: int, cycles: int = 1) -> ContactMap:
     """Contact map of the ideal gait pattern."""
     return ContactMap(legs=2 * cfg.n_pairs, steps=steps, cycles=cycles,
@@ -173,22 +152,6 @@ def _debounce(bits: np.ndarray, latch_steps: int) -> np.ndarray:
     at = np.flatnonzero(events)
     held = np.repeat(bits.ravel()[at], np.diff(at, append=bits.size))
     return held.reshape(bits.shape)
-
-
-@lru_cache(maxsize=1024)
-def _loss_thresholds(cfg: GaitConfig, geom: RobotGeometry, steps: int,
-                     a_v: float) -> np.ndarray:
-    """The loss rule at the amplitude a_v, shape (2, stance samples): a step
-    d loses a sample when d < lower or d > upper.  lower = min(-reach,
-    5e-324), the least positive float, so d < lower exactly when d <= 0 and
-    -d > reach; upper is the rise, both from loss_thresholds at the
-    walker's stance phases.  The cache bound is ample, since a feedback
-    amplitude is a function of a count over retraction."""
-    reach, rise = loss_thresholds(cfg, geom, _stance_table(cfg, steps)[2],
-                                  a_v)
-    table = np.stack([np.minimum(-reach, 5e-324), rise])
-    table.setflags(write=False)
-    return table
 
 
 @lru_cache
@@ -255,8 +218,7 @@ def _checked_a_v(cfg: GaitConfig, heights: np.ndarray, seeds: Sequence[int],
                  a_v: Sequence[float], cycles: int, steps: int) -> np.ndarray:
     """A walk's inputs checked as simulate_walks documents them; returns
     a_v as a 1-D float array."""
-    if steps % 2 != 0:
-        raise ValueError(f"steps must be even, got {steps}")
+    _stance_table(cfg, steps)       # odd steps and no stance sample raise
     if np.ndim(heights) != 3 or not len(heights) == len(seeds) > 0:
         raise ValueError("need a (seeds, rows, cols) height stack: one "
                          "terrain per seed, and at least one seed")
@@ -267,9 +229,6 @@ def _checked_a_v(cfg: GaitConfig, heights: np.ndarray, seeds: Sequence[int],
     available = max(0, rows - cfg.n_pairs)
     if cycles > available:
         raise WalkOffTerrainError(available, rows)
-    if not _stance_table(cfg, steps)[1].size:
-        raise NoStanceError(f"{cfg} has no stance sample in a cycle of "
-                            f"steps={steps}")
     return a_v
 
 

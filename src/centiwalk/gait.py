@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -93,6 +94,32 @@ def phase_table(cfg: GaitConfig, steps: int) -> np.ndarray:
     # x % 1.0 rounds to exactly 1.0 for a tiny negative x; reducing twice
     # maps that sample to 0.0, the start of stance, and keeps [0, 1) as is
     return frac % 1.0 % 1.0
+
+
+class NoStanceError(ValueError):
+    """A gait with no stance sample in a cycle: a contact ratio of 0/0."""
+
+
+@lru_cache
+def _stance_table(cfg: GaitConfig, steps: int) -> tuple:
+    """The gait's stance mask over one cycle of `steps` samples, shape
+    (2n, steps), and per stance sample in row-major order its leg, its
+    reduced phase and its step in the cycle.  None of these depends on
+    cfg.a_v or the geometry; shared, read-only, by every walk and
+    predict_gamma.  ValueError for odd steps, NoStanceError for a gait with
+    no stance sample."""
+    if steps % 2 != 0:
+        raise ValueError(f"steps must be even, got {steps}")
+    phases = phase_table(cfg, steps)
+    stance = phases < cfg.duty
+    leg, step = np.nonzero(stance)
+    if not leg.size:
+        raise NoStanceError(f"{cfg} has no stance sample in a cycle of "
+                            f"steps={steps}")
+    table = (stance, leg, phases[stance], step)
+    for a in table:
+        a.setflags(write=False)
+    return table
 
 
 def joint_angles(cfg: GaitConfig, steps: int) -> np.ndarray:

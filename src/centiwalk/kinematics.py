@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .gait import GaitConfig, TWO_PI
+from .gait import GaitConfig, TWO_PI, _stance_table
 
 SLIP_BINS = 36               # slip-angle histogram bins over [-180, 180]
 SLIP_PATH_SAMPLES = 4096     # samples of the stance foot's slipping path
@@ -185,3 +185,18 @@ def loss_thresholds(cfg: GaitConfig, geom: RobotGeometry, u, a_v) -> tuple:
     The one definition of the rule: predict_gamma and the walker read it."""
     d_s, reach, lift = stance_geometry(cfg, geom, u, a_v)
     return reach, recoverable_heights(geom, d_s) + np.maximum(lift, 0.0)
+
+
+@lru_cache(maxsize=1024)
+def _loss_thresholds(cfg: GaitConfig, geom: RobotGeometry, steps: int,
+                     a_v: float) -> np.ndarray:
+    """The loss rule at the amplitude a_v and the walker's stance phases,
+    shape (2, stance samples): a step d is lost when d < lower, where lower
+    = min(-reach, 5e-324) (so d <= 0 and -d > reach), or d > upper, the
+    rise.  The walker's and predict_gamma's one cache; its bound is ample,
+    as a feedback amplitude is a function of a count over retraction."""
+    reach, rise = loss_thresholds(cfg, geom, _stance_table(cfg, steps)[2],
+                                  a_v)
+    table = np.stack([np.minimum(-reach, 5e-324), rise])
+    table.setflags(write=False)
+    return table

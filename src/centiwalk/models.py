@@ -20,7 +20,7 @@ from typing import Tuple
 import numpy as np
 
 from .gait import GaitConfig, checked_amplitudes
-from .kinematics import RobotGeometry, SlipDistribution, loss_thresholds
+from .kinematics import RobotGeometry, SlipDistribution, _loss_thresholds
 from .terrain import HeightDeltaModel, tail_probability
 
 WEIGHT_TOL = 1e-9
@@ -87,48 +87,44 @@ def predict_speed_band(dist: SlipDistribution, gamma) -> FrictionPrediction:
 
 
 @lru_cache
-def _stance_thresholds(geom: RobotGeometry, cfg: GaitConfig, m: int,
-                       a_v: Tuple[float, ...]) -> tuple:
+def _threshold_table(geom: RobotGeometry, cfg: GaitConfig, steps: int,
+                     a_v: Tuple[float, ...]) -> tuple:
     """The terrain-independent part of predict_gamma, per amplitude of a_v
-    (one row each) and uniform stance phase (m columns): the foot's reach
-    and the rise it recovers after its lift, each as its distinct values
-    and the index of every entry's value among them, and per amplitude the
-    flat-terrain contact ratio, the share of samples the vertical wave
-    leaves on the nominal ground plane.  Built once per grid and shared,
-    read-only."""
-    reach, rise = loss_thresholds(cfg, geom, cfg.duty * np.arange(m) / m,
-                                  np.array(a_v)[:, None])
-    # the lift is h_l - reach
-    table = (*np.unique(reach.ravel(), return_inverse=True),
-             *np.unique(rise.ravel(), return_inverse=True),
-             np.mean(geom.h_l - reach <= 1e-12, axis=-1))
+    (rows) and walker's stance sample (columns): the walker's drop and rise
+    thresholds, each as its distinct values and every entry's index among
+    them, and per amplitude the flat-terrain contact ratio, the share of
+    samples the vertical wave leaves on the nominal ground plane."""
+    lower, upper = np.stack([_loss_thresholds(cfg, geom, steps, a)
+                             for a in a_v], axis=1)
+    # -lower is the reach, or of its sign where that is not positive, so
+    # the tails agree; h_l + lower is the lift h_l - reach, or h_l below it
+    table = (*np.unique(-lower.ravel(), return_inverse=True),
+             *np.unique(upper.ravel(), return_inverse=True),
+             np.mean(geom.h_l + lower <= 1e-12, axis=-1))
     for a in table:
         a.setflags(write=False)
     return table
 
 
 def predict_gamma(geom: RobotGeometry, cfg: GaitConfig, model: HeightDeltaModel,
-                  m: int, a_v) -> LossModelOutput:
+                  steps: int, a_v) -> LossModelOutput:
     """Analytic contact ratio for one gait on a height-difference model, at
     each vertical amplitude of the 1-D grid a_v (degrees; cfg.a_v is not
-    read).
+    read), sampled where a walk of `steps` samples per cycle samples it.
 
     Terrain drops cost contact when the drop exceeds the foot's reach;
     terrain rises cost contact when the rise, less any lift from the
-    vertical wave, exceeds what leg retraction can recover.  The stance is
-    sampled at m uniform phases: one row of m samples per amplitude.  Each
-    tail is evaluated once per distinct threshold.
+    vertical wave, exceeds what leg retraction can recover.  Each tail is
+    evaluated once per distinct threshold.  Odd steps, or a gait with no
+    stance sample, raise a walk's errors.
     """
-    if m < 4:
-        raise ValueError(f"m must be >= 4, got {m}")
     a_v = checked_amplitudes(a_v)
-    reach, at_reach, rise, at_rise, gamma_ideal = _stance_thresholds(
-        geom, cfg, m, tuple(a_v.tolist()))
-    shape = gamma_ideal.shape + (m,)
-    p_loss1 = np.mean(tail_probability(model, reach, "dh_nonpositive")
-                      [at_reach].reshape(shape), axis=-1)
+    drop, at_drop, rise, at_rise, gamma_ideal = _threshold_table(
+        geom, cfg, steps, tuple(a_v.tolist()))
+    p_loss1 = np.mean(tail_probability(model, drop, "dh_nonpositive")
+                      [at_drop].reshape(len(a_v), -1), axis=-1)
     p_loss2 = np.mean(tail_probability(model, rise, "dh_positive")
-                      [at_rise].reshape(shape), axis=-1)
+                      [at_rise].reshape(len(a_v), -1), axis=-1)
     p_loss = model.p1 * p_loss1 + (1.0 - model.p1) * p_loss2
     gamma = 1.0 - p_loss
     p_e = np.divide(1.0 - gamma, gamma_ideal, out=np.full_like(gamma, np.inf),

@@ -2,16 +2,16 @@
 
 This is the one-amplitude `predict_gamma` that the batched
 `centiwalk.models.predict_gamma` replaced: it reads the amplitude from
-`cfg.a_v`, samples the stance at m uniform phases and applies `math.erf`
-through `np.vectorize`.  The batched model must equal it bit for bit at
-every amplitude of its grid.
+`cfg.a_v`, samples the stance at the walker's stance phases for a cycle of
+`steps` samples and applies `math.erf` through `np.vectorize`.  The batched
+model must equal it bit for bit at every amplitude of its grid.
 """
 
 import math
 
 import numpy as np
 
-from centiwalk.gait import GaitConfig
+from centiwalk.gait import GaitConfig, _stance_table
 from centiwalk.kinematics import RobotGeometry, recoverable_heights, stance_geometry
 from centiwalk.models import LossModelOutput
 from centiwalk.terrain import HeightDeltaModel
@@ -38,9 +38,10 @@ def tail_probability(model: HeightDeltaModel, thresholds,
 
 
 def predict_gamma(geom: RobotGeometry, cfg: GaitConfig,
-                  model: HeightDeltaModel, m: int) -> LossModelOutput:
+                  model: HeightDeltaModel, steps: int) -> LossModelOutput:
     """Analytic loss bundle at the one amplitude cfg.a_v, as floats."""
-    d_s, reach, lift = stance_geometry(cfg, geom, cfg.duty * np.arange(m) / m)
+    d_s, reach, lift = stance_geometry(cfg, geom,
+                                       _stance_table(cfg, steps)[2])
     p_loss1 = float(np.mean(tail_probability(model, reach, "dh_nonpositive")))
     thresholds = recoverable_heights(geom, d_s) + np.maximum(lift, 0.0)
     p_loss2 = float(np.mean(tail_probability(model, thresholds, "dh_positive")))

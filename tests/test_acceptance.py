@@ -139,7 +139,7 @@ def test_05_analytic_vs_simulation():
         model = HeightDeltaModel.from_rugosity(r_g)
         for a_v in A_V_GRID:
             cfg = replace(cfg0, a_v=a_v)
-            predicted = predict_gamma(geom, cfg, model, 720, [a_v]).gamma[0]
+            predicted = predict_gamma(geom, cfg, model, STEPS, [a_v]).gamma[0]
             sims = []
             for seed in SEEDS:
                 terrain = generate_terrain(r_g, rows=rows, cols=5, seed=seed)

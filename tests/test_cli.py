@@ -84,6 +84,10 @@ class TestBadInput:
         (NO_STANCE, ["--steps", "4", "walk"]),
         (NO_STANCE, ["--steps", "4", "validate"]),
         (NO_STANCE, ["--steps", "4", "controller-compare"]),
+        (NO_STANCE, ["--steps", "4", "model-sweep"]),
+        (NO_STANCE, ["--steps", "4", "gait-dump"]),
+        ("terrains = {block_5}\n", ["model-sweep"]),
+        ("terrains = {block_5}\n", ["walk"]),
         ("[geometry]\nh_l = nan\n", ["validate"]),
         ("[gait]\na_v = nan\n", ["walk"]),
         ("[controller]\nk_p = nan\n", ["controller-compare"]),
@@ -126,8 +130,10 @@ class TestBadInput:
             "ragged-rows", "one-row-file", "nan-height-walk",
             "nan-height-sweep", "negative-rugosity-flag",
             "nan-tolerance-flag", "no-stance-walk", "no-stance-validate",
-            "no-stance-compare", "nan-h_l-validate", "nan-a_v-walk",
-            "nan-k_p-compare", "nan-av_max-compare", "nan-av_min-compare",
+            "no-stance-compare", "no-stance-sweep", "no-stance-gait-dump",
+            "block-size-sweep", "block-size-walk", "nan-h_l-validate",
+            "nan-a_v-walk", "nan-k_p-compare", "nan-av_max-compare",
+            "nan-av_min-compare",
             "negative-fixed_av-compare", "flip-1.5-walk", "zero-cols-walk",
             "zero-rows-terrain-gen", "negative-a_v_grid-sweep",
             "empty-a_v_grid-validate", "empty-terrains-validate",
@@ -150,6 +156,8 @@ class TestBadInput:
             "ragged": self.GOOD + "3\n",
             "one_row": self.GOOD.split("1,1")[0],
             "nan_height": self.GOOD + "nan,nan\n",
+            # blocks half a module long, which a walk cannot place
+            "block_5": self.GOOD.replace("block_size=10.0", "block_size=5.0"),
             # two walkable files of one name in two directories
             "twin_a": self.GOOD.split("0,0")[0] + "0,0\n" * 12,
             "twin_b": self.GOOD.split("0,0")[0] + "0,1\n" * 12,
@@ -337,6 +345,21 @@ class TestTerrainGen:
                     "--r-g", "0.17"]) == 0
         grid = TerrainGrid.load(tmp_path / "terrain_rg0.17_seed3.txt")
         assert grid.r_g == pytest.approx(0.17)
+
+    def test_file_blocks_are_one_module_long(self, tmp_path):
+        # the file's block size is the configured module length, so a walk
+        # or a model sweep on the file accepts it
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("[meta]\nschema_version = 1\n"
+                       "[geometry]\nmodule_length = 12.5\n")
+        assert run(["--config", str(cfg), "--out", str(tmp_path), "--seeds",
+                    "3", "terrain-gen", "--r-g", "0.17"]) == 0
+        tfile = tmp_path / "terrain_rg0.17_seed3.txt"
+        assert TerrainGrid.load(tfile).block_size == 12.5
+        cfg.write_text(cfg.read_text()
+                       + f"[experiment]\nterrains = {tfile}\n")
+        assert run(["--config", str(cfg), "--out", str(tmp_path),
+                    "model-sweep"]) == 0
 
 
 class TestModelSweep:

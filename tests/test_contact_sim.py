@@ -19,7 +19,7 @@ from centiwalk.contact_sim import (
     simulate_walks,
 )
 from centiwalk.control import ControllerConfig, compare_controllers
-from centiwalk.gait import GaitConfig, TWO_PI, phase_table
+from centiwalk.gait import GaitConfig, NoStanceError, TWO_PI, phase_table
 from centiwalk.kinematics import RobotGeometry, slip_distribution
 from centiwalk.models import predict_speed_band
 from centiwalk.terrain import TerrainGrid, generate_terrain, generate_terrains
@@ -86,17 +86,20 @@ class TestIdealContactMap:
     def test_walker_stance_window_is_ideal_map(self, n_pairs, xi, duty,
                                                phase_offset, half_steps):
         # on flat ground a noiseless walker keeps contact on exactly the
-        # ideal map's retraction samples; a gait with none is rejected
+        # ideal map's retraction samples; a gait with none has no ideal map
+        # and no walk
         cfg = GaitConfig(n_pairs=n_pairs, xi=xi, duty=duty,
                          phase_offset=phase_offset)
         steps = 2 * half_steps
         terrain = generate_terrain(0.0, rows=n_pairs + 2, cols=5, seed=0)
-        ideal = ideal_contact_map(cfg, steps).bits
-        if not ideal.any():
-            with pytest.raises(ValueError, match=f"steps={steps}"):
+        if not (phase_table(cfg, steps) < duty).any():
+            with pytest.raises(NoStanceError, match=f"steps={steps}"):
+                ideal_contact_map(cfg, steps)
+            with pytest.raises(NoStanceError, match=f"steps={steps}"):
                 simulate_walk(cfg, RobotGeometry(), terrain, 1, steps,
                               SensorModel(), seed=0)
             return
+        ideal = ideal_contact_map(cfg, steps).bits
         res = simulate_walk(cfg, RobotGeometry(), terrain, 1, steps,
                             SensorModel(), seed=0)
         assert np.array_equal(res.measured.bits, ideal)

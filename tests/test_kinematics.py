@@ -83,7 +83,7 @@ class TestRecoverableHeight:
 
 
 class TestRetractionProfile:
-    """Stance geometry on predict_gamma's grid of m uniform stance phases."""
+    """Stance geometry at m uniform stance phases."""
 
     @staticmethod
     def profile(cfg, geom, m):
@@ -133,10 +133,11 @@ class TestRetractionProfile:
     @settings(max_examples=100, deadline=None)
     def test_amplitude_column_rows_equal_scalar_amplitudes(self, cfg, geom,
                                                             m, a_v):
-        # predict_gamma reads a column of amplitudes, the walker one float
-        # at a time: row j of the column form is, bit for bit, the float
-        # form at a_v[j] and the form that reads cfg.a_v = a_v[j],
-        # amplitudes where reach turns negative included
+        # the walker and predict_gamma read one float at a time, the
+        # model's oracles a column of amplitudes or cfg.a_v: row j of the
+        # column form is, bit for bit, the float form at a_v[j] and the
+        # form that reads cfg.a_v = a_v[j], amplitudes where reach turns
+        # negative included
         u = cfg.duty * np.arange(m) / m
         d_s, reach, lift = stance_geometry(cfg, geom, u,
                                            np.array(a_v)[:, None])
@@ -155,11 +156,6 @@ class TestRetractionProfile:
         _, reach, lift = self.profile(cfg, geom, 128)
         assert np.allclose(lift, geom.h_l - reach)
         assert lift.max() > 0.0
-
-    def test_rejects_tiny_m(self):
-        with pytest.raises(ValueError, match="m must be >= 4"):
-            predict_gamma(RobotGeometry(), GaitConfig(),
-                          HeightDeltaModel.from_rugosity(0.32), 3, [0.0])
 
 
 class TestIdealGamma:

@@ -11,9 +11,10 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import model_reference
-from centiwalk.config import ConfigError, ExperimentSpec
+from centiwalk.config import ConfigError, ExperimentSpec, load_config
+from centiwalk.contact_sim import SensorModel, simulate_walks
 from centiwalk.control import ControllerConfig
-from centiwalk.gait import GaitConfig
+from centiwalk.gait import GaitConfig, NoStanceError, _stance_table, phase_table
 from centiwalk.kinematics import (
     RobotGeometry,
     SlipDistribution,
@@ -26,7 +27,7 @@ from centiwalk.models import (
     predict_gamma,
     predict_speed_band,
 )
-from centiwalk.terrain import HeightDeltaModel, generate_terrain
+from centiwalk.terrain import HeightDeltaModel, generate_terrain, generate_terrains
 
 
 @st.composite
@@ -185,16 +186,57 @@ class TestPredictGamma:
     @pytest.mark.parametrize("a_v", [45.0, 60.0])
     def test_flat_terrain_loses_where_the_reach_is_negative(self, a_v):
         # [DERIVED] on flat terrain every step is d = 0, a drop that exceeds
-        # a negative reach only: gamma is the share of the m uniform stance
-        # phases whose reach is not negative
-        cfg, geom, m = GaitConfig(), RobotGeometry(), 360
-        reach = stance_geometry(cfg, geom, cfg.duty * np.arange(m) / m,
-                                a_v)[1]
+        # a negative reach only: gamma is the share of the walker's stance
+        # samples whose reach is not negative
+        cfg, geom, steps = GaitConfig(), RobotGeometry(), 360
+        u = _stance_table(cfg, steps)[2]
+        reach = stance_geometry(cfg, geom, u, a_v)[1]
         out = predict_gamma(geom, cfg, HeightDeltaModel.from_rugosity(0.0),
-                            m, [a_v])
+                            steps, [a_v])
         lost = np.count_nonzero(reach < 0.0)
-        assert 0 < lost < m
-        assert out.gamma[0] == 1.0 - lost / m
+        assert 0 < lost < len(u)
+        assert out.gamma[0] == 1.0 - lost / len(u)
+
+    @given(cfg=GAITS, steps=st.integers(2, 100).map(lambda h: 2 * h),
+           grid=st.lists(st.floats(0.0, 80.0), min_size=1, max_size=6))
+    @example(cfg=GaitConfig(), steps=72, grid=[0.0, 45.0, 60.0, 80.0])
+    @settings(max_examples=100, deadline=None)
+    def test_flat_terrain_is_the_walk_exactly(self, cfg, steps, grid):
+        # [DERIVED] on flat terrain every cycle of every walk loses the
+        # same samples, those whose reach is negative (from about 38
+        # degrees at the default gait), and the model predicts at those
+        # very samples: its gamma is the walk's to within 1 ulp of 1.0
+        assume((phase_table(cfg, steps) < cfg.duty).any())
+        geom = RobotGeometry()
+        heights = generate_terrains([0.0], cfg.n_pairs + 2, 5, [0, 1])[0]
+        walked = simulate_walks(cfg, geom, heights, [0, 1], grid, 2, steps,
+                                SensorModel()).gamma
+        out = predict_gamma(geom, cfg, HeightDeltaModel.from_rugosity(0.0),
+                            steps, grid)
+        assert np.all(walked == walked[:1, :, :1])
+        assert np.all(np.abs(walked[0, :, 0] - out.gamma)
+                      <= np.spacing(1.0))
+
+    def test_within_4_se_of_2000_seed_walks(self):
+        # alongside validate's 0.05 gate: in each of the default config's
+        # rough cells, 2000 seeds' mean walked gamma lies within 4 standard
+        # errors, from the seeds' own spread, of the predicted gamma
+        fc = load_config(None)
+        cfg, geom, exp = fc.gait, fc.geometry, fc.experiment
+        levels = [0.17, 0.32]
+        seeds = list(range(2000))
+        heights = generate_terrains(levels, exp.cycles + cfg.n_pairs,
+                                    exp.terrain_cols, seeds)
+        for r_g, level in zip(levels, heights):
+            per_seed = simulate_walks(cfg, geom, level, seeds, exp.a_v_grid,
+                                      exp.cycles, exp.steps,
+                                      SensorModel()).gamma.mean(axis=-1)
+            predicted = predict_gamma(geom, cfg,
+                                      HeightDeltaModel.from_rugosity(r_g),
+                                      exp.steps, exp.a_v_grid).gamma
+            se = per_seed.std(axis=0, ddof=1) / math.sqrt(len(seeds))
+            z = (per_seed.mean(axis=0) - predicted) / se
+            assert np.all(np.abs(z) <= 4.0), (r_g, z)
 
     def test_p_loss1_frozen_oracle(self):
         # [DERIVED] a_v=0 makes reach constant h_l, so
@@ -235,6 +277,24 @@ class TestPredictGamma:
         assert out.gamma_ideal.tolist() == [1.0, 0.0]
         assert out.p_e.tolist() == [0.0, math.inf]
 
+    def test_rejects_odd_steps_and_no_stance_as_a_walk_does(self):
+        # the model and the walker read one stance table, which raises one
+        # error for odd steps and one for a gait with no stance sample
+        geom, model = RobotGeometry(), HeightDeltaModel.from_rugosity(0.32)
+        heights = generate_terrains([0.32], 4, 5, [0])[0]
+        no_stance = GaitConfig(n_pairs=2, xi=1.5, duty=0.125)
+        for cfg, steps, error in [(GaitConfig(), 71, ValueError),
+                                  (no_stance, 4, NoStanceError)]:
+            with pytest.raises(error) as predicted:
+                predict_gamma(geom, cfg, model, steps, [0.0])
+            with pytest.raises(error) as walked:
+                simulate_walks(cfg, geom, heights, [0], [0.0], 1, steps,
+                               SensorModel())
+            assert str(predicted.value) == str(walked.value)
+            assert str(predicted.value).endswith(
+                f"steps={steps}" if cfg is no_stance
+                else f"steps must be even, got {steps}")
+
     @pytest.mark.parametrize("bad", [math.inf, -1.0, math.nan])
     def test_rejects_amplitudes_gait_config_rejects(self, bad):
         # the grid's amplitudes obey GaitConfig's rule and wording
@@ -244,31 +304,33 @@ class TestPredictGamma:
                           [0.0, bad])
 
     @given(model=height_models(), grid=amplitude_grids(), cfg=GAITS,
-           m=st.integers(4, 200))
+           steps=st.integers(2, 100).map(lambda h: 2 * h))
     # a subnormal sigma: -t / sigma overflows to -inf, a tail of 0
     @example(model=HeightDeltaModel(kind="gaussian", sigma=2.2e-311),
-             grid=[0.0], cfg=GaitConfig(n_pairs=2, xi=0.5, duty=0.1), m=4)
-    # model-sweep's shape: m = 720 on a five-amplitude grid, where the
-    # tails are evaluated once per distinct threshold and gathered back,
-    # for a rugosity level and for a terrain file's empirical sample
+             grid=[0.0], cfg=GaitConfig(n_pairs=2, xi=0.5, duty=0.1), steps=6)
+    # model-sweep's shape: the default steps = 72 on a five-amplitude grid,
+    # where the tails are evaluated once per distinct threshold and
+    # gathered back, for a rugosity level and for a terrain file's
+    # empirical sample
     @example(model=HeightDeltaModel.from_rugosity(0.32),
-             grid=[0.0, 6.0, 12.0, 18.0, 24.0], cfg=GaitConfig(), m=720)
+             grid=[0.0, 6.0, 12.0, 18.0, 24.0], cfg=GaitConfig(), steps=72)
     @example(model=HeightDeltaModel.from_samples(
                  generate_terrain(0.32, rows=40, cols=5, seed=3)
                  .longitudinal_deltas()),
-             grid=[0.0, 6.0, 12.0, 18.0, 24.0], cfg=GaitConfig(), m=720)
+             grid=[0.0, 6.0, 12.0, 18.0, 24.0], cfg=GaitConfig(), steps=72)
     @settings(max_examples=150, deadline=None)
-    def test_matches_scalar_reference(self, model, grid, cfg, m):
+    def test_matches_scalar_reference(self, model, grid, cfg, steps):
         # every field at every amplitude equals the one-amplitude oracle bit
         # for bit, over Gaussian (sigma = 0 too) and empirical models and
         # grids with 0, repeats and amplitudes past the controller's av_max
-        out = predict_gamma(RobotGeometry(), cfg, model, m, grid)
+        assume((phase_table(cfg, steps) < cfg.duty).any())
+        out = predict_gamma(RobotGeometry(), cfg, model, steps, grid)
         for f in fields(LossModelOutput):
             assert getattr(out, f.name).shape == (len(grid),)
         for i, a_v in enumerate(grid):
             with np.errstate(over="ignore"):
                 ref = model_reference.predict_gamma(
-                    RobotGeometry(), replace(cfg, a_v=a_v), model, m)
+                    RobotGeometry(), replace(cfg, a_v=a_v), model, steps)
             for f in fields(LossModelOutput):
                 assert getattr(out, f.name)[i] == getattr(ref, f.name), \
                     (f.name, a_v)

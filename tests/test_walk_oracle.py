@@ -24,20 +24,19 @@ from centiwalk.contact_sim import (
     SensorModel,
     _count_losses,
     _debounce,
-    _loss_thresholds,
-    _stance_table,
     simulate_walk,
     simulate_walks,
 )
 from centiwalk.control import ControllerConfig, _feedback, update_av
-from centiwalk.gait import GaitConfig, phase_table
+from centiwalk.gait import GaitConfig, NoStanceError, _stance_table, phase_table
 from centiwalk.kinematics import (
     RobotGeometry,
+    _loss_thresholds,
     loss_thresholds,
     recoverable_heights,
     stance_geometry,
 )
-from centiwalk.models import _stance_thresholds, predict_speed_band
+from centiwalk.models import _threshold_table, predict_speed_band
 from centiwalk.terrain import generate_terrain
 from gait_reference import slip_distribution
 
@@ -399,7 +398,8 @@ def test_counts_equal_the_per_sample_rules_at_every_threshold(
     # each leg's count is the per-sample rules' sum
     geom = RobotGeometry()
     steps = 2 * half_steps
-    u = phase_table(cfg, steps)[_stance_table(cfg, steps)[0]]
+    phases = phase_table(cfg, steps)
+    u = phases[phases < cfg.duty]
     assume(len(u) > 0)
     recover = recoverable_heights(geom, stance_geometry(cfg, geom, u)[0])
     a_v = np.array(a_v)
@@ -417,28 +417,29 @@ def test_counts_equal_the_per_sample_rules_at_every_threshold(
 
 
 @given(cfg=GAIT_SHAPES, half_steps=st.integers(min_value=2, max_value=40),
-       a_v=AMPLITUDE_GRIDS, m=st.integers(min_value=4, max_value=200))
+       a_v=AMPLITUDE_GRIDS)
 @settings(max_examples=60, deadline=None)
-def test_walker_and_model_read_one_loss_rule(cfg, half_steps, a_v, m):
-    # bit for bit, the walker's thresholds at its stance phases and the
-    # model's distinct thresholds gathered back at duty * k / m are
-    # loss_thresholds' reach and rise there, and the model's flat-terrain
-    # contact ratio counts the same lift as stance_geometry's
+def test_walker_and_model_read_one_loss_rule(cfg, half_steps, a_v):
+    # bit for bit, the walker's thresholds at its stance phases are
+    # loss_thresholds' reach and rise there, the model's distinct
+    # thresholds gathered back are the walker's, and the model's
+    # flat-terrain contact ratio counts the same lift as stance_geometry's
     geom = RobotGeometry()
     steps = 2 * half_steps
+    assume((phase_table(cfg, steps) < cfg.duty).any())
+    u = _stance_table(cfg, steps)[2]
     for a in a_v:
-        reach, rise = loss_thresholds(cfg, geom, _stance_table(cfg, steps)[2],
-                                      a)
+        reach, rise = loss_thresholds(cfg, geom, u, a)
         lower, upper = _loss_thresholds(cfg, geom, steps, a)
         assert lower.tobytes() == np.minimum(-reach, 5e-324).tobytes()
         assert upper.tobytes() == rise.tobytes()
-    u, grid = cfg.duty * np.arange(m) / m, np.array(a_v)[:, None]
-    reach, rise = loss_thresholds(cfg, geom, u, grid)
-    reach_values, at_reach, rise_values, at_rise, gamma_ideal = \
-        _stance_thresholds(geom, cfg, m, tuple(a_v))
-    assert reach_values[at_reach].tobytes() == reach.ravel().tobytes()
-    assert rise_values[at_rise].tobytes() == rise.ravel().tobytes()
-    lift = stance_geometry(cfg, geom, u, grid)[2]
+    lower, upper = np.stack([_loss_thresholds(cfg, geom, steps, a)
+                             for a in a_v], axis=1)
+    drop_values, at_drop, rise_values, at_rise, gamma_ideal = \
+        _threshold_table(geom, cfg, steps, tuple(a_v))
+    assert drop_values[at_drop].tobytes() == (-lower).ravel().tobytes()
+    assert rise_values[at_rise].tobytes() == upper.ravel().tobytes()
+    lift = stance_geometry(cfg, geom, u, np.array(a_v)[:, None])[2]
     assert gamma_ideal.tobytes() == np.mean(lift <= 1e-12, axis=-1).tobytes()
 
 
@@ -447,8 +448,13 @@ def test_walker_and_model_read_one_loss_rule(cfg, half_steps, a_v, m):
 def test_stance_table_lists_each_stance_sample_once(cfg, half_steps):
     # the table's leg, phase and step entries are the mask's stance samples
     # in row-major order: scattered back they rebuild the mask, and each
-    # phase is the phase table's at that leg and step
+    # phase is the phase table's at that leg and step; a gait with none is
+    # rejected
     steps = 2 * half_steps
+    if not (phase_table(cfg, steps) < cfg.duty).any():
+        with pytest.raises(NoStanceError, match=f"steps={steps}"):
+            _stance_table(cfg, steps)
+        return
     stance, leg, u, step = _stance_table(cfg, steps)
     rebuilt = np.zeros_like(stance)
     rebuilt[leg, step] = True
@@ -474,7 +480,7 @@ def test_counted_gamma_is_the_loss_maps_count(cfg, half_steps, r_g, a_v, seeds,
     # stance samples only, and a noise-free sensor reads the true ratio
     geom = RobotGeometry()
     steps = 2 * half_steps
-    stance = _stance_table(cfg, steps)[0]
+    stance = phase_table(cfg, steps) < cfg.duty
     assume(stance.any())
     terrains = [generate_terrain(r_g, rows=cycles + cfg.n_pairs + 2, cols=5,
                                  seed=s) for s in seeds]
