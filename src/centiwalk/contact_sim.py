@@ -20,7 +20,7 @@ import numpy as np
 
 from .gait import GaitConfig, _stance_table, checked_amplitudes
 from .kinematics import (RobotGeometry, SlipDistribution, _loss_thresholds,
-                         slip_distribution)
+                         _threshold_table, slip_distribution)
 from .models import predict_speed_band
 from .terrain import TerrainGrid
 
@@ -29,9 +29,10 @@ from .terrain import TerrainGrid
 # and so peak memory, at any batch size
 BLOCK_ROWS = 64
 
-# amplitudes per loss-rank table: a table holds (amplitudes x stance samples)
-# rows by (amplitudes x legs) columns, so its size grows with the square of
-# its amplitudes, and a longer grid is counted this many at a time
+# amplitudes per loss-rank table: a table holds a row per distinct threshold
+# (up to amplitudes x stance samples) by (amplitudes x legs) columns, so its
+# size grows with the square of its amplitudes, and a longer grid is counted
+# this many at a time
 RANK_AMPLITUDES = 4
 
 class WalkOffTerrainError(RuntimeError):
@@ -157,44 +158,42 @@ def _debounce(bits: np.ndarray, latch_steps: int) -> np.ndarray:
 @lru_cache
 def _loss_ranks(cfg: GaitConfig, geom: RobotGeometry, steps: int,
                 a_v: Tuple[float, ...]) -> tuple:
-    """The loss thresholds at every amplitude of a_v, sorted for counting: a
-    drop d loses the samples whose -lower is below -d, a rise d those whose
-    upper is below d.  Per side (0 drop, 1 rise): those keys in ascending
-    order, shape (2, amplitudes x stance samples), and below[side, r, g],
-    how many of group g's keys are among that side's r smallest, where
-    group g is leg g % 2n at amplitude a_v[g // 2n]."""
-    lower, upper = np.stack([_loss_thresholds(cfg, geom, steps, a)
-                             for a in a_v], axis=1)
+    """The loss rule's sorted table at the amplitudes a_v, ready to count: a
+    drop d loses the samples whose drop key is below -d, a rise d those
+    whose rise key is below d.  The table's distinct drop and rise keys
+    themselves, and below[side, r, g], how many of group g's samples have a
+    key among that side's (0 drop, 1 rise) r smallest, where group g is leg
+    g % 2n at amplitude a_v[g // 2n]; rows past a side's keys are unread."""
+    drop, at_drop, rise, at_rise, _ = _threshold_table(cfg, geom, steps, a_v)
     groups = len(a_v) * 2 * cfg.n_pairs
     group = (2 * cfg.n_pairs * np.arange(len(a_v))[:, None]
              + _stance_table(cfg, steps)[1]).ravel()
-    thresholds = np.stack([-lower.ravel(), upper.ravel()])
-    order = np.argsort(thresholds, axis=-1)
     # a group's count is at most its leg's stance samples, so at most steps
-    below = np.zeros((2, order.shape[1] + 1, groups),
+    below = np.zeros((2, max(len(drop), len(rise)) + 1, groups),
                      dtype=np.min_scalar_type(steps))
-    np.cumsum(group[order][..., None] == np.arange(groups), axis=1,
-              dtype=below.dtype, out=below[:, 1:])
-    table = (np.take_along_axis(thresholds, order, axis=-1), below)
-    for a in table:
-        a.setflags(write=False)
-    return table
+    for row, keys, at in zip(below, (drop, rise), (at_drop, at_rise)):
+        counts = np.bincount(at * groups + group, minlength=len(keys) * groups)
+        np.cumsum(counts.reshape(-1, groups), axis=0, dtype=below.dtype,
+                  out=row[1:len(keys) + 1])
+    below.setflags(write=False)
+    return drop, rise, below
 
 
 def _count_losses(cfg: GaitConfig, geom: RobotGeometry, steps: int,
                   a_v: np.ndarray, dh: np.ndarray) -> np.ndarray:
     """Stance samples each leg loses, shape (seeds, amplitudes, cycles, 2n),
     where the legs meet the height steps dh, shape (seeds, cycles, 2n), at
-    each amplitude of the 1-D a_v: the loss rule's count, from one sorted
-    search per side for every RANK_AMPLITUDES amplitudes."""
+    each amplitude of the 1-D a_v: the loss rule's count, from one search
+    per side among the distinct thresholds of every RANK_AMPLITUDES
+    amplitudes."""
     rise = dh > 0.0
     side = rise.view(np.int8)[:, None]
     counts = []
     for j in range(0, len(a_v), RANK_AMPLITUDES):
         chunk = tuple(a_v[j:j + RANK_AMPLITUDES].tolist())
-        thresholds, below = _loss_ranks(cfg, geom, steps, chunk)
-        rank = np.where(rise, np.searchsorted(thresholds[1], dh),
-                        np.searchsorted(thresholds[0], -dh))
+        drop_keys, rise_keys, below = _loss_ranks(cfg, geom, steps, chunk)
+        rank = np.where(rise, np.searchsorted(rise_keys, dh),
+                        np.searchsorted(drop_keys, -dh))
         group = np.arange(below.shape[-1]).reshape(len(chunk), 1, -1)
         counts.append(below[side, rank[:, None], group])
     return np.concatenate(counts, axis=1)

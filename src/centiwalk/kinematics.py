@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Sequence
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -199,4 +199,25 @@ def _loss_thresholds(cfg: GaitConfig, geom: RobotGeometry, steps: int,
                                   a_v)
     table = np.stack([np.minimum(-reach, 5e-324), rise])
     table.setflags(write=False)
+    return table
+
+
+@lru_cache
+def _threshold_table(cfg: GaitConfig, geom: RobotGeometry, steps: int,
+                     a_v: Tuple[float, ...]) -> tuple:
+    """The loss rule's one sorted form, which predict_gamma and the counted
+    walk read, per amplitude of a_v (rows) and stance sample (columns): the
+    drop keys -lower and the rise keys upper, each as its distinct values in
+    ascending order and every entry's index among them, and per amplitude
+    the flat-terrain contact ratio, the share of samples the vertical wave
+    leaves on the nominal ground plane."""
+    lower, upper = np.stack([_loss_thresholds(cfg, geom, steps, a)
+                             for a in a_v], axis=1)
+    # -lower is the reach, or of its sign where that is not positive, so
+    # the tails agree; h_l + lower is the lift h_l - reach, or h_l below it
+    table = (*np.unique(-lower.ravel(), return_inverse=True),
+             *np.unique(upper.ravel(), return_inverse=True),
+             np.mean(geom.h_l + lower <= 1e-12, axis=-1))
+    for a in table:
+        a.setflags(write=False)
     return table

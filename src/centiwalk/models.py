@@ -14,13 +14,12 @@ Two models, validated elsewhere against the Monte Carlo walker:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Tuple
 
 import numpy as np
 
 from .gait import GaitConfig, checked_amplitudes
-from .kinematics import RobotGeometry, SlipDistribution, _loss_thresholds
+from .kinematics import RobotGeometry, SlipDistribution, _threshold_table
 from .terrain import HeightDeltaModel, tail_probability
 
 WEIGHT_TOL = 1e-9
@@ -86,26 +85,6 @@ def predict_speed_band(dist: SlipDistribution, gamma) -> FrictionPrediction:
                               v_ratio_max=np.maximum(0.0, k * f_max))
 
 
-@lru_cache
-def _threshold_table(geom: RobotGeometry, cfg: GaitConfig, steps: int,
-                     a_v: Tuple[float, ...]) -> tuple:
-    """The terrain-independent part of predict_gamma, per amplitude of a_v
-    (rows) and walker's stance sample (columns): the walker's drop and rise
-    thresholds, each as its distinct values and every entry's index among
-    them, and per amplitude the flat-terrain contact ratio, the share of
-    samples the vertical wave leaves on the nominal ground plane."""
-    lower, upper = np.stack([_loss_thresholds(cfg, geom, steps, a)
-                             for a in a_v], axis=1)
-    # -lower is the reach, or of its sign where that is not positive, so
-    # the tails agree; h_l + lower is the lift h_l - reach, or h_l below it
-    table = (*np.unique(-lower.ravel(), return_inverse=True),
-             *np.unique(upper.ravel(), return_inverse=True),
-             np.mean(geom.h_l + lower <= 1e-12, axis=-1))
-    for a in table:
-        a.setflags(write=False)
-    return table
-
-
 def predict_gamma(geom: RobotGeometry, cfg: GaitConfig, model: HeightDeltaModel,
                   steps: int, a_v) -> LossModelOutput:
     """Analytic contact ratio for one gait on a height-difference model, at
@@ -120,7 +99,7 @@ def predict_gamma(geom: RobotGeometry, cfg: GaitConfig, model: HeightDeltaModel,
     """
     a_v = checked_amplitudes(a_v)
     drop, at_drop, rise, at_rise, gamma_ideal = _threshold_table(
-        geom, cfg, steps, tuple(a_v.tolist()))
+        cfg, geom, steps, tuple(a_v.tolist()))
     p_loss1 = np.mean(tail_probability(model, drop, "dh_nonpositive")
                       [at_drop].reshape(len(a_v), -1), axis=-1)
     p_loss2 = np.mean(tail_probability(model, rise, "dh_positive")

@@ -40,6 +40,9 @@ class TerrainGrid:
         self.heights = np.asarray(self.heights, dtype=float)
         if self.heights.ndim != 2:
             raise ValueError("heights must be a 2-D array")
+        if not 0.0 < self.block_size < math.inf:    # NaN fails it too
+            raise ValueError(f"block_size must be finite and > 0, got "
+                             f"{self.block_size:g}")
 
     def longitudinal_deltas(self) -> np.ndarray:
         """All successive height differences along the travel direction."""
@@ -57,23 +60,16 @@ class TerrainGrid:
 
     @classmethod
     def load(cls, path) -> "TerrainGrid":
-        meta = {}
-        rows = []
+        meta, rows = {}, []
         with open(path) as fh:
-            first = fh.readline()
-            if not first.startswith("# terrain v"):
+            if not fh.readline().startswith("# terrain v"):
                 raise ValueError(f"not a terrain file: {path}")
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
+            for line in map(str.strip, fh):
                 if line.startswith("#"):
-                    for part in line[1:].split():
-                        if "=" in part:
-                            k, v = part.split("=", 1)
-                            meta[k] = v
-                    continue
-                rows.append([float(x) for x in line.split(",")])
+                    meta.update(part.split("=", 1) for part in line[1:].split()
+                                if "=" in part)
+                elif line:
+                    rows.append([float(x) for x in line.split(",")])
         missing = [k for k in ("block_size", "r_g") if k not in meta]
         if missing:
             raise ValueError(f"missing header {', '.join(missing)}")
@@ -82,12 +78,13 @@ class TerrainGrid:
         heights = np.array(rows)
         if not np.isfinite(heights).all():
             raise ValueError("heights must be finite")
-        return cls(
-            block_size=float(meta["block_size"]),
-            heights=heights,
-            r_g=float(meta["r_g"]),
-            seed=int(meta.get("seed", 0)),
-        )
+        # a file without the rows= cols= header is taken as it is
+        for key, n in zip(("rows", "cols"), heights.shape):
+            if key in meta and int(meta[key]) != n:
+                raise ValueError(f"header says {key}={meta[key]}, but the "
+                                 f"file holds {n}")
+        return cls(block_size=float(meta["block_size"]), heights=heights,
+                   r_g=float(meta["r_g"]), seed=int(meta.get("seed", 0)))
 
 
 def generate_terrain(r_g: float, rows: int, cols: int,
@@ -142,13 +139,15 @@ class HeightDeltaModel:
 
     def __post_init__(self):
         if self.kind == "gaussian":
-            if self.sigma < 0.0:
-                raise ValueError("sigma must be >= 0")
+            if not self.sigma >= 0.0:      # NaN fails it too
+                raise ValueError(f"sigma must be >= 0, got {self.sigma}")
             self.p1 = 1.0 if self.sigma == 0.0 else 0.5
         elif self.kind == "empirical":
             if self.samples is None or len(self.samples) == 0:
                 raise ValueError("empirical model requires a non-empty sample")
             self.samples = np.asarray(self.samples, dtype=float)
+            if np.isnan(self.samples).any():
+                raise ValueError("samples must not be NaN")
             self.p1 = float(np.mean(self.samples <= 0.0))
         else:
             raise ValueError(f"unknown model kind {self.kind!r}")

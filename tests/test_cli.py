@@ -125,6 +125,8 @@ class TestBadInput:
         ("", ["terrain-gen", "--r-g", "1e308"]),
         ("seeds = 0..1\nterrains = 1e307\n", ["walk"]),
         ("seeds = 0..1\nterrains = 1e307\n", ["controller-compare"]),
+        ("terrains = {block_nan}\n", ["validate"]),
+        ("terrains = {truncated}\n", ["model-sweep"]),
     ], ids=["odd-steps-flag", "odd-steps-config", "nan-rugosity",
             "negative-rugosity", "compare-only-files", "no-r_g-header",
             "ragged-rows", "one-row-file", "nan-height-walk",
@@ -148,7 +150,8 @@ class TestBadInput:
             "inf-a_v-walk", "inf-k_p-compare", "inf-fixed_av-compare",
             "unclosed-section-walk", "key-before-section-walk",
             "latin-1-comment-gait-dump", "overflowing-rugosity-flag",
-            "overflowing-rugosity-walk", "overflowing-rugosity-compare"])
+            "overflowing-rugosity-walk", "overflowing-rugosity-compare",
+            "nan-block-size-validate", "truncated-file-sweep"])
     def test_one_line_error(self, tmp_path, capsys, experiment, argv):
         files = {
             "good": self.GOOD,
@@ -161,6 +164,12 @@ class TestBadInput:
             # two walkable files of one name in two directories
             "twin_a": self.GOOD.split("0,0")[0] + "0,0\n" * 12,
             "twin_b": self.GOOD.split("0,0")[0] + "0,1\n" * 12,
+            # walkable rows of blocks whose length is not a number
+            "block_nan": self.GOOD.split("0,0")[0].replace(
+                "block_size=10.0", "block_size=nan") + "0,1\n" * 12,
+            # a header that says 40 rows, over 25 rows of data
+            "truncated": self.GOOD.split("0,0")[0] + "# rows=40 cols=5\n"
+            + "0,1,2,3,4\n" * 25,
         }
         paths = {name: tmp_path / f"{name}.txt" for name in files}
         paths["twin_a"] = tmp_path / "a" / "twin.txt"

@@ -120,6 +120,33 @@ class TestGenerateTerrain:
         with pytest.raises(ValueError):
             TerrainGrid.load(path)
 
+    @pytest.mark.parametrize("keep_rows, keep_cols, key", [
+        (25, 5, "rows"), (40, 4, "cols")])
+    def test_load_rejects_a_file_its_header_does_not_describe(
+            self, tmp_path, keep_rows, keep_cols, key):
+        # a saved 40 x 5 file cut to fewer rows or columns than its header
+        # says is an error; without the header the same data loads
+        path = tmp_path / "t.txt"
+        generate_terrain(0.32, rows=40, cols=5, seed=1).save(path)
+        lines = path.read_text().splitlines()
+        header, data = lines[:5], lines[5:5 + keep_rows]
+        data = [",".join(line.split(",")[:keep_cols]) for line in data]
+        path.write_text("\n".join(header + data) + "\n")
+        with pytest.raises(ValueError, match=f"{key}="):
+            TerrainGrid.load(path)
+        path.write_text("\n".join(header[:4] + data) + "\n")
+        assert TerrainGrid.load(path).heights.shape == (keep_rows, keep_cols)
+
+    @pytest.mark.parametrize("block_size", ["nan", "inf", "0", "-10"])
+    def test_load_rejects_a_block_size_that_is_not_positive(self, tmp_path,
+                                                            block_size):
+        path = tmp_path / "t.txt"
+        generate_terrain(0.32, rows=4, cols=2, seed=1).save(path)
+        path.write_text(path.read_text().replace(
+            "block_size=10.000000", f"block_size={block_size}"))
+        with pytest.raises(ValueError, match="block_size must be finite"):
+            TerrainGrid.load(path)
+
 
 class TestHeightDeltaModel:
     def test_gaussian_p1(self):
@@ -133,6 +160,15 @@ class TestHeightDeltaModel:
     def test_rejects_empty_sample(self):
         with pytest.raises(ValueError):
             HeightDeltaModel.from_samples([])
+
+    def test_rejects_nan(self):
+        # a NaN sigma would predict a NaN gamma, and a NaN sample would
+        # weigh in 1 - p1 but in neither tail; an infinite sigma stays valid
+        with pytest.raises(ValueError, match="sigma"):
+            HeightDeltaModel(sigma=float("nan"))
+        with pytest.raises(ValueError, match="NaN"):
+            HeightDeltaModel.from_samples([-1.0, float("nan"), 2.0])
+        assert HeightDeltaModel(sigma=math.inf).p1 == 0.5
 
     def test_rejects_unknown_kind(self):
         with pytest.raises(ValueError):

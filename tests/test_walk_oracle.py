@@ -24,6 +24,7 @@ from centiwalk.contact_sim import (
     SensorModel,
     _count_losses,
     _debounce,
+    _loss_ranks,
     simulate_walk,
     simulate_walks,
 )
@@ -32,12 +33,13 @@ from centiwalk.gait import GaitConfig, NoStanceError, _stance_table, phase_table
 from centiwalk.kinematics import (
     RobotGeometry,
     _loss_thresholds,
+    _threshold_table,
     loss_thresholds,
     recoverable_heights,
     stance_geometry,
 )
-from centiwalk.models import _threshold_table, predict_speed_band
-from centiwalk.terrain import generate_terrain
+from centiwalk.models import predict_gamma, predict_speed_band
+from centiwalk.terrain import HeightDeltaModel, generate_terrain
 from gait_reference import slip_distribution
 
 
@@ -436,11 +438,71 @@ def test_walker_and_model_read_one_loss_rule(cfg, half_steps, a_v):
     lower, upper = np.stack([_loss_thresholds(cfg, geom, steps, a)
                              for a in a_v], axis=1)
     drop_values, at_drop, rise_values, at_rise, gamma_ideal = \
-        _threshold_table(geom, cfg, steps, tuple(a_v))
+        _threshold_table(cfg, geom, steps, tuple(a_v))
     assert drop_values[at_drop].tobytes() == (-lower).ravel().tobytes()
     assert rise_values[at_rise].tobytes() == upper.ravel().tobytes()
     lift = stance_geometry(cfg, geom, u, np.array(a_v)[:, None])[2]
     assert gamma_ideal.tobytes() == np.mean(lift <= 1e-12, axis=-1).tobytes()
+
+
+@given(cfg=GAIT_SHAPES, half_steps=st.integers(min_value=2, max_value=40),
+       a_v=AMPLITUDE_GRIDS)
+@settings(max_examples=30, deadline=None)
+def test_walker_counts_on_the_models_sorted_table(cfg, half_steps, a_v):
+    # the counted walk searches the model's distinct thresholds, the very
+    # arrays, and its cumulative counts have one row per distinct key
+    geom = RobotGeometry()
+    steps = 2 * half_steps
+    assume((phase_table(cfg, steps) < cfg.duty).any())
+    chunk = tuple(a_v[:RANK_AMPLITUDES])
+    # both caches are bounded: a table that _threshold_table's has evicted
+    # is rebuilt as an equal array while _loss_ranks' still holds the old one
+    _threshold_table.cache_clear()
+    _loss_ranks.cache_clear()
+    assert _loss_ranks(cfg, geom, steps, chunk)[0] is \
+        _threshold_table(cfg, geom, steps, chunk)[0]
+    drop, _, rise, _, _ = _threshold_table(cfg, geom, steps, chunk)
+    drop_keys, rise_keys, below = _loss_ranks(cfg, geom, steps, chunk)
+    assert rise_keys is rise
+    assert below.shape == (2, max(len(drop), len(rise)) + 1,
+                           len(chunk) * 2 * cfg.n_pairs)
+
+
+def test_default_grid_counts_on_its_distinct_thresholds():
+    # 113 distinct drop and 103 distinct rise keys of 1296 samples each
+    cfg, geom, grid = GaitConfig(), RobotGeometry(), (0.0, 10.0, 20.0)
+    drop_keys, rise_keys, below = _loss_ranks(cfg, geom, 72, grid)
+    assert (len(drop_keys), len(rise_keys)) == (113, 103)
+    assert below.shape == (2, 114, 36)
+    assert len(_threshold_table(cfg, geom, 72, grid)[1]) == 1296
+
+
+@given(n_pairs=st.integers(min_value=2, max_value=6),
+       xi=st.floats(min_value=0.0, max_value=2.5),
+       duty=st.floats(min_value=0.2, max_value=0.8),
+       half_steps=st.integers(min_value=2, max_value=40),
+       a_v=AMPLITUDE_GRIDS,
+       samples=st.lists(st.one_of(st.just(0.0), st.just(-0.0),
+                                  st.floats(min_value=-20.0, max_value=20.0)),
+                        max_size=40))
+@settings(max_examples=40, deadline=None)
+def test_model_is_the_counted_walks_mean_on_its_own_samples(
+        n_pairs, xi, duty, half_steps, a_v, samples):
+    # on an empirical model, predict_gamma is exactly the mean contact ratio
+    # of counted walks with every leg on each sample step in turn: the core
+    # invariant on discrete terrain, up to rounding
+    cfg = GaitConfig(n_pairs=n_pairs, xi=xi, duty=duty)
+    geom = RobotGeometry()
+    steps = 2 * half_steps
+    assume((phase_table(cfg, steps) < cfg.duty).any())
+    s = np.array(samples + [0.0])
+    predicted = predict_gamma(geom, cfg, HeightDeltaModel.from_samples(s),
+                              steps, a_v).gamma
+    retraction = len(_stance_table(cfg, steps)[1])
+    dh = np.repeat(s[None, :, None], 2 * cfg.n_pairs, axis=2)
+    lost = _count_losses(cfg, geom, steps, np.array(a_v), dh).sum(axis=-1)
+    walked = np.mean((retraction - lost[0]) / retraction, axis=-1)
+    assert np.max(np.abs(predicted - walked)) <= 1e-12
 
 
 @given(cfg=GAIT_SHAPES, half_steps=st.integers(min_value=2, max_value=40))
