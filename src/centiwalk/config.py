@@ -17,7 +17,7 @@ from pathlib import Path
 from typing import Dict, List, Optional, get_type_hints
 
 from .control import ControllerConfig
-from .gait import GaitConfig
+from .gait import GaitConfig, checked_count
 from .kinematics import RobotGeometry
 
 SCHEMA_VERSION = 1
@@ -45,12 +45,13 @@ class ExperimentSpec:
         if not self.seeds or not self.terrains:
             raise ConfigError("seeds and terrains must be non-empty")
         # a seed seeds numpy's generators, which take no negative value
-        if min(self.seeds) < 0:
-            raise ConfigError(f"seeds must be >= 0, got {min(self.seeds)}")
-        if self.cycles < 1:
-            raise ConfigError(f"cycles must be >= 1, got {self.cycles}")
+        for seed in self.seeds:
+            checked_count(seed, "seeds", 0, ConfigError)
+        for name, low in (("cycles", 1), ("steps", 4), ("terrain_rows", 2),
+                          ("terrain_cols", 1)):
+            checked_count(getattr(self, name), name, low, ConfigError)
         # even, so that the right legs' half-cycle offset falls on a sample
-        if self.steps < 4 or self.steps % 2:
+        if self.steps % 2:
             raise ConfigError(f"steps must be an even number >= 4, got {self.steps}")
         if not self.tolerance >= 0.0:      # NaN fails this test too
             raise ConfigError(f"tolerance must be >= 0, got {self.tolerance}")
@@ -61,9 +62,6 @@ class ExperimentSpec:
         if not 0.0 <= self.sensor_flip_prob < 1.0:
             raise ConfigError(f"sensor_flip_prob must be in [0, 1), got "
                               f"{self.sensor_flip_prob}")
-        if self.terrain_rows < 2 or self.terrain_cols < 1:
-            raise ConfigError(f"need terrain_rows >= 2 and terrain_cols >= 1, "
-                              f"got {self.terrain_rows} and {self.terrain_cols}")
 
 
 @dataclass

@@ -11,14 +11,13 @@ debounce) stands in for the physical contact-sensing hardware.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .gait import GaitConfig, _stance_table, checked_amplitudes
+from .gait import GaitConfig, _stance_table, checked_amplitudes, checked_count
 from .kinematics import (RobotGeometry, SlipDistribution, _loss_thresholds,
                          _threshold_table, slip_distribution)
 from .models import predict_speed_band
@@ -29,10 +28,9 @@ from .terrain import TerrainGrid
 # and so peak memory, at any batch size
 BLOCK_ROWS = 64
 
-# amplitudes per loss-rank table: a table holds a row per distinct threshold
-# (up to amplitudes x stance samples) by (amplitudes x legs) columns, so its
-# size grows with the square of its amplitudes, and a longer grid is counted
-# this many at a time
+# amplitudes per loss table the counted walk reads: its below holds a row per
+# distinct threshold by (amplitudes x legs) columns, so grows with the square
+# of its amplitudes, and a longer grid is counted this many at a time
 RANK_AMPLITUDES = 4
 
 class WalkOffTerrainError(RuntimeError):
@@ -75,13 +73,7 @@ class SensorModel:
     def __post_init__(self):
         if not 0.0 <= self.flip_prob < 1.0:
             raise ValueError(f"flip_prob must be in [0, 1), got {self.flip_prob}")
-        try:
-            self.latch_steps = operator.index(self.latch_steps)
-        except TypeError:
-            raise ValueError(f"latch_steps must be an integer, got "
-                             f"{self.latch_steps!r}") from None
-        if self.latch_steps < 0:
-            raise ValueError("latch_steps must be >= 0")
+        self.latch_steps = checked_count(self.latch_steps, "latch_steps")
 
 
 @dataclass
@@ -155,30 +147,6 @@ def _debounce(bits: np.ndarray, latch_steps: int) -> np.ndarray:
     return held.reshape(bits.shape)
 
 
-@lru_cache
-def _loss_ranks(cfg: GaitConfig, geom: RobotGeometry, steps: int,
-                a_v: Tuple[float, ...]) -> tuple:
-    """The loss rule's sorted table at the amplitudes a_v, ready to count: a
-    drop d loses the samples whose drop key is below -d, a rise d those
-    whose rise key is below d.  The table's distinct drop and rise keys
-    themselves, and below[side, r, g], how many of group g's samples have a
-    key among that side's (0 drop, 1 rise) r smallest, where group g is leg
-    g % 2n at amplitude a_v[g // 2n]; rows past a side's keys are unread."""
-    drop, at_drop, rise, at_rise, _ = _threshold_table(cfg, geom, steps, a_v)
-    groups = len(a_v) * 2 * cfg.n_pairs
-    group = (2 * cfg.n_pairs * np.arange(len(a_v))[:, None]
-             + _stance_table(cfg, steps)[1]).ravel()
-    # a group's count is at most its leg's stance samples, so at most steps
-    below = np.zeros((2, max(len(drop), len(rise)) + 1, groups),
-                     dtype=np.min_scalar_type(steps))
-    for row, keys, at in zip(below, (drop, rise), (at_drop, at_rise)):
-        counts = np.bincount(at * groups + group, minlength=len(keys) * groups)
-        np.cumsum(counts.reshape(-1, groups), axis=0, dtype=below.dtype,
-                  out=row[1:len(keys) + 1])
-    below.setflags(write=False)
-    return drop, rise, below
-
-
 def _count_losses(cfg: GaitConfig, geom: RobotGeometry, steps: int,
                   a_v: np.ndarray, dh: np.ndarray) -> np.ndarray:
     """Stance samples each leg loses, shape (seeds, amplitudes, cycles, 2n),
@@ -191,11 +159,11 @@ def _count_losses(cfg: GaitConfig, geom: RobotGeometry, steps: int,
     counts = []
     for j in range(0, len(a_v), RANK_AMPLITUDES):
         chunk = tuple(a_v[j:j + RANK_AMPLITUDES].tolist())
-        drop_keys, rise_keys, below = _loss_ranks(cfg, geom, steps, chunk)
-        rank = np.where(rise, np.searchsorted(rise_keys, dh),
-                        np.searchsorted(drop_keys, -dh))
-        group = np.arange(below.shape[-1]).reshape(len(chunk), 1, -1)
-        counts.append(below[side, rank[:, None], group])
+        table = _threshold_table(cfg, geom, steps, chunk)
+        rank = np.where(rise, np.searchsorted(table.rise, dh),
+                        np.searchsorted(table.drop, -dh))
+        group = np.arange(table.below.shape[-1]).reshape(len(chunk), 1, -1)
+        counts.append(table.below[side, rank[:, None], group])
     return np.concatenate(counts, axis=1)
 
 
@@ -217,6 +185,9 @@ def _checked_a_v(cfg: GaitConfig, heights: np.ndarray, seeds: Sequence[int],
                  a_v: Sequence[float], cycles: int, steps: int) -> np.ndarray:
     """A walk's inputs checked as simulate_walks documents them; returns
     a_v as a 1-D float array."""
+    # checked here, as the cached stance table takes steps = 72.0 for 72
+    checked_count(steps, "steps")
+    checked_count(cycles, "cycles")
     _stance_table(cfg, steps)       # odd steps and no stance sample raise
     if np.ndim(heights) != 3 or not len(heights) == len(seeds) > 0:
         raise ValueError("need a (seeds, rows, cols) height stack: one "

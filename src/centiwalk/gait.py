@@ -9,6 +9,7 @@ uniform sample grids (no pi round-trips near the duty boundary).
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
@@ -16,6 +17,18 @@ from typing import Optional
 import numpy as np
 
 TWO_PI = 2.0 * math.pi
+
+
+def checked_count(value, name: str, low: int = 0, error=ValueError) -> int:
+    """value as an int, by operator.index; error, naming the field, if it is
+    not an integer or is below low."""
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise error(f"{name} must be an integer, got {value!r}") from None
+    if value < low:
+        raise error(f"{name} must be >= {low}, got {value}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -41,8 +54,7 @@ class GaitConfig:
     phase_offset: Optional[float] = None
 
     def __post_init__(self):
-        if self.n_pairs < 2:
-            raise ValueError(f"n_pairs must be >= 2, got {self.n_pairs}")
+        checked_count(self.n_pairs, "n_pairs", 2)
         if not math.isfinite(self.xi):
             raise ValueError(f"xi must be finite, got {self.xi}")
         off = self.phase_offset

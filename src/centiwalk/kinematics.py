@@ -202,22 +202,48 @@ def _loss_thresholds(cfg: GaitConfig, geom: RobotGeometry, steps: int,
     return table
 
 
-@lru_cache
-def _threshold_table(cfg: GaitConfig, geom: RobotGeometry, steps: int,
-                     a_v: Tuple[float, ...]) -> tuple:
-    """The loss rule's one sorted form, which predict_gamma and the counted
-    walk read, per amplitude of a_v (rows) and stance sample (columns): the
-    drop keys -lower and the rise keys upper, each as its distinct values in
-    ascending order and every entry's index among them, and per amplitude
-    the flat-terrain contact ratio, the share of samples the vertical wave
-    leaves on the nominal ground plane."""
-    lower, upper = np.stack([_loss_thresholds(cfg, geom, steps, a)
-                             for a in a_v], axis=1)
-    # -lower is the reach, or of its sign where that is not positive, so
-    # the tails agree; h_l + lower is the lift h_l - reach, or h_l below it
-    table = (*np.unique(-lower.ravel(), return_inverse=True),
-             *np.unique(upper.ravel(), return_inverse=True),
-             np.mean(geom.h_l + lower <= 1e-12, axis=-1))
-    for a in table:
-        a.setflags(write=False)
-    return table
+class _LossTable:
+    """The loss rule's one sorted form at the amplitudes a_v (rows) and the
+    stance samples (columns), which predict_gamma and the counted walk read:
+    the drop keys -lower and the rise keys upper, each as its distinct
+    values ascending and every entry's index among them (flat on numpy 1.x
+    and 2.x alike), and per amplitude the flat-terrain contact ratio, the
+    share of samples the vertical wave leaves on the ground; arrays read-only."""
+
+    def __init__(self, cfg: GaitConfig, geom: RobotGeometry, steps: int,
+                 a_v: Tuple[float, ...]):
+        lower, upper = np.stack([_loss_thresholds(cfg, geom, steps, a)
+                                 for a in a_v], axis=1)
+        # -lower is the reach, or of its sign where that is not positive, so
+        # the tails agree; h_l + lower is the lift h_l - reach, or h_l below it
+        self.drop, self.at_drop = np.unique(-lower.ravel(), return_inverse=True)
+        self.rise, self.at_rise = np.unique(upper.ravel(), return_inverse=True)
+        self.gamma_ideal = np.mean(geom.h_l + lower <= 1e-12, axis=-1)
+        for a in vars(self).values():
+            a.setflags(write=False)
+        self._cfg, self._steps = cfg, steps
+
+    @cached_property
+    def below(self) -> np.ndarray:
+        """below[side, r, g], built on first read: how many samples of leg
+        g % 2n at amplitude g // 2n have a key among that side's (0 drop, 1
+        rise) r smallest; rows past its keys are unread.  A step d <= 0 loses
+        the samples keyed below -d, and a step d > 0 those keyed below d."""
+        legs, amplitudes = 2 * self._cfg.n_pairs, len(self.gamma_ideal)
+        groups = amplitudes * legs
+        group = (legs * np.arange(amplitudes)[:, None]
+                 + _stance_table(self._cfg, self._steps)[1]).ravel()
+        # a group's count is at most its leg's stance samples, so at most steps
+        below = np.zeros((2, max(len(self.drop), len(self.rise)) + 1, groups),
+                         dtype=np.min_scalar_type(self._steps))
+        for row, keys, at in zip(below, (self.drop, self.rise),
+                                 (self.at_drop, self.at_rise)):
+            counts = np.bincount(at * groups + group,
+                                 minlength=len(keys) * groups)
+            np.cumsum(counts.reshape(-1, groups), axis=0, dtype=below.dtype,
+                      out=row[1:len(keys) + 1])
+        below.setflags(write=False)
+        return below
+
+
+_threshold_table = lru_cache(_LossTable)

@@ -18,7 +18,7 @@ from typing import Tuple
 
 import numpy as np
 
-from .gait import GaitConfig, checked_amplitudes
+from .gait import GaitConfig, checked_amplitudes, checked_count
 from .kinematics import RobotGeometry, SlipDistribution, _threshold_table
 from .terrain import HeightDeltaModel, tail_probability
 
@@ -98,16 +98,16 @@ def predict_gamma(geom: RobotGeometry, cfg: GaitConfig, model: HeightDeltaModel,
     stance sample, raise a walk's errors.
     """
     a_v = checked_amplitudes(a_v)
-    drop, at_drop, rise, at_rise, gamma_ideal = _threshold_table(
-        cfg, geom, steps, tuple(a_v.tolist()))
-    p_loss1 = np.mean(tail_probability(model, drop, "dh_nonpositive")
-                      [at_drop].reshape(len(a_v), -1), axis=-1)
-    p_loss2 = np.mean(tail_probability(model, rise, "dh_positive")
-                      [at_rise].reshape(len(a_v), -1), axis=-1)
+    checked_count(steps, "steps")       # the cached table takes 72.0 for 72
+    table = _threshold_table(cfg, geom, steps, tuple(a_v.tolist()))
+    p_loss1 = np.mean(tail_probability(model, table.drop, "dh_nonpositive")
+                      [table.at_drop].reshape(len(a_v), -1), axis=-1)
+    p_loss2 = np.mean(tail_probability(model, table.rise, "dh_positive")
+                      [table.at_rise].reshape(len(a_v), -1), axis=-1)
     p_loss = model.p1 * p_loss1 + (1.0 - model.p1) * p_loss2
     gamma = 1.0 - p_loss
+    gamma_ideal = table.gamma_ideal.copy()
     p_e = np.divide(1.0 - gamma, gamma_ideal, out=np.full_like(gamma, np.inf),
                     where=gamma_ideal > 0.0)
     return LossModelOutput(p_loss1=p_loss1, p_loss2=p_loss2, p_loss=p_loss,
-                           gamma=gamma, gamma_ideal=gamma_ideal.copy(),
-                           p_e=p_e)
+                           gamma=gamma, gamma_ideal=gamma_ideal, p_e=p_e)

@@ -166,6 +166,15 @@ class TestErrors:
         with pytest.raises(ConfigError):
             ExperimentSpec(**kwargs)
 
+    @pytest.mark.parametrize("field, value", [
+        ("cycles", 2.5), ("steps", 8.0), ("seeds", [0, 0.5]),
+        ("terrain_rows", 3.5), ("terrain_cols", 2.5), ("cycles", "3"),
+    ])
+    def test_rejects_counts_that_are_not_integers(self, field, value):
+        # each count field is an integer, checked when the spec is built
+        with pytest.raises(ConfigError, match=f"^{field} must be an integer"):
+            ExperimentSpec(**{field: value})
+
 
 class TestOverrides:
     def test_partial_config_fills_defaults(self, tmp_path):

@@ -338,6 +338,25 @@ class TestSimulationHarness:
             simulate_walk(GaitConfig(), RobotGeometry(), terrain, 1, 71,
                           SensorModel(), seed=0)
 
+    @pytest.mark.parametrize("cycles, steps, flip_prob, field", [
+        (2.5, 72, 0.0, "cycles"), (np.float64(3.0), 72, 0.0, "cycles"),
+        (-1, 72, 0.0, "cycles"), (4, 72.0, 0.0, "steps"),
+        (4, 72.0, 0.05, "steps"),
+    ], ids=["half-cycles", "float-cycles", "negative-cycles",
+            "float-steps-counted", "float-steps-flips"])
+    def test_counts_must_be_integers(self, cycles, steps, flip_prob, field):
+        # a float count is refused up front, with the field's name, on the
+        # counted path and the sampled one alike, though 72.0 hashes as 72
+        # in the stance table's cache
+        terrain = generate_terrain(0.32, rows=20, cols=5, seed=0)
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            simulate_walks(GaitConfig(), RobotGeometry(),
+                           terrain.heights[None], [0], [0.0], cycles, steps,
+                           SensorModel(flip_prob))
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            simulate_walk(GaitConfig(), RobotGeometry(), terrain, cycles,
+                          steps, SensorModel(flip_prob), seed=0)
+
     def test_result_shapes(self):
         terrain = generate_terrain(0.17, rows=20, cols=5, seed=2)
         res = simulate_walk(GaitConfig(), RobotGeometry(), terrain, 6, 72,

@@ -53,6 +53,16 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             GaitConfig(**kwargs)
 
+    @pytest.mark.parametrize("n_pairs", [2.5, 6.0, "6", None])
+    def test_rejects_n_pairs_that_is_not_an_integer(self, n_pairs):
+        # refused at construction, with the field's name, not later as a
+        # TypeError inside phase_table
+        with pytest.raises(ValueError, match="^n_pairs must be an integer"):
+            GaitConfig(n_pairs=n_pairs)
+
+    def test_takes_numpy_integers(self):
+        assert GaitConfig(n_pairs=np.int64(4)).n_pairs == 4
+
     def test_default_phase_offset(self):
         # optimal coordination: phi_c - tau_b = -(xi/n + 1/2) * pi
         cfg = GaitConfig(n_pairs=6, xi=1.0)

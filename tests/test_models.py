@@ -295,6 +295,21 @@ class TestPredictGamma:
                 f"steps={steps}" if cfg is no_stance
                 else f"steps must be even, got {steps}")
 
+    @pytest.mark.parametrize("steps", [72.0, 72.5, np.float64(72.0)],
+                             ids=["float", "half", "numpy-float"])
+    def test_rejects_steps_that_are_not_integers_as_a_walk_does(self, steps):
+        # 72.0 would hit the stance table cached for 72, so the model checks
+        # steps itself, with the walker's error and wording
+        geom, model = RobotGeometry(), HeightDeltaModel.from_rugosity(0.32)
+        heights = generate_terrains([0.32], 10, 5, [0])[0]
+        with pytest.raises(ValueError) as predicted:
+            predict_gamma(geom, GaitConfig(), model, steps, [0.0])
+        with pytest.raises(ValueError) as walked:
+            simulate_walks(GaitConfig(), geom, heights, [0], [0.0], 1, steps,
+                           SensorModel())
+        assert str(predicted.value) == str(walked.value) == \
+            f"steps must be an integer, got {steps!r}"
+
     @pytest.mark.parametrize("bad", [math.inf, -1.0, math.nan])
     def test_rejects_amplitudes_gait_config_rejects(self, bad):
         # the grid's amplitudes obey GaitConfig's rule and wording

@@ -24,7 +24,6 @@ from centiwalk.contact_sim import (
     SensorModel,
     _count_losses,
     _debounce,
-    _loss_ranks,
     simulate_walk,
     simulate_walks,
 )
@@ -437,12 +436,12 @@ def test_walker_and_model_read_one_loss_rule(cfg, half_steps, a_v):
         assert upper.tobytes() == rise.tobytes()
     lower, upper = np.stack([_loss_thresholds(cfg, geom, steps, a)
                              for a in a_v], axis=1)
-    drop_values, at_drop, rise_values, at_rise, gamma_ideal = \
-        _threshold_table(cfg, geom, steps, tuple(a_v))
-    assert drop_values[at_drop].tobytes() == (-lower).ravel().tobytes()
-    assert rise_values[at_rise].tobytes() == upper.ravel().tobytes()
+    table = _threshold_table(cfg, geom, steps, tuple(a_v))
+    assert table.drop[table.at_drop].tobytes() == (-lower).ravel().tobytes()
+    assert table.rise[table.at_rise].tobytes() == upper.ravel().tobytes()
     lift = stance_geometry(cfg, geom, u, np.array(a_v)[:, None])[2]
-    assert gamma_ideal.tobytes() == np.mean(lift <= 1e-12, axis=-1).tobytes()
+    assert table.gamma_ideal.tobytes() == \
+        np.mean(lift <= 1e-12, axis=-1).tobytes()
 
 
 @given(cfg=GAIT_SHAPES, half_steps=st.integers(min_value=2, max_value=40),
@@ -455,26 +454,46 @@ def test_walker_counts_on_the_models_sorted_table(cfg, half_steps, a_v):
     steps = 2 * half_steps
     assume((phase_table(cfg, steps) < cfg.duty).any())
     chunk = tuple(a_v[:RANK_AMPLITUDES])
-    # both caches are bounded: a table that _threshold_table's has evicted
-    # is rebuilt as an equal array while _loss_ranks' still holds the old one
-    _threshold_table.cache_clear()
-    _loss_ranks.cache_clear()
-    assert _loss_ranks(cfg, geom, steps, chunk)[0] is \
-        _threshold_table(cfg, geom, steps, chunk)[0]
-    drop, _, rise, _, _ = _threshold_table(cfg, geom, steps, chunk)
-    drop_keys, rise_keys, below = _loss_ranks(cfg, geom, steps, chunk)
-    assert rise_keys is rise
-    assert below.shape == (2, max(len(drop), len(rise)) + 1,
-                           len(chunk) * 2 * cfg.n_pairs)
+    # _count_losses and predict_gamma each look the chunk's table up
+    walker = _threshold_table(cfg, geom, steps, chunk)
+    model = _threshold_table(cfg, geom, steps, chunk)
+    assert walker.drop is model.drop
+    assert walker.rise is model.rise
+    assert walker.below.shape == (2, max(len(model.drop), len(model.rise)) + 1,
+                                  len(chunk) * 2 * cfg.n_pairs)
 
 
 def test_default_grid_counts_on_its_distinct_thresholds():
     # 113 distinct drop and 103 distinct rise keys of 1296 samples each
     cfg, geom, grid = GaitConfig(), RobotGeometry(), (0.0, 10.0, 20.0)
-    drop_keys, rise_keys, below = _loss_ranks(cfg, geom, 72, grid)
-    assert (len(drop_keys), len(rise_keys)) == (113, 103)
-    assert below.shape == (2, 114, 36)
-    assert len(_threshold_table(cfg, geom, 72, grid)[1]) == 1296
+    table = _threshold_table(cfg, geom, 72, grid)
+    assert (len(table.drop), len(table.rise)) == (113, 103)
+    assert table.below.shape == (2, 114, 36)
+    assert len(table.at_drop) == 1296
+
+
+def test_counted_walk_builds_below_on_the_models_table():
+    # the default grid's counted walk fills in the one cached table that
+    # predict_gamma reads: its per-leg counts are there, and the model gets
+    # that same object back
+    cfg, geom, grid = GaitConfig(), RobotGeometry(), (0.0, 10.0, 20.0)
+    _threshold_table.cache_clear()
+    heights = generate_terrain(0.32, rows=40, cols=5, seed=0).heights[None]
+    simulate_walks(cfg, geom, heights, [0], grid, 10, 72, SensorModel())
+    table = _threshold_table(cfg, geom, 72, grid)
+    assert "below" in vars(table)
+    predict_gamma(geom, cfg, HeightDeltaModel.from_rugosity(0.32), 72, grid)
+    assert _threshold_table(cfg, geom, 72, grid) is table
+
+
+def test_model_builds_no_per_leg_counts():
+    # predict_gamma reads only the sorted keys, so a grid longer than the
+    # walker's chunks never pays for its square-size per-leg counts
+    cfg, geom = GaitConfig(), RobotGeometry()
+    grid = (0.0, 5.0, 10.0, 20.0, 30.0, 45.0, 60.0)
+    _threshold_table.cache_clear()
+    predict_gamma(geom, cfg, HeightDeltaModel.from_rugosity(0.32), 72, grid)
+    assert "below" not in vars(_threshold_table(cfg, geom, 72, grid))
 
 
 @given(n_pairs=st.integers(min_value=2, max_value=6),

@@ -19,7 +19,7 @@ levels with the terrain file between them (walk at sensor_flip_prob =
 boundaries and repeat each seed once per level, and validate, model-sweep
 and walk at --seeds 0..69 on a wide amplitude grid (a_v_grid = 0, 5, 10,
 20, 30, 45, 60 on terrains 0.0, 0.17, 0.32 and 0.6, walk at a_v = 45),
-which the walk engine counts in two loss-rank tables and whose stance
+which the walk engine counts in two RANK_AMPLITUDES chunks and whose stance
 samples include a negative lift and a negative reach.  Every run's exit code,
 standard output, standard error and output files are compared byte for
 byte; for a text output that differs, the number of differing lines and
@@ -113,7 +113,7 @@ RUNS: List[Tuple[str, Dict[str, str], str, List[str]]] = [
      ["--config", LEVELS_CONFIG, "validate"]),
     ("walk-levels-block-edge", LEVELS_FILES, "0..69",
      ["--config", LEVELS_CONFIG, "walk"]),
-    # seven amplitudes are two loss-rank tables of at most four; from 5
+    # seven amplitudes are two loss tables of at most four; from 5
     # degrees some stance samples have a negative lift, past 38 some a
     # negative reach, and at every nonzero amplitude about a quarter of the
     # samples' rise is one float from the cutoff of the same rule written
