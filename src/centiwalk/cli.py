@@ -208,12 +208,12 @@ def cmd_terrain_gen(fc: FullConfig, args) -> int:
     exp = fc.experiment
     seed = exp.seeds[0]
     try:
-        grid = generate_terrain(args.r_g, rows=exp.terrain_rows,
-                                cols=exp.terrain_cols, seed=seed)
+        grid = generate_terrain(args.r_g, exp.terrain_rows, exp.terrain_cols,
+                                seed, fc.geometry.module_length)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     path = _out_dir(args) / f"terrain_rg{args.r_g:g}_seed{seed}.txt"
-    replace(grid, block_size=fc.geometry.module_length).save(path)
+    grid.save(path)
     print(f"wrote {path}")
     return 0
 
@@ -222,13 +222,17 @@ def cmd_model_sweep(fc: FullConfig, args) -> int:
     entries = _entries(fc)
     out = _out_dir(args)
     dist = slip_distribution(fc.gait, fc.geometry)
-    lines = []
     steps, grid = fc.experiment.steps, fc.experiment.a_v_grid
-    for entry in entries:
-        o = predict_gamma(fc.geometry, fc.gait, entry.model(), steps, grid)
-        band = predict_speed_band(dist, o.gamma)
-        for a_v, *row in zip(grid, o.p_loss1, o.p_loss2, o.gamma, o.gamma_ideal,
-                             o.p_e, band.v_ratio_min, band.v_ratio_max):
+    outs = [predict_gamma(fc.geometry, fc.gait, entry.model(), steps, grid)
+            for entry in entries]
+    # the band is elementwise in gamma: one call for every entry's gammas
+    band = predict_speed_band(dist, np.array([o.gamma for o in outs]))
+    lines = []
+    for entry, o, v_min, v_max in zip(entries, outs, band.v_ratio_min.tolist(),
+                                      band.v_ratio_max.tolist()):
+        columns = (o.p_loss1, o.p_loss2, o.gamma, o.gamma_ideal, o.p_e)
+        for a_v, *row in zip(grid, *(c.tolist() for c in columns), v_min,
+                             v_max):
             lines.append(f"{entry.label},{a_v:g},"
                          + ",".join(f"{x:.6f}" for x in row))
     path = out / "model_sweep.csv"
@@ -276,8 +280,9 @@ def cmd_walk(fc: FullConfig, args) -> int:
     # every walk, each entry's first-seed map among them, runs before
     # anything is written, so a failed walk leaves no partial output
     walks = [(entry, w, simulate_walk(fc.gait, fc.geometry, TerrainGrid(
-                  10.0, heights[0], entry.r_g, exp.seeds[0]), exp.cycles,
-                  exp.steps, sensor, exp.seeds[0]).measured.bits.T)
+                  fc.geometry.module_length, heights[0], entry.r_g,
+                  exp.seeds[0]), exp.cycles, exp.steps, sensor,
+                  exp.seeds[0]).measured.bits.T)
              for entry, (heights, w) in zip(entries, _walk_entries(
                  fc, entries, [fc.gait.a_v], sensor))]
     stamp = _stamp(fc)

@@ -116,7 +116,7 @@ def _read_ini(text: str, source) -> Dict[str, Dict[str, str]]:
     read: Dict[str, Dict[str, List[str]]] = {}
     keys, key, indent = None, None, 0
     for n, raw in enumerate(text.split("\n"), 1):
-        comment = _COMMENT.search(raw)
+        comment = _COMMENT.search(raw) if "#" in raw or ";" in raw else None
         line = raw[:comment.start() if comment else None].strip()
         at = len(raw) - len(raw.lstrip())
         if not line or (key is not None and at > indent):
@@ -124,7 +124,8 @@ def _read_ini(text: str, source) -> Dict[str, Dict[str, str]]:
             if key is not None and (line or comment is None):
                 keys[key].append(line)
             continue
-        indent, header, why = at, _HEADER.match(line), None
+        indent, why = at, None
+        header = _HEADER.match(line) if line[0] == "[" else None
         if header:
             name, key = header.group(1), None
             if name in read and name != "DEFAULT":

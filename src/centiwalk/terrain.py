@@ -69,13 +69,16 @@ class TerrainGrid:
                     meta.update(part.split("=", 1) for part in line[1:].split()
                                 if "=" in part)
                 elif line:
-                    rows.append([float(x) for x in line.split(",")])
+                    rows.append(line)
+        # one float() per value in file order: a bad value fails first
+        values = np.fromiter(map(float, ",".join(rows).split(",") if rows
+                                 else ()), float)
         missing = [k for k in ("block_size", "r_g") if k not in meta]
         if missing:
             raise ValueError(f"missing header {', '.join(missing)}")
-        if len({len(row) for row in rows}) > 1:
+        if len({row.count(",") for row in rows}) > 1:
             raise ValueError("rows differ in length")
-        heights = np.array(rows)
+        heights = values.reshape(len(rows), -1) if rows else values
         if not np.isfinite(heights).all():
             raise ValueError("heights must be finite")
         # a file without the rows= cols= header is taken as it is
@@ -87,15 +90,15 @@ class TerrainGrid:
                    r_g=float(meta["r_g"]), seed=int(meta.get("seed", 0)))
 
 
-def generate_terrain(r_g: float, rows: int, cols: int,
-                     seed: int = 0) -> TerrainGrid:
-    """Generate a block terrain of the requested rugosity.
+def generate_terrain(r_g: float, rows: int, cols: int, seed: int = 0,
+                     block_size: float = 10.0) -> TerrainGrid:
+    """Generate a block terrain of the requested rugosity and block size.
 
     Each column is an independent random walk along the travel direction
     with N(0, 15*r_g) increments; deterministic for a fixed seed.
     """
     heights = generate_terrains([r_g], rows, cols, [seed])[0, 0]
-    return TerrainGrid(block_size=10.0, heights=heights, r_g=r_g, seed=seed)
+    return TerrainGrid(block_size, heights, r_g, seed)
 
 
 def generate_terrains(levels: Sequence[float], rows: int, cols: int,

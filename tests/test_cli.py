@@ -19,8 +19,9 @@ from centiwalk.cli import main
 from centiwalk.config import load_config
 from centiwalk.contact_sim import SensorModel, simulate_walk, simulate_walks
 from centiwalk.control import ARMS, _feedback
-from centiwalk.kinematics import flat_ground_stride
-from centiwalk.terrain import TerrainGrid, generate_terrain
+from centiwalk.kinematics import flat_ground_stride, slip_distribution
+from centiwalk.models import predict_gamma, predict_speed_band
+from centiwalk.terrain import HeightDeltaModel, TerrainGrid, generate_terrain
 
 FAST_CFG = """\
 [meta]
@@ -370,8 +371,69 @@ class TestTerrainGen:
         assert run(["--config", str(cfg), "--out", str(tmp_path),
                     "model-sweep"]) == 0
 
+    def test_generated_blocks_of_a_module_length_walk(self, tmp_path):
+        # a library-generated terrain of 12.5 cm blocks is a terrain entry
+        # of a robot whose modules are 12.5 cm long
+        tfile = tmp_path / "t.txt"
+        generate_terrain(0.17, rows=20, cols=5, seed=3,
+                         block_size=12.5).save(tfile)
+        assert TerrainGrid.load(tfile).block_size == 12.5
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("[meta]\nschema_version = 1\n"
+                       "[geometry]\nmodule_length = 12.5\n"
+                       f"[experiment]\nterrains = {tfile}, 0.1\n")
+        for command in ("model-sweep", "walk"):
+            assert run(["--config", str(cfg), "--out", str(tmp_path),
+                        "--seeds", "0", "--cycles", "2", command]) == 0
+
 
 class TestModelSweep:
+    def test_rows_are_each_entrys_own_model(self, tmp_path):
+        # the speed band runs once over every entry's gammas; each row must
+        # still be its entry's own predict_gamma and predict_speed_band
+        tfile = tmp_path / "t.txt"
+        generate_terrain(0.25, rows=30, cols=5, seed=4).save(tfile)
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("[meta]\nschema_version = 1\n[experiment]\n"
+                       f"terrains = 0.0, 0.17, {tfile}, 0.32\n"
+                       "a_v_grid = 0, 6, 12, 18, 24\n")
+        assert run(["--config", str(cfg), "--out", str(tmp_path),
+                    "model-sweep"]) == 0
+        fc = load_config(str(cfg))
+        grid = fc.experiment.a_v_grid
+        dist = slip_distribution(fc.gait, fc.geometry)
+        deltas = TerrainGrid.load(tfile).longitudinal_deltas()
+        expected = []
+        for label, model in [
+                ("rg=0", HeightDeltaModel.from_rugosity(0.0)),
+                ("rg=0.17", HeightDeltaModel.from_rugosity(0.17)),
+                ("t", HeightDeltaModel.from_samples(deltas)),
+                ("rg=0.32", HeightDeltaModel.from_rugosity(0.32))]:
+            o = predict_gamma(fc.geometry, fc.gait, model, fc.experiment.steps,
+                              grid)
+            band = predict_speed_band(dist, o.gamma)
+            for k, a_v in enumerate(grid):
+                row = (o.p_loss1[k], o.p_loss2[k], o.gamma[k],
+                       o.gamma_ideal[k], o.p_e[k], band.v_ratio_min[k],
+                       band.v_ratio_max[k])
+                expected.append(f"{label},{a_v:g},"
+                                + ",".join(f"{x:.6f}" for x in row))
+        lines = (tmp_path / "model_sweep.csv").read_text().splitlines()
+        assert lines[2:] == expected
+
+    def test_bad_terrain_value_is_one_line_error(self, tmp_path, capsys):
+        tfile = tmp_path / "t.txt"
+        tfile.write_text("# terrain v1\n# block_size=10\n# r_g=0.1\n"
+                         "0,1\n2,x\n")
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("[meta]\nschema_version = 1\n"
+                       f"[experiment]\nterrains = {tfile}\n")
+        assert run(["--config", str(cfg), "--out", str(tmp_path),
+                    "model-sweep"]) == 1
+        assert capsys.readouterr().err == (
+            f"config error: {tfile}: could not convert string to float: "
+            "'x'\n")
+
     def test_grid_row_count(self, tmp_path, fast_config):
         assert run(["--config", fast_config, "--out", str(tmp_path),
                     "model-sweep"]) == 0

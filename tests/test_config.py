@@ -231,6 +231,8 @@ READABLE = {
     "percent": "[experiment]\nterrains = %(x)s, rough%1.txt, 100%\n",
     "empty-value": "[gait]\nduty =\nxi:\n",
     "indented-lines": "  [gait]\n  duty = 0.5\n  xi = 1\n",
+    "bracketed-value": "[gait]\nname = [x] ; c\n",
+    "header-comment": "[gait] # c\nduty = 0.5\n",
     "shipped-default": default_config_path().read_text(),
 }
 

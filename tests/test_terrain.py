@@ -147,6 +147,26 @@ class TestGenerateTerrain:
         with pytest.raises(ValueError, match="block_size must be finite"):
             TerrainGrid.load(path)
 
+    def test_load_reads_each_value_as_float_does(self, tmp_path):
+        rows = [[" 2.5", "+1", "1_000"], ["1e-3", "\t3", "-0"]]
+        path = tmp_path / "t.txt"
+        path.write_text("# terrain v1\n# block_size=10\n# r_g=0.1\n"
+                        + "".join(",".join(row) + "\n" for row in rows))
+        heights = TerrainGrid.load(path).heights
+        assert heights.tolist() == [[float(x) for x in row] for row in rows]
+
+    @pytest.mark.parametrize("header", ["# block_size=10\n# r_g=0.1\n",
+                                        "# block_size=10\n"])
+    def test_load_reports_the_first_bad_value_before_any_header(
+            self, tmp_path, header):
+        # values convert as they are read, so a bad one fails ahead of a
+        # missing header and of rows that differ in length
+        path = tmp_path / "t.txt"
+        path.write_text("# terrain v1\n" + header + "0,1\n2,x,y\n")
+        with pytest.raises(ValueError) as info:
+            TerrainGrid.load(path)
+        assert str(info.value) == "could not convert string to float: 'x'"
+
 
 class TestHeightDeltaModel:
     def test_gaussian_p1(self):
