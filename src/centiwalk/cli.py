@@ -26,7 +26,6 @@ from .config import ConfigError, FullConfig, load_config, _seeds
 from .contact_sim import (
     SensorModel,
     WalkOffTerrainError,
-    Walks,
     ideal_contact_map,
     simulate_walk,
     simulate_walks,
@@ -154,10 +153,11 @@ def _levels(fc: FullConfig, levels: List[float]) -> np.ndarray:
 
 
 def _walk_entries(fc: FullConfig, entries: List[TerrainEntry], a_v: list,
-                  sensor: SensorModel) -> List[Tuple[np.ndarray, Walks]]:
-    """Per entry, its (seeds, rows, cols) heights and walks at each a_v.  The
+                  sensor: SensorModel) -> List[Tuple[np.ndarray, np.ndarray]]:
+    """Per entry, its (seeds, rows, cols) heights and its walks' true
+    contact ratios at each a_v, shape (seeds, amplitudes, cycles).  The
     levels walk in one call at the first level's place, reshaped without a
-    copy to (levels x seeds, rows, cols), and each level's walks are views
+    copy to (levels x seeds, rows, cols), and each level's ratios are a view
     of that call's; rows walk independently, so each entry's numbers and
     errors are its own call's.  Files walk one by one."""
     exp = fc.experiment
@@ -165,17 +165,14 @@ def _walk_entries(fc: FullConfig, entries: List[TerrainEntry], a_v: list,
 
     def walk(heights, seeds):
         return heights, simulate_walks(fc.gait, fc.geometry, heights, seeds,
-                                       a_v, exp.cycles, exp.steps, sensor)
+                                       a_v, exp.cycles, exp.steps,
+                                       sensor).gamma
 
     def level_walks():
-        _, batch = walk(generated.reshape((-1,) + generated.shape[2:]),
+        _, gamma = walk(generated.reshape((-1,) + generated.shape[2:]),
                         exp.seeds * len(generated))
-        gamma, gamma_measured, a_vs = (
-            a.reshape(generated.shape[:2] + a.shape[1:])
-            for a in (batch.gamma, batch.gamma_measured, batch.a_v))
-        for k, heights in enumerate(generated):
-            yield heights, Walks(gamma[k], gamma_measured[k], a_vs[k],
-                                 batch.dist)
+        yield from zip(generated,
+                       gamma.reshape(generated.shape[:2] + gamma.shape[1:]))
 
     level = level_walks()
     return [next(level) if e.grid is None else walk(np.broadcast_to(
@@ -249,12 +246,12 @@ def cmd_validate(fc: FullConfig, args) -> int:
     sensor = SensorModel(flip_prob=0.0)
     grid = exp.a_v_grid
     lines = []
-    for entry, (_, walks) in zip(entries,
+    for entry, (_, gamma) in zip(entries,
                                  _walk_entries(fc, entries, grid, sensor)):
         gammas = predict_gamma(fc.geometry, fc.gait, entry.model(), exp.steps,
                                grid).gamma.tolist()
         # per amplitude: the mean over seeds of each seed's mean over cycles
-        sims = walks.gamma.mean(axis=-1).mean(axis=0).tolist()
+        sims = gamma.mean(axis=-1).mean(axis=0).tolist()
         for a_v, predicted, simulated in zip(grid, gammas, sims):
             dev = abs(simulated - predicted)
             status = "pass" if dev <= exp.tolerance else "FAIL"
@@ -279,23 +276,27 @@ def cmd_walk(fc: FullConfig, args) -> int:
     sensor = SensorModel(flip_prob=exp.sensor_flip_prob)
     # every walk, each entry's first-seed map among them, runs before
     # anything is written, so a failed walk leaves no partial output
-    walks = [(entry, w, simulate_walk(fc.gait, fc.geometry, TerrainGrid(
-                  fc.geometry.module_length, heights[0], entry.r_g,
-                  exp.seeds[0]), exp.cycles, exp.steps, sensor,
-                  exp.seeds[0]).measured.bits.T)
-             for entry, (heights, w) in zip(entries, _walk_entries(
-                 fc, entries, [fc.gait.a_v], sensor))]
+    walked = _walk_entries(fc, entries, [fc.gait.a_v], sensor)
+    maps = [simulate_walk(fc.gait, fc.geometry, TerrainGrid(
+                fc.geometry.module_length, heights[0], entry.r_g,
+                exp.seeds[0]), exp.cycles, exp.steps, sensor,
+                exp.seeds[0]).measured.bits.T
+            for entry, (heights, _) in zip(entries, walked)]
+    # the band is elementwise in gamma: one call for every entry's gammas
+    gammas = np.array([gamma[:, 0] for _, gamma in walked])
+    speeds = predict_speed_band(slip_distribution(fc.gait, fc.geometry),
+                                gammas).v_ratio_mid
     stamp = _stamp(fc)
     path = out / "walk.csv"
     _write_csv(path, stamp, "seed,terrain,a_v_deg,cycle,gamma,v_ratio",
                (f"{seed},{entry.label},{fc.gait.a_v:g},{c},{g:.6f},{v:.6f}"
-                for entry, w, _ in walks
-                for seed, gammas, speeds in zip(exp.seeds,
-                                                w.gamma[:, 0].tolist(),
-                                                w.v_ratio[:, 0].tolist())
-                for c, (g, v) in enumerate(zip(gammas, speeds))))
+                for entry, entry_gammas, entry_speeds in zip(
+                    entries, gammas.tolist(), speeds.tolist())
+                for seed, seed_gammas, seed_speeds in zip(
+                    exp.seeds, entry_gammas, entry_speeds)
+                for c, (g, v) in enumerate(zip(seed_gammas, seed_speeds))))
     legs = ",".join(_leg_names(fc.gait.n_pairs))
-    for entry, _, samples in walks:
+    for entry, samples in zip(entries, maps):
         _write_csv(out / f"contact_{entry.label}.csv", stamp,
                    "cycle,step," + legs,
                    (f"{i // exp.steps},{i % exp.steps},"
@@ -319,7 +320,8 @@ def cmd_controller_compare(fc: FullConfig, args) -> int:
                                 exp.sensor_flip_prob)
     stride = flat_ground_stride(fc.gait, fc.geometry)
     stamp = _stamp(fc)
-    speeds = walks.v_ratio
+    speeds = predict_speed_band(slip_distribution(fc.gait, fc.geometry),
+                                walks.gamma).v_ratio_mid
     displacements = stride * speeds
     # per seed and arm, over the cycles: mean speed ratio, its variance and
     # the distance walked

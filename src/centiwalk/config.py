@@ -110,9 +110,10 @@ _HEADER = re.compile(r"\[(.+)\]")
 _OPTION = re.compile(r"([^=:]+?)\s*[=:]\s*(.*)")
 
 
-def _read_ini(text: str, source) -> Dict[str, Dict[str, str]]:
+def _read_ini(text: str) -> Dict[str, Dict[str, str]]:
     """The INI text as {section: {key: value}}, [DEFAULT]'s keys filling each
-    section present; README's Configuration lists the syntax it accepts."""
+    section present; README's Configuration lists the syntax it accepts,
+    and a ValueError names the first line it does not."""
     read: Dict[str, Dict[str, List[str]]] = {}
     keys, key, indent = None, None, 0
     for n, raw in enumerate(text.split("\n"), 1):
@@ -140,7 +141,7 @@ def _read_ini(text: str, source) -> Dict[str, Dict[str, str]]:
             why = f"repeats the key {key} of [{name}]" if key in keys else None
             keys[key] = [option.group(2)]
         if why:
-            raise ConfigError(f"{source}: line {n}: {raw.strip()!r} {why}")
+            raise ValueError(f"line {n}: {raw.strip()!r} {why}")
     defaults = read.pop("DEFAULT", {})
     return {name: {k: "\n".join(v).rstrip()
                    for k, v in {**defaults, **keys}.items()}
@@ -149,25 +150,23 @@ def _read_ini(text: str, source) -> Dict[str, Dict[str, str]]:
 
 def load_config(path: Optional[str] = None) -> FullConfig:
     """Load a full configuration; an omitted key takes its dataclass
-    default."""
+    default.  Every error in the file is a ConfigError that names it."""
     cfg_path = Path(path) if path is not None else default_config_path()
     if not cfg_path.is_file():
         raise ConfigError(f"config file not found: {cfg_path}")
     try:
-        ini = _read_ini(cfg_path.read_text(), cfg_path)
+        ini = _read_ini(cfg_path.read_text())
         meta = ini.get("meta", {})
         version = (int(meta["schema_version"]) if "schema_version" in meta
                    else None)
         if version != SCHEMA_VERSION:
-            raise ConfigError(f"{cfg_path}: schema_version must be "
-                              f"{SCHEMA_VERSION}, got {version}")
+            raise ValueError(f"schema_version must be {SCHEMA_VERSION}, "
+                             f"got {version}")
         sections = {}
         for name, cls in _SECTIONS.items():
             given = ini.get(name, {})
             sections[name] = cls(**{f.name: _PARSERS[f.type](given[f.name])
                                     for f in fields(cls) if f.name in given})
-    except ConfigError:
-        raise
-    except ValueError as exc:       # UnicodeDecodeError included
+    except ValueError as exc:       # ConfigError and UnicodeDecodeError too
         raise ConfigError(f"{cfg_path}: {exc}") from exc
     return FullConfig(**sections)

@@ -12,14 +12,13 @@ debounce) stands in for the physical contact-sensing hardware.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .gait import GaitConfig, _stance_table, checked_amplitudes, checked_count
-from .kinematics import (RobotGeometry, SlipDistribution, _loss_thresholds,
-                         _threshold_table, slip_distribution)
+from .kinematics import (RobotGeometry, _loss_thresholds, _threshold_table,
+                         slip_distribution)
 from .models import predict_speed_band
 from .terrain import TerrainGrid
 
@@ -80,18 +79,12 @@ class SensorModel:
 class Walks:
     """Per-cycle outcomes of every seed walked at every starting amplitude,
     three arrays of shape (seeds, amplitudes, cycles).  A walk's contact
-    maps come from simulate_walk, one seed at a time."""
+    maps come from simulate_walk, one seed at a time, and its speed from
+    predict_speed_band at gamma."""
 
     gamma: np.ndarray            # true contact ratio
     gamma_measured: np.ndarray   # sensed contact ratio
     a_v: np.ndarray              # vertical amplitude
-    dist: SlipDistribution       # the gait's, for the speed band
-
-    @cached_property
-    def v_ratio(self) -> np.ndarray:
-        """Speed ratio v/v_open, the speed band's middle at gamma, computed
-        on first read."""
-        return predict_speed_band(self.dist, self.gamma).v_ratio_mid
 
 
 @dataclass
@@ -103,7 +96,6 @@ class WalkResult:
     gamma_per_cycle: List[float]
     forward_speed_ratio: List[float]
     loss_events: List[Tuple[int, int, str]]    # (leg, absolute step, cause)
-    gamma_measured: List[float]                # sensed, per cycle
 
 
 def ideal_contact_map(cfg: GaitConfig, steps: int, cycles: int = 1) -> ContactMap:
@@ -300,7 +292,6 @@ def simulate_walks(cfg: GaitConfig, geom: RobotGeometry,
     gamma_measured is its gamma array and its a_v a read-only broadcast.
     """
     a_v = _checked_a_v(cfg, heights, seeds, a_v, cycles, steps)
-    dist = slip_distribution(cfg, geom)
     block = max(1, BLOCK_ROWS // len(a_v))
     starts = range(0, len(seeds), block)
     if (next_av is None and sensor.flip_prob == 0.0
@@ -312,14 +303,13 @@ def simulate_walks(cfg: GaitConfig, geom: RobotGeometry,
         ).sum(axis=-1) for i in starts])
         gamma = (retraction - lost) / retraction
         return Walks(gamma=gamma, gamma_measured=gamma,
-                     a_v=np.broadcast_to(a_v[:, None], gamma.shape), dist=dist)
+                     a_v=np.broadcast_to(a_v[:, None], gamma.shape))
     per_cycle = [_walk_block(cfg, geom, heights[i:i + block],
                              seeds[i:i + block], a_v, cycles, steps, sensor,
                              next_av, maps=False)[:3]
                  for i in starts]
     gamma, gamma_measured, a_vs = (np.concatenate(a) for a in zip(*per_cycle))
-    return Walks(gamma=gamma, gamma_measured=gamma_measured, a_v=a_vs,
-                 dist=dist)
+    return Walks(gamma=gamma, gamma_measured=gamma_measured, a_v=a_vs)
 
 
 def simulate_walk(cfg: GaitConfig, geom: RobotGeometry, terrain: TerrainGrid,
@@ -334,7 +324,7 @@ def simulate_walk(cfg: GaitConfig, geom: RobotGeometry, terrain: TerrainGrid,
     """
     heights = terrain.heights[None]
     a_v = _checked_a_v(cfg, heights, [seed], [cfg.a_v], cycles, steps)
-    gamma, gamma_measured, _, lost, bits, d = _walk_block(
+    gamma, _, _, lost, bits, d = _walk_block(
         cfg, geom, heights, [seed], a_v, cycles, steps, sensor, None,
         maps=True)
     _, leg, _, step = _stance_table(cfg, steps)
@@ -352,5 +342,4 @@ def simulate_walk(cfg: GaitConfig, geom: RobotGeometry, terrain: TerrainGrid,
             slip_distribution(cfg, geom), gamma[0, 0]).v_ratio_mid.tolist(),
         loss_events=list(zip(leg[s].tolist(), (c * steps + step[s]).tolist(),
                              causes.tolist())),
-        gamma_measured=gamma_measured[0, 0].tolist(),
     )

@@ -64,10 +64,7 @@ def update_av(cc: ControllerConfig, gamma_s):
 
 def _feedback(cc: ControllerConfig, periods: Sequence[Optional[int]]):
     """simulate_walks' next_av for amplitude columns whose column j updates
-    its amplitude every periods[j] cycles, or never for None (open loop);
-    None when no column updates."""
-    if all(p is None for p in periods):
-        return None
+    its amplitude every periods[j] cycles, or never for None (open loop)."""
     # open loop is an infinite period: (cycle + 1) % inf is never 0
     every = np.array([math.inf if p is None else p for p in periods])
 

@@ -55,11 +55,13 @@ class GaitConfig:
 
     def __post_init__(self):
         checked_count(self.n_pairs, "n_pairs", 2)
-        if not math.isfinite(self.xi):
-            raise ValueError(f"xi must be finite, got {self.xi}")
+        # every wave phase, at most the vertical wave's 4*pi*n_pairs*xi or
+        # 4*pi*phase_offset, must be finite
+        if not math.isfinite(2.0 * TWO_PI * self.n_pairs * self.xi):
+            raise ValueError(f"xi must give finite wave phases, got {self.xi}")
         off = self.phase_offset
-        if off is not None and not math.isfinite(off):
-            raise ValueError(f"phase_offset must be finite, got {off}")
+        if off is not None and not math.isfinite(2.0 * TWO_PI * off):
+            raise ValueError(f"phase_offset must give finite wave phases, got {off}")
         if not 0.0 < self.duty < 1.0:
             raise ValueError(f"duty must be in (0, 1), got {self.duty}")
         if not 0.0 <= self.a_v < math.inf:      # NaN fails this test too

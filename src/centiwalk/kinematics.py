@@ -145,16 +145,15 @@ def slip_distribution(cfg: GaitConfig,
     return SlipDistribution(bin_centers=centers, probs=probs)
 
 
-def stance_geometry(cfg: GaitConfig, geom: RobotGeometry, u,
-                    a_v=None) -> tuple:
+def stance_geometry(cfg: GaitConfig, geom: RobotGeometry, u, a_v) -> tuple:
     """(d_s, reach, lift) arrays at reduced stance phases u in [0, duty), cm:
     the rearward foot travel since stance onset, the deepest drop below the
     current surface the foot can reach, and the foot's lift above the
     nominal ground plane by the vertical wave (negative when lowered).
 
-    reach and lift are taken at the vertical amplitude cfg.a_v, or at a_v
-    (degrees), a float or an array that broadcasts against u: a column of
-    amplitudes gives one row of reach and lift per amplitude.
+    reach and lift are taken at the vertical amplitude a_v (degrees; cfg.a_v
+    is not read), a float or an array that broadcasts against u: a column
+    of amplitudes gives one row of reach and lift per amplitude.
     """
     u = np.asarray(u, dtype=float)
     amp = math.radians(cfg.theta_leg_amp)
@@ -162,7 +161,7 @@ def stance_geometry(cfg: GaitConfig, geom: RobotGeometry, u,
     d_s = geom.leg_length * (math.sin(amp) - np.sin(theta_leg))
     # the body pitch of the vertical wave, which runs at twice the gait
     # frequency, at the leg's module
-    theta_v = np.radians(cfg.a_v if a_v is None else a_v) * np.cos(
+    theta_v = np.radians(a_v) * np.cos(
         2.0 * TWO_PI * (u - cfg.contact_fraction_offset))
     reach = geom.d_l * np.sin(theta_v) + geom.h_l * np.cos(theta_v)
     return d_s, reach, geom.h_l - reach
@@ -176,27 +175,21 @@ def recoverable_heights(geom: RobotGeometry, d_s: Sequence[float]) -> np.ndarray
     return geom.h_l2 * (1.0 - np.cos(np.arcsin(ratio)))
 
 
-def loss_thresholds(cfg: GaitConfig, geom: RobotGeometry, u, a_v) -> tuple:
-    """The contact-loss rule's (reach, rise) arrays, cm, at reduced stance
-    phases u and the vertical amplitude a_v (degrees; broadcast against u as
-    in stance_geometry).  A terrain step d loses a stance sample when it is
-    a drop deeper than the reach (d <= 0 and -d > reach) or a rise above
-    what retraction recovers plus any lift of the vertical wave (d > rise).
-    The one definition of the rule: predict_gamma and the walker read it."""
-    d_s, reach, lift = stance_geometry(cfg, geom, u, a_v)
-    return reach, recoverable_heights(geom, d_s) + np.maximum(lift, 0.0)
-
-
 @lru_cache(maxsize=1024)
 def _loss_thresholds(cfg: GaitConfig, geom: RobotGeometry, steps: int,
                      a_v: float) -> np.ndarray:
-    """The loss rule at the amplitude a_v and the walker's stance phases,
-    shape (2, stance samples): a step d is lost when d < lower, where lower
-    = min(-reach, 5e-324) (so d <= 0 and -d > reach), or d > upper, the
-    rise.  The walker's and predict_gamma's one cache; its bound is ample,
-    as a feedback amplitude is a function of a count over retraction."""
-    reach, rise = loss_thresholds(cfg, geom, _stance_table(cfg, steps)[2],
-                                  a_v)
+    """The contact-loss rule at the vertical amplitude a_v (degrees) and the
+    walker's stance phases, shape (2, stance samples).  A terrain step d
+    loses a stance sample when it is a drop deeper than the foot's reach
+    (d <= 0 and -d > reach) or a rise above what retraction recovers plus
+    any lift of the vertical wave (d > rise): that is when d < lower, where
+    lower = min(-reach, 5e-324), or d > upper, the rise.  The one
+    definition of the rule and its one cache, which predict_gamma and the
+    walker read; its bound is ample, as a feedback amplitude is a function
+    of a count over retraction."""
+    d_s, reach, lift = stance_geometry(cfg, geom,
+                                       _stance_table(cfg, steps)[2], a_v)
+    rise = recoverable_heights(geom, d_s) + np.maximum(lift, 0.0)
     table = np.stack([np.minimum(-reach, 5e-324), rise])
     table.setflags(write=False)
     return table

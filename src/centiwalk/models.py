@@ -45,7 +45,6 @@ class LossModelOutput:
 
     p_loss1: np.ndarray
     p_loss2: np.ndarray
-    p_loss: np.ndarray
     gamma: np.ndarray
     gamma_ideal: np.ndarray
     p_e: np.ndarray
@@ -109,5 +108,5 @@ def predict_gamma(geom: RobotGeometry, cfg: GaitConfig, model: HeightDeltaModel,
     gamma_ideal = table.gamma_ideal.copy()
     p_e = np.divide(1.0 - gamma, gamma_ideal, out=np.full_like(gamma, np.inf),
                     where=gamma_ideal > 0.0)
-    return LossModelOutput(p_loss1=p_loss1, p_loss2=p_loss2, p_loss=p_loss,
-                           gamma=gamma, gamma_ideal=gamma_ideal, p_e=p_e)
+    return LossModelOutput(p_loss1=p_loss1, p_loss2=p_loss2, gamma=gamma,
+                           gamma_ideal=gamma_ideal, p_e=p_e)

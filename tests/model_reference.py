@@ -41,7 +41,7 @@ def predict_gamma(geom: RobotGeometry, cfg: GaitConfig,
                   model: HeightDeltaModel, steps: int) -> LossModelOutput:
     """Analytic loss bundle at the one amplitude cfg.a_v, as floats."""
     d_s, reach, lift = stance_geometry(cfg, geom,
-                                       _stance_table(cfg, steps)[2])
+                                       _stance_table(cfg, steps)[2], cfg.a_v)
     p_loss1 = float(np.mean(tail_probability(model, reach, "dh_nonpositive")))
     thresholds = recoverable_heights(geom, d_s) + np.maximum(lift, 0.0)
     p_loss2 = float(np.mean(tail_probability(model, thresholds, "dh_positive")))
@@ -49,5 +49,5 @@ def predict_gamma(geom: RobotGeometry, cfg: GaitConfig,
     gamma = 1.0 - p_loss
     gamma_ideal = float(np.mean(lift <= 1e-12))
     p_e = (1.0 - gamma) / gamma_ideal if gamma_ideal > 0.0 else float("inf")
-    return LossModelOutput(p_loss1=p_loss1, p_loss2=p_loss2, p_loss=p_loss,
-                           gamma=gamma, gamma_ideal=gamma_ideal, p_e=p_e)
+    return LossModelOutput(p_loss1=p_loss1, p_loss2=p_loss2, gamma=gamma,
+                           gamma_ideal=gamma_ideal, p_e=p_e)

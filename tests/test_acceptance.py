@@ -205,8 +205,12 @@ def test_07_speed_gamma_band():
 
 def arm_speeds(walks, name):
     """One arm's per-seed mean speed ratios and its seed-averaged speed
-    variance, from the arm's v_ratio[:, j] rows."""
-    speeds = walks.v_ratio[:, list(ARMS).index(name)].tolist()
+    variance, from the arm's rows of the speed ratio at the walks' gamma,
+    the default gait's speed band's middle."""
+    v_ratio = predict_speed_band(slip_distribution(GaitConfig(),
+                                                   RobotGeometry()),
+                                 walks.gamma).v_ratio_mid
+    speeds = v_ratio[:, list(ARMS).index(name)].tolist()
     return [mean(v) for v in speeds], mean(pvariance(v) for v in speeds)
 
 

@@ -108,7 +108,6 @@ class TestBadInput:
         ("seeds = -2, 3\n", ["walk"]),
         (NO_SLIP, ["model-sweep"]),
         (NO_SLIP, ["walk"]),
-        (NO_SLIP, ["validate"]),
         (NO_SLIP, ["controller-compare"]),
         ("terrains = 0.17, 0.170\n", ["validate"]),
         ("terrains = {twin_a}, {twin_b}\n", ["walk"]),
@@ -128,6 +127,9 @@ class TestBadInput:
         ("seeds = 0..1\nterrains = 1e307\n", ["controller-compare"]),
         ("terrains = {block_nan}\n", ["validate"]),
         ("terrains = {truncated}\n", ["model-sweep"]),
+        ("[gait]\nphase_offset = 1e308\n", ["model-sweep"]),
+        ("[gait]\nphase_offset = 1e308\n", ["validate"]),
+        ("[gait]\nxi = 1e308\n", ["gait-dump"]),
     ], ids=["odd-steps-flag", "odd-steps-config", "nan-rugosity",
             "negative-rugosity", "compare-only-files", "no-r_g-header",
             "ragged-rows", "one-row-file", "nan-height-walk",
@@ -143,8 +145,7 @@ class TestBadInput:
             "nan-xi-sweep", "negative-seed-flag-walk",
             "negative-seed-range-flag-validate",
             "negative-seed-flag-terrain-gen", "negative-seed-config-walk",
-            "no-slip-sweep", "no-slip-walk",
-            "no-slip-validate", "no-slip-compare",
+            "no-slip-sweep", "no-slip-walk", "no-slip-compare",
             "repeated-label-levels-validate", "repeated-label-files-walk",
             "non-integer-schema-version", "percent-in-terrain-path",
             "percent-missing-reference", "inf-h_l-sweep", "inf-h_l-validate",
@@ -152,7 +153,9 @@ class TestBadInput:
             "unclosed-section-walk", "key-before-section-walk",
             "latin-1-comment-gait-dump", "overflowing-rugosity-flag",
             "overflowing-rugosity-walk", "overflowing-rugosity-compare",
-            "nan-block-size-validate", "truncated-file-sweep"])
+            "nan-block-size-validate", "truncated-file-sweep",
+            "overflowing-phase_offset-sweep",
+            "overflowing-phase_offset-validate", "overflowing-xi-gait-dump"])
     def test_one_line_error(self, tmp_path, capsys, experiment, argv):
         files = {
             "good": self.GOOD,
@@ -196,7 +199,7 @@ class TestBadInput:
         assert len(err.splitlines()) == 1
         assert err.startswith(("config error:", "usage error:"))
         if any(text in experiment
-               for text in ("[meta]", "%(", "[gait\n", "\xe9")):
+               for text in ("[meta]", "%(", "[gait\n", "\xe9", "1e308")):
             assert str(cfg) in err
         # a failing command leaves no partial output
         assert not list(out.glob("**/*.csv"))
@@ -248,6 +251,50 @@ class TestBadInput:
                     "--seeds", "0", "--cycles", "1", "walk"]) == 0
         lines = (tmp_path / "walk.csv").read_text().splitlines()
         assert len(lines) == 2 + 3           # 3 terrains x 1 seed x 1 cycle
+
+    def test_experiment_error_names_the_file_and_a_flag_does_not(
+            self, tmp_path, capsys, fast_config):
+        # an [experiment] value is the file's error, like any other key; the
+        # same rule broken by a command-line override is a usage error
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(FAST_CFG + "terrain_cols = 0\n")
+        out = tmp_path / "out"
+        assert run(["--config", str(cfg), "--out", str(out), "walk"]) == 1
+        assert capsys.readouterr().err == (
+            f"config error: {cfg}: terrain_cols must be >= 1, got 0\n")
+        assert run(["--config", fast_config, "--out", str(out),
+                    "--cycles", "0", "walk"]) == 1
+        assert capsys.readouterr().err == \
+            "usage error: cycles must be >= 1, got 0\n"
+        assert not out.exists()
+
+
+class TestNoSlipGait:
+    """A gait whose stance feet do not move has no slip-angle distribution,
+    so no speed; its contact ratio is still defined."""
+
+    def config(self, tmp_path):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(FAST_CFG + TestBadInput.NO_SLIP)
+        return str(cfg)
+
+    def test_validate_reads_no_speed(self, tmp_path):
+        code = run(["--config", self.config(tmp_path), "--out", str(tmp_path),
+                    "validate"])
+        assert code in (0, 2)
+        lines = (tmp_path / "validation.csv").read_text().splitlines()
+        assert len(lines) == 2 + 9
+
+    @pytest.mark.parametrize("command",
+                             ["walk", "model-sweep", "controller-compare"])
+    def test_speed_commands_refuse_it(self, tmp_path, capsys, command):
+        out = tmp_path / "out"
+        assert run(["--config", self.config(tmp_path), "--out", str(out),
+                    command]) == 1
+        assert capsys.readouterr().err == (
+            "config error: degenerate foot trajectory: no slip motion at "
+            "theta_leg_amp = 0 and theta_body_amp = 0\n")
+        assert not list(out.glob("*.csv"))
 
 
 class TestStamps:
@@ -720,8 +767,11 @@ class TestWalkAndCompare:
                                  seed=seed).heights[None],
                 [seed], [start], exp.cycles, exp.steps,
                 SensorModel(flip_prob=exp.sensor_flip_prob),
-                _feedback(cc, [period])) for seed in exp.seeds]
-            speeds = [w.v_ratio.ravel().tolist() for w in walks]
+                None if period is None else _feedback(cc, [period]))
+                for seed in exp.seeds]
+            dist = slip_distribution(fc.gait, fc.geometry)
+            speeds = [predict_speed_band(dist, w.gamma).v_ratio_mid.ravel()
+                      .tolist() for w in walks]
             distances = [[stride * v for v in vs] for vs in speeds]
             assert row == (f"{name},{mean(mean(vs) for vs in speeds):.6f},"
                            f"{mean(pvariance(vs) for vs in speeds):.6f},"

@@ -146,6 +146,21 @@ class TestErrors:
         assert str(info.value).startswith(f"{p}: line {line} ")
         assert "\n" not in str(info.value)
 
+    @pytest.mark.parametrize("text, message", [
+        ("terrain_cols = 0", "terrain_cols must be >= 1, got 0"),
+        ("steps = 7", "steps must be an even number >= 4, got 7"),
+        ("tolerance = nan", "tolerance must be >= 0, got nan"),
+        ("terrains =", "seeds and terrains must be non-empty"),
+    ], ids=["zero-cols", "odd-steps", "nan-tolerance", "no-terrains"])
+    def test_experiment_error_names_the_file(self, tmp_path, text, message):
+        # the experiment section's errors name the file as every other
+        # section's do, though ExperimentSpec raises ConfigError itself
+        p = tmp_path / "c.cfg"
+        p.write_text(f"[meta]\nschema_version = 1\n[experiment]\n{text}\n")
+        with pytest.raises(ConfigError) as info:
+            load_config(str(p))
+        assert str(info.value) == f"{p}: {message}"
+
     def test_invalid_gait_value(self, tmp_path):
         p = tmp_path / "c.cfg"
         p.write_text("[meta]\nschema_version = 1\n[gait]\nduty = 1.5\n")
@@ -240,7 +255,7 @@ READABLE = {
 class TestReader:
     @pytest.mark.parametrize("text", READABLE.values(), ids=READABLE)
     def test_reads_as_configparser_does(self, text):
-        assert _read_ini(text, "c.cfg") == _reference(text)
+        assert _read_ini(text) == _reference(text)
 
     @pytest.mark.parametrize("text, line", [
         ("[meta]\nschema_version = 1\n[gait]\n[gait]\n", "4: '[gait]'"),

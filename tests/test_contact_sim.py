@@ -9,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import gait_reference
+from centiwalk import contact_sim
 from centiwalk.contact_sim import (
     ContactMap,
     SensorModel,
@@ -24,6 +25,14 @@ from centiwalk.kinematics import RobotGeometry, slip_distribution
 from centiwalk.models import predict_speed_band
 from centiwalk.terrain import TerrainGrid, generate_terrain, generate_terrains
 from gait_reference import ideal_contact
+
+
+def sensed_ratios(cfg, terrain, cycles, steps, sensor, seed):
+    """The engine's sensed contact ratio per cycle, Walks.gamma_measured, of
+    the walk that simulate_walk takes with the same arguments."""
+    return simulate_walks(cfg, RobotGeometry(), terrain.heights[None], [seed],
+                          [cfg.a_v], cycles, steps,
+                          sensor).gamma_measured[0, 0].tolist()
 
 
 def step_terrain(drop, rows=20, cols=5):
@@ -113,7 +122,8 @@ class TestIdealContactMap:
                             SensorModel(), seed=0)
         assert res.ideal.bits.sum(axis=1).tolist() == [5 * 36] * 12
         assert np.array_equal(res.measured.bits, res.ideal.bits)
-        assert res.gamma_measured == [1.0] * 5
+        assert sensed_ratios(cfg, terrain, 5, 72, SensorModel(), 0) == \
+            [1.0] * 5
 
     def test_contact_map_validation(self):
         with pytest.raises(ValueError):
@@ -199,7 +209,8 @@ class TestSensor:
         terrain = generate_terrain(0.32, rows=20, cols=5, seed=4)
         res = simulate_walk(GaitConfig(), RobotGeometry(), terrain, 10, 72,
                             SensorModel(), seed=4)
-        assert res.gamma_measured == res.gamma_per_cycle
+        assert sensed_ratios(GaitConfig(), terrain, 10, 72, SensorModel(),
+                             4) == res.gamma_per_cycle
         assert min(res.gamma_per_cycle) < 1.0
 
     def test_flip_noise_biases_toward_half(self):
@@ -259,8 +270,9 @@ class TestSlipDistributionCache:
         base = GaitConfig(n_pairs=4)
         slip_distribution.cache_clear()
         for _ in range(3):
-            simulate_walks(base, geom, terrain.heights[None], [3],
-                           [0.0, 12.0, 25.0], 4, 72, SensorModel())
+            w = simulate_walks(base, geom, terrain.heights[None], [3],
+                               [0.0, 12.0, 25.0], 4, 72, SensorModel())
+            predict_speed_band(slip_distribution(base, geom), w.gamma)
         info = slip_distribution.cache_info()
         assert (info.misses, info.hits) == (1, 2)
         assert slip_distribution(base, geom) is slip_distribution(base, geom)
@@ -274,8 +286,29 @@ class TestSlipDistributionCache:
                                72, SensorModel())
             fresh = gait_reference.slip_distribution(cfg, g, 36)
             speeds = predict_speed_band(fresh, w.gamma[0, 0])
-            assert w.v_ratio[0, 0].tolist() == speeds.v_ratio_mid.tolist()
+            v_ratio = predict_speed_band(slip_distribution(cfg, g),
+                                         w.gamma).v_ratio_mid
+            assert v_ratio[0, 0].tolist() == speeds.v_ratio_mid.tolist()
         assert slip_distribution.cache_info().misses == 1 + len(variants)
+
+    def test_walks_read_no_slip_distribution(self, monkeypatch):
+        # a walk returns contact only: its speed is the caller's to compute
+        (heights,) = generate_terrains([0.32], 12, 5, [0, 1])
+        sensors = (SensorModel(), SensorModel(flip_prob=0.05))
+        expected = [simulate_walks(GaitConfig(), RobotGeometry(), heights,
+                                   [0, 1], [0.0, 10.0], 4, 72, sensor)
+                    for sensor in sensors]
+
+        def no_slip(*args):
+            raise AssertionError("the walk read a slip distribution")
+
+        monkeypatch.setattr(contact_sim, "slip_distribution", no_slip)
+        for sensor, want in zip(sensors, expected):
+            got = simulate_walks(GaitConfig(), RobotGeometry(), heights,
+                                 [0, 1], [0.0, 10.0], 4, 72, sensor)
+            for name in ("gamma", "gamma_measured", "a_v"):
+                assert np.array_equal(getattr(got, name),
+                                      getattr(want, name)), name
 
 
 class TestSimulationHarness:
@@ -364,7 +397,8 @@ class TestSimulationHarness:
         assert res.measured.bits.shape == res.ideal.bits.shape == (12, 6 * 72)
         assert len(res.gamma_per_cycle) == 6
         assert len(res.forward_speed_ratio) == 6
-        assert len(res.gamma_measured) == 6
+        assert len(sensed_ratios(GaitConfig(), terrain, 6, 72, SensorModel(),
+                                 2)) == 6
 
     @pytest.mark.parametrize("terrains, seeds, a_v, law, match", [
         (1, [0, 1], [0.0], None, "one terrain per seed"),
@@ -389,13 +423,15 @@ class TestSimulationHarness:
 
 
 class TestMeasureGamma:
-    """The sensed contact ratio, WalkResult.gamma_measured."""
+    """The sensed contact ratio, Walks.gamma_measured, against the maps of
+    simulate_walk's same walk."""
 
     def test_perfect_measurement(self):
         terrain = generate_terrain(0.0, rows=12, cols=5, seed=0)
         res = simulate_walk(GaitConfig(), RobotGeometry(), terrain, 4, 72,
                             SensorModel(), seed=0)
-        assert res.gamma_measured == [1.0] * 4
+        assert sensed_ratios(GaitConfig(), terrain, 4, 72, SensorModel(),
+                             0) == [1.0] * 4
         assert np.array_equal(res.measured.bits,
                               ideal_contact_map(GaitConfig(), 72, 4).bits)
 
@@ -409,5 +445,6 @@ class TestMeasureGamma:
         stance = ideal_contact_map(cfg, 72).bits == 1
         bits = res.measured.bits.reshape(12, 4, 72)
         assert bits[:, :, ~stance[0]].any()
-        assert res.gamma_measured == [
-            bits[:, c][stance].sum() / stance.sum() for c in range(4)]
+        assert sensed_ratios(cfg, terrain, 4, 72, SensorModel(flip_prob=0.3),
+                             5) == [bits[:, c][stance].sum() / stance.sum()
+                                    for c in range(4)]

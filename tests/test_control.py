@@ -12,7 +12,8 @@ from centiwalk.control import (
     update_av,
 )
 from centiwalk.gait import GaitConfig
-from centiwalk.kinematics import RobotGeometry
+from centiwalk.kinematics import RobotGeometry, slip_distribution
+from centiwalk.models import predict_speed_band
 from centiwalk.terrain import generate_terrain, generate_terrains
 
 
@@ -58,10 +59,18 @@ class TestUpdateAv:
                 ControllerConfig(**kwargs)
 
 
+def v_ratio(walks):
+    """The speed ratio, the speed band's middle at gamma, of walks of the
+    default gait and geometry."""
+    return predict_speed_band(slip_distribution(GaitConfig(), RobotGeometry()),
+                              walks.gamma).v_ratio_mid
+
+
 def arm_column(walks, name):
     """The per-cycle outcomes of one arm of a controller comparison."""
-    return {field: getattr(walks, field)[:, list(ARMS).index(name)]
-            for field in ("gamma_measured", "a_v", "v_ratio")}
+    j = list(ARMS).index(name)
+    return {"gamma_measured": walks.gamma_measured[:, j],
+            "a_v": walks.a_v[:, j], "v_ratio": v_ratio(walks)[:, j]}
 
 
 def compare(r_g, seed, cycles, cc, flip_prob=0.0, rows=20):
@@ -135,11 +144,12 @@ class TestCompareControllers:
         walks = compare_controllers(GaitConfig(), RobotGeometry(), cc,
                                     self.terrains(seeds), seeds, cycles=6,
                                     steps=72, flip_prob=0.05)
-        assert walks.v_ratio.shape == (len(seeds), len(ARMS), 6)
-        per_seed = walks.v_ratio[:, 0].mean(axis=-1)
+        speeds = v_ratio(walks)
+        assert speeds.shape == (len(seeds), len(ARMS), 6)
+        per_seed = speeds[:, 0].mean(axis=-1)
         assert len(set(per_seed.tolist())) > 1        # the seeds differ
         for j in range(len(ARMS)):
-            assert np.array_equal(walks.v_ratio[:, j], walks.v_ratio[:, 0])
+            assert np.array_equal(speeds[:, j], speeds[:, 0])
 
     def test_arms_are_the_papers_update_periods(self):
         # open loop, and feedback updated every 1, 2 and 3 cycles: each
@@ -157,12 +167,15 @@ class TestCompareControllers:
         for j, period in enumerate(periods.values()):
             start = cc.fixed_av if period is None else cc.av_min
             for i, (terrain, seed) in enumerate(zip(terrains, seeds)):
-                one = simulate_walks(GaitConfig(), RobotGeometry(),
-                                     terrain[None], [seed], [start], 6, 72,
-                                     sensor, _feedback(cc, [period]))
-                for field in ("gamma", "gamma_measured", "a_v", "v_ratio"):
+                one = simulate_walks(
+                    GaitConfig(), RobotGeometry(), terrain[None], [seed],
+                    [start], 6, 72, sensor,
+                    None if period is None else _feedback(cc, [period]))
+                for field in ("gamma", "gamma_measured", "a_v"):
                     assert np.array_equal(getattr(walks, field)[i, j],
                                           getattr(one, field)[0, 0])
+                assert np.array_equal(v_ratio(walks)[i, j],
+                                      v_ratio(one)[0, 0])
 
     def test_requires_seeds(self):
         with pytest.raises(ValueError):

@@ -87,7 +87,8 @@ class TestRetractionProfile:
 
     @staticmethod
     def profile(cfg, geom, m):
-        return stance_geometry(cfg, geom, cfg.duty * np.arange(m) / m)
+        return stance_geometry(cfg, geom, cfg.duty * np.arange(m) / m,
+                               cfg.a_v)
 
     def test_reach_without_vertical_wave(self):
         # a_v = 0: reach is h_l everywhere, lift is 0
@@ -102,7 +103,8 @@ class TestRetractionProfile:
         geom = RobotGeometry(h_l=7.0, d_l=5.0)
         cfg = GaitConfig(a_v=15.0)
         # stance onset: vertical wave phase puts theta_v at its crest
-        d_s, reach, lift = stance_geometry(cfg, geom, np.array([0.0]))
+        d_s, reach, lift = stance_geometry(cfg, geom, np.array([0.0]),
+                                           cfg.a_v)
         theta_max = math.radians(15.0)
         expected = 5.0 * math.sin(theta_max) + 7.0 * math.cos(theta_max)
         peak = reach[0]
@@ -135,16 +137,15 @@ class TestRetractionProfile:
                                                             m, a_v):
         # the walker and predict_gamma read one float at a time, the
         # model's oracles a column of amplitudes or cfg.a_v: row j of the
-        # column form is, bit for bit, the float form at a_v[j] and the
-        # form that reads cfg.a_v = a_v[j], amplitudes where reach turns
-        # negative included
+        # column form is, bit for bit, the float form at a_v[j], whatever
+        # cfg.a_v holds, amplitudes where reach turns negative included
         u = cfg.duty * np.arange(m) / m
         d_s, reach, lift = stance_geometry(cfg, geom, u,
                                            np.array(a_v)[:, None])
         assert reach.shape == lift.shape == (len(a_v), m)
         for j, a in enumerate(a_v):
             for got in (stance_geometry(cfg, geom, u, a),
-                        stance_geometry(replace(cfg, a_v=a), geom, u)):
+                        stance_geometry(replace(cfg, a_v=a), geom, u, a)):
                 assert np.array_equal(got[0], d_s)
                 assert np.array_equal(got[1], reach[j])
                 assert np.array_equal(got[2], lift[j])

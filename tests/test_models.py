@@ -179,7 +179,7 @@ class TestPredictGamma:
         # [TRIVIAL] sigma = 0: no loss, gamma = 1, p_e = 0
         out = predict_gamma(RobotGeometry(), GaitConfig(),
                             HeightDeltaModel.from_rugosity(0.0), 360, [10.0])
-        assert out.p_loss == 0.0
+        assert 1.0 - out.gamma == 0.0
         assert out.gamma == 1.0
         assert out.p_e == 0.0
 
@@ -249,9 +249,10 @@ class TestPredictGamma:
     def test_mixture_identity(self):
         model = HeightDeltaModel.from_rugosity(0.32)
         out = predict_gamma(RobotGeometry(), GaitConfig(), model, 360, [10.0])
-        assert out.p_loss == pytest.approx(
+        p_loss = 1.0 - out.gamma
+        assert p_loss == pytest.approx(
             model.p1 * out.p_loss1 + (1 - model.p1) * out.p_loss2)
-        assert out.gamma == pytest.approx(1.0 - out.p_loss)
+        assert out.gamma == pytest.approx(1.0 - p_loss)
 
     def test_p_e_uses_ideal_gamma(self):
         out = predict_gamma(RobotGeometry(), GaitConfig(),

@@ -33,10 +33,10 @@ from centiwalk.kinematics import (
     RobotGeometry,
     _loss_thresholds,
     _threshold_table,
-    loss_thresholds,
     recoverable_heights,
     stance_geometry,
 )
+from centiwalk.kinematics import slip_distribution as engine_distribution
 from centiwalk.models import predict_gamma, predict_speed_band
 from centiwalk.terrain import HeightDeltaModel, generate_terrain
 from gait_reference import slip_distribution
@@ -136,7 +136,8 @@ def reference_walk(cfg, geom, terrain, cycles, steps, sensor, seed, cc=None,
         truth = np.zeros((2 * n, steps), dtype=np.uint8)
         for leg in range(2 * n):
             mask = stance[leg]
-            d_s, reach, lift = stance_geometry(cfg, geom, phases[leg][mask])
+            d_s, reach, lift = stance_geometry(cfg, geom, phases[leg][mask],
+                                               cfg.a_v)
             d = dh[leg]
             lost = reference_rule(d, reach, lift,
                                   recoverable_heights(geom, d_s))
@@ -206,8 +207,9 @@ def test_engine_matches_reference_loop(feedback, n_pairs, xi, duty,
     ref = reference_walk(cfg, geom, terrain, cycles, steps, sensor, seed,
                          cc, period)
     one = simulate_walks(cfg, geom, terrain.heights[None], [seed], [a_v],
-                         cycles, steps, sensor, _feedback(cc, [period]))
-    assert_cell_matches(one, 0, 0, ref)
+                         cycles, steps, sensor,
+                         _feedback(cc, [period]) if feedback else None)
+    assert_cell_matches(one, engine_distribution(cfg, geom), 0, 0, ref)
     if not feedback:
         res = simulate_walk(cfg, geom, terrain, cycles, steps, sensor, seed)
         assert_walk_matches(res, ref)
@@ -221,19 +223,26 @@ def reference_lost(losses, cycles, legs, steps):
     return lost
 
 
-def assert_cell_matches(walks, i, j, ref):
-    """Seed i at amplitude column j of `walks` is reference_walk's `ref`."""
+def assert_cell_matches(walks, dist, i, j, ref):
+    """Seed i at amplitude column j of `walks` is reference_walk's `ref`,
+    its speed the band's middle on the gait's slip distribution dist."""
     assert walks.gamma[i, j].tolist() == ref["gamma"]
     assert walks.gamma_measured[i, j].tolist() == ref["gamma_measured"]
     assert walks.a_v[i, j].tolist() == ref["a_v"]
-    assert walks.v_ratio[i, j].tolist() == ref["v"]
+    assert predict_speed_band(dist, walks.gamma[i, j]).v_ratio_mid.tolist() \
+        == ref["v"]
 
 
 def assert_walk_matches(res, ref):
     """simulate_walk's result `res`, maps included, is reference_walk's
     open-loop `ref`."""
     assert res.gamma_per_cycle == ref["gamma"]
-    assert res.gamma_measured == ref["gamma_measured"]
+    # the sensed ratio per cycle: the measured map's share of stance samples
+    shape = (len(res.ideal.bits), len(res.gamma_per_cycle), -1)
+    stance = res.ideal.bits.reshape(shape)
+    sensed = res.measured.bits.reshape(shape) & stance
+    assert (sensed.sum(axis=(0, 2)) / stance.sum(axis=(0, 2))).tolist() == \
+        ref["gamma_measured"]
     assert res.forward_speed_ratio == ref["v"]
     assert res.loss_events == ref["losses"]
     assert np.array_equal(res.measured.bits, np.hstack(ref["bits"]))
@@ -309,7 +318,8 @@ def test_mixed_batch_rows_match_reference_loop(n_pairs, xi, duty,
         for j, (a_v, period) in enumerate(variants):
             ref = reference_walk(replace(cfg, a_v=a_v), geom, terrains[i],
                                  cycles, steps, sensor, seed, cc, period)
-            assert_cell_matches(batch, i, j, ref)
+            assert_cell_matches(batch, engine_distribution(cfg, geom), i, j,
+                                ref)
             if period is None:
                 assert_walk_matches(
                     simulate_walk(replace(cfg, a_v=a_v), geom, terrains[i],
@@ -326,6 +336,7 @@ def test_batch_beyond_one_block_equals_single_walks():
     cycles, steps = 4, 24
     sensor = SensorModel(flip_prob=0.05, latch_steps=2)
     cc = ControllerConfig()
+    dist = engine_distribution(cfg, geom)
     a_vs = [0.0, 7.0, 12.5, 25.0, 3.0, 18.0]
     periods = [None, 1, 2, 3, 1, None]
     block = BLOCK_ROWS // len(a_vs)
@@ -342,13 +353,18 @@ def test_batch_beyond_one_block_equals_single_walks():
         assert batch.gamma.shape == (count, len(a_vs), cycles)
         for i in range(count):
             for j, (a_v, period) in enumerate(zip(a_vs, periods)):
-                one = simulate_walks(cfg, geom, terrains[i].heights[None],
-                                     [seeds[i]], [a_v], cycles, steps, sensor,
-                                     _feedback(cc, [period]))
-                for name in ("gamma", "gamma_measured", "a_v", "v_ratio"):
+                one = simulate_walks(
+                    cfg, geom, terrains[i].heights[None], [seeds[i]], [a_v],
+                    cycles, steps, sensor,
+                    None if period is None else _feedback(cc, [period]))
+                for name in ("gamma", "gamma_measured", "a_v"):
                     assert np.array_equal(getattr(batch, name)[i, j],
                                           getattr(one, name)[0, 0]), \
                         (rows, i, j, name)
+                assert np.array_equal(
+                    predict_speed_band(dist, batch.gamma[i, j]).v_ratio_mid,
+                    predict_speed_band(dist, one.gamma[0, 0]).v_ratio_mid), \
+                    (rows, i, j, "v_ratio")
                 if period is None:
                     walk_cfg = replace(cfg, a_v=a_v)
                     assert_walk_matches(
@@ -373,7 +389,8 @@ def per_sample_losses(cfg, geom, steps, a_v, d):
     meeting the height step d[k]: lost samples per (amplitude, k, leg)."""
     stance, stance_leg = _stance_table(cfg, steps)[:2]
     u = phase_table(cfg, steps)[stance]
-    recover = recoverable_heights(geom, stance_geometry(cfg, geom, u)[0])
+    recover = recoverable_heights(geom,
+                                  stance_geometry(cfg, geom, u, cfg.a_v)[0])
     counts = np.zeros((len(a_v), len(d), 2 * cfg.n_pairs), dtype=int)
     for j, av in enumerate(a_v):
         _, reach, lift = stance_geometry(cfg, geom, u, av)
@@ -402,7 +419,8 @@ def test_counts_equal_the_per_sample_rules_at_every_threshold(
     phases = phase_table(cfg, steps)
     u = phases[phases < cfg.duty]
     assume(len(u) > 0)
-    recover = recoverable_heights(geom, stance_geometry(cfg, geom, u)[0])
+    recover = recoverable_heights(geom,
+                                  stance_geometry(cfg, geom, u, cfg.a_v)[0])
     a_v = np.array(a_v)
     _, reach, lift = stance_geometry(cfg, geom, u, a_v[:, None])
     rise = recover + np.maximum(lift, 0.0)
@@ -421,8 +439,8 @@ def test_counts_equal_the_per_sample_rules_at_every_threshold(
        a_v=AMPLITUDE_GRIDS)
 @settings(max_examples=60, deadline=None)
 def test_walker_and_model_read_one_loss_rule(cfg, half_steps, a_v):
-    # bit for bit, the walker's thresholds at its stance phases are
-    # loss_thresholds' reach and rise there, the model's distinct
+    # bit for bit, the walker's thresholds at its stance phases are the
+    # reach and rise of stance_geometry and recoverable_heights there, the model's distinct
     # thresholds gathered back are the walker's, and the model's
     # flat-terrain contact ratio counts the same lift as stance_geometry's
     geom = RobotGeometry()
@@ -430,7 +448,8 @@ def test_walker_and_model_read_one_loss_rule(cfg, half_steps, a_v):
     assume((phase_table(cfg, steps) < cfg.duty).any())
     u = _stance_table(cfg, steps)[2]
     for a in a_v:
-        reach, rise = loss_thresholds(cfg, geom, u, a)
+        d_s, reach, lift = stance_geometry(cfg, geom, u, a)
+        rise = recoverable_heights(geom, d_s) + np.maximum(lift, 0.0)
         lower, upper = _loss_thresholds(cfg, geom, steps, a)
         assert lower.tobytes() == np.minimum(-reach, 5e-324).tobytes()
         assert upper.tobytes() == rise.tobytes()

@@ -20,7 +20,11 @@ boundaries and repeat each seed once per level, and validate, model-sweep
 and walk at --seeds 0..69 on a wide amplitude grid (a_v_grid = 0, 5, 10,
 20, 30, 45, 60 on terrains 0.0, 0.17, 0.32 and 0.6, walk at a_v = 45),
 which the walk engine counts in two RANK_AMPLITUDES chunks and whose stance
-samples include a negative lift and a negative reach.  Every run's exit code,
+samples include a negative lift and a negative reach, and gait-dump,
+model-sweep, validate, walk and controller-compare on a gait shape of its
+own (n_pairs = 4, xi = 1.5, duty = 0.6, theta_leg_amp = 25, an explicit
+phase_offset = -2.0 and a_v = 15), as every other run walks the default
+gait's phases.  Every run's exit code,
 standard output, standard error and output files are compared byte for
 byte; for a text output that differs, the number of differing lines and
 the first differing line on each side are printed.  Each run works in its
@@ -60,6 +64,10 @@ WIDE_CONFIG = "wide.cfg"
 WIDE_TEXT = ("[meta]\nschema_version = 1\n\n[gait]\na_v = 45\n\n"
              "[experiment]\nterrains = 0.0, 0.17, 0.32, 0.6\n"
              "a_v_grid = 0, 5, 10, 20, 30, 45, 60\n")
+
+GAIT_CONFIG = "gait.cfg"
+GAIT_TEXT = ("[meta]\nschema_version = 1\n\n[gait]\nn_pairs = 4\nxi = 1.5\n"
+             "duty = 0.6\ntheta_leg_amp = 25\nphase_offset = -2.0\na_v = 15\n")
 
 
 def _terrain_text() -> str:
@@ -124,6 +132,12 @@ RUNS: List[Tuple[str, Dict[str, str], str, List[str]]] = [
      ["--config", WIDE_CONFIG, "model-sweep"]),
     ("walk-wide-grid", {WIDE_CONFIG: WIDE_TEXT}, "0..69",
      ["--config", WIDE_CONFIG, "walk"]),
+    # every gait key but theta_body_amp off its default: other leg
+    # counts, wave lags, stance windows and slip paths than the default's
+    *((f"{command}-gait", {GAIT_CONFIG: GAIT_TEXT}, SEEDS,
+       ["--config", GAIT_CONFIG, command])
+      for command in ("gait-dump", "model-sweep", "validate", "walk",
+                      "controller-compare")),
 ]
 
 
