@@ -11,6 +11,7 @@ debounce) stands in for the physical contact-sensing hardware.
 
 from __future__ import annotations
 
+import gc
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
 
@@ -328,18 +329,29 @@ def simulate_walk(cfg: GaitConfig, geom: RobotGeometry, terrain: TerrainGrid,
         cfg, geom, heights, [seed], a_v, cycles, steps, sensor, None,
         maps=True)
     _, leg, _, step = _stance_table(cfg, steps)
-    # each lost sample's cycle and stance sample, from its flat index
-    c, s = np.divmod(at := np.flatnonzero(lost), len(leg))
+    # each lost sample's cycle and stance sample
+    c, s = np.nonzero(lost[0, 0])
     # object strings: every event shares the two str objects, not a copy
     causes = np.array(["deformed", "too_deep"], dtype=object)[
-        (d.ravel()[at] <= 0.0).view(np.uint8)]
+        (d[0, 0, c, s] <= 0.0).view(np.uint8)]
+    # the tuples hold ints and the two strs, so form no reference cycle: the
+    # cyclic collector's passes that thousands of them set off would free
+    # nothing, so it is paused while they are built
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        loss_events = list(zip(leg[s].tolist(),
+                               (c * steps + step[s]).tolist(), causes.tolist()))
+    finally:
+        if collecting:
+            gc.enable()
+    n = 2 * cfg.n_pairs
     return WalkResult(
-        measured=ContactMap(legs=2 * cfg.n_pairs, steps=steps, cycles=cycles,
-                            bits=np.concatenate(bits[0, 0], axis=1)),
+        measured=ContactMap(legs=n, steps=steps, cycles=cycles,
+                            bits=bits[0, 0].transpose(1, 0, 2).reshape(n, -1)),
         ideal=ideal_contact_map(cfg, steps, cycles),
         gamma_per_cycle=gamma[0, 0].tolist(),
         forward_speed_ratio=predict_speed_band(
             slip_distribution(cfg, geom), gamma[0, 0]).v_ratio_mid.tolist(),
-        loss_events=list(zip(leg[s].tolist(), (c * steps + step[s]).tolist(),
-                             causes.tolist())),
+        loss_events=loss_events,
     )

@@ -49,6 +49,11 @@ class RobotGeometry:
             value = getattr(self, name)
             if not 0.0 < value < math.inf:      # NaN fails it too
                 raise ValueError(f"{name} must be finite and > 0, got {value}")
+        # and so must the foot paths built from them: a rise threshold is at
+        # most h_l2 + 2*h_l + d_l, and the slipping path at the default
+        # body-leg coordination spans under 4*leg_length + module_length
+        if not math.isfinite(4.0 * sum(vars(self).values())):
+            raise ValueError(f"lengths overflow the foot's paths: {self}")
 
 
 @dataclass
@@ -67,9 +72,9 @@ class SlipDistribution:
         self.probs = np.asarray(self.probs, dtype=float)
         if len(self.probs) != len(self.bin_centers):
             raise ValueError("bin arrays must match in length")
-        if np.any(self.probs < 0.0):
-            raise ValueError("probabilities must be non-negative")
-        if abs(self.probs.sum() - 1.0) > 1e-9:
+        if not np.all(self.probs >= 0.0):       # NaN fails both tests
+            raise ValueError("probabilities must be non-negative numbers")
+        if not abs(self.probs.sum() - 1.0) <= 1e-9:
             raise ValueError(f"probabilities sum to {self.probs.sum()}, not 1")
         if np.any(np.diff(self.bin_centers) <= 0.0):
             raise ValueError("bin centers must be strictly increasing")

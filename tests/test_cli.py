@@ -130,6 +130,10 @@ class TestBadInput:
         ("[gait]\nphase_offset = 1e308\n", ["model-sweep"]),
         ("[gait]\nphase_offset = 1e308\n", ["validate"]),
         ("[gait]\nxi = 1e308\n", ["gait-dump"]),
+        ("[geometry]\nleg_length = 1e308\n", ["model-sweep"]),
+        ("[geometry]\nleg_length = 1e308\n", ["walk"]),
+        ("[geometry]\nleg_length = 1e308\n", ["controller-compare"]),
+        ("[geometry]\nh_l = 1.7e308\nd_l = 1.7e308\n", ["validate"]),
     ], ids=["odd-steps-flag", "odd-steps-config", "nan-rugosity",
             "negative-rugosity", "compare-only-files", "no-r_g-header",
             "ragged-rows", "one-row-file", "nan-height-walk",
@@ -155,7 +159,10 @@ class TestBadInput:
             "overflowing-rugosity-walk", "overflowing-rugosity-compare",
             "nan-block-size-validate", "truncated-file-sweep",
             "overflowing-phase_offset-sweep",
-            "overflowing-phase_offset-validate", "overflowing-xi-gait-dump"])
+            "overflowing-phase_offset-validate", "overflowing-xi-gait-dump",
+            "overflowing-leg_length-sweep", "overflowing-leg_length-walk",
+            "overflowing-leg_length-compare",
+            "overflowing-h_l-d_l-validate"])
     def test_one_line_error(self, tmp_path, capsys, experiment, argv):
         files = {
             "good": self.GOOD,
@@ -199,7 +206,7 @@ class TestBadInput:
         assert len(err.splitlines()) == 1
         assert err.startswith(("config error:", "usage error:"))
         if any(text in experiment
-               for text in ("[meta]", "%(", "[gait\n", "\xe9", "1e308")):
+               for text in ("[meta]", "%(", "[gait\n", "\xe9", "e308")):
             assert str(cfg) in err
         # a failing command leaves no partial output
         assert not list(out.glob("**/*.csv"))

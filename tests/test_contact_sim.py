@@ -1,5 +1,6 @@
 """Monte Carlo walker tests: ideal maps, loss rules, sensors, determinism."""
 
+import gc
 import math
 from dataclasses import replace
 
@@ -185,6 +186,21 @@ class TestLossRules:
         for event in res.loss_events:
             assert type(event) is tuple
             assert [type(x) for x in event] == [int, int, str]
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_walk_leaves_the_collector_as_it_found_it(self, enabled):
+        # the event build pauses the cyclic garbage collector; afterwards
+        # it is on again only if the caller had it on
+        terrain = generate_terrain(0.32, rows=20, cols=5, seed=4)
+        was_enabled = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            res = simulate_walk(GaitConfig(), RobotGeometry(), terrain, 10,
+                                72, SensorModel(flip_prob=0.05), seed=4)
+            assert gc.isenabled() is enabled
+        finally:
+            (gc.enable if was_enabled else gc.disable)()
+        assert res.loss_events
 
     def test_rise_partially_recoverable(self):
         # a modest rise is lost early in stance (small d_s) and regained

@@ -38,6 +38,8 @@ class TestGeometryValidation:
         dict(h_l=float("inf")), dict(h_l2=float("inf")),
         dict(d_l=float("inf")), dict(leg_length=float("inf")),
         dict(module_length=float("inf")),
+        # finite lengths whose derived paths overflow
+        dict(leg_length=1e308), dict(h_l=1.7e308, d_l=1.7e308),
     ])
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ValueError):
@@ -210,6 +212,12 @@ class TestSlipDistribution:
         with pytest.raises(ValueError, match="length"):
             SlipDistribution(bin_centers=dist.bin_centers,
                              probs=np.append(dist.probs[:-1], [0.0, 0.0]))
+
+    @pytest.mark.parametrize("probs", [[np.nan, 1.0], [1.5, -0.5]],
+                             ids=["nan", "negative"])
+    def test_rejects_nan_or_negative_probs(self, probs):
+        with pytest.raises(ValueError, match="non-negative"):
+            SlipDistribution(bin_centers=[0.0, 90.0], probs=probs)
 
     @given(n_pairs=st.integers(2, 8), xi=st.floats(-3.0, 3.0),
            duty=st.floats(0.05, 0.95),

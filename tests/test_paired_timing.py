@@ -28,3 +28,16 @@ def test_quartiles_wins_and_change():
 def test_needs_two_equal_lists_of_pairs(base, head):
     with pytest.raises(ValueError):
         paired_timing.summarize({"base": base, "head": head})
+
+
+@pytest.mark.parametrize("argv, seed", [([], paired_timing.SEED),
+                                        (["--seed", "5"], 5)],
+                         ids=["default", "given"])
+def test_seed_option_picks_the_workload_seed(monkeypatch, argv, seed):
+    # the workload inputs are made at --seed, 1 unless given
+    calls = []
+    monkeypatch.setattr(paired_timing, "compare",
+                        lambda *args: calls.append(args) or 0)
+    assert paired_timing.main(["HEAD", "--workload", "sensor_walk"]
+                              + argv) == 0
+    assert calls == [("HEAD", "sensor_walk", 200, seed)]

@@ -8,7 +8,8 @@ Run from anywhere inside the repository:
 BASE_REV is checked out in a temporary git worktree, which is removed
 afterwards.  Its src/centiwalk is imported under the package name
 centiwalk_base, next to the working tree's centiwalk.  The workload's inputs
-come from the working tree's bench/bench_inputs.py at workload seed 1, and
+come from the working tree's bench/bench_inputs.py at workload seed --seed
+(default 1; a gain should hold on a second seed too), and
 each side runs them through bench/bench_workloads.py's workload class:
 reset, timed call, check.  After one warm-up run per side,
 --runs pairs follow, one program run per side each, the side that goes
@@ -49,7 +50,7 @@ from pathlib import Path  # noqa: E402
 from typing import Dict, List, Sequence  # noqa: E402
 
 BASE_PACKAGE = "centiwalk_base"
-SEED = 1                  # workload seed of the generated inputs
+SEED = 1                  # default workload seed of the generated inputs
 SIDES = ("base", "head")
 
 
@@ -138,9 +139,10 @@ def time_pairs(workloads: Dict[str, object], runs: int) -> Dict[str, List[float]
     return times
 
 
-def _report(summary: dict, base_rev: str, workload: str, runs: int) -> None:
-    print(f"{workload}: {runs} pairs, base {base_rev} vs working tree "
-          f"(ms: q1 / median / q3)")
+def _report(summary: dict, base_rev: str, workload: str, runs: int,
+            seed: int) -> None:
+    print(f"{workload} at seed {seed}: {runs} pairs, base {base_rev} vs "
+          f"working tree (ms: q1 / median / q3)")
     for side in SIDES:
         q = summary[side]
         print(f"  {side}: {1e3 * q['q1']:.3f} / {1e3 * q['median']:.3f} / "
@@ -148,7 +150,7 @@ def _report(summary: dict, base_rev: str, workload: str, runs: int) -> None:
     print(f"  median change {100 * summary['change']:+.1f}%")
 
 
-def compare(base_rev: str, workload: str, runs: int) -> int:
+def compare(base_rev: str, workload: str, runs: int, seed: int) -> int:
     here = Path(__file__).resolve().parent
     head = Path(_git("rev-parse", "--show-toplevel", cwd=here))
     commit = _git("rev-parse", "--verify", f"{base_rev}^{{commit}}", cwd=head)
@@ -167,14 +169,14 @@ def compare(base_rev: str, workload: str, runs: int) -> int:
             packages = {"base": _import_tree(base / "src", BASE_PACKAGE),
                         "head": _import_tree(head / "src", "centiwalk")}
             run_dir = Path(tmp) / "run"
-            make_inputs(workload, SEED).write(run_dir)
+            make_inputs(workload, seed).write(run_dir)
             os.chdir(run_dir)
             times = time_pairs({side: WORKLOAD_CLASSES[workload](package)
                                 for side, package in packages.items()}, runs)
         finally:
             os.chdir(cwd)
             _git("worktree", "remove", "--force", str(base), cwd=head)
-    _report(summarize(times), base_rev, workload, runs)
+    _report(summarize(times), base_rev, workload, runs, seed)
     return 0
 
 
@@ -186,11 +188,14 @@ def main(argv=None) -> int:
                         help="a workload of bench/bench_workloads.py")
     parser.add_argument("--runs", type=int, default=200,
                         help="alternating pairs of program runs (>= 2)")
+    parser.add_argument("--seed", type=int, default=SEED,
+                        help=f"workload seed of the generated inputs, as "
+                             f"bench/run.py takes it (default {SEED})")
     args = parser.parse_args(argv)
     if args.runs < 2:
         parser.error("--runs must be >= 2")
     try:
-        return compare(args.base_rev, args.workload, args.runs)
+        return compare(args.base_rev, args.workload, args.runs, args.seed)
     except SetupError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
