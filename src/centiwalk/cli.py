@@ -277,7 +277,8 @@ def cmd_walk(fc: FullConfig, args) -> int:
     # every walk, each entry's first-seed map among them, runs before
     # anything is written, so a failed walk leaves no partial output
     walked = _walk_entries(fc, entries, [fc.gait.a_v], sensor)
-    maps = [simulate_walk(fc.gait, fc.geometry, TerrainGrid(
+    # a file walks on its own grid, a level on its first seed's heights
+    maps = [simulate_walk(fc.gait, fc.geometry, entry.grid or TerrainGrid(
                 fc.geometry.module_length, heights[0], entry.r_g,
                 exp.seeds[0]), exp.cycles, exp.steps, sensor,
                 exp.seeds[0]).measured.bits.T

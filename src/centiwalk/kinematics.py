@@ -50,8 +50,8 @@ class RobotGeometry:
             if not 0.0 < value < math.inf:      # NaN fails it too
                 raise ValueError(f"{name} must be finite and > 0, got {value}")
         # and so must the foot paths built from them: a rise threshold is at
-        # most h_l2 + 2*h_l + d_l, and the slipping path at the default
-        # body-leg coordination spans under 4*leg_length + module_length
+        # most h_l2 + 2*h_l + d_l, and the slipping path at every body-leg
+        # coordination spans under 4*leg_length + module_length
         if not math.isfinite(4.0 * sum(vars(self).values())):
             raise ValueError(f"lengths overflow the foot's paths: {self}")
 
@@ -127,10 +127,9 @@ def slip_distribution(cfg: GaitConfig,
     u = cfg.duty * np.arange(SLIP_PATH_SAMPLES) / SLIP_PATH_SAMPLES
     theta_leg = np.radians(cfg.theta_leg_amp) * np.cos(np.pi * u / cfg.duty)
     theta_body = np.radians(cfg.theta_body_amp) * np.cos(TWO_PI * (u - off))
-    # the shoulder advances one flat-ground stride per cycle of body-wave
-    # time u - off
-    x = flat_ground_stride(cfg, geom) * (u - off) \
-        + geom.leg_length * np.sin(theta_leg)
+    # the shoulder advances one flat-ground stride per cycle; the body
+    # wave's offset only translates the path, so it is left out of x
+    x = flat_ground_stride(cfg, geom) * u + geom.leg_length * np.sin(theta_leg)
     y = 0.5 * geom.module_length * np.sin(theta_body) \
         + geom.leg_length * np.cos(theta_leg)
     dx, dy = np.diff(x), np.diff(y)

@@ -12,7 +12,7 @@ samples of leg 1's path, the two must be equal bit for bit.
 
 import math
 from dataclasses import dataclass
-from typing import List
+from typing import List, Optional
 
 import numpy as np
 
@@ -118,20 +118,22 @@ def sample_cycle(cfg: GaitConfig, steps_per_cycle: int) -> List[JointCommand]:
 
 
 def foot_trajectory(cfg: GaitConfig, geom: RobotGeometry, leg: int,
-                    steps: int) -> np.ndarray:
+                    steps: int, onset: Optional[float] = None) -> np.ndarray:
     """Ground-frame slipping trajectory of a left leg's stance foot, shape
     (steps, 2) cm.
 
     The leg is parameterized by its own reduced phase, so every leg traces
     the same shape; the absolute stance-onset time and the shoulder's
-    longitudinal station only translate it.
+    longitudinal station only translate it.  onset is that time in cycles,
+    by default the leg's own, its wave lag minus the contact offset.
     """
     if steps < 8:
         raise ValueError(f"steps must be >= 8, got {steps}")
     off = cfg.contact_fraction_offset
-    lag = wave_lag(cfg, leg)
+    if onset is None:
+        onset = wave_lag(cfg, leg) - off
     u = cfg.duty * np.arange(steps) / steps          # reduced phase in [0, D)
-    t = (lag - off) + u                              # absolute time, cycle units
+    t = onset + u                                    # absolute time, cycle units
     theta_leg = np.radians(cfg.theta_leg_amp) * np.cos(np.pi * u / cfg.duty)
     theta_body = np.radians(cfg.theta_body_amp) * np.cos(TWO_PI * (u - off))
     v = flat_ground_stride(cfg, geom)                # per cycle of unit duration
@@ -145,10 +147,12 @@ def foot_trajectory(cfg: GaitConfig, geom: RobotGeometry, leg: int,
 def slip_distribution(cfg: GaitConfig, geom: RobotGeometry, bins: int,
                       steps: int = 4096) -> SlipDistribution:
     """Arc-length-weighted histogram of slip angles along leg 1's stance
-    path, in `bins` bins over `steps` path samples."""
+    path, in `bins` bins over `steps` path samples.  The path starts at
+    time 0: the onset only translates it, and a far one would round its
+    steps away or overflow a float."""
     if bins < 8:
         raise ValueError(f"bins must be >= 8, got {bins}")
-    path = foot_trajectory(cfg, geom, 1, steps)
+    path = foot_trajectory(cfg, geom, 1, steps, onset=0.0)
     delta = np.diff(path, axis=0)
     seg_len = np.hypot(delta[:, 0], delta[:, 1])
     total = seg_len.sum()

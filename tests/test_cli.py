@@ -3,6 +3,7 @@
 import argparse
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -495,6 +496,20 @@ class TestModelSweep:
         # 3 terrains x 3 amplitudes, plus stamp and header
         assert len(lines) == 2 + 9
 
+    def test_far_phase_offset_runs(self, tmp_path):
+        # the offset only translates the stance foot's path: at 1e306 with a
+        # 1e4 cm leg that translation overflowed the slip distribution
+        cfg = tmp_path / "far.cfg"
+        cfg.write_text("[meta]\nschema_version = 1\n[gait]\n"
+                       "phase_offset = 1e306\n[geometry]\nleg_length = 1e4\n")
+        assert run(["--config", str(cfg), "--out", str(tmp_path),
+                    "model-sweep"]) == 0
+        lines = (tmp_path / "model_sweep.csv").read_text().splitlines()
+        assert lines[1].split(",")[7:] == ["v_min", "v_max"]
+        assert len(lines) == 2 + 9
+        assert all(math.isfinite(float(v))
+                   for l in lines[2:] for v in l.split(",")[7:])
+
     def test_flat_rows_trivial(self, tmp_path, fast_config):
         # [TRIVIAL] r_g = 0 rows have gamma = 1; p_e = 0 at a_v = 0
         run(["--config", fast_config, "--out", str(tmp_path), "model-sweep"])
@@ -562,27 +577,37 @@ class TestValidate:
         lines = (tmp_path / "validation.csv").read_text().splitlines()
         assert len(lines) == 2 + 5
         assert all(l.endswith(",pass") for l in lines[2:])
+        # the model predicts the walker's own stance samples exactly
+        assert all(l.split(",")[4] == "0.000000" for l in lines[2:])
 
     def test_validate_equals_single_walks(self, tmp_path, fast_config):
         # each cell's simulated gamma is the mean over seeds of one-walk
-        # simulate_walk runs' mean per-cycle gamma
-        assert run(["--config", fast_config, "--out", str(tmp_path),
-                    "--tolerance", "1", "validate"]) == 0
-        fc = load_config(fast_config)
-        exp = fc.experiment
-        rows = (tmp_path / "validation.csv").read_text().splitlines()[2:]
-        assert len(rows) == len(exp.terrains) * len(exp.a_v_grid)
-        for row in rows:
-            label, a_v, _, simulated = row.split(",")[:4]
-            r_g = float(label.removeprefix("rg="))
-            walks = [simulate_walk(
-                replace(fc.gait, a_v=float(a_v)), fc.geometry,
-                generate_terrain(r_g, rows=exp.cycles + fc.gait.n_pairs,
-                                 cols=exp.terrain_cols, seed=seed),
-                exp.cycles, exp.steps, SensorModel(), seed)
-                for seed in exp.seeds]
-            assert simulated == \
-                f"{mean(mean(w.gamma_per_cycle) for w in walks):.6f}", row
+        # simulate_walk runs' mean per-cycle gamma, at the fast config's 9
+        # cells and at 21 cells of a 7-amplitude grid, which the walk
+        # engine counts in two RANK_AMPLITUDES chunks
+        wide = tmp_path / "wide.cfg"
+        wide.write_text("[meta]\nschema_version = 1\n[experiment]\n"
+                        "seeds = 0..1\ncycles = 3\n"
+                        "a_v_grid = 0, 5, 10, 20, 30, 45, 60\n")
+        for config, cells in ((fast_config, 9), (str(wide), 21)):
+            out = tmp_path / Path(config).stem
+            assert run(["--config", config, "--out", str(out),
+                        "--tolerance", "1", "validate"]) == 0
+            fc = load_config(config)
+            exp = fc.experiment
+            rows = (out / "validation.csv").read_text().splitlines()[2:]
+            assert len(rows) == len(exp.terrains) * len(exp.a_v_grid) == cells
+            for row in rows:
+                label, a_v, _, simulated = row.split(",")[:4]
+                r_g = float(label.removeprefix("rg="))
+                walks = [simulate_walk(
+                    replace(fc.gait, a_v=float(a_v)), fc.geometry,
+                    generate_terrain(r_g, rows=exp.cycles + fc.gait.n_pairs,
+                                     cols=exp.terrain_cols, seed=seed),
+                    exp.cycles, exp.steps, SensorModel(), seed)
+                    for seed in exp.seeds]
+                assert simulated == \
+                    f"{mean(mean(w.gamma_per_cycle) for w in walks):.6f}", row
 
     def test_runs_no_speed_band(self, tmp_path, monkeypatch):
         # validation.csv reads only the walks' gamma: a speed band that
@@ -726,6 +751,27 @@ class TestWalkAndCompare:
             assert lines[2:] == [
                 f"{i // exp.steps},{i % exp.steps}," + ",".join(map(str, col))
                 for i, col in enumerate(bits.T.tolist())], label
+
+    def test_contact_map_walks_a_file_on_its_own_grid(self, tmp_path,
+                                                      monkeypatch):
+        # a level's map walks its first seed's generated grid, and a file's
+        # the grid the file loads as, which saves back to the same text
+        tfile = tmp_path / "rough.txt"
+        generate_terrain(0.32, rows=30, cols=5, seed=123).save(tfile)
+        grids = []
+
+        def spy(cfg, geom, terrain, *args):
+            grids.append(terrain)
+            return simulate_walk(cfg, geom, terrain, *args)
+
+        monkeypatch.setattr(cli, "simulate_walk", spy)
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(FAST_CFG + f"terrains = 0.17, {tfile}\n")
+        assert run(["--config", str(cfg), "--out", str(tmp_path / "out"),
+                    "walk"]) == 0
+        assert [(g.r_g, g.seed) for g in grids] == [(0.17, 0), (0.32, 123)]
+        grids[1].save(tmp_path / "copy.txt")
+        assert (tmp_path / "copy.txt").read_text() == tfile.read_text()
 
     def test_compare_outputs(self, tmp_path, fast_config):
         assert run(["--config", fast_config, "--out", str(tmp_path),

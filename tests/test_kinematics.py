@@ -213,6 +213,14 @@ class TestSlipDistribution:
             SlipDistribution(bin_centers=dist.bin_centers,
                              probs=np.append(dist.probs[:-1], [0.0, 0.0]))
 
+    def test_far_phase_offset_keeps_the_path_finite(self):
+        # the offset only translates the foot path: at 1e306 with a 1e4 cm
+        # leg that translation overflowed a float
+        dist = slip_distribution(GaitConfig(phase_offset=1e306),
+                                 RobotGeometry(leg_length=1e4))
+        assert np.all(np.isfinite(dist.probs))
+        assert dist.probs.sum() == pytest.approx(1.0, abs=1e-12)
+
     @pytest.mark.parametrize("probs", [[np.nan, 1.0], [1.5, -0.5]],
                              ids=["nan", "negative"])
     def test_rejects_nan_or_negative_probs(self, probs):
