@@ -186,7 +186,7 @@ def cmd_gait_dump(fc: FullConfig, args) -> int:
     n = fc.gait.n_pairs
     legs = _leg_names(n)
     stamp = _stamp(fc)
-    bits = ideal_contact_map(fc.gait, steps).bits
+    bits = ideal_contact_map(fc.gait, steps)
     _write_csv(out / "contact_map.csv", stamp, "step," + ",".join(legs),
                (f"{k}," + ",".join(map(str, col))
                 for k, col in enumerate(bits.T.tolist())))
@@ -364,30 +364,27 @@ _PARSER.add_argument("--cycles", type=int, default=None)
 _PARSER.add_argument("--steps", type=int, default=None)
 _PARSER.add_argument("--tolerance", type=float, default=None)
 _sub = _PARSER.add_subparsers(dest="command", required=True)
-_sub.add_parser("gait-dump", help="dump ideal contact map and joint angles")
-_sub.add_parser("terrain-gen", help="generate a terrain file").add_argument(
-    "--r-g", type=float, required=True, dest="r_g")
-_sub.add_parser("model-sweep", help="evaluate the analytic models on a grid")
-_sub.add_parser("validate", help="analytic vs Monte Carlo gamma agreement")
-_sub.add_parser("walk", help="Monte Carlo walks, per-cycle gamma and speed")
+_sub.add_parser("gait-dump", help="dump ideal contact map and joint angles"
+                ).set_defaults(run=cmd_gait_dump)
+_terrain_gen = _sub.add_parser("terrain-gen", help="generate a terrain file")
+_terrain_gen.add_argument("--r-g", type=float, required=True, dest="r_g")
+_terrain_gen.set_defaults(run=cmd_terrain_gen)
+_sub.add_parser("model-sweep", help="evaluate the analytic models on a grid"
+                ).set_defaults(run=cmd_model_sweep)
+_sub.add_parser("validate", help="analytic vs Monte Carlo gamma agreement"
+                ).set_defaults(run=cmd_validate)
+_sub.add_parser("walk", help="Monte Carlo walks, per-cycle gamma and speed"
+                ).set_defaults(run=cmd_walk)
 _sub.add_parser("controller-compare",
-                help="open-loop vs feedback controller comparison")
-
-_COMMANDS = {
-    "gait-dump": cmd_gait_dump,
-    "terrain-gen": cmd_terrain_gen,
-    "model-sweep": cmd_model_sweep,
-    "validate": cmd_validate,
-    "walk": cmd_walk,
-    "controller-compare": cmd_controller_compare,
-}
+                help="open-loop vs feedback controller comparison"
+                ).set_defaults(run=cmd_controller_compare)
 
 
 def main(argv: Optional[List[str]] = None) -> int:
     try:
         args = _PARSER.parse_args(argv)
         fc = _with_overrides(load_config(args.config), args)
-        return _COMMANDS[args.command](fc, args)
+        return args.run(fc, args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

@@ -45,19 +45,10 @@ class WalkOffTerrainError(RuntimeError):
 
 @dataclass
 class ContactMap:
-    """Binary leg-by-time matrix; rows are left legs 1..n then right 1..n."""
+    """A walk's binary leg-by-time matrix, uint8 of shape (2n, steps x
+    cycles); rows are left legs 1..n then right 1..n."""
 
-    legs: int
-    steps: int
-    cycles: int
     bits: np.ndarray
-
-    def __post_init__(self):
-        self.bits = np.asarray(self.bits, dtype=np.uint8)
-        if self.bits.shape != (self.legs, self.steps * self.cycles):
-            raise ValueError("bits shape must be legs x (steps * cycles)")
-        if np.any(self.bits > 1):
-            raise ValueError("bits must be 0/1")
 
 
 @dataclass
@@ -99,11 +90,9 @@ class WalkResult:
     loss_events: List[Tuple[int, int, str]]    # (leg, absolute step, cause)
 
 
-def ideal_contact_map(cfg: GaitConfig, steps: int, cycles: int = 1) -> ContactMap:
-    """Contact map of the ideal gait pattern."""
-    return ContactMap(legs=2 * cfg.n_pairs, steps=steps, cycles=cycles,
-                      bits=np.tile(_stance_table(cfg, steps)[0].view(np.uint8),
-                                   (1, cycles)))
+def ideal_contact_map(cfg: GaitConfig, steps: int, cycles: int = 1) -> np.ndarray:
+    """A new contact map of the ideal gait pattern, in ContactMap's layout."""
+    return np.tile(_stance_table(cfg, steps)[0].view(np.uint8), (1, cycles))
 
 
 def _debounce(bits: np.ndarray, latch_steps: int) -> np.ndarray:
@@ -347,9 +336,8 @@ def simulate_walk(cfg: GaitConfig, geom: RobotGeometry, terrain: TerrainGrid,
             gc.enable()
     n = 2 * cfg.n_pairs
     return WalkResult(
-        measured=ContactMap(legs=n, steps=steps, cycles=cycles,
-                            bits=bits[0, 0].transpose(1, 0, 2).reshape(n, -1)),
-        ideal=ideal_contact_map(cfg, steps, cycles),
+        measured=ContactMap(bits[0, 0].transpose(1, 0, 2).reshape(n, -1)),
+        ideal=ContactMap(ideal_contact_map(cfg, steps, cycles)),
         gamma_per_cycle=gamma[0, 0].tolist(),
         forward_speed_ratio=predict_speed_band(
             slip_distribution(cfg, geom), gamma[0, 0]).v_ratio_mid.tolist(),

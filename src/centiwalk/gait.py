@@ -71,13 +71,19 @@ class GaitConfig:
             if not 0.0 <= amp < 90.0:
                 raise ValueError(f"{name} must be in [0, 90), got {amp}")
 
+    def _cycle_reduced(self) -> tuple:
+        """xi mod 2n, phase_offset mod 2*pi or None, exactly: the same gait."""
+        off = self.phase_offset
+        return math.fmod(self.xi, 2 * self.n_pairs), (
+            None if off is None else math.fmod(off, TWO_PI))
+
     @property
     def contact_fraction_offset(self) -> float:
         """Offset phi_c - tau_b as a fraction of one cycle (the contact
         phase lags the body wave)."""
         if self.phase_offset is not None:
-            return self.phase_offset / TWO_PI
-        return -(self.xi / (2.0 * self.n_pairs) + 0.25)
+            return self._cycle_reduced()[1] / TWO_PI
+        return -(self._cycle_reduced()[0] / (2.0 * self.n_pairs) + 0.25)
 
 
 def checked_amplitudes(a_v) -> np.ndarray:
@@ -93,7 +99,7 @@ def checked_amplitudes(a_v) -> np.ndarray:
 def _wave_lags(cfg: GaitConfig) -> np.ndarray:
     """Cycle fractions by which the waves at pairs 1..n lag pair 1:
     xi*(i-1)/n for pair i."""
-    return cfg.xi * np.arange(cfg.n_pairs) / cfg.n_pairs
+    return cfg._cycle_reduced()[0] * np.arange(cfg.n_pairs) / cfg.n_pairs
 
 
 def phase_table(cfg: GaitConfig, steps: int) -> np.ndarray:

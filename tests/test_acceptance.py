@@ -50,8 +50,7 @@ def controller_walks():
 def test_01_gait_contact_pattern():
     """Ideal contact map: duty, antiphase, ipsilateral lag, bit-exact."""
     cfg = GaitConfig(n_pairs=4, xi=1.0, duty=0.5)
-    cmap = ideal_contact_map(cfg, 360)
-    bits = cmap.bits
+    bits = ideal_contact_map(cfg, 360)
     duty_ok = all(int(bits[leg].sum()) == 180 for leg in range(8))
     anti_ok = all(np.array_equal(bits[i], 1 - bits[4 + i]) for i in range(4))
     lag = 360 // 4

@@ -566,6 +566,21 @@ class TestValidate:
         assert all(l.endswith(",pass") for l in lines[2:])
 
 
+    def test_far_xi_validates_the_gait_it_aliases_to(self, tmp_path):
+        # 1e17 mod 2n = 1e17 mod 12 = 4, whole cycles of every wave lag: the
+        # same gait gives the same rows, under its own config hash
+        outputs = []
+        for xi in ("1e17", "4"):
+            cfg = tmp_path / f"xi={xi}.cfg"
+            cfg.write_text(FAST_CFG + f"[gait]\nxi = {xi}\n")
+            out = tmp_path / f"xi={xi}"
+            assert run(["--config", str(cfg), "--out", str(out),
+                        "--tolerance", "1", "validate"]) == 0
+            outputs.append((out / "validation.csv").read_text().splitlines())
+        far, alias = outputs
+        assert len(far) == 2 + 9 and far[1:] == alias[1:]
+        assert far[0] != alias[0]
+
     def test_flat_terrain_passes_past_a_negative_reach(self, tmp_path):
         # on flat terrain the walker loses the stance samples whose reach
         # is negative (past about 38 degrees), and the model predicts it

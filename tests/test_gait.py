@@ -8,6 +8,7 @@ must equal bit for bit.
 
 import math
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -99,6 +100,20 @@ class TestContact:
         # stance holds on [0, D), so the sample exactly at D is swing
         cfg = GaitConfig(duty=0.5, phase_offset=0.0)
         assert contact_rows(cfg, 4)[0].tolist() == [1, 1, 0, 0]
+
+    @pytest.mark.parametrize("field, far", [
+        ("xi", 1e17), ("xi", 1e300),
+        ("phase_offset", 1e17), ("phase_offset", 1e306)])
+    def test_far_phase_walks_the_gait_it_aliases_to(self, field, far):
+        # xi is read modulo 2n and phase_offset modulo 2*pi, exactly, so a
+        # far but finite value keeps its samples' phases apart: added to
+        # it unreduced, a sample's fraction of a cycle would round away
+        period = 2 * 6 if field == "xi" else TWO_PI
+        alias = float(Fraction(far) % Fraction(period))
+        cfg = GaitConfig(**{field: far})
+        assert contact_rows(cfg, 72).mean() == cfg.duty
+        assert np.array_equal(phase_table(cfg, 72),
+                              phase_table(GaitConfig(**{field: alias}), 72))
 
     @given(duty=st.floats(min_value=0.05, max_value=0.95),
            xi=st.floats(min_value=0.0, max_value=3.0))
