@@ -218,8 +218,8 @@ def cmd_terrain_gen(fc: FullConfig, args) -> int:
 def cmd_model_sweep(fc: FullConfig, args) -> int:
     entries = _entries(fc)
     out = _out_dir(args)
-    dist = slip_distribution(fc.gait, fc.geometry)
     steps, grid = fc.experiment.steps, fc.experiment.a_v_grid
+    dist = slip_distribution(fc.gait, fc.geometry, steps)
     outs = [predict_gamma(fc.geometry, fc.gait, entry.model(), steps, grid)
             for entry in entries]
     # the band is elementwise in gamma: one call for every entry's gammas
@@ -285,8 +285,8 @@ def cmd_walk(fc: FullConfig, args) -> int:
             for entry, (heights, _) in zip(entries, walked)]
     # the band is elementwise in gamma: one call for every entry's gammas
     gammas = np.array([gamma[:, 0] for _, gamma in walked])
-    speeds = predict_speed_band(slip_distribution(fc.gait, fc.geometry),
-                                gammas).v_ratio_mid
+    speeds = predict_speed_band(
+        slip_distribution(fc.gait, fc.geometry, exp.steps), gammas).v_ratio_mid
     stamp = _stamp(fc)
     path = out / "walk.csv"
     _write_csv(path, stamp, "seed,terrain,a_v_deg,cycle,gamma,v_ratio",
@@ -321,8 +321,8 @@ def cmd_controller_compare(fc: FullConfig, args) -> int:
                                 exp.sensor_flip_prob)
     stride = flat_ground_stride(fc.gait, fc.geometry)
     stamp = _stamp(fc)
-    speeds = predict_speed_band(slip_distribution(fc.gait, fc.geometry),
-                                walks.gamma).v_ratio_mid
+    dist = slip_distribution(fc.gait, fc.geometry, exp.steps)
+    speeds = predict_speed_band(dist, walks.gamma).v_ratio_mid
     displacements = stride * speeds
     # per seed and arm, over the cycles: mean speed ratio, its variance and
     # the distance walked

@@ -174,6 +174,8 @@ def _checked_a_v(cfg: GaitConfig, heights: np.ndarray, seeds: Sequence[int],
     if np.ndim(heights) != 3 or not len(heights) == len(seeds) > 0:
         raise ValueError("need a (seeds, rows, cols) height stack: one "
                          "terrain per seed, and at least one seed")
+    if not np.isfinite(heights).all():
+        raise ValueError("heights must be finite")
     a_v = checked_amplitudes(a_v)
     if a_v.ndim != 1 or len(a_v) == 0:
         raise ValueError("need a list of one or more a_v")
@@ -339,7 +341,7 @@ def simulate_walk(cfg: GaitConfig, geom: RobotGeometry, terrain: TerrainGrid,
         measured=ContactMap(bits[0, 0].transpose(1, 0, 2).reshape(n, -1)),
         ideal=ContactMap(ideal_contact_map(cfg, steps, cycles)),
         gamma_per_cycle=gamma[0, 0].tolist(),
-        forward_speed_ratio=predict_speed_band(
-            slip_distribution(cfg, geom), gamma[0, 0]).v_ratio_mid.tolist(),
+        forward_speed_ratio=predict_speed_band(slip_distribution(
+            cfg, geom, steps), gamma[0, 0]).v_ratio_mid.tolist(),
         loss_events=loss_events,
     )

@@ -17,10 +17,7 @@ from typing import Sequence, Tuple
 
 import numpy as np
 
-from .gait import GaitConfig, TWO_PI, _stance_table
-
-SLIP_BINS = 36               # slip-angle histogram bins over [-180, 180]
-SLIP_PATH_SAMPLES = 4096     # samples of the stance foot's slipping path
+from .gait import GaitConfig, TWO_PI, _stance_table, checked_count
 
 
 class NoSlipError(ValueError):
@@ -76,18 +73,19 @@ class SlipDistribution:
             raise ValueError("probabilities must be non-negative numbers")
         if not abs(self.probs.sum() - 1.0) <= 1e-9:
             raise ValueError(f"probabilities sum to {self.probs.sum()}, not 1")
-        if np.any(np.diff(self.bin_centers) <= 0.0):
-            raise ValueError("bin centers must be strictly increasing")
+        if not (np.isfinite(self.bin_centers).all()
+                and np.all(np.diff(self.bin_centers) > 0.0)):
+            raise ValueError("bin centers must be finite, strictly increasing")
 
     @cached_property
     def speed_coeff(self) -> float:
         """Linear force-to-speed coefficient consistent with this
         distribution: it maps the undisturbed friction (gamma = 1) to full
-        open-ground speed."""
+        open-ground speed.  0 without net forward thrust, as on a grid
+        whose stance samples all lie near touchdown: friction then lies at
+        or below 0 at every gamma, so each speed is 0 at any coefficient."""
         f_full = float(np.dot(self.probs, np.cos(np.radians(self.bin_centers))))
-        if f_full <= 0.0:
-            raise ValueError("distribution has no net forward thrust")
-        return 1.0 / f_full
+        return 1.0 / f_full if f_full > 0.0 else 0.0
 
     @cached_property
     def thrust_table(self) -> np.ndarray:
@@ -110,43 +108,43 @@ def flat_ground_stride(cfg: GaitConfig, geom: RobotGeometry) -> float:
     return 2.0 * geom.leg_length * math.sin(math.radians(cfg.theta_leg_amp))
 
 
-@lru_cache
-def slip_distribution(cfg: GaitConfig,
-                      geom: RobotGeometry) -> SlipDistribution:
-    """Arc-length-weighted histogram of slip angles along the ground-frame
-    slipping path of a stance foot, SLIP_BINS bins over SLIP_PATH_SAMPLES
-    path samples.
+def slip_distribution(cfg: GaitConfig, geom: RobotGeometry,
+                      steps: int) -> SlipDistribution:
+    """Slip angles of a stance foot at the walker's stance samples of a
+    cycle of `steps`, equal angles folded, each weighted by the foot's
+    slipping speed there, so by arc length.  The angle is between the
+    friction (anti-slip) direction and the forward axis, near 0 for rearward
+    slip; every leg traces leg 1's path, at its own reduced phase.  Built
+    once per (cfg, geom, steps) and shared: callers must not modify it."""
+    return _slip_distribution(cfg, geom, checked_count(steps, "steps"))
 
-    The slip angle is measured between the friction (anti-slip) direction
-    and the robot's forward axis, so predominantly rearward slip yields
-    angles near zero.  Each leg is parameterized by its own reduced phase,
-    so every leg traces the same path up to translation; leg 1's is taken.
-    Built once per (cfg, geom) and shared: callers must not modify it.
-    """
-    off = cfg.contact_fraction_offset
-    u = cfg.duty * np.arange(SLIP_PATH_SAMPLES) / SLIP_PATH_SAMPLES
-    theta_leg = np.radians(cfg.theta_leg_amp) * np.cos(np.pi * u / cfg.duty)
-    theta_body = np.radians(cfg.theta_body_amp) * np.cos(TWO_PI * (u - off))
-    # the shoulder advances one flat-ground stride per cycle; the body
-    # wave's offset only translates the path, so it is left out of x
-    x = flat_ground_stride(cfg, geom) * u + geom.leg_length * np.sin(theta_leg)
-    y = 0.5 * geom.module_length * np.sin(theta_body) \
-        + geom.leg_length * np.cos(theta_leg)
-    dx, dy = np.diff(x), np.diff(y)
-    seg_len = np.hypot(dx, dy)
-    total = seg_len.sum()
+
+@lru_cache
+def _slip_distribution(cfg: GaitConfig, geom: RobotGeometry,
+                       steps: int) -> SlipDistribution:
+    u = _stance_table(cfg, steps)[2]
+    leg_amp, body_amp = np.radians([cfg.theta_leg_amp, cfg.theta_body_amp])
+    theta_leg = leg_amp * np.cos(np.pi * u / cfg.duty)
+    body_phase = TWO_PI * (u - cfg.contact_fraction_offset)
+    # d/du of x = 2L sin(A) u + L sin(theta_leg), y = M/2 sin(theta_body) +
+    # L cos(theta_leg), times duty / (L + M), which keeps every float finite
+    size = geom.leg_length + geom.module_length
+    leg, module = geom.leg_length / size, geom.module_length / size
+    dleg = -leg_amp * np.pi * np.sin(np.pi * u / cfg.duty)
+    dbody = -body_amp * TWO_PI * cfg.duty * np.sin(body_phase)
+    dx = leg * (2.0 * cfg.duty * np.sin(leg_amp) + np.cos(theta_leg) * dleg)
+    dy = 0.5 * module * np.cos(body_amp * np.cos(body_phase)) * dbody \
+        - leg * np.sin(theta_leg) * dleg
+    speed = np.hypot(dx, dy)
+    total = speed.sum()
     if total <= 0.0:
         raise NoSlipError(f"degenerate foot trajectory: no slip motion at "
                           f"theta_leg_amp = {cfg.theta_leg_amp:g} and "
                           f"theta_body_amp = {cfg.theta_body_amp:g}")
     # friction opposes slip: thrust direction is minus the velocity
-    phi = np.degrees(np.arctan2(-dy, -dx))
-    edges = np.linspace(-180.0, 180.0, SLIP_BINS + 1)
-    hist, _ = np.histogram(phi, bins=edges, weights=seg_len)
-    probs = hist / total
-    probs = probs / probs.sum()
-    centers = 0.5 * (edges[:-1] + edges[1:])
-    return SlipDistribution(bin_centers=centers, probs=probs)
+    angles, at = np.unique(np.degrees(np.arctan2(-dy, -dx)),
+                           return_inverse=True)
+    return SlipDistribution(angles, np.bincount(at, weights=speed) / total)
 
 
 def stance_geometry(cfg: GaitConfig, geom: RobotGeometry, u, a_v) -> tuple:

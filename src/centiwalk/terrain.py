@@ -40,6 +40,8 @@ class TerrainGrid:
         self.heights = np.asarray(self.heights, dtype=float)
         if self.heights.ndim != 2:
             raise ValueError("heights must be a 2-D array")
+        if not np.isfinite(self.heights).all():
+            raise ValueError("heights must be finite")
         if not 0.0 < self.block_size < math.inf:    # NaN fails it too
             raise ValueError(f"block_size must be finite and > 0, got "
                              f"{self.block_size:g}")
@@ -79,8 +81,6 @@ class TerrainGrid:
         if len({row.count(",") for row in rows}) > 1:
             raise ValueError("rows differ in length")
         heights = values.reshape(len(rows), -1) if rows else values
-        if not np.isfinite(heights).all():
-            raise ValueError("heights must be finite")
         # a file without the rows= cols= header is taken as it is
         for key, n in zip(("rows", "cols"), heights.shape):
             if key in meta and int(meta[key]) != n:

@@ -4,10 +4,12 @@ These are the scalar gait API that `centiwalk.gait.phase_table` and
 `centiwalk.gait.joint_angles` replaced: one leg and one phase per call, with
 `side` strings.  The array functions must equal them bit for bit.
 
-`foot_trajectory` and `slip_distribution` are the per-leg slip path and the
-uncached histogram of any resolution that the cached
-`centiwalk.kinematics.slip_distribution` replaced.  At its 36 bins and 4096
-samples of leg 1's path, the two must be equal bit for bit.
+`foot_trajectory` is the per-leg slip path.  `slip_distribution` weighs
+its velocity at the stance samples of its own per-leg phases, and the
+cached `centiwalk.kinematics.slip_distribution` must equal it bit for bit.
+`slip_histogram` is the arc-length histogram of the sampled path that the
+package built before, of any resolution: finely binned, it stands for the
+continuous path.
 """
 
 import math
@@ -117,22 +119,13 @@ def sample_cycle(cfg: GaitConfig, steps_per_cycle: int) -> List[JointCommand]:
     return commands
 
 
-def foot_trajectory(cfg: GaitConfig, geom: RobotGeometry, leg: int,
-                    steps: int, onset: Optional[float] = None) -> np.ndarray:
-    """Ground-frame slipping trajectory of a left leg's stance foot, shape
-    (steps, 2) cm.
-
-    The leg is parameterized by its own reduced phase, so every leg traces
-    the same shape; the absolute stance-onset time and the shoulder's
-    longitudinal station only translate it.  onset is that time in cycles,
-    by default the leg's own, its wave lag minus the contact offset.
-    """
-    if steps < 8:
-        raise ValueError(f"steps must be >= 8, got {steps}")
+def foot_position(cfg: GaitConfig, geom: RobotGeometry, leg: int, u,
+                  onset: float) -> np.ndarray:
+    """Ground-frame position of a left leg's stance foot at the reduced
+    phases u (cycles, in [0, duty) in stance), shape (len(u), 2) cm, for a
+    stance that starts at time onset (cycles)."""
     off = cfg.contact_fraction_offset
-    if onset is None:
-        onset = wave_lag(cfg, leg) - off
-    u = cfg.duty * np.arange(steps) / steps          # reduced phase in [0, D)
+    u = np.asarray(u, dtype=float)
     t = onset + u                                    # absolute time, cycle units
     theta_leg = np.radians(cfg.theta_leg_amp) * np.cos(np.pi * u / cfg.duty)
     theta_body = np.radians(cfg.theta_body_amp) * np.cos(TWO_PI * (u - off))
@@ -144,8 +137,77 @@ def foot_trajectory(cfg: GaitConfig, geom: RobotGeometry, leg: int,
     return np.column_stack([x, y])
 
 
-def slip_distribution(cfg: GaitConfig, geom: RobotGeometry, bins: int,
-                      steps: int = 4096) -> SlipDistribution:
+def foot_trajectory(cfg: GaitConfig, geom: RobotGeometry, leg: int,
+                    steps: int, onset: Optional[float] = None) -> np.ndarray:
+    """Ground-frame slipping trajectory of a left leg's stance foot at
+    `steps` uniform reduced phases over [0, duty), shape (steps, 2) cm.
+
+    The leg is parameterized by its own reduced phase, so every leg traces
+    the same shape; the absolute stance-onset time and the shoulder's
+    longitudinal station only translate it.  onset is that time in cycles,
+    by default the leg's own, its wave lag minus the contact offset.
+    """
+    if steps < 8:
+        raise ValueError(f"steps must be >= 8, got {steps}")
+    if onset is None:
+        onset = wave_lag(cfg, leg) - cfg.contact_fraction_offset
+    return foot_position(cfg, geom, leg, cfg.duty * np.arange(steps) / steps,
+                         onset)
+
+
+def foot_velocity(cfg: GaitConfig, geom: RobotGeometry, u) -> tuple:
+    """foot_position's derivative in u at the reduced phases u, written out,
+    times duty / (leg_length + module_length): the slipping path's direction
+    and relative speed there, as the arrays (dx, dy)."""
+    u = np.asarray(u, dtype=float)
+    leg_amp, body_amp = np.radians([cfg.theta_leg_amp, cfg.theta_body_amp])
+    theta_leg = leg_amp * np.cos(np.pi * u / cfg.duty)
+    body_phase = TWO_PI * (u - cfg.contact_fraction_offset)
+    size = geom.leg_length + geom.module_length
+    leg, module = geom.leg_length / size, geom.module_length / size
+    # d theta / du times duty, for the leg sweep and the body wave
+    dleg = -leg_amp * np.pi * np.sin(np.pi * u / cfg.duty)
+    dbody = -body_amp * TWO_PI * cfg.duty * np.sin(body_phase)
+    # the stride 2 L sin(leg_amp) per cycle, and the chain rule through
+    # L sin(theta_leg), M/2 sin(theta_body) and L cos(theta_leg)
+    dx = leg * (2.0 * cfg.duty * np.sin(leg_amp) + np.cos(theta_leg) * dleg)
+    dy = 0.5 * module * np.cos(body_amp * np.cos(body_phase)) * dbody \
+        - leg * np.sin(theta_leg) * dleg
+    return dx, dy
+
+
+def stance_phases(cfg: GaitConfig, steps: int) -> np.ndarray:
+    """The reduced phase of every stance sample of a cycle of `steps`
+    uniform samples: left legs 1..n then right legs 1..n, each in step
+    order."""
+    frac_c = np.arange(steps) / steps + cfg.contact_fraction_offset
+    phases = np.concatenate([_leg_phase(cfg, frac_c, side, i)
+                             for side in ("left", "right")
+                             for i in range(1, cfg.n_pairs + 1)])
+    return phases[phases < cfg.duty]
+
+
+def slip_distribution(cfg: GaitConfig, geom: RobotGeometry,
+                      steps: int) -> SlipDistribution:
+    """Slip angles at the stance samples of a cycle of `steps`, one entry
+    per distinct angle, each weighted by the foot's speed at its samples."""
+    dx, dy = foot_velocity(cfg, geom, stance_phases(cfg, steps))
+    speed = np.hypot(dx, dy)
+    total = speed.sum()
+    if total <= 0.0:
+        raise NoSlipError("degenerate foot trajectory: no slip motion")
+    # friction opposes slip: thrust direction is minus the velocity
+    mass = {}
+    for angle, weight in zip(np.degrees(np.arctan2(-dy, -dx)).tolist(),
+                             speed.tolist()):
+        mass[angle] = mass.get(angle, 0.0) + weight
+    angles = sorted(mass)
+    return SlipDistribution(bin_centers=angles,
+                            probs=[mass[a] / total for a in angles])
+
+
+def slip_histogram(cfg: GaitConfig, geom: RobotGeometry, bins: int,
+                   steps: int = 4096) -> SlipDistribution:
     """Arc-length-weighted histogram of slip angles along leg 1's stance
     path, in `bins` bins over `steps` path samples.  The path starts at
     time 0: the onset only translates it, and a far one would round its

@@ -179,7 +179,7 @@ def test_07_speed_gamma_band():
     correlates with simulated gamma (Spearman > 0.9)."""
     cfg = GaitConfig()
     geom = RobotGeometry()
-    dist = slip_distribution(cfg, geom)
+    dist = slip_distribution(cfg, geom, STEPS)
     gammas = np.linspace(0.0, 1.0, 41)
     bands = [predict_speed_band(dist, float(g)) for g in gammas]
     v_min = [b.v_ratio_min for b in bands]
@@ -207,7 +207,7 @@ def arm_speeds(walks, name):
     variance, from the arm's rows of the speed ratio at the walks' gamma,
     the default gait's speed band's middle."""
     v_ratio = predict_speed_band(slip_distribution(GaitConfig(),
-                                                   RobotGeometry()),
+                                                   RobotGeometry(), STEPS),
                                  walks.gamma).v_ratio_mid
     speeds = v_ratio[:, list(ARMS).index(name)].tolist()
     return [mean(v) for v in speeds], mean(pvariance(v) for v in speeds)

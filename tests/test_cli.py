@@ -456,7 +456,7 @@ class TestModelSweep:
                     "model-sweep"]) == 0
         fc = load_config(str(cfg))
         grid = fc.experiment.a_v_grid
-        dist = slip_distribution(fc.gait, fc.geometry)
+        dist = slip_distribution(fc.gait, fc.geometry, fc.experiment.steps)
         deltas = TerrainGrid.load(tfile).longitudinal_deltas()
         expected = []
         for label, model in [
@@ -837,7 +837,7 @@ class TestWalkAndCompare:
                 SensorModel(flip_prob=exp.sensor_flip_prob),
                 None if period is None else _feedback(cc, [period]))
                 for seed in exp.seeds]
-            dist = slip_distribution(fc.gait, fc.geometry)
+            dist = slip_distribution(fc.gait, fc.geometry, exp.steps)
             speeds = [predict_speed_band(dist, w.gamma).v_ratio_mid.ravel()
                       .tolist() for w in walks]
             distances = [[stride * v for v in vs] for vs in speeds]

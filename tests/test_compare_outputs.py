@@ -52,3 +52,20 @@ def test_gait_runs_run_another_gait(tmp_path, monkeypatch, name, files,
         ["theta_body_amp"]
     code = main(["--out", "out", "--seeds", "0..1", "--cycles", "2", *argv])
     assert code in ((0, 2) if "validate" in argv else (0,)), name
+
+
+STEPS_RUNS = [run for run in compare_outputs.RUNS if "--steps" in run[3]]
+
+
+@pytest.mark.parametrize("name, files, seeds, argv", STEPS_RUNS,
+                         ids=[run[0] for run in STEPS_RUNS])
+def test_steps_runs_run_another_grid(tmp_path, monkeypatch, name, files,
+                                     seeds, argv):
+    # the --steps runs compare real outputs on a grid other than the
+    # shipped one, which the speed band reads as well as the contact ratio
+    monkeypatch.chdir(tmp_path)
+    assert not files
+    steps = int(argv[argv.index("--steps") + 1])
+    assert steps != load_config(None).experiment.steps
+    code = main(["--out", "out", "--seeds", "0..1", "--cycles", "2", *argv])
+    assert code == 0, name

@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import gait_reference
-from centiwalk import contact_sim
+from centiwalk import contact_sim, kinematics
 from centiwalk.contact_sim import (
     SensorModel,
     WalkOffTerrainError,
@@ -276,28 +276,34 @@ class TestSlipDistributionCache:
         geom = RobotGeometry()
         terrain = generate_terrain(0.32, rows=12, cols=5, seed=3)
         base = GaitConfig(n_pairs=4)
-        slip_distribution.cache_clear()
+        cache = kinematics._slip_distribution
+        cache.cache_clear()
         for _ in range(3):
             w = simulate_walks(base, geom, terrain.heights[None], [3],
                                [0.0, 12.0, 25.0], 4, 72, SensorModel())
-            predict_speed_band(slip_distribution(base, geom), w.gamma)
-        info = slip_distribution.cache_info()
+            predict_speed_band(slip_distribution(base, geom, 72), w.gamma)
+        info = cache.cache_info()
         assert (info.misses, info.hits) == (1, 2)
-        assert slip_distribution(base, geom) is slip_distribution(base, geom)
-        variants = [(replace(base, theta_leg_amp=20.0), geom),
-                    (replace(base, duty=0.6), geom),
-                    (replace(base, xi=1.5), geom),
-                    (replace(base, phase_offset=1.0), geom),
-                    (base, RobotGeometry(leg_length=14.0))]
-        for cfg, g in variants + [(base, geom)]:
+        assert slip_distribution(base, geom, 72) is \
+            slip_distribution(base, geom, 72)
+        # the stance samples, and so the distribution, follow steps
+        variants = [(replace(base, theta_leg_amp=20.0), geom, 72),
+                    (replace(base, duty=0.6), geom, 72),
+                    (replace(base, xi=1.5), geom, 72),
+                    (replace(base, phase_offset=1.0), geom, 72),
+                    (base, RobotGeometry(leg_length=14.0), 72),
+                    (base, geom, 48)]
+        for cfg, g, steps in variants + [(base, geom, 72)]:
             w = simulate_walks(cfg, g, terrain.heights[None], [3], [10.0], 4,
-                               72, SensorModel())
-            fresh = gait_reference.slip_distribution(cfg, g, 36)
+                               steps, SensorModel())
+            fresh = gait_reference.slip_distribution(cfg, g, steps)
             speeds = predict_speed_band(fresh, w.gamma[0, 0])
-            v_ratio = predict_speed_band(slip_distribution(cfg, g),
+            v_ratio = predict_speed_band(slip_distribution(cfg, g, steps),
                                          w.gamma).v_ratio_mid
             assert v_ratio[0, 0].tolist() == speeds.v_ratio_mid.tolist()
-        assert slip_distribution.cache_info().misses == 1 + len(variants)
+        assert cache.cache_info().misses == 1 + len(variants)
+        assert slip_distribution(base, geom, 48) is not \
+            slip_distribution(base, geom, 72)
 
     def test_walks_read_no_slip_distribution(self, monkeypatch):
         # a walk returns contact only: its speed is the caller's to compute
@@ -319,6 +325,38 @@ class TestSlipDistributionCache:
                                       getattr(want, name)), name
 
 
+@given(n_pairs=st.integers(min_value=2, max_value=8),
+       xi=st.floats(min_value=0.0, max_value=3.0),
+       duty=st.floats(min_value=0.1, max_value=0.9),
+       phase_offset=st.one_of(st.none(), st.floats(min_value=-2 * math.pi,
+                                                   max_value=2 * math.pi)),
+       levels=st.lists(st.floats(min_value=0.01, max_value=1.5), min_size=2,
+                       max_size=4, unique=True).map(sorted),
+       a_v=st.lists(st.floats(min_value=0.0, max_value=40.0), min_size=1,
+                    max_size=4),
+       seeds=st.lists(st.integers(min_value=0, max_value=2**16), min_size=1,
+                      max_size=10),
+       cycles=st.integers(min_value=1, max_value=8))
+@settings(max_examples=40, deadline=None)
+def test_rougher_level_never_keeps_more_contact(n_pairs, xi, duty,
+                                                phase_offset, levels, a_v,
+                                                seeds, cycles):
+    # every level scales the same normals, so each height step grows with
+    # the rugosity and a loss at one level is a loss at every rougher one:
+    # a seed's true gamma never rises with the level, in any cycle at any
+    # amplitude, on the counted path and on the per-sample one.  Level 0
+    # is left out: flat ground loses a step of 0 where the reach is
+    # negative, which a rougher level may keep
+    cfg = GaitConfig(n_pairs=n_pairs, xi=xi, duty=duty,
+                     phase_offset=phase_offset)
+    heights = generate_terrains(levels, cycles + n_pairs, 5, seeds)
+    for sensor in (SensorModel(), SensorModel(flip_prob=0.05)):
+        gamma = np.stack([simulate_walks(cfg, RobotGeometry(), level, seeds,
+                                         a_v, cycles, 72, sensor).gamma
+                          for level in heights])
+        assert np.all(np.diff(gamma, axis=0) <= 0.0)
+
+
 class TestSimulationHarness:
     def test_deterministic(self):
         terrain = generate_terrain(0.32, rows=25, cols=5, seed=9)
@@ -328,6 +366,22 @@ class TestSimulationHarness:
                           SensorModel(flip_prob=0.05), seed=9)
         assert np.array_equal(a.measured.bits, b.measured.bits)
         assert a.gamma_per_cycle == b.gamma_per_cycle
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+    def test_non_finite_heights_rejected(self, bad):
+        # the counted path lost every NaN step and the per-sample path kept
+        # every one, so the two gave different gammas; neither walks one
+        (heights,) = generate_terrains([0.17], 12, 5, [3])
+        heights[:, 8:] = bad
+        for sensor in (SensorModel(), SensorModel(flip_prob=0.01)):
+            with pytest.raises(ValueError, match="heights must be finite"):
+                simulate_walks(GaitConfig(), RobotGeometry(), heights, [3],
+                               [0.0], 6, 72, sensor)
+        terrain = generate_terrain(0.17, rows=12, cols=5, seed=3)
+        terrain.heights[8:] = bad
+        with pytest.raises(ValueError, match="heights must be finite"):
+            simulate_walk(GaitConfig(), RobotGeometry(), terrain, 6, 72,
+                          SensorModel(), seed=3)
 
     def test_walk_off_terrain(self):
         # 8 rows hold 8 - n_pairs = 2 cycles, for fixed and feedback walks

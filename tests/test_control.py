@@ -62,8 +62,9 @@ class TestUpdateAv:
 def v_ratio(walks):
     """The speed ratio, the speed band's middle at gamma, of walks of the
     default gait and geometry."""
-    return predict_speed_band(slip_distribution(GaitConfig(), RobotGeometry()),
-                              walks.gamma).v_ratio_mid
+    return predict_speed_band(
+        slip_distribution(GaitConfig(), RobotGeometry(), 72),
+        walks.gamma).v_ratio_mid
 
 
 def arm_column(walks, name):

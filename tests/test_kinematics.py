@@ -11,8 +11,6 @@ from hypothesis import strategies as st
 import gait_reference
 from centiwalk.gait import GaitConfig
 from centiwalk.kinematics import (
-    SLIP_BINS,
-    SLIP_PATH_SAMPLES,
     NoSlipError,
     RobotGeometry,
     SlipDistribution,
@@ -21,7 +19,7 @@ from centiwalk.kinematics import (
     slip_distribution,
     stance_geometry,
 )
-from centiwalk.models import predict_gamma
+from centiwalk.models import predict_gamma, predict_speed_band
 from centiwalk.terrain import HeightDeltaModel
 
 
@@ -185,7 +183,7 @@ class TestIdealGamma:
 
 class TestSlipDistribution:
     def test_normalized(self):
-        dist = slip_distribution(GaitConfig(), RobotGeometry())
+        dist = slip_distribution(GaitConfig(), RobotGeometry(), 72)
         assert dist.probs.sum() == pytest.approx(1.0, abs=1e-12)
         assert np.all(dist.probs >= 0.0)
 
@@ -202,22 +200,37 @@ class TestSlipDistribution:
 
     def test_mostly_forward_thrust(self):
         # retraction slips rearward, so thrust angles concentrate near 0
-        dist = slip_distribution(GaitConfig(), RobotGeometry())
+        dist = slip_distribution(GaitConfig(), RobotGeometry(), 72)
         cosb = np.cos(np.radians(dist.bin_centers))
         assert float(np.dot(dist.probs, cosb)) > 0.3
 
-    def test_bin_count_follows_the_bins(self):
-        dist = slip_distribution(GaitConfig(), RobotGeometry())
-        assert len(dist.bin_centers) == len(dist.probs) == SLIP_BINS
-        with pytest.raises(ValueError, match="length"):
-            SlipDistribution(bin_centers=dist.bin_centers,
-                             probs=np.append(dist.probs[:-1], [0.0, 0.0]))
+    @pytest.mark.parametrize("centers, match", [
+        ([0.0, 90.0, 180.0], "length"), ([0.0, math.nan], "finite"),
+        ([0.0, math.inf], "finite"), ([-math.inf, 0.0], "finite"),
+        ([math.nan, 0.0], "finite"), ([90.0, 0.0], "strictly increasing")],
+        ids=["length", "nan", "inf", "-inf", "nan-first", "decreasing"])
+    def test_rejects_bad_bin_centers(self, centers, match):
+        # a non-finite angle made every speed band NaN
+        with pytest.raises(ValueError, match=match):
+            SlipDistribution(bin_centers=centers, probs=[0.5, 0.5])
+
+    def test_steps_checked_before_the_cache(self):
+        cfg, geom = GaitConfig(), RobotGeometry()
+        dist = slip_distribution(cfg, geom, 72)
+        assert slip_distribution(cfg, geom, np.int64(72)) is dist
+        for steps in (72.0, "72"):
+            with pytest.raises(ValueError, match="steps must be an integer"):
+                slip_distribution(cfg, geom, steps)
+        with pytest.raises(ValueError, match="steps must be >= 0"):
+            slip_distribution(cfg, geom, -2)
+        with pytest.raises(ValueError, match="even"):
+            slip_distribution(cfg, geom, 71)
 
     def test_far_phase_offset_keeps_the_path_finite(self):
         # the offset only translates the foot path: at 1e306 with a 1e4 cm
         # leg that translation overflowed a float
         dist = slip_distribution(GaitConfig(phase_offset=1e306),
-                                 RobotGeometry(leg_length=1e4))
+                                 RobotGeometry(leg_length=1e4), 72)
         assert np.all(np.isfinite(dist.probs))
         assert dist.probs.sum() == pytest.approx(1.0, abs=1e-12)
 
@@ -227,18 +240,31 @@ class TestSlipDistribution:
         with pytest.raises(ValueError, match="non-negative"):
             SlipDistribution(bin_centers=[0.0, 90.0], probs=probs)
 
+    @pytest.mark.parametrize("geom", [
+        RobotGeometry(leg_length=1e306), RobotGeometry(module_length=1e306),
+        RobotGeometry(leg_length=1e-300, module_length=1e-300)],
+        ids=["long-leg", "long-module", "tiny"])
+    def test_extreme_lengths_keep_the_weights_finite(self, geom):
+        # the velocity is taken in lengths of leg plus module: at 1e306 cm
+        # its sum over the samples would overflow a float
+        for cfg in (GaitConfig(), GaitConfig(duty=0.01, theta_body_amp=0.0)):
+            dist = slip_distribution(cfg, geom, 720)
+            assert np.all(np.isfinite(dist.probs))
+            assert dist.probs.sum() == pytest.approx(1.0, abs=1e-12)
+
     @given(n_pairs=st.integers(2, 8), xi=st.floats(-3.0, 3.0),
            duty=st.floats(0.05, 0.95),
            phase_offset=st.one_of(st.none(), st.floats(-10.0, 10.0)),
            theta_leg_amp=st.one_of(st.just(0.0), st.floats(0.0, 89.0)),
            theta_body_amp=st.one_of(st.just(0.0), st.floats(0.0, 89.0)),
            leg_length=st.floats(0.5, 30.0),
-           module_length=st.floats(0.5, 30.0))
+           module_length=st.floats(0.5, 30.0),
+           steps=st.sampled_from([24, 72, 720]))
     @settings(max_examples=100, deadline=None)
     def test_matches_reference(self, n_pairs, xi, duty, phase_offset,
                                theta_leg_amp, theta_body_amp, leg_length,
-                               module_length):
-        # bit for bit the per-leg oracle's histogram of leg 1's path
+                               module_length, steps):
+        # bit for bit the per-leg oracle's speeds at its own stance phases
         cfg = GaitConfig(n_pairs=n_pairs, xi=xi, duty=duty,
                          phase_offset=phase_offset,
                          theta_leg_amp=theta_leg_amp,
@@ -246,12 +272,57 @@ class TestSlipDistribution:
         geom = RobotGeometry(leg_length=leg_length,
                              module_length=module_length)
         try:
-            ref = gait_reference.slip_distribution(cfg, geom, SLIP_BINS,
-                                                   SLIP_PATH_SAMPLES)
+            ref = gait_reference.slip_distribution(cfg, geom, steps)
         except NoSlipError:
             with pytest.raises(NoSlipError):
-                slip_distribution(cfg, geom)
+                slip_distribution(cfg, geom, steps)
             return
-        dist = slip_distribution(cfg, geom)
+        dist = slip_distribution(cfg, geom, steps)
         assert dist.bin_centers.tolist() == ref.bin_centers.tolist()
         assert dist.probs.tolist() == ref.probs.tolist()
+
+    @given(n_pairs=st.integers(2, 8), xi=st.floats(-3.0, 3.0),
+           duty=st.floats(0.05, 0.95),
+           phase_offset=st.one_of(st.none(), st.floats(-10.0, 10.0)),
+           theta_leg_amp=st.floats(1.0, 89.0),
+           theta_body_amp=st.floats(0.0, 89.0),
+           leg_length=st.floats(0.5, 30.0),
+           module_length=st.floats(0.5, 30.0))
+    @settings(max_examples=50, deadline=None)
+    def test_velocity_is_the_paths_derivative(self, n_pairs, xi, duty,
+                                              phase_offset, theta_leg_amp,
+                                              theta_body_amp, leg_length,
+                                              module_length):
+        # at every stance phase of the walker's grid, the oracle's velocity
+        # is foot_position's central difference, in the same units
+        cfg = GaitConfig(n_pairs=n_pairs, xi=xi, duty=duty,
+                         phase_offset=phase_offset,
+                         theta_leg_amp=theta_leg_amp,
+                         theta_body_amp=theta_body_amp)
+        geom = RobotGeometry(leg_length=leg_length,
+                             module_length=module_length)
+        u = gait_reference.stance_phases(cfg, 72)
+        h = 1e-6
+        ahead, behind = (gait_reference.foot_position(cfg, geom, 1, u + du,
+                                                      onset=0.0)
+                         for du in (h, -h))
+        numeric = (ahead - behind) / (2.0 * h) * duty \
+            / (leg_length + module_length)
+        velocity = np.column_stack(gait_reference.foot_velocity(cfg, geom, u))
+        np.testing.assert_allclose(velocity, numeric, rtol=1e-6,
+                                   atol=1e-6 * np.abs(numeric).max())
+
+    @pytest.mark.parametrize("cfg", [
+        GaitConfig(),
+        GaitConfig(n_pairs=4, xi=1.5, duty=0.6, theta_leg_amp=25.0,
+                   phase_offset=-2.0, a_v=15.0)], ids=["default", "other"])
+    def test_band_approaches_the_continuous_path(self, cfg):
+        # at 720 steps the band's midpoint lies within 1e-3 of the one of a
+        # fine histogram of the sampled path, which stands for the continuum
+        geom = RobotGeometry()
+        gammas = np.linspace(0.05, 1.0, 96)
+        fine = gait_reference.slip_histogram(cfg, geom, 3600, 2 ** 16)
+        mid = predict_speed_band(slip_distribution(cfg, geom, 720),
+                                 gammas).v_ratio_mid
+        assert np.abs(mid - predict_speed_band(fine, gammas).v_ratio_mid
+                      ).max() <= 1e-3

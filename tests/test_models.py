@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import model_reference
 from centiwalk.config import ConfigError, ExperimentSpec, load_config
-from centiwalk.contact_sim import SensorModel, simulate_walks
+from centiwalk.contact_sim import SensorModel, simulate_walk, simulate_walks
 from centiwalk.control import ControllerConfig
 from centiwalk.gait import GaitConfig, NoStanceError, _stance_table, phase_table
 from centiwalk.kinematics import (
@@ -114,7 +114,7 @@ class TestFrictionBounds:
         assert f_min == pytest.approx(0.5 * cos_back - 0.5, abs=1e-9)
 
     def test_full_contact_band_collapses(self):
-        dist = slip_distribution(GaitConfig(), RobotGeometry())
+        dist = slip_distribution(GaitConfig(), RobotGeometry(), 72)
         f_min, f_max = friction_bounds(dist, 1.0)
         assert f_min == pytest.approx(f_max, abs=1e-12)
 
@@ -158,14 +158,48 @@ class TestSpeedLaw:
         assert 0.0 <= band.v_ratio_min <= band.v_ratio_max + 1e-12
         assert band.v_ratio_max <= 1.0 + 1e-12
 
+    @given(data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_no_net_thrust_gives_zero_speed(self, data):
+        # f_max rises with gamma to the full-contact friction, so without
+        # net forward thrust the whole band lies at or below 0 and every
+        # speed is 0, whatever the coefficient
+        b = data.draw(st.integers(min_value=1, max_value=12))
+        centers = data.draw(st.lists(
+            st.floats(min_value=-179.0, max_value=179.0), min_size=b,
+            max_size=b, unique=True).map(sorted))
+        probs = np.array(data.draw(st.lists(
+            st.floats(min_value=0.0, max_value=1.0), min_size=b, max_size=b)))
+        assume(probs.sum() > 1e-3)
+        dist = make_dist(centers, probs)
+        assume(np.dot(dist.probs, np.cos(np.radians(dist.bin_centers))) <= 0)
+        gammas = np.linspace(0.0, 1.0, 21)
+        assert np.all(friction_bounds(dist, gammas)[1] <= 1e-12)
+        assert dist.speed_coeff == 0.0
+        band = predict_speed_band(dist, gammas)
+        assert band.v_ratio_min.tolist() == band.v_ratio_max.tolist() == \
+            [0.0] * 21
+
+    def test_touchdown_samples_alone_walk_at_speed_zero(self):
+        # at 4 steps and duty 0.25 every stance sample is a touchdown,
+        # where the foot still slips forward: the speed law maps its band
+        # to 0, and a walk on that grid reads speed 0 instead of failing
+        cfg, geom = GaitConfig(n_pairs=2, xi=0.0, duty=0.25), RobotGeometry()
+        dist = slip_distribution(cfg, geom, 4)
+        assert np.dot(dist.probs, np.cos(np.radians(dist.bin_centers))) < 0
+        terrain = generate_terrain(0.17, rows=6, cols=5, seed=0)
+        res = simulate_walk(cfg, geom, terrain, 3, 4, SensorModel(), 0)
+        assert res.forward_speed_ratio == [0.0] * 3
+        assert slip_distribution(cfg, geom, 72).speed_coeff > 0.0
+
     def test_distribution_coeff_normalizes_full_contact(self):
-        dist = slip_distribution(GaitConfig(), RobotGeometry())
+        dist = slip_distribution(GaitConfig(), RobotGeometry(), 72)
         band = predict_speed_band(dist, 1.0)
         assert band.v_ratio_min == pytest.approx(1.0, abs=1e-9)
         assert band.v_ratio_max == pytest.approx(1.0, abs=1e-9)
 
     def test_band_monotone_in_gamma(self):
-        dist = slip_distribution(GaitConfig(), RobotGeometry())
+        dist = slip_distribution(GaitConfig(), RobotGeometry(), 72)
         gammas = np.linspace(0.0, 1.0, 21)
         bands = [predict_speed_band(dist, g) for g in gammas]
         v_min = [b.v_ratio_min for b in bands]
@@ -358,7 +392,7 @@ def best_av(r_g, grid):
     geom, cfg = RobotGeometry(), GaitConfig()
     model = HeightDeltaModel.from_rugosity(r_g)
     gammas = predict_gamma(geom, cfg, model, 360, grid).gamma
-    band = predict_speed_band(slip_distribution(cfg, geom), gammas)
+    band = predict_speed_band(slip_distribution(cfg, geom, 360), gammas)
     best = int(np.argmax(band.v_ratio_mid))
     return grid[best], band.v_ratio_mid[best]
 

@@ -147,6 +147,20 @@ class TestGenerateTerrain:
         with pytest.raises(ValueError, match="block_size must be finite"):
             TerrainGrid.load(path)
 
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_grid_rejects_non_finite_heights(self, tmp_path, bad):
+        # built or loaded: a walk reads a NaN step as no loss on one path
+        # and a loss on the other
+        heights = np.zeros((4, 3))
+        heights[2, 1] = float(bad)
+        with pytest.raises(ValueError, match="heights must be finite"):
+            TerrainGrid(10.0, heights, 0.0, 0)
+        path = tmp_path / "t.txt"
+        path.write_text("# terrain v1\n# block_size=10\n# r_g=0\n"
+                        f"0,1\n{bad},2\n")
+        with pytest.raises(ValueError, match="heights must be finite"):
+            TerrainGrid.load(path)
+
     def test_load_reads_each_value_as_float_does(self, tmp_path):
         rows = [[" 2.5", "+1", "1_000"], ["1e-3", "\t3", "-0"]]
         path = tmp_path / "t.txt"

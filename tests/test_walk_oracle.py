@@ -127,7 +127,7 @@ def reference_walk(cfg, geom, terrain, cycles, steps, sensor, seed, cc=None,
     leg_cols = np.array([max(center - 1, 0)] * n
                         + [min(center + 1, cols - 1)] * n)
     leg_rows = np.array([n - 1 - i for i in range(n)] * 2)
-    dist = slip_distribution(cfg, geom, bins=36)
+    dist = slip_distribution(cfg, geom, steps)
     out = {"gamma": [], "gamma_measured": [], "v": [], "a_v": [],
            "losses": [], "bits": []}
     for c in range(cycles):
@@ -209,7 +209,8 @@ def test_engine_matches_reference_loop(feedback, n_pairs, xi, duty,
     one = simulate_walks(cfg, geom, terrain.heights[None], [seed], [a_v],
                          cycles, steps, sensor,
                          _feedback(cc, [period]) if feedback else None)
-    assert_cell_matches(one, engine_distribution(cfg, geom), 0, 0, ref)
+    assert_cell_matches(one, engine_distribution(cfg, geom, steps), 0, 0,
+                        ref)
     if not feedback:
         res = simulate_walk(cfg, geom, terrain, cycles, steps, sensor, seed)
         assert_walk_matches(res, ref)
@@ -318,8 +319,8 @@ def test_mixed_batch_rows_match_reference_loop(n_pairs, xi, duty,
         for j, (a_v, period) in enumerate(variants):
             ref = reference_walk(replace(cfg, a_v=a_v), geom, terrains[i],
                                  cycles, steps, sensor, seed, cc, period)
-            assert_cell_matches(batch, engine_distribution(cfg, geom), i, j,
-                                ref)
+            assert_cell_matches(batch, engine_distribution(cfg, geom, steps),
+                                i, j, ref)
             if period is None:
                 assert_walk_matches(
                     simulate_walk(replace(cfg, a_v=a_v), geom, terrains[i],
@@ -336,7 +337,7 @@ def test_batch_beyond_one_block_equals_single_walks():
     cycles, steps = 4, 24
     sensor = SensorModel(flip_prob=0.05, latch_steps=2)
     cc = ControllerConfig()
-    dist = engine_distribution(cfg, geom)
+    dist = engine_distribution(cfg, geom, steps)
     a_vs = [0.0, 7.0, 12.5, 25.0, 3.0, 18.0]
     periods = [None, 1, 2, 3, 1, None]
     block = BLOCK_ROWS // len(a_vs)

@@ -24,7 +24,9 @@ samples include a negative lift and a negative reach, and gait-dump,
 model-sweep, validate, walk and controller-compare on a gait shape of its
 own (n_pairs = 4, xi = 1.5, duty = 0.6, theta_leg_amp = 25, an explicit
 phase_offset = -2.0 and a_v = 15), as every other run walks the default
-gait's phases.  Every run's exit code,
+gait's phases, and model-sweep and controller-compare at --steps 24, a
+coarser grid than the shipped 72, which sets the phases of both the
+analytic contact ratio and the speed band.  Every run's exit code,
 standard output, standard error and output files are compared byte for
 byte; for a text output that differs, the number of differing lines and
 the first differing line on each side are printed.  Each run works in its
@@ -138,6 +140,11 @@ RUNS: List[Tuple[str, Dict[str, str], str, List[str]]] = [
        ["--config", GAIT_CONFIG, command])
       for command in ("gait-dump", "model-sweep", "validate", "walk",
                       "controller-compare")),
+    # --steps sets the walker's stance samples, predict_gamma's phases and
+    # the speed band's slip samples alike
+    ("model-sweep-steps", {}, SEEDS, ["--steps", "24", "model-sweep"]),
+    ("controller-compare-steps", {}, SEEDS,
+     ["--steps", "24", "controller-compare"]),
 ]
 
 
